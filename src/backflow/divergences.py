@@ -12,7 +12,8 @@ The Hellinger coefficient is deliberately 1/2 (not the conventional
 1/sqrt(2)), so its maximum over disjoint supports is sqrt(2)/2.
 
 Matrix variants average the per-row divergence, which preserves the
-data-processing property row-wise.
+data-processing property row-wise.  ``div_avg`` also takes a stack of
+prediction matrices (R x N x C) and returns one average per matrix pair.
 """
 
 import numpy as np
@@ -26,19 +27,19 @@ def _as_prob_rows(a, name: str) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if np.any(rows < -1e-12):
         raise ValueError(f"{name} has negative entries")
-    sums = rows.sum(axis=1)
+    sums = rows.sum(axis=-1, keepdims=True)
     if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
         worst = float(np.max(np.abs(sums - 1.0)))
         raise ValueError(f"{name} rows are not normalized (max deviation {worst:.3e})")
-    return np.clip(rows, 0.0, None) / sums[:, None]
+    return np.clip(rows, 0.0, None) / sums
 
 
 def _row_values(kind: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     if kind == "tv":
-        return 0.5 * np.abs(p - q).sum(axis=1)
+        return 0.5 * np.abs(p - q).sum(axis=-1)
     if kind == "hellinger":
         diff = np.sqrt(p) - np.sqrt(q)
-        return 0.5 * np.sqrt((diff * diff).sum(axis=1))
+        return 0.5 * np.sqrt((diff * diff).sum(axis=-1))
     if kind == "js":
         m = 0.5 * (p + q)
         # m vanishes only where both p and q do, so the ratios below are
@@ -46,7 +47,7 @@ def _row_values(kind: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             term_p = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0) / np.where(m > 0.0, m, 1.0)), 0.0)
             term_q = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0) / np.where(m > 0.0, m, 1.0)), 0.0)
-        return 0.5 * term_p.sum(axis=1) + 0.5 * term_q.sum(axis=1)
+        return 0.5 * term_p.sum(axis=-1) + 0.5 * term_q.sum(axis=-1)
     raise ValueError(f"unknown divergence kind: {kind!r}")
 
 
@@ -71,11 +72,13 @@ def _unwrap(predictions):
     return np.asarray(probs, dtype=np.float64), probe_id
 
 
-def div_avg(kind: str, predictions_p, predictions_q) -> float:
+def div_avg(kind, predictions_p, predictions_q):
     """Mean per-row divergence between two prediction matrices.
 
     Accepts raw N x C arrays or ProbePredictions; when both sides carry a
-    probe id the ids must agree.
+    probe id the ids must agree.  ``kind`` is one kind, or a tuple of kinds
+    for a ``{kind: value}`` dict computed from one validation of each side.
+    Stacked R x N x C inputs give an array of R averages per kind.
     """
     p, pid = _unwrap(predictions_p)
     q, qid = _unwrap(predictions_q)
@@ -85,4 +88,11 @@ def div_avg(kind: str, predictions_p, predictions_q) -> float:
         raise ValueError(f"probe mismatch: {pid!r} vs {qid!r}")
     pr = _as_prob_rows(p, "p")
     qr = _as_prob_rows(q, "q")
-    return float(_row_values(kind, pr, qr).mean())
+
+    def average(k):
+        value = _row_values(k, pr, qr).mean(axis=-1)
+        return float(value) if value.ndim == 0 else value
+
+    if isinstance(kind, tuple):
+        return {k: average(k) for k in kind}
+    return average(kind)

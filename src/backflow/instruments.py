@@ -78,6 +78,10 @@ def sample_batch_plan(
     ``same_classes`` the second batch reproduces the first batch's class
     histogram as far as the remaining pool allows; any shortfall is filled
     from other classes and recorded on the plan.
+
+    Requires ``dataset.train_indices`` sorted and unique, as every Dataset
+    constructor makes them: the candidate pools are then sorted, which fixes
+    the draws for a seed.
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must lie in [0, 1]")
@@ -92,7 +96,9 @@ def sample_batch_plan(
     rng = np.random.default_rng(seed)
     idx_a = rng.choice(train, size=batch_size, replace=False)
     shared = rng.choice(idx_a, size=n_shared, replace=False) if n_shared else np.array([], dtype=idx_a.dtype)
-    pool = np.setdiff1d(train, idx_a)
+    taken = np.zeros(dataset.num_examples, dtype=bool)
+    taken[idx_a] = True
+    pool = train[~taken[train]]
     n_rest = batch_size - n_shared
     shortfall = 0
 
@@ -112,7 +118,8 @@ def sample_batch_plan(
                 picked.append(rng.choice(available, size=take, replace=False))
         rest = np.concatenate(picked) if picked else np.array([], dtype=idx_a.dtype)
         if shortfall:
-            leftovers = np.setdiff1d(pool, rest)
+            taken[rest] = True
+            leftovers = pool[~taken[pool]]
             rest = np.concatenate([rest, rng.choice(leftovers, size=shortfall, replace=False)])
     else:
         rest = rng.choice(pool, size=n_rest, replace=False)

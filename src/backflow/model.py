@@ -2,8 +2,10 @@
 
 Two normalization-free architectures are provided: a softmax linear model
 and a one-hidden-layer MLP (tanh or relu).  Parameters live in a single
-flat float64 vector so the optimizer can treat them opaquely.  All
-operations are pure functions of their inputs.
+flat float64 vector so the optimizer can treat them opaquely; an (R, P)
+stack of such vectors is R independent models, evaluated row by row with
+the same arithmetic as a single vector.  All operations are pure functions
+of their inputs.
 """
 
 from dataclasses import dataclass
@@ -76,31 +78,33 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray):
+    """Weight and bias views; a stacked (R, P) vector gives a leading row axis on each."""
     d, c = spec.input_dim, spec.num_classes
-    if params.shape != (parameter_count(spec),):
+    if params.ndim not in (1, 2) or params.shape[-1] != parameter_count(spec):
         raise ValueError(
-            f"parameter vector has length {params.shape}, expected {parameter_count(spec)}"
+            f"parameter vector has shape {params.shape}, expected {parameter_count(spec)} per row"
         )
+    lead = params.shape[:-1]
     if spec.kind == "softmax_linear":
-        w = params[: d * c].reshape(c, d)
-        b = params[d * c :]
+        w = params[..., : d * c].reshape(lead + (c, d))
+        b = params[..., d * c :]
         return w, b
     h = spec.hidden_dim
     off = 0
-    w1 = params[off : off + d * h].reshape(h, d)
+    w1 = params[..., off : off + d * h].reshape(lead + (h, d))
     off += d * h
-    b1 = params[off : off + h]
+    b1 = params[..., off : off + h]
     off += h
-    w2 = params[off : off + h * c].reshape(c, h)
+    w2 = params[..., off : off + h * c].reshape(lead + (c, h))
     off += h * c
-    b2 = params[off:]
+    b2 = params[..., off:]
     return w1, b1, w2, b2
 
 
 def _check_inputs(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"inputs have {x.shape[1]} features, spec expects {spec.input_dim}")
+    if x.shape[-1] != spec.input_dim:
+        raise ValueError(f"inputs have {x.shape[-1]} features, spec expects {spec.input_dim}")
     return x
 
 
@@ -110,72 +114,101 @@ def _activation(spec: ModelSpec, pre: np.ndarray) -> np.ndarray:
     return np.maximum(pre, 0.0)
 
 
+def _T(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (the matrix transpose of every row)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return x @ _T(w) + b[..., None, :]
+
+
+def _hidden(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    w1, b1, _, _ = _unpack(spec, params)
+    return _activation(spec, _affine(x, w1, b1))
+
+
 def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     if spec.kind == "softmax_linear":
         w, b = _unpack(spec, params)
-        return x @ w.T + b
-    w1, b1, w2, b2 = _unpack(spec, params)
-    hidden = _activation(spec, x @ w1.T + b1)
-    return hidden @ w2.T + b2
+        return _affine(x, w, b)
+    _, _, w2, b2 = _unpack(spec, params)
+    return _affine(_hidden(spec, params, x), w2, b2)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     # Max subtraction keeps the exponentials bounded for the NaN guard.
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward(spec: ModelSpec, params: np.ndarray, inputs, probe_id: str = "adhoc") -> ProbePredictions:
-    """Softmax class probabilities for a batch of feature vectors."""
+    """Softmax class probabilities for a batch of feature vectors.
+
+    Stacked (R, P) parameters give (R, N, C) probabilities, row r from
+    parameter row r; ``inputs`` may be shared (N, d) or per row (R, N, d).
+    """
     x = _check_inputs(spec, inputs)
     return ProbePredictions(_softmax(_logits(spec, params, x)), probe_id)
 
 
-def loss_and_grad(spec: ModelSpec, params: np.ndarray, inputs, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient in the flat layout."""
+def loss_and_grad(
+    spec: ModelSpec, params: np.ndarray, inputs, labels
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy over the batch and its gradient in the flat layout.
+
+    Stacked (R, P) parameters train R independent rows at once: ``inputs``
+    is (n, d) or (R, n, d), ``labels`` is (n,) or (R, n), and the result is
+    an (R,) loss array with an (R, P) gradient.  Each row is computed
+    exactly as the unstacked call on that row would compute it.
+    """
     x = _check_inputs(spec, inputs)
     y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (x.shape[0],):
+    n = x.shape[-2]
+    if y.ndim not in (1, 2) or y.shape[-1] != n:
         raise ValueError("labels must be one integer per input row")
     if np.any(y < 0) or np.any(y >= spec.num_classes):
         raise ValueError("labels out of range")
-    n = x.shape[0]
 
     if spec.kind == "softmax_linear":
         w, b = _unpack(spec, params)
-        z = x @ w.T + b
-        hidden = pre = None
+        z = _affine(x, w, b)
     else:
         w1, b1, w2, b2 = _unpack(spec, params)
-        pre = x @ w1.T + b1
+        pre = _affine(x, w1, b1)
         hidden = _activation(spec, pre)
-        z = hidden @ w2.T + b2
+        z = _affine(hidden, w2, b2)
+    # flat (row, example) view of z, to pick each example's label column
+    target = (np.arange(z.size // z.shape[-1]), np.broadcast_to(y, z.shape[:-1]).ravel())
 
     with np.errstate(over="ignore", invalid="ignore"):  # NaN guard below decides
-        zmax = z.max(axis=1, keepdims=True)
-        logsum = np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)) + zmax
-        loss = float((logsum[:, 0] - z[np.arange(n), y]).mean())
+        zmax = z.max(axis=-1, keepdims=True)
+        logsum = np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True)) + zmax
+        picked = z.reshape(-1, z.shape[-1])[target].reshape(z.shape[:-1])
+        loss = (logsum[..., 0] - picked).mean(axis=-1)
 
         dz = np.exp(z - logsum)  # softmax probabilities
-        dz[np.arange(n), y] -= 1.0
+        dz.reshape(-1, z.shape[-1])[target] -= 1.0
         dz /= n
 
+    lead = z.shape[:-2]
     if spec.kind == "softmax_linear":
-        grad = np.concatenate([(dz.T @ x).ravel(), dz.sum(axis=0)])
+        parts = [_T(dz) @ x, dz.sum(axis=-2)]
     else:
-        gw2 = dz.T @ hidden
-        gb2 = dz.sum(axis=0)
+        gw2 = _T(dz) @ hidden
+        gb2 = dz.sum(axis=-2)
         dh = dz @ w2
         if spec.activation == "tanh":
             dpre = dh * (1.0 - hidden * hidden)
         else:
             dpre = dh * (pre > 0.0)
-        grad = np.concatenate([(dpre.T @ x).ravel(), dpre.sum(axis=0), gw2.ravel(), gb2])
+        parts = [_T(dpre) @ x, dpre.sum(axis=-2), gw2, gb2]
+    grad = np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
 
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-        raise NanGuardError("non-finite loss or gradient", {"loss": loss, "kind": spec.kind})
-    return loss, grad
+    if not np.all(np.isfinite(loss)) or not np.all(np.isfinite(grad)):
+        raise NanGuardError("non-finite loss or gradient", {"loss": loss.tolist(), "kind": spec.kind})
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def penultimate_features(spec: ModelSpec, params: np.ndarray, inputs) -> np.ndarray:
@@ -183,5 +216,4 @@ def penultimate_features(spec: ModelSpec, params: np.ndarray, inputs) -> np.ndar
     x = _check_inputs(spec, inputs)
     if spec.kind == "softmax_linear":
         return x.copy()
-    w1, b1, _, _ = _unpack(spec, params)
-    return _activation(spec, x @ w1.T + b1)
+    return _hidden(spec, params, x)

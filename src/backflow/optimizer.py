@@ -12,7 +12,9 @@ Update rule (buffer-form heavy ball):
     params'   = params - lr * velocity'
 
 Weight decay enters before clipping and before the buffer, which keeps the
-buffer bounded when clipping is active.
+buffer bounded when clipping is active.  Parameters, gradient and velocity
+may carry a leading row axis, (R, P): each row is then an independent
+update with its own clipping norm.
 """
 
 from dataclasses import dataclass
@@ -45,8 +47,8 @@ class OptimizerState:
     velocity: np.ndarray
 
     @classmethod
-    def zeros(cls, n: int) -> "OptimizerState":
-        return cls(np.zeros(n))
+    def zeros(cls, shape) -> "OptimizerState":
+        return cls(np.zeros(shape))
 
 
 def step(
@@ -63,9 +65,13 @@ def step(
 
     g = grad + config.weight_decay * params
     if config.clip_norm is not None:
-        norm = float(np.linalg.norm(g))
-        if norm > config.clip_norm:
-            g = g * (config.clip_norm / norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.sqrt(np.vecdot(g, g))[..., None]  # per row
+        if not np.all(np.isfinite(norm)):
+            # an overflowing norm would scale the gradient to exactly zero
+            raise NanGuardError("non-finite gradient norm", {"where": "clip"})
+        # rows within the clip norm are scaled by exactly 1.0
+        g = g * (config.clip_norm / np.maximum(norm, config.clip_norm))
     velocity = config.momentum * state.velocity + g
     with np.errstate(over="ignore", invalid="ignore"):  # NaN guard below decides
         new_params = params - config.lr * velocity

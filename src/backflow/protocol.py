@@ -13,11 +13,20 @@ and the per-repeat back-flow delta = d2 - d1 for each divergence kind.
 A positive mean delta certifies that no single fixed channel maps the
 mid-time probe laws to the post-B laws.
 
+One engine (``_run_repeat``) runs a repeat for a tuple of break flags.  The
+flags of a repeat share its batch plan, its augmentation draws, its A/A'
+phase and so d1, which depend on the repeat alone; they part only at B,
+where the A and A' rows of every flag train as one parameter stack.  The
+sweep asks the engine for all flags of a repeat when it reaches the first
+flag's cell and keeps the other flags' records for their cells.  The
+non-commute curve and the diagnostics go through the same k-step loop.
+
 Randomness discipline: each repeat derives its own streams from
 (seed, repeat_id, tag).  The A/A' kernels share one augmentation seed (they
 must differ only by kind), and B's plan and draws are common to both
 branches of a repeat.  Records are pure functions of (config, seed,
-repeat_id), so repeats can run in any order or in parallel.
+repeat_id, flag): a record is the same whether its flag ran alone or with
+the others, so repeats and flags can run in any order or in parallel.
 """
 
 import json
@@ -25,7 +34,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from hashlib import sha256
 from pathlib import Path
@@ -145,6 +154,18 @@ def probe_identifier(dataset: Dataset, probe_indices: np.ndarray) -> str:
     return h.hexdigest()[:12]
 
 
+@dataclass(frozen=True)
+class Probe:
+    """Probe inputs and their identifier, gathered once and shared by every repeat."""
+
+    x: np.ndarray
+    pid: str
+
+
+def make_probe(dataset: Dataset, probe_indices: np.ndarray) -> Probe:
+    return Probe(dataset.features[probe_indices], probe_identifier(dataset, probe_indices))
+
+
 def _aug_kernel(kind: str, seed: int, dataset: Dataset) -> AugmentationKernel:
     """Kernel for this dataset; image datasets get the image transform forms."""
     params = {}
@@ -153,80 +174,13 @@ def _aug_kernel(kind: str, seed: int, dataset: Dataset) -> AugmentationKernel:
     return AugmentationKernel(kind, seed, params)
 
 
-def _run_instrument(
-    spec: ModelSpec,
-    params: np.ndarray,
-    state: OptimizerState,
-    instrument: Instrument,
-    dataset: Dataset,
-    base_config: OptimizerConfig,
-    capture_first: bool = False,
-):
-    config = base_config
-    if instrument.optimizer_overrides is not None:
-        lr, momentum = instrument.optimizer_overrides
-        config = replace(base_config, lr=lr, momentum=momentum)
-    x = apply_instrument_batch(instrument, dataset)
-    y = dataset.labels[instrument.batch_indices]
-    first = None
-    for t in range(instrument.k):
-        _, grad = loss_and_grad(spec, params, x, y)
-        params, state = step(params, state, grad, config)
-        if t == 0 and capture_first:
-            first = params.copy()
-    return params, state, first
-
-
 def apply_instrument_batch(instrument: Instrument, dataset: Dataset) -> np.ndarray:
     """The augmented batch an instrument trains on (fixed for its k steps)."""
     return apply_augmentation(instrument.aug, dataset.features[instrument.batch_indices])
 
 
-def run_micro_experiment_detailed(
-    base_params: np.ndarray,
-    spec: ModelSpec,
-    regime: Regime,
-    break_applied: bool,
-    dataset: Dataset,
-    probe: np.ndarray,
-    seed: int,
-    settings: ProtocolSettings = ProtocolSettings(),
-    repeat_id: int = 0,
-) -> MicroResult:
-    """One micro-experiment with intermediate states exposed.
-
-    Retries once at half the learning rate if any loss, gradient, or update
-    stops being finite; a second failure yields an error record.
-    """
-    try:
-        return _attempt_micro(
-            base_params, spec, regime, break_applied, dataset, probe, seed, settings, repeat_id, 1.0
-        )
-    except NanGuardError:
-        pass
-    try:
-        result = _attempt_micro(
-            base_params, spec, regime, break_applied, dataset, probe, seed, settings, repeat_id, 0.5
-        )
-        result.record.retried = True
-        return result
-    except NanGuardError as exc:
-        record = BackflowRecord(
-            repeat_id=repeat_id,
-            seed=seed,
-            break_applied=break_applied,
-            d1=None,
-            d2=None,
-            delta=None,
-            retried=True,
-            error=f"nan_guard: {exc}",
-        )
-        return MicroResult(record=record, lr_scale=0.5)
-
-
-def _attempt_micro(
-    base_params, spec, regime, break_applied, dataset, probe, seed, settings, repeat_id, lr_scale
-) -> MicroResult:
+def _instruments(regime, dataset, seed, settings, lr_scale):
+    """A repeat's batch plan, its A, A' and B instruments, and their optimizer config."""
     plan = sample_batch_plan(
         dataset,
         settings.batch_size,
@@ -249,74 +203,216 @@ def _attempt_micro(
         regime.k,
         overrides,
     )
-    base_config = OptimizerConfig(
+    config = OptimizerConfig(
         lr=regime.lr * lr_scale,
         momentum=regime.momentum,
         weight_decay=settings.weight_decay,
         clip_norm=settings.clip_norm,
     )
+    return plan, (instr_a, instr_ap, instr_b), config
 
-    zeros = OptimizerState.zeros(base_params.size)
-    params_a, state_a, _ = _run_instrument(spec, base_params.copy(), zeros, instr_a, dataset, base_config)
-    params_ap, state_ap, _ = _run_instrument(
-        spec, base_params.copy(), OptimizerState.zeros(base_params.size), instr_ap, dataset, base_config
+
+def _train(spec, params, velocity, x, y, k, config):
+    """k optimizer steps of every stacked parameter row on its batch.
+
+    ``x``/``y`` are one batch shared by all rows or one per row.  Returns the
+    final parameters and velocities, the parameters after the first step and
+    the first gradient.  ``step`` is called through this module's namespace,
+    so a replacement installed there (as the NaN-guard tests do) is used.
+    """
+    state = OptimizerState(velocity)
+    first_params = first_grad = None
+    for t in range(k):
+        _, grad = loss_and_grad(spec, params, x, y)
+        params, state = step(params, state, grad, config)
+        if t == 0:
+            first_params, first_grad = params, grad
+    return params, state.velocity, first_params, first_grad
+
+
+@dataclass
+class _Repeat:
+    """One repeat run for a tuple of break flags.
+
+    Mid-time arrays have rows (A, A'); post-B arrays have rows (A, A') for
+    each flag in the order requested.  An errored repeat has no arrays.
+    """
+
+    records: dict[str, BackflowRecord]
+    lr_scale: float
+    plan: object = None
+    instruments: tuple[Instrument, Instrument, Instrument] | None = None
+    params_mid: np.ndarray | None = None
+    velocity_mid: np.ndarray | None = None
+    params_end: np.ndarray | None = None
+    first_b_params: np.ndarray | None = None
+    first_b_grad: np.ndarray | None = None
+
+
+def _run_repeat(
+    base_params, spec, regime, flags, dataset, probe, seed, settings, repeat_id, lr_scale
+) -> _Repeat:
+    """The engine: one repeat of the A/A'->B protocol for every flag in ``flags``.
+
+    The plan, the augmented batches, the A/A' phase and d1 do not depend on
+    the break flag and are computed once.  The B phase then trains the A and
+    A' rows of every flag together, the ``break`` rows starting from zero
+    velocity.  Raises NanGuardError if any row stops being finite.
+    """
+    plan, (instr_a, instr_ap, instr_b), config = _instruments(regime, dataset, seed, settings, lr_scale)
+    params_mid, velocity_mid, _, _ = _train(
+        spec,
+        np.stack([base_params, base_params]),
+        np.zeros((2, base_params.size)),
+        np.stack([apply_instrument_batch(instr_a, dataset), apply_instrument_batch(instr_ap, dataset)]),
+        dataset.labels[plan.indices_a],
+        regime.k,
+        config,
+    )
+    preds_mid = forward(spec, params_mid, probe.x, probe.pid).probs
+    d1 = div_avg(KINDS, preds_mid[0], preds_mid[1])
+
+    mid_state = OptimizerState(velocity_mid)
+    velocity_b = np.concatenate(
+        [(causal_break(mid_state) if flag == "break" else mid_state).velocity for flag in flags]
+    )
+    params_end, _, first_b_params, first_b_grad = _train(
+        spec,
+        np.concatenate([params_mid] * len(flags)),
+        velocity_b,
+        apply_instrument_batch(instr_b, dataset),
+        dataset.labels[plan.indices_b],
+        regime.k,
+        config,
+    )
+    preds_end = forward(spec, params_end, probe.x, probe.pid).probs
+    d2_rows = div_avg(KINDS, preds_end[0::2], preds_end[1::2])
+
+    records = {}
+    for i, flag in enumerate(flags):
+        d2 = {kind: float(d2_rows[kind][i]) for kind in KINDS}
+        # the first B gradient of the A row is taken at the mid-time parameters
+        alignment = diag.cosine(first_b_grad[2 * i], velocity_mid[0]) if flag == "no" else None
+        records[flag] = BackflowRecord(
+            repeat_id=repeat_id,
+            seed=seed,
+            break_applied=flag == "break",
+            d1=dict(d1),
+            d2=d2,
+            delta={kind: d2[kind] - d1[kind] for kind in KINDS},
+            momentum_alignment=alignment,
+        )
+    return _Repeat(
+        records=records,
+        lr_scale=lr_scale,
+        plan=plan,
+        instruments=(instr_a, instr_ap, instr_b),
+        params_mid=params_mid,
+        velocity_mid=velocity_mid,
+        params_end=params_end,
+        first_b_params=first_b_params,
+        first_b_grad=first_b_grad,
     )
 
-    probe_x = dataset.features[probe]
-    pid = probe_identifier(dataset, probe)
-    preds_mid_a = forward(spec, params_a, probe_x, pid)
-    preds_mid_ap = forward(spec, params_ap, probe_x, pid)
-    d1 = {kind: div_avg(kind, preds_mid_a, preds_mid_ap) for kind in KINDS}
 
-    alignment = None
-    grad_b_mid = None
-    if not break_applied:
-        xb = apply_instrument_batch(instr_b, dataset)
-        _, grad_b_mid = loss_and_grad(spec, params_a, xb, dataset.labels[instr_b.batch_indices])
-        alignment = diag.cosine(grad_b_mid, state_a.velocity)
+def _nan_guarded(attempt):
+    """Run ``attempt(lr_scale)`` under the NaN-guard rule.
 
-    velocity_mid_a = state_a.velocity.copy()
-    velocity_mid_ap = state_ap.velocity.copy()
-    if break_applied:
-        state_a = causal_break(state_a)
-        state_ap = causal_break(state_ap)
+    A first NanGuardError is retried once at half the learning rate; the
+    second one propagates.  Returns the result and whether it was retried.
+    """
+    try:
+        return attempt(1.0), False
+    except NanGuardError:
+        return attempt(0.5), True
 
-    params_ab, _, first_a = _run_instrument(
-        spec, params_a, state_a, instr_b, dataset, base_config, capture_first=True
+
+def _guarded_repeat(base_params, spec, regime, flag, dataset, probe, seed, settings, repeat_id) -> _Repeat:
+    """One flag of one repeat under the NaN-guard rule; an error record if the retry fails too."""
+    try:
+        run, retried = _nan_guarded(
+            lambda lr_scale: _run_repeat(
+                base_params, spec, regime, (flag,), dataset, probe, seed, settings, repeat_id, lr_scale
+            )
+        )
+    except NanGuardError as exc:
+        record = BackflowRecord(
+            repeat_id=repeat_id,
+            seed=seed,
+            break_applied=flag == "break",
+            d1=None,
+            d2=None,
+            delta=None,
+            retried=True,
+            error=f"nan_guard: {exc}",
+        )
+        return _Repeat(records={flag: record}, lr_scale=0.5)
+    run.records[flag].retried = retried
+    return run
+
+
+def _repeat_records(
+    base_params, spec, regime, flags, dataset, probe, seed, settings, repeat_id
+) -> dict[str, BackflowRecord]:
+    """The records of one repeat for every flag in ``flags``, from one engine run.
+
+    If the shared run trips the NaN guard, each flag is rerun alone under
+    the retry rule, so every record equals the one a single-flag run gives.
+    """
+    if len(flags) > 1:
+        try:
+            return _run_repeat(
+                base_params, spec, regime, flags, dataset, probe, seed, settings, repeat_id, 1.0
+            ).records
+        except NanGuardError:
+            pass
+    runs = {
+        flag: _guarded_repeat(base_params, spec, regime, flag, dataset, probe, seed, settings, repeat_id)
+        for flag in flags
+    }
+    return {flag: run.records[flag] for flag, run in runs.items()}
+
+
+def run_micro_experiment_detailed(
+    base_params: np.ndarray,
+    spec: ModelSpec,
+    regime: Regime,
+    break_applied: bool,
+    dataset: Dataset,
+    probe: np.ndarray,
+    seed: int,
+    settings: ProtocolSettings = ProtocolSettings(),
+    repeat_id: int = 0,
+) -> MicroResult:
+    """One micro-experiment with intermediate states exposed.
+
+    Retries once at half the learning rate if any loss, gradient, or update
+    stops being finite; a second failure yields an error record.
+    """
+    flag = "break" if break_applied else "no"
+    run = _guarded_repeat(
+        base_params, spec, regime, flag, dataset, make_probe(dataset, probe), seed, settings, repeat_id
     )
-    params_apb, _, first_ap = _run_instrument(
-        spec, params_ap, state_ap, instr_b, dataset, base_config, capture_first=True
-    )
-    preds_end_a = forward(spec, params_ab, probe_x, pid)
-    preds_end_ap = forward(spec, params_apb, probe_x, pid)
-    d2 = {kind: div_avg(kind, preds_end_a, preds_end_ap) for kind in KINDS}
-    delta = {kind: d2[kind] - d1[kind] for kind in KINDS}
-
-    record = BackflowRecord(
-        repeat_id=repeat_id,
-        seed=seed,
-        break_applied=break_applied,
-        d1=d1,
-        d2=d2,
-        delta=delta,
-        momentum_alignment=alignment,
-    )
+    record = run.records[flag]
+    if not record.ok:
+        return MicroResult(record=record, lr_scale=run.lr_scale)
+    instr_a, instr_ap, instr_b = run.instruments
     return MicroResult(
         record=record,
-        plan=plan,
+        plan=run.plan,
         instrument_a=instr_a,
         instrument_aprime=instr_ap,
         instrument_b=instr_b,
-        params_mid_a=params_a,
-        params_mid_aprime=params_ap,
-        params_end_a=params_ab,
-        params_end_aprime=params_apb,
-        velocity_mid_a=velocity_mid_a,
-        velocity_mid_aprime=velocity_mid_ap,
-        first_b_params_a=first_a,
-        first_b_params_aprime=first_ap,
-        grad_b_mid_a=grad_b_mid,
-        lr_scale=lr_scale,
+        params_mid_a=run.params_mid[0],
+        params_mid_aprime=run.params_mid[1],
+        params_end_a=run.params_end[0],
+        params_end_aprime=run.params_end[1],
+        velocity_mid_a=run.velocity_mid[0],
+        velocity_mid_aprime=run.velocity_mid[1],
+        first_b_params_a=run.first_b_params[0],
+        first_b_params_aprime=run.first_b_params[1],
+        grad_b_mid_a=run.first_b_grad[0] if flag == "no" else None,
+        lr_scale=run.lr_scale,
     )
 
 
@@ -347,42 +443,33 @@ def run_noncommute_curve(
     seed: int,
     k_max: int = 6,
     settings: ProtocolSettings = ProtocolSettings(),
+    lr_scale: float = 1.0,
 ) -> list[tuple[int, float]]:
     """Order sensitivity: TV between A-then-B and B-then-A endpoints vs k.
 
     Both orders start from the same base parameters and share the repeat's
-    batch plan and augmentation draws; under the break condition the buffers
-    are zeroed at the switch point in both orders.
+    batch plan and augmentation draws; they train as two stacked rows.
+    Under the break condition the buffers are zeroed at the switch point in
+    both orders.  Raises NanGuardError if either order stops being finite.
     """
-    plan = sample_batch_plan(
-        dataset, settings.batch_size, regime.overlap, regime.same_classes, derive_seed(seed, "plan")
-    )
-    overrides = (regime.lr, regime.momentum)
-    base_config = OptimizerConfig(
-        lr=regime.lr,
-        momentum=regime.momentum,
-        weight_decay=settings.weight_decay,
-        clip_norm=settings.clip_norm,
-    )
-    aug_a = _aug_kernel(regime.aug_a, derive_seed(seed, "aug_first"), dataset)
-    aug_b = _aug_kernel(regime.aug_b, derive_seed(seed, "aug_b"), dataset)
-    probe_x = dataset.features[probe_subset]
-    pid = probe_identifier(dataset, probe_subset)
+    plan, (instr_a, _, instr_b), config = _instruments(regime, dataset, seed, settings, lr_scale)
+    x_a, x_b = apply_instrument_batch(instr_a, dataset), apply_instrument_batch(instr_b, dataset)
+    y_a, y_b = dataset.labels[plan.indices_a], dataset.labels[plan.indices_b]
+    # row 0 runs A then B, row 1 runs B then A
+    first = (np.stack([x_a, x_b]), np.stack([y_a, y_b]))
+    second = (np.stack([x_b, x_a]), np.stack([y_b, y_a]))
+    probe = make_probe(dataset, probe_subset)
 
     curve = []
     for k in range(1, k_max + 1):
-        instr_a = Instrument(plan.indices_a, aug_a, k, overrides)
-        instr_b = Instrument(plan.indices_b, aug_b, k, overrides)
-        endpoints = []
-        for first, second in ((instr_a, instr_b), (instr_b, instr_a)):
-            params, state, _ = _run_instrument(
-                spec, base_params.copy(), OptimizerState.zeros(base_params.size), first, dataset, base_config
-            )
-            if break_applied:
-                state = causal_break(state)
-            params, _, _ = _run_instrument(spec, params, state, second, dataset, base_config)
-            endpoints.append(forward(spec, params, probe_x, pid))
-        curve.append((k, div_avg("tv", endpoints[0], endpoints[1])))
+        params, velocity, _, _ = _train(
+            spec, np.stack([base_params, base_params]), np.zeros((2, base_params.size)), *first, k, config
+        )
+        if break_applied:
+            velocity = causal_break(OptimizerState(velocity)).velocity
+        params, _, _, _ = _train(spec, params, velocity, *second, k, config)
+        preds = forward(spec, params, probe.x, probe.pid).probs
+        curve.append((k, div_avg("tv", preds[0], preds[1])))
     return curve
 
 
@@ -644,21 +731,25 @@ def base_parameters(config: RunConfig, dataset: Dataset, seed_value: int) -> np.
 # Sweep execution and summary assembly.
 
 
-def _cell_repeat(
-    base_params,
-    spec,
-    regime,
-    break_applied,
-    dataset,
-    probe,
-    settings,
-    seed_value,
-    repeat_id,
-):
+def _cell_repeat(base_params, spec, regime, flags, dataset, probe, settings, seed_value, store, repeat_id):
+    """The record of ``flags[0]`` for one repeat of a cell.
+
+    The repeat is run for every flag in ``flags`` at once; the records of
+    the other flags wait in ``store`` for their own cells, and a record
+    found there is taken instead of recomputed.  Without a store (pool
+    tasks) ``flags`` holds the cell's flag alone.
+    """
+    flag = flags[0]
+    key = (seed_value, flag, repeat_id)
+    if store is not None and key in store:
+        return store.pop(key)
     repeat_seed = derive_seed("repeat", seed_value, repeat_id)
-    return run_micro_experiment(
-        base_params, spec, regime, break_applied, dataset, probe, repeat_seed, settings, repeat_id
+    records = _repeat_records(
+        base_params, spec, regime, flags, dataset, probe, repeat_seed, settings, repeat_id
     )
+    for other in flags[1:]:
+        store[(seed_value, other, repeat_id)] = records[other]
+    return records[flag]
 
 
 def _record_payload(record: BackflowRecord) -> dict:
@@ -742,17 +833,24 @@ def _cell_diagnostics(config, spec, regime, break_applied, dataset, probe, base_
         derive_seed("diag", seed_value),
         config.settings(),
     )
-    curve = run_noncommute_curve(
-        base_params,
-        spec,
-        regime,
-        break_applied,
-        dataset,
-        sub,
-        derive_seed("noncommute", seed_value),
-        k_max=config.noncommute_k_max,
-        settings=config.settings(),
-    )
+    curve_error = None
+    try:
+        curve, curve_retried = _nan_guarded(
+            lambda lr_scale: run_noncommute_curve(
+                base_params,
+                spec,
+                regime,
+                break_applied,
+                dataset,
+                sub,
+                derive_seed("noncommute", seed_value),
+                k_max=config.noncommute_k_max,
+                settings=config.settings(),
+                lr_scale=lr_scale,
+            )
+        )
+    except NanGuardError as exc:
+        curve, curve_retried, curve_error = [], True, f"nan_guard: {exc}"
     alignments = [r.momentum_alignment for r in records if r.ok and r.momentum_alignment is not None]
     payload = {
         "record": "diagnostics",
@@ -765,6 +863,10 @@ def _cell_diagnostics(config, spec, regime, break_applied, dataset, probe, base_
         else None,
         "alignment_mean": float(np.mean(alignments)) if alignments else None,
     }
+    if curve_retried:
+        payload["noncommute_retried"] = True
+    if curve_error is not None:
+        payload["noncommute_error"] = curve_error
     if detailed.record.ok:
         x_sub = dataset.features[sub]
         feats = [
@@ -829,7 +931,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
         raise ConfigError(
             f"model: num_classes {spec.num_classes} does not match dataset classes {dataset.num_classes}"
         )
-    probe = dataset.probe_indices
+    probe = make_probe(dataset, dataset.probe_indices)
     digest = config.digest()
 
     (run_dir / "config.json").write_text(
@@ -844,19 +946,23 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
     diagnostics_payloads = []
     try:
         for regime in config.regimes:
-            for flag in config.break_flags:
+            # serial runs share each repeat's engine run across its flags
+            store = {} if executor is None else None
+            for index, flag in enumerate(config.break_flags):
                 break_applied = flag == "break"
+                flags = config.break_flags[index:] if executor is None else (flag,)
                 for seed_value in config.seeds:
                     sample_fn = partial(
                         _cell_repeat,
                         base_by_seed[seed_value],
                         spec,
                         regime,
-                        break_applied,
+                        flags,
                         dataset,
                         probe,
                         config.settings(),
                         seed_value,
+                        store,
                     )
                     records, early_stopped = collect_with_early_stop(
                         sample_fn, config.repeats, config.early_stop, executor
@@ -885,7 +991,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
                                 regime,
                                 break_applied,
                                 dataset,
-                                probe,
+                                dataset.probe_indices,
                                 base_by_seed[seed_value],
                                 seed_value,
                                 records,

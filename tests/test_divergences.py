@@ -118,3 +118,16 @@ def test_div_avg_probe_mismatch():
 def test_div_avg_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         div_avg("tv", np.eye(2), np.eye(3))
+
+
+def test_div_avg_stacked_and_multi_kind_match_single_calls():
+    rng = np.random.default_rng(5)
+    p = np.stack([np.stack([random_prob(rng, 6) for _ in range(20)]) for _ in range(3)])
+    q = np.stack([np.stack([random_prob(rng, 6) for _ in range(20)]) for _ in range(3)])
+    stacked = div_avg(KINDS, p, q)
+    assert set(stacked) == set(KINDS)
+    for kind in KINDS:
+        assert stacked[kind].shape == (3,)
+        for r in range(3):
+            assert stacked[kind][r] == div_avg(kind, p[r], q[r])
+    assert div_avg(KINDS, p[0], q[0]) == {kind: div_avg(kind, p[0], q[0]) for kind in KINDS}

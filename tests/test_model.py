@@ -185,3 +185,31 @@ def test_spec_validation():
         ModelSpec("softmax_linear", 4, 1)
     with pytest.raises(ValueError, match="unknown model kind"):
         ModelSpec("cnn", 4, 3)
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP, ModelSpec("mlp1", 8, 10, hidden_dim=16, activation="relu")])
+def test_stacked_rows_match_unstacked_calls_bitwise(spec):
+    rng = np.random.default_rng(6)
+    rows = np.stack([init_params(spec, seed=s) for s in range(3)])
+    x = rng.normal(size=(3, 12, spec.input_dim))
+    y = rng.integers(0, spec.num_classes, size=(3, 12))
+    loss, grad = loss_and_grad(spec, rows, x, y)
+    assert loss.shape == (3,) and grad.shape == rows.shape
+    for r in range(3):
+        loss_r, grad_r = loss_and_grad(spec, rows[r], x[r], y[r])
+        assert loss[r] == loss_r
+        assert np.array_equal(grad[r], grad_r)
+    # one batch shared by every row
+    _, shared = loss_and_grad(spec, rows, x[0], y[0])
+    probs = forward(spec, rows, x[0]).probs
+    assert probs.shape == (3, 12, spec.num_classes)
+    for r in range(3):
+        assert np.array_equal(shared[r], loss_and_grad(spec, rows[r], x[0], y[0])[1])
+        assert np.array_equal(probs[r], forward(spec, rows[r], x[0]).probs)
+
+
+def test_stacked_nan_guard_fires_for_one_bad_row():
+    rows = np.zeros((2, parameter_count(LINEAR)))
+    rows[1, 0] = np.inf
+    with pytest.raises(NanGuardError):
+        loss_and_grad(LINEAR, rows, np.ones((2, 4)), [0, 1])

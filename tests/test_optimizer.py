@@ -149,3 +149,26 @@ def test_shape_mismatch():
     config = OptimizerConfig(lr=0.1)
     with pytest.raises(ValueError, match="shape"):
         step(np.zeros(2), OptimizerState.zeros(3), np.zeros(2), config)
+
+
+def test_stacked_step_clips_each_row_like_an_unstacked_step():
+    rng = np.random.default_rng(0)
+    params = rng.normal(size=(3, 5))
+    velocity = rng.normal(size=(3, 5))
+    grad = rng.normal(size=(3, 5)) * np.array([[0.01], [10.0], [1.0]])  # one row below the clip norm
+    config = OptimizerConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, clip_norm=1.0)
+    new_params, state = step(params, OptimizerState(velocity), grad, config)
+    for r in range(3):
+        row_params, row_state = step(params[r], OptimizerState(velocity[r]), grad[r], config)
+        assert np.array_equal(new_params[r], row_params)
+        assert np.array_equal(state.velocity[r], row_state.velocity)
+
+
+def test_overflowing_gradient_norm_trips_guard():
+    # finite entries whose squared norm overflows used to be scaled to exactly zero
+    config = OptimizerConfig(lr=0.1, clip_norm=1.0)
+    grad = np.array([1e200, 0.0])
+    with pytest.raises(NanGuardError, match="norm"):
+        step(np.zeros(2), OptimizerState.zeros(2), grad, config)
+    with pytest.raises(NanGuardError, match="norm"):
+        step(np.zeros((2, 2)), OptimizerState.zeros((2, 2)), np.stack([grad[::-1] * 1e-200, grad]), config)

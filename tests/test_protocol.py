@@ -346,14 +346,138 @@ def test_run_sweep_zero_variance_early_stops_at_floor(tmp_path):
     assert cell["metrics"]["tv"]["ci_low"] == 0.0 == cell["metrics"]["tv"]["ci_high"]
 
 
+def artifact_bytes(run_dir):
+    """Every artifact of a run but config.json, which echoes output_dir and workers."""
+    return {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file() and p.name != "config.json"}
+
+
 def test_run_sweep_parallel_matches_serial(tmp_path):
+    # serial cells share each repeat's engine run across flags, pool tasks run one flag each
     serial = run_sweep(config_from_mapping(sweep_mapping(tmp_path)), created_at="pinned")
     parallel = run_sweep(
         config_from_mapping(sweep_mapping(tmp_path, output_dir=str(tmp_path / "par"), workers=2)),
         created_at="pinned",
     )
-    for cell_s, cell_p in zip(serial.summary["cells"], parallel.summary["cells"]):
-        assert cell_s["metrics"] == cell_p["metrics"]
+    serial_bytes = artifact_bytes(serial.run_dir)
+    parallel_bytes = artifact_bytes(parallel.run_dir)
+    assert sorted(serial_bytes) == sorted(parallel_bytes)
+    for name, blob in serial_bytes.items():
+        assert parallel_bytes[name] == blob, f"{name} differs between serial and parallel runs"
+
+
+# sha256 of the artifacts of PINNED_SWEEP, computed with the per-branch engine
+# (each branch of each flag stepped alone); the same at one and two BLAS threads
+PINNED_SWEEP = dict(
+    model={"kind": "mlp1", "input_dim": 12, "num_classes": 4, "hidden_dim": 8, "activation": "tanh"},
+    regimes=["standard", "resonant_strong"],
+    break_flags=["break", "no"],
+    repeats=16,
+    early_stop={"enabled": True, "floor": 4, "stride": 4, "half_width": 2e-3},
+    diagnostics={"noncommute_k_max": 3, "probe_subset": 64},
+)
+PINNED_SHA256 = {
+    "diagnostics.jsonl": "5b8d48a79d273921739c49eb396a36f93df29967de5f91da142764dd797c3d53",
+    "resonant_strong__break__seed0.jsonl": "04d9c0d2cdf1f54f186b178a8ac4cd0751f1e4582c4f9e366035dd8bc2beca6a",
+    "resonant_strong__no__seed0.jsonl": "18ad263fb99e49edebb3029db547d704a30ee5d01649758873dfe6dcbb39fe97",
+    "standard__break__seed0.jsonl": "af7a811fece771b1c2911c7d8756b0bfcc4eb5fb1dcb697cef216ce7fc26b5a0",
+    "standard__no__seed0.jsonl": "769d7eba46967e501dbcc6ee73b791f1b90631d21fc2fc06e34c91739d6d1334",
+    "summary.json": "06621076709876ec9b39b998ab869163789cb55b32e3b6b5123025031e93bd9a",
+}
+
+
+def test_run_sweep_artifacts_are_pinned_byte_for_byte(tmp_path):
+    from hashlib import sha256
+
+    result = run_sweep(config_from_mapping(sweep_mapping(tmp_path, **PINNED_SWEEP)), created_at="pinned")
+    n_repeats = {(c["regime"], c["break"]): c["n_repeats"] for c in result.summary["cells"]}
+    # the flags of resonant_strong stop at different checkpoints, so the "no"
+    # cell finds only part of its repeats among the records the "break" cell kept
+    assert n_repeats[("resonant_strong", "break")] != n_repeats[("resonant_strong", "no")]
+    digests = {name: sha256(blob).hexdigest() for name, blob in artifact_bytes(result.run_dir).items()}
+    assert digests == PINNED_SHA256
+
+
+def test_shared_flag_run_matches_single_flag_runs(monkeypatch, dataset, base_params):
+    from backflow.protocol import _repeat_records, make_probe
+
+    probe = make_probe(dataset, dataset.probe_indices)
+    regime = small_regime(momentum=0.95)
+
+    def single(flag):
+        return run_micro_experiment(base_params, SPEC, regime, flag == "break", dataset,
+                                    dataset.probe_indices, seed=17, settings=SETTINGS, repeat_id=3)
+
+    expected = {flag: single(flag) for flag in ("no", "break")}
+    shared = _repeat_records(base_params, SPEC, regime, ("no", "break"), dataset, probe, 17, SETTINGS, 3)
+    assert shared == expected
+    assert expected["no"].d1 == expected["break"].d1
+
+    # a NaN-guard trip of the shared run falls back to one run per flag
+    real_step = protocol.step
+
+    def fail_on_shared_rows(params, state, grad, config):
+        if params.shape[0] == 4:  # the B phase of both flags at once
+            raise NanGuardError("injected failure")
+        return real_step(params, state, grad, config)
+
+    monkeypatch.setattr(protocol, "step", fail_on_shared_rows)
+    fallback = _repeat_records(base_params, SPEC, regime, ("no", "break"), dataset, probe, 17, SETTINGS, 3)
+    assert fallback == expected
+
+
+def test_norm_overflow_gives_error_record_not_zero_deltas(dataset, base_params):
+    # The clip norm of the second gradient overflows.  It used to scale that
+    # gradient to exactly zero: both branches saturated alike and the record
+    # reported a clean delta of 0.
+    regime = small_regime(lr=1e306)
+    for broke in (False, True):
+        record = run_micro_experiment(base_params, SPEC, regime, broke, dataset,
+                                      dataset.probe_indices, seed=5, settings=SETTINGS)
+        assert not record.ok and "nan_guard" in record.error
+        assert record.delta is None and record.retried
+
+
+def read_diagnostics(run_dir):
+    return [json.loads(line) for line in (run_dir / "diagnostics.jsonl").read_text().splitlines()[1:]]
+
+
+def test_persistent_nan_guard_in_diagnostics_is_recorded(tmp_path, monkeypatch):
+    def always_fail(params, state, grad, config):
+        raise NanGuardError("injected failure")
+
+    monkeypatch.setattr(protocol, "step", always_fail)
+    config = config_from_mapping(sweep_mapping(tmp_path, break_flags=["no"], repeats=2))
+    result = run_sweep(config, created_at="pinned")
+    assert result.summary["n_persistent_errors"] == 2
+    (payload,) = read_diagnostics(result.run_dir)
+    assert "nan_guard" in payload["error"]
+    assert "nan_guard" in payload["noncommute_error"]
+    assert payload["noncommute"] == [] and payload["noncommute_slope"] is None
+    assert payload["noncommute_retried"]
+
+
+def test_noncommute_curve_retried_at_half_lr(tmp_path, monkeypatch):
+    regime = REGIME_PRESETS["standard"]
+    real_step = protocol.step
+
+    def fail_at_full_lr(params, state, grad, config):
+        if config.lr == regime.lr:
+            raise NanGuardError("injected failure")
+        return real_step(params, state, grad, config)
+
+    monkeypatch.setattr(protocol, "step", fail_at_full_lr)
+    result = run_sweep(config_from_mapping(sweep_mapping(tmp_path, break_flags=["no"], repeats=2)),
+                       created_at="pinned")
+    assert result.summary["n_persistent_errors"] == 0
+    (payload,) = read_diagnostics(result.run_dir)
+    assert payload["noncommute_retried"] and "noncommute_error" not in payload
+    config = config_from_mapping(sweep_mapping(tmp_path))
+    dataset = protocol.build_dataset(config)
+    half = run_noncommute_curve(protocol.base_parameters(config, dataset, 0), config.model_spec(), regime,
+                                False, dataset, dataset.probe_indices[:64],
+                                derive_seed("noncommute", 0), k_max=2, settings=config.settings(),
+                                lr_scale=0.5)
+    assert payload["noncommute"] == [[k, v] for k, v in half]
 
 
 def test_record_payload_round_trip(dataset, base_params):
