@@ -27,7 +27,6 @@ from .instruments import (
     BatchPlan,
     Instrument,
     apply_augmentation,
-    make_pair_A_Aprime,
     sample_batch_plan,
 )
 from .model import (

@@ -6,8 +6,6 @@ Subcommands:
 * ``oracle --seed S --count N``  randomized no-back-flow verification runs
 * ``plot-data <run_dir>``        CSV tables for histograms, scatters, curves
 * ``report <run_dir>``           markdown summary table
-
-``BACKFLOW_WORKERS`` sets the default worker count for sweeps.
 """
 
 import argparse

@@ -34,6 +34,17 @@ def _as_prob_rows(a, name: str) -> np.ndarray:
     return np.clip(rows, 0.0, None) / sums
 
 
+def _kl_terms(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Entries p * log2(p / m) of KL(p || m), 0 where p is 0.
+
+    The ratio is formed only where p > 0 and is 1 elsewhere, so nothing is
+    divided by a tiny m.  Where p > 0, m >= p / 2 > 0 unless p / 2 underflows
+    to m = 0, where m is taken as 1; every term is finite.
+    """
+    positive = p > 0.0
+    return p * np.log2(np.where(positive, p, 1.0) / np.where(positive & (m > 0.0), m, 1.0))
+
+
 def _row_values(kind: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     if kind == "tv":
         return 0.5 * np.abs(p - q).sum(axis=-1)
@@ -42,12 +53,7 @@ def _row_values(kind: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return 0.5 * np.sqrt((diff * diff).sum(axis=-1))
     if kind == "js":
         m = 0.5 * (p + q)
-        # m vanishes only where both p and q do, so the ratios below are
-        # evaluated on strictly positive entries and JS is always finite.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term_p = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0) / np.where(m > 0.0, m, 1.0)), 0.0)
-            term_q = np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0) / np.where(m > 0.0, m, 1.0)), 0.0)
-        return 0.5 * term_p.sum(axis=-1) + 0.5 * term_q.sum(axis=-1)
+        return 0.5 * _kl_terms(p, m).sum(axis=-1) + 0.5 * _kl_terms(q, m).sum(axis=-1)
     raise ValueError(f"unknown divergence kind: {kind!r}")
 
 

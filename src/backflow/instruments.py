@@ -1,11 +1,10 @@
 """Controllable interventions: batch plans and seeded augmentation kernels.
 
-An instrument bundles a mini-batch index set, an augmentation kernel, a
-micro-step count, and optional optimizer overrides.  Batch plans control
-the overlap between the first and second instrument's batches exactly and
-can match class histograms.  Augmentations are deterministic maps given
-(kind, seed, params, input), so a branch pair that shares a kernel sees
-bit-identical batches.
+An instrument bundles a mini-batch index set, an augmentation kernel and a
+micro-step count.  Batch plans control the overlap between the first and
+second instrument's batches exactly and can match class histograms.
+Augmentations are deterministic maps given (kind, seed, params, input), so
+a branch pair that shares a kernel sees bit-identical batches.
 
 Vector-mode augmentations (desk-scale analogs of the image transforms,
 ordered none < weak < color/blur in perturbation strength):
@@ -58,7 +57,6 @@ class Instrument:
     batch_indices: np.ndarray
     aug: AugmentationKernel
     k: int
-    optimizer_overrides: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -132,23 +130,6 @@ def sample_batch_plan(
         same_classes=same_classes,
         shortfall=shortfall,
     )
-
-
-def make_pair_A_Aprime(
-    plan: BatchPlan,
-    aug_a: AugmentationKernel,
-    aug_aprime: AugmentationKernel,
-    k: int,
-    overrides: tuple[float, float] | None = None,
-) -> tuple[Instrument, Instrument]:
-    """Two first-step instruments identical except for the augmentation kernel.
-
-    Both read the plan's first batch; passing equal kernels produces the
-    placebo pair whose branches coincide exactly.
-    """
-    a = Instrument(plan.indices_a, aug_a, k, overrides)
-    a_prime = Instrument(plan.indices_a, aug_aprime, k, overrides)
-    return a, a_prime
 
 
 # ---------------------------------------------------------------------------

@@ -17,23 +17,23 @@ One engine (``_run_repeat``) runs a repeat for a tuple of break flags.  The
 flags of a repeat share its batch plan, its augmentation draws, its A/A'
 phase and so d1, which depend on the repeat alone; they part only at B,
 where the A and A' rows of every flag train as one parameter stack.  The
-sweep asks the engine for all flags of a repeat when it reaches the first
-flag's cell and keeps the other flags' records for their cells.  The
-non-commute curve and the diagnostics go through the same k-step loop.
+sweep, which runs serially, asks the engine for all flags of a repeat when
+it reaches the first flag's cell and keeps the other flags' records for
+their cells.  The non-commute curve and the diagnostics go through the same
+k-step loop.
 
 Randomness discipline: each repeat derives its own streams from
 (seed, repeat_id, tag).  The A/A' kernels share one augmentation seed (they
 must differ only by kind), and B's plan and draws are common to both
 branches of a repeat.  Records are pure functions of (config, seed,
 repeat_id, flag): a record is the same whether its flag ran alone or with
-the others, so repeats and flags can run in any order or in parallel.
+the others.
 """
 
 import json
 import math
-import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from hashlib import sha256
@@ -50,7 +50,6 @@ from .instruments import (
     AugmentationKernel,
     Instrument,
     apply_augmentation,
-    make_pair_A_Aprime,
     sample_batch_plan,
 )
 from .model import ModelSpec, forward, init_params, loss_and_grad, penultimate_features
@@ -126,27 +125,6 @@ class BackflowRecord:
         return self.error is None
 
 
-@dataclass
-class MicroResult:
-    """Detailed outcome of one micro-experiment, for diagnostics and oracles."""
-
-    record: BackflowRecord
-    plan: object = None
-    instrument_a: Instrument | None = None
-    instrument_aprime: Instrument | None = None
-    instrument_b: Instrument | None = None
-    params_mid_a: np.ndarray | None = None
-    params_mid_aprime: np.ndarray | None = None
-    params_end_a: np.ndarray | None = None
-    params_end_aprime: np.ndarray | None = None
-    velocity_mid_a: np.ndarray | None = None
-    velocity_mid_aprime: np.ndarray | None = None
-    first_b_params_a: np.ndarray | None = None
-    first_b_params_aprime: np.ndarray | None = None
-    grad_b_mid_a: np.ndarray | None = None
-    lr_scale: float = 1.0
-
-
 def probe_identifier(dataset: Dataset, probe_indices: np.ndarray) -> str:
     h = sha256()
     h.update(np.ascontiguousarray(probe_indices, dtype=np.int64).tobytes())
@@ -188,21 +166,11 @@ def _instruments(regime, dataset, seed, settings, lr_scale):
         regime.same_classes,
         derive_seed(seed, "plan"),
     )
-    overrides = (regime.lr * lr_scale, regime.momentum)
+    # A and A' read the same batch with one augmentation seed: they differ only by kind
     aug_seed_first = derive_seed(seed, "aug_first")
-    instr_a, instr_ap = make_pair_A_Aprime(
-        plan,
-        _aug_kernel(regime.aug_a, aug_seed_first, dataset),
-        _aug_kernel(regime.aug_aprime, aug_seed_first, dataset),
-        regime.k,
-        overrides,
-    )
-    instr_b = Instrument(
-        plan.indices_b,
-        _aug_kernel(regime.aug_b, derive_seed(seed, "aug_b"), dataset),
-        regime.k,
-        overrides,
-    )
+    instr_a = Instrument(plan.indices_a, _aug_kernel(regime.aug_a, aug_seed_first, dataset), regime.k)
+    instr_ap = Instrument(plan.indices_a, _aug_kernel(regime.aug_aprime, aug_seed_first, dataset), regime.k)
+    instr_b = Instrument(plan.indices_b, _aug_kernel(regime.aug_b, derive_seed(seed, "aug_b"), dataset), regime.k)
     config = OptimizerConfig(
         lr=regime.lr * lr_scale,
         momentum=regime.momentum,
@@ -231,27 +199,26 @@ def _train(spec, params, velocity, x, y, k, config):
 
 
 @dataclass
-class _Repeat:
-    """One repeat run for a tuple of break flags.
+class Repeat:
+    """One repeat run for a tuple of break flags: its records and its states.
 
     Mid-time arrays have rows (A, A'); post-B arrays have rows (A, A') for
-    each flag in the order requested.  An errored repeat has no arrays.
+    each flag in the order requested.  ``instruments`` are (A, A', B).  An
+    errored repeat has no arrays.
     """
 
     records: dict[str, BackflowRecord]
-    lr_scale: float
     plan: object = None
     instruments: tuple[Instrument, Instrument, Instrument] | None = None
     params_mid: np.ndarray | None = None
     velocity_mid: np.ndarray | None = None
     params_end: np.ndarray | None = None
     first_b_params: np.ndarray | None = None
-    first_b_grad: np.ndarray | None = None
 
 
 def _run_repeat(
     base_params, spec, regime, flags, dataset, probe, seed, settings, repeat_id, lr_scale
-) -> _Repeat:
+) -> Repeat:
     """The engine: one repeat of the A/A'->B protocol for every flag in ``flags``.
 
     The plan, the augmented batches, the A/A' phase and d1 do not depend on
@@ -302,16 +269,14 @@ def _run_repeat(
             delta={kind: d2[kind] - d1[kind] for kind in KINDS},
             momentum_alignment=alignment,
         )
-    return _Repeat(
+    return Repeat(
         records=records,
-        lr_scale=lr_scale,
         plan=plan,
         instruments=(instr_a, instr_ap, instr_b),
         params_mid=params_mid,
         velocity_mid=velocity_mid,
         params_end=params_end,
         first_b_params=first_b_params,
-        first_b_grad=first_b_grad,
     )
 
 
@@ -327,7 +292,7 @@ def _nan_guarded(attempt):
         return attempt(0.5), True
 
 
-def _guarded_repeat(base_params, spec, regime, flag, dataset, probe, seed, settings, repeat_id) -> _Repeat:
+def _guarded_repeat(base_params, spec, regime, flag, dataset, probe, seed, settings, repeat_id) -> Repeat:
     """One flag of one repeat under the NaN-guard rule; an error record if the retry fails too."""
     try:
         run, retried = _nan_guarded(
@@ -346,7 +311,7 @@ def _guarded_repeat(base_params, spec, regime, flag, dataset, probe, seed, setti
             retried=True,
             error=f"nan_guard: {exc}",
         )
-        return _Repeat(records={flag: record}, lr_scale=0.5)
+        return Repeat(records={flag: record})
     run.records[flag].retried = retried
     return run
 
@@ -383,36 +348,16 @@ def run_micro_experiment_detailed(
     seed: int,
     settings: ProtocolSettings = ProtocolSettings(),
     repeat_id: int = 0,
-) -> MicroResult:
+) -> Repeat:
     """One micro-experiment with intermediate states exposed.
 
     Retries once at half the learning rate if any loss, gradient, or update
-    stops being finite; a second failure yields an error record.
+    stops being finite; a second failure yields an error record.  The
+    record is ``records["break"]`` or ``records["no"]``.
     """
     flag = "break" if break_applied else "no"
-    run = _guarded_repeat(
+    return _guarded_repeat(
         base_params, spec, regime, flag, dataset, make_probe(dataset, probe), seed, settings, repeat_id
-    )
-    record = run.records[flag]
-    if not record.ok:
-        return MicroResult(record=record, lr_scale=run.lr_scale)
-    instr_a, instr_ap, instr_b = run.instruments
-    return MicroResult(
-        record=record,
-        plan=run.plan,
-        instrument_a=instr_a,
-        instrument_aprime=instr_ap,
-        instrument_b=instr_b,
-        params_mid_a=run.params_mid[0],
-        params_mid_aprime=run.params_mid[1],
-        params_end_a=run.params_end[0],
-        params_end_aprime=run.params_end[1],
-        velocity_mid_a=run.velocity_mid[0],
-        velocity_mid_aprime=run.velocity_mid[1],
-        first_b_params_a=run.first_b_params[0],
-        first_b_params_aprime=run.first_b_params[1],
-        grad_b_mid_a=run.first_b_grad[0] if flag == "no" else None,
-        lr_scale=run.lr_scale,
     )
 
 
@@ -430,7 +375,7 @@ def run_micro_experiment(
     """One repeat of the two-step experiment; see the module docstring."""
     return run_micro_experiment_detailed(
         base_params, spec, regime, break_applied, dataset, probe, seed, settings, repeat_id
-    ).record
+    ).records["break" if break_applied else "no"]
 
 
 def run_noncommute_curve(
@@ -521,7 +466,6 @@ def collect_with_early_stop(
     sample_fn,
     max_repeats: int,
     policy: EarlyStopPolicy = EarlyStopPolicy(),
-    executor: ProcessPoolExecutor | None = None,
 ) -> tuple[list[BackflowRecord], bool]:
     """Run ``sample_fn(repeat_id)`` for up to ``max_repeats`` repeats.
 
@@ -541,11 +485,7 @@ def collect_with_early_stop(
     early_stopped = False
     done = 0
     for boundary in boundaries:
-        ids = range(done, boundary)
-        if executor is None:
-            records.extend(sample_fn(i) for i in ids)
-        else:
-            records.extend(executor.map(sample_fn, ids))
+        records.extend(sample_fn(i) for i in range(done, boundary))
         done = boundary
         if boundary in checkpoints:
             valid = [r.delta["tv"] for r in records if r.ok]
@@ -587,7 +527,6 @@ class RunConfig:
     noncommute_k_max: int = 6
     probe_subset: int = 512
     pretrain_passes: int = 3
-    workers: int = 1
 
     def settings(self) -> ProtocolSettings:
         return ProtocolSettings(
@@ -598,8 +537,8 @@ class RunConfig:
         return ModelSpec(**self.model)
 
     def digest(self) -> str:
-        # identifies the experiment: storage location and parallelism excluded
-        payload = {k: v for k, v in asdict(self).items() if k not in ("output_dir", "workers")}
+        # identifies the experiment: storage location excluded
+        payload = {k: v for k, v in asdict(self).items() if k != "output_dir"}
         blob = json.dumps(payload, sort_keys=True, default=str)
         return sha256(blob.encode()).hexdigest()[:16]
 
@@ -619,9 +558,25 @@ def resolve_regime(entry) -> Regime:
     raise ConfigError(f"regimes: entries must be preset names or mappings, got {type(entry)}")
 
 
+# the top-level keys config_from_mapping reads
+CONFIG_KEYS = frozenset(
+    {
+        "output_dir", "dataset", "model", "regimes", "base_stage", "break_flags", "seeds", "repeats",
+        "batch_size", "probe_size", "probe_seed", "optimizer", "early_stop", "stats", "diagnostics",
+        "pretrain_passes",
+    }
+)
+
+
 def config_from_mapping(mapping: dict) -> RunConfig:
-    """Validate a parsed configuration file and normalize it to a RunConfig."""
+    """Validate a parsed configuration file and normalize it to a RunConfig.
+
+    Unknown top-level keys are named in one warning on stderr and ignored.
+    """
     m = dict(mapping)
+    unknown = sorted(set(m) - CONFIG_KEYS)
+    if unknown:
+        print(f"warning: ignoring unknown config keys: {', '.join(unknown)}", file=sys.stderr)
     for required in ("dataset", "model", "regimes", "output_dir"):
         if required not in m:
             raise ConfigError(f"{required}: missing required field")
@@ -638,6 +593,8 @@ def config_from_mapping(mapping: dict) -> RunConfig:
             raise ConfigError(f"break_flags: entries must be 'no' or 'break', got {flag!r}")
     if not break_flags:
         raise ConfigError("break_flags: at least one condition is required")
+    if len(set(break_flags)) != len(break_flags):
+        raise ConfigError(f"break_flags: duplicate conditions {list(break_flags)}")
 
     seeds = tuple(int(s) for s in m.get("seeds", (0, 1, 2, 3, 4)))
     if not seeds:
@@ -682,15 +639,12 @@ def config_from_mapping(mapping: dict) -> RunConfig:
             noncommute_k_max=int(diag_m.get("noncommute_k_max", 6)),
             probe_subset=int(diag_m.get("probe_subset", 512)),
             pretrain_passes=int(m.get("pretrain_passes", 3)),
-            workers=int(m.get("workers", os.environ.get("BACKFLOW_WORKERS", 1))),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
     if config.repeats < 1:
         raise ConfigError("repeats: must be positive")
-    if config.workers < 1:
-        raise ConfigError("workers: must be positive")
     spec = config.model_spec()
     dataset_classes = config.dataset.get("num_classes")
     if dataset_classes is not None and int(dataset_classes) != spec.num_classes:
@@ -736,12 +690,11 @@ def _cell_repeat(base_params, spec, regime, flags, dataset, probe, settings, see
 
     The repeat is run for every flag in ``flags`` at once; the records of
     the other flags wait in ``store`` for their own cells, and a record
-    found there is taken instead of recomputed.  Without a store (pool
-    tasks) ``flags`` holds the cell's flag alone.
+    found there is taken instead of recomputed.
     """
     flag = flags[0]
     key = (seed_value, flag, repeat_id)
-    if store is not None and key in store:
+    if key in store:
         return store.pop(key)
     repeat_seed = derive_seed("repeat", seed_value, repeat_id)
     records = _repeat_records(
@@ -821,9 +774,10 @@ def _metric_block(deltas: np.ndarray, policy: StatsPolicy, boot_seed: int) -> di
     return block
 
 
-def _cell_diagnostics(config, spec, regime, break_applied, dataset, probe, base_params, seed_value, records):
+def _cell_diagnostics(config, spec, regime, flag, dataset, probe, base_params, seed_value, records):
     sub = dataset.probe_indices[: min(config.probe_subset, len(dataset.probe_indices))]
-    detailed = run_micro_experiment_detailed(
+    break_applied = flag == "break"
+    run = run_micro_experiment_detailed(
         base_params,
         spec,
         regime,
@@ -855,7 +809,7 @@ def _cell_diagnostics(config, spec, regime, break_applied, dataset, probe, base_
     payload = {
         "record": "diagnostics",
         "regime": regime.name,
-        "break": "break" if break_applied else "no",
+        "break": flag,
         "seed": seed_value,
         "noncommute": [[k, v] for k, v in curve],
         "noncommute_slope": diag.curve_slope([k for k, _ in curve], [v for _, v in curve])
@@ -867,27 +821,13 @@ def _cell_diagnostics(config, spec, regime, break_applied, dataset, probe, base_
         payload["noncommute_retried"] = True
     if curve_error is not None:
         payload["noncommute_error"] = curve_error
-    if detailed.record.ok:
+    record = run.records[flag]
+    if record.ok:
         x_sub = dataset.features[sub]
-        feats = [
-            penultimate_features(spec, p, x_sub)
-            for p in (
-                detailed.params_mid_a,
-                detailed.params_mid_aprime,
-                detailed.params_end_a,
-                detailed.params_end_aprime,
-            )
-        ]
+        (mid_a, mid_ap), (end_a, end_ap) = run.params_mid, run.params_end
+        feats = [penultimate_features(spec, p, x_sub) for p in (mid_a, mid_ap, end_a, end_ap)]
         pid = probe_identifier(dataset, sub)
-        preds = [
-            forward(spec, p, x_sub, pid).probs
-            for p in (
-                detailed.params_mid_a,
-                detailed.params_end_a,
-                detailed.params_mid_aprime,
-                detailed.params_end_aprime,
-            )
-        ]
+        preds = [forward(spec, p, x_sub, pid).probs for p in (mid_a, end_a, mid_ap, end_ap)]
         projection = diag.pca_project(preds)
         payload.update(
             {
@@ -899,7 +839,7 @@ def _cell_diagnostics(config, spec, regime, break_applied, dataset, probe, base_
             }
         )
     else:
-        payload["error"] = detailed.record.error
+        payload["error"] = record.error
     return payload
 
 
@@ -938,68 +878,57 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
         json.dumps(asdict(config), indent=2, sort_keys=True, default=str) + "\n"
     )
 
-    executor = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     base_by_seed = {s: base_parameters(config, dataset, s) for s in config.seeds}
 
     cells = []
     cell_records: dict[tuple[str, str, int], list[BackflowRecord]] = {}
     diagnostics_payloads = []
-    try:
-        for regime in config.regimes:
-            # serial runs share each repeat's engine run across its flags
-            store = {} if executor is None else None
-            for index, flag in enumerate(config.break_flags):
-                break_applied = flag == "break"
-                flags = config.break_flags[index:] if executor is None else (flag,)
-                for seed_value in config.seeds:
-                    sample_fn = partial(
-                        _cell_repeat,
-                        base_by_seed[seed_value],
-                        spec,
-                        regime,
-                        flags,
-                        dataset,
-                        probe,
-                        config.settings(),
-                        seed_value,
-                        store,
-                    )
-                    records, early_stopped = collect_with_early_stop(
-                        sample_fn, config.repeats, config.early_stop, executor
-                    )
-                    cell_records[(regime.name, flag, seed_value)] = records
-                    path = run_dir / cell_filename(regime.name, flag, seed_value)
-                    header = {
-                        "record": "header",
-                        "schema_version": SCHEMA_VERSION,
-                        "created_at": created_at,
-                        "regime": regime.name,
-                        "break": flag,
-                        "seed": seed_value,
-                        "config_digest": digest,
-                    }
-                    lines = [_dump_line(header)] + [_dump_line(_record_payload(r)) for r in records]
-                    path.write_text("\n".join(lines) + "\n")
-                    cells.append(
-                        _summarize_cell(config, regime, flag, seed_value, records, early_stopped)
-                    )
-                    if config.diagnostics_enabled:
-                        diagnostics_payloads.append(
-                            _cell_diagnostics(
-                                config,
-                                spec,
-                                regime,
-                                break_applied,
-                                dataset,
-                                dataset.probe_indices,
-                                base_by_seed[seed_value],
-                                seed_value,
-                                records,
-                            )
+    for regime in config.regimes:
+        # each repeat's engine run is shared across the regime's flags
+        store = {}
+        for index, flag in enumerate(config.break_flags):
+            for seed_value in config.seeds:
+                sample_fn = partial(
+                    _cell_repeat,
+                    base_by_seed[seed_value],
+                    spec,
+                    regime,
+                    config.break_flags[index:],
+                    dataset,
+                    probe,
+                    config.settings(),
+                    seed_value,
+                    store,
+                )
+                records, early_stopped = collect_with_early_stop(sample_fn, config.repeats, config.early_stop)
+                cell_records[(regime.name, flag, seed_value)] = records
+                path = run_dir / cell_filename(regime.name, flag, seed_value)
+                header = {
+                    "record": "header",
+                    "schema_version": SCHEMA_VERSION,
+                    "created_at": created_at,
+                    "regime": regime.name,
+                    "break": flag,
+                    "seed": seed_value,
+                    "config_digest": digest,
+                }
+                lines = [_dump_line(header)] + [_dump_line(_record_payload(r)) for r in records]
+                path.write_text("\n".join(lines) + "\n")
+                cells.append(_summarize(config, regime, flag, records, seed_value, early_stopped))
+                if config.diagnostics_enabled:
+                    diagnostics_payloads.append(
+                        _cell_diagnostics(
+                            config,
+                            spec,
+                            regime,
+                            flag,
+                            dataset,
+                            dataset.probe_indices,
+                            base_by_seed[seed_value],
+                            seed_value,
+                            records,
                         )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+                    )
 
     if config.diagnostics_enabled:
         header = {
@@ -1017,7 +946,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
             merged: list[BackflowRecord] = []
             for seed_value in config.seeds:
                 merged.extend(cell_records[(regime.name, flag, seed_value)])
-            pooled.append(_summarize_pool(config, regime, flag, merged))
+            pooled.append(_summarize(config, regime, flag, merged))
 
     bh_blocks = {}
     for kind in KINDS:
@@ -1061,37 +990,28 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
     return SweepResult(run_dir=run_dir, summary=summary)
 
 
-def _summarize_cell(config, regime, flag, seed_value, records, early_stopped) -> dict:
+def _summarize(config, regime, flag, records, seed_value=None, early_stopped=False) -> dict:
+    """Statistics of one cell's records or, without ``seed_value``, of a flag's records pooled over seeds."""
     valid = [r for r in records if r.ok]
-    metrics = {}
-    for kind in KINDS:
-        deltas = np.array([r.delta[kind] for r in valid])
-        boot_seed = derive_seed("bootstrap", regime.name, flag, seed_value, kind)
-        metrics[kind] = _metric_block(deltas, config.stats, boot_seed)
-    alignments = [r.momentum_alignment for r in valid if r.momentum_alignment is not None]
-    return {
-        "regime": regime.name,
-        "break": flag,
-        "seed": seed_value,
-        "n_repeats": len(records),
-        "n_errors": len(records) - len(valid),
-        "early_stopped": early_stopped,
-        "alignment_mean": float(np.mean(alignments)) if alignments else None,
-        "metrics": metrics,
+    counts = {"n_repeats": len(records), "n_errors": len(records) - len(valid)}
+    if seed_value is None:
+        seed_tags = ("bootstrap-pooled", regime.name, flag)
+        summary = {"regime": regime.name, "break": flag, **counts}
+    else:
+        seed_tags = ("bootstrap", regime.name, flag, seed_value)
+        alignments = [r.momentum_alignment for r in valid if r.momentum_alignment is not None]
+        summary = {
+            "regime": regime.name,
+            "break": flag,
+            "seed": seed_value,
+            **counts,
+            "early_stopped": early_stopped,
+            "alignment_mean": float(np.mean(alignments)) if alignments else None,
+        }
+    summary["metrics"] = {
+        kind: _metric_block(
+            np.array([r.delta[kind] for r in valid]), config.stats, derive_seed(*seed_tags, kind)
+        )
+        for kind in KINDS
     }
-
-
-def _summarize_pool(config, regime, flag, records) -> dict:
-    valid = [r for r in records if r.ok]
-    metrics = {}
-    for kind in KINDS:
-        deltas = np.array([r.delta[kind] for r in valid])
-        boot_seed = derive_seed("bootstrap-pooled", regime.name, flag, kind)
-        metrics[kind] = _metric_block(deltas, config.stats, boot_seed)
-    return {
-        "regime": regime.name,
-        "break": flag,
-        "n_repeats": len(records),
-        "n_errors": len(records) - len(valid),
-        "metrics": metrics,
-    }
+    return summary

@@ -169,15 +169,23 @@ def test_run_persistent_nan_guard_exits_nonzero(tmp_path, capsys, monkeypatch):
     assert summary["n_persistent_errors"] == 3
 
 
-def test_workers_env_default(tmp_path, monkeypatch):
-    from backflow.protocol import config_from_mapping
+def test_unknown_config_keys_warn_and_are_ignored(tmp_path, capsys):
+    from backflow.protocol import config_from_mapping, run_sweep
 
     _, mapping = write_config(tmp_path)
-    monkeypatch.setenv("BACKFLOW_WORKERS", "3")
-    assert config_from_mapping(mapping).workers == 3
-    monkeypatch.delenv("BACKFLOW_WORKERS")
-    assert config_from_mapping(mapping).workers == 1
-    assert config_from_mapping({**mapping, "workers": 2}).workers == 2
+    plain = run_sweep(config_from_mapping(mapping), created_at="pinned")
+    assert capsys.readouterr().err == ""
+    # "workers" is a retired key; "repeat" is a typo of "repeats" and must not change the repeat count
+    extra = config_from_mapping({**mapping, "output_dir": str(tmp_path / "extra"), "workers": 2, "repeat": 64})
+    (warning,) = capsys.readouterr().err.splitlines()
+    assert "unknown config keys" in warning and "repeat" in warning and "workers" in warning
+    result = run_sweep(extra, created_at="pinned")
+
+    def artifacts(run_dir):
+        return {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != "config.json"}
+
+    assert artifacts(result.run_dir) == artifacts(plain.run_dir)
+    assert [cell["n_repeats"] for cell in result.summary["cells"]] == [5, 5]
 
 
 def test_report_writes_markdown(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ def test_range_bounds():
             v = div_row(kind, p, q)
             assert 0.0 <= v <= 1.0
         assert div_row("hellinger", p, q) <= math.sqrt(2) / 2 + 1e-12
+
+
+def test_js_subnormal_rows_do_not_warn():
+    # the m of an entry where p is 0 can be subnormal; 1 / m overflowed there and warned
+    p, q = [0.0, 1 - 5e-324, 5e-324], [1e-310, 1 - 1e-310, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = div_row("js", p, q)
+        assert value == div_row("js", q, p)
+    assert 0.0 < value < 1e-300
 
 
 def test_js_finite_with_zeros():

@@ -8,9 +8,13 @@ from backflow.instruments import (
     AugmentationKernel,
     Instrument,
     apply_augmentation,
-    make_pair_A_Aprime,
     sample_batch_plan,
 )
+from backflow.model import ModelSpec, init_params, loss_and_grad
+from backflow.optimizer import OptimizerConfig, OptimizerState, step
+from backflow.protocol import REGIME_PRESETS, ProtocolSettings, Regime, run_micro_experiment_detailed
+
+SPEC = ModelSpec("softmax_linear", 8, 4)
 
 
 @pytest.fixture(scope="module")
@@ -148,39 +152,63 @@ def test_image_weak_constant_unchanged():
     assert np.allclose(out, images, atol=1e-15)
 
 
+def first_pair(dataset, regime, batch_size, seed):
+    """The A/A' instruments and mid-time states of one micro-experiment."""
+    settings = ProtocolSettings(batch_size=batch_size)
+    run = run_micro_experiment_detailed(init_params(SPEC, 0), SPEC, regime, False, dataset,
+                                        dataset.probe_indices, seed=seed, settings=settings)
+    return run, settings
+
+
+def train_alone(dataset, instrument, regime, settings):
+    """k steps of one branch from the base with the regime's lr and momentum."""
+    config = OptimizerConfig(lr=regime.lr, momentum=regime.momentum,
+                             weight_decay=settings.weight_decay, clip_norm=settings.clip_norm)
+    params = init_params(SPEC, 0)
+    state = OptimizerState.zeros(params.size)
+    x = apply_augmentation(instrument.aug, dataset.features[instrument.batch_indices])
+    for _ in range(instrument.k):
+        _, grad = loss_and_grad(SPEC, params, x, dataset.labels[instrument.batch_indices])
+        params, state = step(params, state, grad, config)
+    return params, state.velocity
+
+
 def test_make_pair_shares_everything_but_augmentation(dataset):
-    plan = sample_batch_plan(dataset, 32, 0.5, True, seed=11)
-    a, ap = make_pair_A_Aprime(
-        plan,
-        AugmentationKernel("weak", seed=9),
-        AugmentationKernel("color", seed=9),
-        k=3,
-        overrides=(0.02, 0.9),
-    )
-    assert np.array_equal(a.batch_indices, plan.indices_a)
-    assert np.array_equal(ap.batch_indices, plan.indices_a)
+    regime = Regime("pair", 3, 0.02, 0.9, "weak", "color", "weak", 0.5, True)
+    run, settings = first_pair(dataset, regime, 32, seed=11)
+    a, ap, _ = run.instruments
+    assert np.array_equal(a.batch_indices, run.plan.indices_a)
+    assert np.array_equal(ap.batch_indices, run.plan.indices_a)
     assert a.k == ap.k == 3
-    assert a.optimizer_overrides == ap.optimizer_overrides == (0.02, 0.9)
     assert a.aug.kind == "weak" and ap.aug.kind == "color"
     assert a.aug.seed == ap.aug.seed
+    # both branches step with the regime's lr and momentum
+    for row, instrument in enumerate((a, ap)):
+        params, velocity = train_alone(dataset, instrument, regime, settings)
+        assert np.array_equal(run.params_mid[row], params)
+        assert np.array_equal(run.velocity_mid[row], velocity)
 
 
 def test_make_pair_placebo_identical(dataset):
-    plan = sample_batch_plan(dataset, 32, 0.5, True, seed=12)
-    kernel = AugmentationKernel("weak", seed=13)
-    a, ap = make_pair_A_Aprime(plan, kernel, AugmentationKernel("weak", seed=13), k=2)
+    regime = Regime("placebo", 2, 0.02, 0.9, "weak", "weak", "weak", 0.5, True)
+    run, _ = first_pair(dataset, regime, 32, seed=12)
+    a, ap, _ = run.instruments
+    assert a.aug == ap.aug
     x = dataset.features[a.batch_indices]
     assert np.array_equal(apply_augmentation(a.aug, x), apply_augmentation(ap.aug, x))
+    assert np.array_equal(run.params_mid[0], run.params_mid[1])
 
 
 def test_negative_control_pair(dataset):
-    plan = sample_batch_plan(dataset, 16, 0.0, False, seed=14)
-    a, ap = make_pair_A_Aprime(
-        plan, AugmentationKernel("none"), AugmentationKernel("none"), k=1, overrides=(0.005, 0.0)
-    )
-    assert a.k == 1 and a.optimizer_overrides == (0.005, 0.0)
+    regime = REGIME_PRESETS["negative"]
+    run, settings = first_pair(dataset, regime, 16, seed=14)
+    a, ap, _ = run.instruments
+    assert a.k == 1 and (regime.lr, regime.momentum) == (0.005, 0.0)
     x = dataset.features[a.batch_indices]
     assert np.array_equal(apply_augmentation(a.aug, x), apply_augmentation(ap.aug, x))
+    for row, instrument in enumerate((a, ap)):
+        params, _ = train_alone(dataset, instrument, regime, settings)
+        assert np.array_equal(run.params_mid[row], params)
 
 
 def test_instrument_validation():
