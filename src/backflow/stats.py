@@ -5,13 +5,15 @@ interpolation, so CI endpoints are realizable resample means), TOST
 equivalence against a small margin, Benjamini-Hochberg FDR control,
 Pearson/Spearman correlations, paired t, and a two-covariate OLS used by
 the dose-response analysis.  p-values use t distributions with classical
-degrees of freedom throughout.
+degrees of freedom throughout; their tails come from ``scipy.special.stdtr``
+(what ``scipy.stats.t`` evaluates), so importing this module does not load
+``scipy.stats``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,27 @@ class TestResult:
     statistic: float
     p_value: float
     verdict: str
+
+
+def _t_sf(t: float, df: int) -> float:
+    """P(T > t) for Student's t with ``df`` degrees of freedom."""
+    return float(stdtr(df, -t))
+
+
+def _t_cdf(t: float, df: int) -> float:
+    """P(T <= t) for Student's t with ``df`` degrees of freedom."""
+    return float(stdtr(df, t))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, ties sharing the mean of their ranks (exact halves)."""
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def _clean(samples) -> np.ndarray:
@@ -92,8 +115,8 @@ def tost_equivalence(samples, epsilon: float = 1e-3, alpha: float = 0.05) -> Tes
     se = sd / np.sqrt(n)
     t_low = (mean + epsilon) / se
     t_high = (mean - epsilon) / se
-    p_low = float(sps.t.sf(t_low, df=n - 1))  # H0: mean <= -eps
-    p_high = float(sps.t.cdf(t_high, df=n - 1))  # H0: mean >= +eps
+    p_low = _t_sf(t_low, n - 1)  # H0: mean <= -eps
+    p_high = _t_cdf(t_high, n - 1)  # H0: mean >= +eps
     p = max(p_low, p_high)
     t_stat = t_low if p_low >= p_high else t_high
     verdict = "practically_null" if p < alpha else "not_null"
@@ -125,9 +148,9 @@ def t_test_mean(samples, alternative: str = "two-sided", alpha: float = 0.05) ->
         return TestResult(stat, p, "significant" if p < alpha else "not_significant")
     t = mean / (sd / np.sqrt(n))
     if alternative == "two-sided":
-        p = float(2.0 * sps.t.sf(abs(t), df=n - 1))
+        p = 2.0 * _t_sf(abs(t), n - 1)
     else:
-        p = float(sps.t.sf(t, df=n - 1))
+        p = _t_sf(t, n - 1)
     return TestResult(float(t), min(p, 1.0), "significant" if p < alpha else "not_significant")
 
 
@@ -200,7 +223,7 @@ def _pearson_with_p(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t = r * np.sqrt((n - 2) / (1.0 - r * r))
-    return r, float(2.0 * sps.t.sf(abs(t), df=n - 2))
+    return r, 2.0 * _t_sf(abs(t), n - 2)
 
 
 def correlations(x, y) -> CorrelationResult:
@@ -217,7 +240,7 @@ def correlations(x, y) -> CorrelationResult:
     if xa.std() == 0.0 or ya.std() == 0.0:
         raise ValueError("zero variance in x or y")
     r, rp = _pearson_with_p(xa, ya)
-    rho, rhop = _pearson_with_p(sps.rankdata(xa), sps.rankdata(ya))
+    rho, rhop = _pearson_with_p(_average_ranks(xa), _average_ranks(ya))
     return CorrelationResult(r, rp, rho, rhop)
 
 
@@ -264,7 +287,7 @@ def ols2(delta, a_mu, rho) -> Ols2Result:
         if se[i] == 0.0:
             p[i] = 0.0 if coef[i] != 0.0 else 1.0
         else:
-            p[i] = 2.0 * sps.t.sf(abs(coef[i] / se[i]), df=n - 3)
+            p[i] = 2.0 * _t_sf(abs(coef[i] / se[i]), n - 3)
     r_squared = 1.0 if tss == 0.0 else 1.0 - rss / tss
     return Ols2Result(
         alpha=float(coef[0]),

@@ -23,7 +23,7 @@ from backflow.comb import (
     two_time_laws,
     verify_no_backflow,
 )
-from backflow.divergences import KINDS
+from backflow.divergences import KINDS, div_row
 
 
 def make_space(name, n):
@@ -313,8 +313,6 @@ def test_instrument_pairs_count():
 
 def test_data_processing_on_module_kernels():
     rng = np.random.default_rng(19)
-    from backflow.divergences import div_row
-
     for _ in range(100):
         comb, b_label, lam = random_factoring_comb(rng)
         n = comb.obs_space.size
@@ -322,3 +320,64 @@ def test_data_processing_on_module_kernels():
         q = random_prior(rng, n)
         for kind in KINDS:
             assert div_row(kind, lam.apply(p), lam.apply(q)) <= div_row(kind, p, q) + 1e-12
+
+
+def reference_deltas(comb, pairs, b_label, kinds, break_flag):
+    """D2 - D1 per (pair, kind) from one ``div_row`` call per law and kind."""
+    deltas = []
+    for a, a_prime in pairs:
+        phi1_a, phi2_a = two_time_laws(comb, a, b_label, break_flag)
+        phi1_ap, phi2_ap = two_time_laws(comb, a_prime, b_label, break_flag)
+        for kind in kinds:
+            delta = div_row(kind, phi2_a, phi2_ap) - div_row(kind, phi1_a, phi1_ap)
+            deltas.append((a, a_prime, kind, delta))
+    return deltas
+
+
+def reference_witness(deltas):
+    best = ((deltas[0][0], deltas[0][1]), deltas[0][2], -np.inf)
+    for a, a_prime, kind, delta in deltas:
+        if delta > best[2]:
+            best = ((a, a_prime), kind, delta)
+    return best
+
+
+def check_against_reference(comb, pairs, b_label, lam, kinds, break_flag):
+    expected = reference_deltas(comb, pairs, b_label, kinds, break_flag)
+    if lam is not None:
+        report = verify_no_backflow(comb, pairs, b_label, lam, kinds=kinds, break_before_second=break_flag)
+        assert report.applicable
+        assert report.deltas == expected  # same order, values bit for bit
+        max_delta = -np.inf
+        for *_, delta in expected:
+            max_delta = max(max_delta, delta)
+        assert report.max_delta == max_delta
+    witness = search_backflow_witness(comb, pairs, b_label, kinds=kinds, break_before_second=break_flag)
+    assert witness == reference_witness(expected)
+
+
+def test_stacked_pair_deltas_match_div_row_loop_bitwise():
+    rng = np.random.default_rng(20)
+    kind_sets = (KINDS, ("js",), ("hellinger", "tv"))
+    for i in range(100):
+        for maker, break_flag in ((random_factoring_comb, False), (random_break_comb, True)):
+            comb, b_label, lam = maker(rng)
+            pairs = instrument_pairs(comb)
+            pairs = pairs + [("I0", "I0"), pairs[-1][::-1]]
+            kinds = kind_sets[i % len(kind_sets)]
+            check_against_reference(comb, pairs, b_label, lam, kinds, break_flag)
+            if break_flag:  # the memoryful direction: no channel, witness only
+                check_against_reference(comb, pairs, b_label, None, kinds, False)
+    comb, pair, b_label = memoryful_demo_comb()
+    lam = channel_from_break(comb, b_label, theta_lifting_kernel(2, 2))
+    for kinds in kind_sets:
+        check_against_reference(comb, [pair], b_label, None, kinds, False)
+        check_against_reference(comb, [pair, pair[::-1]], b_label, lam, kinds, True)
+
+
+def test_verify_no_backflow_empty_pair_list():
+    comb, b_label, lam = random_factoring_comb(np.random.default_rng(21))
+    report = verify_no_backflow(comb, [], b_label, lam)
+    assert report.applicable
+    assert report.max_delta == -np.inf
+    assert report.deltas == []

@@ -59,6 +59,13 @@ def test_js_subnormal_rows_do_not_warn():
     assert 0.0 < value < 1e-300
 
 
+def test_js_nonnegative_when_mixture_underflows():
+    # m = (p + q) / 2 of the last entry underflows to 0; taking m as 1 there made the value negative
+    value = div_row("js", [1.0, 5e-324], [1.0, 0.0])
+    assert value >= 0.0
+    assert div_row("js", [1.0, 0.0], [1.0, 5e-324]) == value
+
+
 def test_js_finite_with_zeros():
     v = div_row("js", [0.5, 0.5, 0.0], [0.0, 0.5, 0.5])
     assert np.isfinite(v) and 0.0 < v < 1.0

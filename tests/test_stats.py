@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import backflow
 from backflow.stats import (
+    _average_ranks,
+    _t_cdf,
+    _t_sf,
     bh_fdr,
     bh_qvalues,
     bootstrap_mean_ci,
@@ -246,3 +255,43 @@ def test_ols2_matches_normal_equations():
 def test_ols2_needs_enough_rows():
     with pytest.raises(ValueError):
         ols2([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+
+
+def test_importing_cli_does_not_load_scipy_stats():
+    # scipy.stats took about 1 s of a 1.5 s start-up; only t tails are needed
+    code = "import sys, backflow.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(backflow.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_t_tails_match_scipy_stats_bitwise():
+    ts = (-300.0, -40.0, -5.0, -1.5, -0.3, -1e-300, -0.0, 0.0, 1e-300, 0.3, 1.5, 5.0, 40.0, 300.0)
+    for df in (1, 2, 3, 4, 7, 10, 29, 100, 1000, 10**6):
+        for t in ts:
+            assert _t_sf(t, df) == float(sps.t.sf(t, df=df)), (t, df)
+            assert _t_cdf(t, df) == float(sps.t.cdf(t, df=df)), (t, df)
+
+
+def test_t_test_and_tost_p_values_match_scipy_stats_bitwise():
+    rng = np.random.default_rng(31)
+    for n in (3, 5, 12, 40):
+        x = rng.normal(0.2, 1.0, n)
+        mean, se = x.mean(), x.std(ddof=1) / np.sqrt(n)
+        t = mean / se
+        assert t_test_mean(x).p_value == min(float(2.0 * sps.t.sf(abs(t), df=n - 1)), 1.0)
+        assert t_test_mean(x, alternative="greater").p_value == float(sps.t.sf(t, df=n - 1))
+        eps = 0.5
+        p_low = float(sps.t.sf((mean + eps) / se, df=n - 1))
+        p_high = float(sps.t.cdf((mean - eps) / se, df=n - 1))
+        assert tost_equivalence(x, epsilon=eps).p_value == max(p_low, p_high)
+
+
+def test_average_ranks_match_rankdata():
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 5, 17, 60):
+        for x in (rng.integers(0, 4, n).astype(float), rng.normal(size=n), np.zeros(n)):
+            assert np.array_equal(_average_ranks(x), sps.rankdata(x))
+    assert np.array_equal(_average_ranks(np.array([0.0, -0.0, 1.0])), sps.rankdata([0.0, -0.0, 1.0]))
