@@ -31,7 +31,6 @@ from .instruments import (
 )
 from .model import (
     ModelSpec,
-    ProbePredictions,
     forward,
     init_params,
     loss_and_grad,

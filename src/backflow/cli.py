@@ -20,7 +20,7 @@ from . import comb as comb_mod
 from . import diagnostics as diag
 from .divergences import KINDS
 from .errors import ConfigError
-from .protocol import config_from_mapping, run_sweep
+from .protocol import cell_filename, config_from_mapping, run_sweep
 from .stats import correlations
 
 
@@ -164,16 +164,29 @@ def sign_flip_rows(cells: list[dict]) -> tuple[list[dict], int]:
     return rows, flips
 
 
+def _missing_inputs(paths: list[Path]) -> bool:
+    """Name every path that does not exist on stderr; whether there was one."""
+    missing = [path for path in paths if not path.exists()]
+    for path in missing:
+        print(f"error: missing input: {path}", file=sys.stderr)
+    return bool(missing)
+
+
 def cmd_plotdata(run_dir: str) -> int:
     run = Path(run_dir)
-    summary_path = run / "summary.json"
-    if not summary_path.exists():
-        print(f"error: missing input: {summary_path}", file=sys.stderr)
+    summary_path, config_path = run / "summary.json", run / "config.json"
+    if _missing_inputs([summary_path, config_path]):
         return 2
     summary = json.loads(summary_path.read_text())
+    cells = summary["cells"]
+    # a run with diagnostics off writes no diagnostics.jsonl; its diagnostics tables stay header-only
+    diagnostics_path = run / "diagnostics.jsonl"
+    diagnostics_enabled = json.loads(config_path.read_text())["diagnostics_enabled"]
+    alignment_paths = [run / cell_filename(c["regime"], "no", c["seed"]) for c in cells if c["break"] == "no"]
+    if _missing_inputs(([diagnostics_path] if diagnostics_enabled else []) + alignment_paths):
+        return 2
     out = run / "plots"
     out.mkdir(exist_ok=True)
-    cells = summary["cells"]
     regimes_meta = summary["meta"]["regimes"]
 
     # Per-cell mean TV delta histograms by condition.
@@ -219,11 +232,7 @@ def cmd_plotdata(run_dir: str) -> int:
         regime_fields += [f"{kind}_mean", f"{kind}_ci_low", f"{kind}_ci_high"]
     _write_csv(out / "regime_means.csv", regime_fields, regime_rows)
 
-    diagnostics_path = run / "diagnostics.jsonl"
-    if not diagnostics_path.exists():
-        print(f"error: missing input: {diagnostics_path}", file=sys.stderr)
-        return 2
-    _, diag_records = _read_jsonl(diagnostics_path)
+    diag_records = _read_jsonl(diagnostics_path)[1] if diagnostics_enabled else []
 
     curve_rows = []
     cka_rows = []
@@ -343,24 +352,18 @@ def cmd_plotdata(run_dir: str) -> int:
         corr_rows,
     )
 
-    align_samples: list[diag.AlignmentSample] = []
-    for cell in cells:
-        if cell["break"] != "no":
-            continue
-        path = run / f"{cell['regime']}__no__seed{cell['seed']}.jsonl"
-        if not path.exists():
-            print(f"error: missing input: {path}", file=sys.stderr)
-            return 2
+    cosines = []
+    for path in alignment_paths:
         _, records = _read_jsonl(path)
-        align_samples.extend(
-            diag.AlignmentSample(r["momentum_alignment"], cell["regime"], cell["seed"], r["repeat_id"])
+        cosines.extend(
+            r["momentum_alignment"]
             for r in records
             if r.get("momentum_alignment") is not None and r.get("error") is None
         )
     _write_csv(
         out / "alignment_hist.csv",
         ["condition", "bin_left", "bin_right", "count"],
-        _histogram_rows([s.cosine for s in align_samples], "no", bins=24),
+        _histogram_rows(cosines, "no", bins=24),
     )
 
     dose_points = [
@@ -419,8 +422,7 @@ def cmd_plotdata(run_dir: str) -> int:
 def cmd_report(run_dir: str) -> int:
     run = Path(run_dir)
     summary_path = run / "summary.json"
-    if not summary_path.exists():
-        print(f"error: missing input: {summary_path}", file=sys.stderr)
+    if _missing_inputs([summary_path]):
         return 2
     summary = json.loads(summary_path.read_text())
     lines = ["# Back-flow sweep report", ""]

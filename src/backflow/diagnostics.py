@@ -9,14 +9,6 @@ from .optimizer import amplification_factor
 from .stats import BootstrapSummary, Ols2Result, TestResult, bootstrap_mean_ci, ols2, paired_t
 
 
-@dataclass(frozen=True)
-class AlignmentSample:
-    cosine: float
-    regime: str
-    seed: int
-    repeat_id: int
-
-
 def cosine(u, v) -> float:
     """Cosine of the angle between two vectors; 0.0 when either has zero norm."""
     ua = np.asarray(u, dtype=np.float64).ravel()

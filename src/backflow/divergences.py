@@ -71,26 +71,17 @@ def div_row(kind: str, p, q) -> float:
     return float(_row_values(kind, pr, qr)[0])
 
 
-def _unwrap(predictions):
-    probs = getattr(predictions, "probs", predictions)
-    probe_id = getattr(predictions, "probe_id", None)
-    return np.asarray(probs, dtype=np.float64), probe_id
+def div_avg(kind, p, q):
+    """Mean per-row divergence between two N x C prediction matrices on the same N inputs.
 
-
-def div_avg(kind, predictions_p, predictions_q):
-    """Mean per-row divergence between two prediction matrices.
-
-    Accepts raw N x C arrays or ProbePredictions; when both sides carry a
-    probe id the ids must agree.  ``kind`` is one kind, or a tuple of kinds
-    for a ``{kind: value}`` dict computed from one validation of each side.
-    Stacked R x N x C inputs give an array of R averages per kind.
+    ``kind`` is one kind, or a tuple of kinds for a ``{kind: value}`` dict
+    computed from one validation of each side.  Stacked R x N x C inputs
+    give an array of R averages per kind.
     """
-    p, pid = _unwrap(predictions_p)
-    q, qid = _unwrap(predictions_q)
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if pid is not None and qid is not None and pid != qid:
-        raise ValueError(f"probe mismatch: {pid!r} vs {qid!r}")
     pr = _as_prob_rows(p, "p")
     qr = _as_prob_rows(q, "q")
 

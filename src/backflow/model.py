@@ -40,14 +40,6 @@ class ModelSpec:
                 raise ValueError(f"unknown activation {self.activation!r}")
 
 
-@dataclass(frozen=True)
-class ProbePredictions:
-    """Row-stochastic softmax outputs on a fixed probe set."""
-
-    probs: np.ndarray
-    probe_id: str = "adhoc"
-
-
 def parameter_count(spec: ModelSpec) -> int:
     d, c = spec.input_dim, spec.num_classes
     if spec.kind == "softmax_linear":
@@ -143,14 +135,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(spec: ModelSpec, params: np.ndarray, inputs, probe_id: str = "adhoc") -> ProbePredictions:
-    """Softmax class probabilities for a batch of feature vectors.
+def forward(spec: ModelSpec, params: np.ndarray, inputs) -> np.ndarray:
+    """Softmax class probabilities, (N, C) for a batch of N feature vectors.
 
     Stacked (R, P) parameters give (R, N, C) probabilities, row r from
     parameter row r; ``inputs`` may be shared (N, d) or per row (R, N, d).
     """
     x = _check_inputs(spec, inputs)
-    return ProbePredictions(_softmax(_logits(spec, params, x)), probe_id)
+    return _softmax(_logits(spec, params, x))
 
 
 def loss_and_grad(

@@ -16,11 +16,13 @@ mid-time probe laws to the post-B laws.
 One engine (``_run_repeat``) runs a repeat for a tuple of break flags.  The
 flags of a repeat share its batch plan, its augmentation draws, its A/A'
 phase and so d1, which depend on the repeat alone; they part only at B,
-where the A and A' rows of every flag train as one parameter stack.  The
-sweep, which runs serially, asks the engine for all flags of a repeat when
-it reaches the first flag's cell and keeps the other flags' records for
-their cells.  The non-commute curve and the diagnostics go through the same
-k-step loop.
+where the A and A' rows of every flag train as one parameter stack.  One
+guarded entry (``_guarded_run``) wraps it in the NaN-guard rule for the
+public micro-experiments, the sweep's repeats and its diagnostics.  The
+sweep, which runs serially, asks for all flags of a repeat at the first
+flag's cell and keeps the other flags' records for their cells; it runs
+each (regime, seed)'s diagnostics repeat once for all flags in the same
+way.  The non-commute curve goes through the same k-step loop.
 
 Randomness discipline: each repeat derives its own streams from
 (seed, repeat_id, tag).  The A/A' kernels share one augmentation seed (they
@@ -125,25 +127,6 @@ class BackflowRecord:
         return self.error is None
 
 
-def probe_identifier(dataset: Dataset, probe_indices: np.ndarray) -> str:
-    h = sha256()
-    h.update(np.ascontiguousarray(probe_indices, dtype=np.int64).tobytes())
-    h.update(json.dumps(dataset.provenance, sort_keys=True, default=str).encode())
-    return h.hexdigest()[:12]
-
-
-@dataclass(frozen=True)
-class Probe:
-    """Probe inputs and their identifier, gathered once and shared by every repeat."""
-
-    x: np.ndarray
-    pid: str
-
-
-def make_probe(dataset: Dataset, probe_indices: np.ndarray) -> Probe:
-    return Probe(dataset.features[probe_indices], probe_identifier(dataset, probe_indices))
-
-
 def _aug_kernel(kind: str, seed: int, dataset: Dataset) -> AugmentationKernel:
     """Kernel for this dataset; image datasets get the image transform forms."""
     params = {}
@@ -203,11 +186,13 @@ class Repeat:
     """One repeat run for a tuple of break flags: its records and its states.
 
     Mid-time arrays have rows (A, A'); post-B arrays have rows (A, A') for
-    each flag in the order requested.  ``instruments`` are (A, A', B).  An
-    errored repeat has no arrays.
+    each flag in ``flags``, so flag ``flags[i]`` owns rows ``2i`` and
+    ``2i + 1``.  ``instruments`` are (A, A', B).  An errored repeat has no
+    arrays.
     """
 
     records: dict[str, BackflowRecord]
+    flags: tuple[str, ...]
     plan: object = None
     instruments: tuple[Instrument, Instrument, Instrument] | None = None
     params_mid: np.ndarray | None = None
@@ -217,7 +202,7 @@ class Repeat:
 
 
 def _run_repeat(
-    base_params, spec, regime, flags, dataset, probe, seed, settings, repeat_id, lr_scale
+    base_params, spec, regime, dataset, probe_x, seed, settings, repeat_id, flags, lr_scale
 ) -> Repeat:
     """The engine: one repeat of the A/A'->B protocol for every flag in ``flags``.
 
@@ -236,7 +221,7 @@ def _run_repeat(
         regime.k,
         config,
     )
-    preds_mid = forward(spec, params_mid, probe.x, probe.pid).probs
+    preds_mid = forward(spec, params_mid, probe_x)
     d1 = div_avg(KINDS, preds_mid[0], preds_mid[1])
 
     mid_state = OptimizerState(velocity_mid)
@@ -252,7 +237,7 @@ def _run_repeat(
         regime.k,
         config,
     )
-    preds_end = forward(spec, params_end, probe.x, probe.pid).probs
+    preds_end = forward(spec, params_end, probe_x)
     d2_rows = div_avg(KINDS, preds_end[0::2], preds_end[1::2])
 
     records = {}
@@ -271,6 +256,7 @@ def _run_repeat(
         )
     return Repeat(
         records=records,
+        flags=flags,
         plan=plan,
         instruments=(instr_a, instr_ap, instr_b),
         params_mid=params_mid,
@@ -292,50 +278,41 @@ def _nan_guarded(attempt):
         return attempt(0.5), True
 
 
-def _guarded_repeat(base_params, spec, regime, flag, dataset, probe, seed, settings, repeat_id) -> Repeat:
-    """One flag of one repeat under the NaN-guard rule; an error record if the retry fails too."""
-    try:
-        run, retried = _nan_guarded(
-            lambda lr_scale: _run_repeat(
-                base_params, spec, regime, (flag,), dataset, probe, seed, settings, repeat_id, lr_scale
-            )
-        )
-    except NanGuardError as exc:
-        record = BackflowRecord(
-            repeat_id=repeat_id,
-            seed=seed,
-            break_applied=flag == "break",
-            d1=None,
-            d2=None,
-            delta=None,
-            retried=True,
-            error=f"nan_guard: {exc}",
-        )
-        return Repeat(records={flag: record})
-    run.records[flag].retried = retried
-    return run
+def _guarded_run(
+    base_params, spec, regime, flags, dataset, probe_x, seed, settings, repeat_id
+) -> dict[str, Repeat]:
+    """One repeat for every flag in ``flags`` under the NaN-guard rule, as ``{flag: Repeat}``.
 
-
-def _repeat_records(
-    base_params, spec, regime, flags, dataset, probe, seed, settings, repeat_id
-) -> dict[str, BackflowRecord]:
-    """The records of one repeat for every flag in ``flags``, from one engine run.
-
-    If the shared run trips the NaN guard, each flag is rerun alone under
-    the retry rule, so every record equals the one a single-flag run gives.
+    Several flags share one engine run.  A single flag, and every flag of a
+    shared run that trips the guard, runs alone and is retried once at half
+    the learning rate; a second failure gives an error record.  So each
+    flag's record and states equal those of a run of that flag alone.
     """
+    attempt = partial(_run_repeat, base_params, spec, regime, dataset, probe_x, seed, settings, repeat_id)
     if len(flags) > 1:
         try:
-            return _run_repeat(
-                base_params, spec, regime, flags, dataset, probe, seed, settings, repeat_id, 1.0
-            ).records
+            return dict.fromkeys(flags, attempt(flags, 1.0))
         except NanGuardError:
             pass
-    runs = {
-        flag: _guarded_repeat(base_params, spec, regime, flag, dataset, probe, seed, settings, repeat_id)
-        for flag in flags
-    }
-    return {flag: run.records[flag] for flag, run in runs.items()}
+    runs = {}
+    for flag in flags:
+        try:
+            run, retried = _nan_guarded(partial(attempt, (flag,)))
+            run.records[flag].retried = retried
+        except NanGuardError as exc:
+            record = BackflowRecord(
+                repeat_id=repeat_id,
+                seed=seed,
+                break_applied=flag == "break",
+                d1=None,
+                d2=None,
+                delta=None,
+                retried=True,
+                error=f"nan_guard: {exc}",
+            )
+            run = Repeat(records={flag: record}, flags=(flag,))
+        runs[flag] = run
+    return runs
 
 
 def run_micro_experiment_detailed(
@@ -356,9 +333,9 @@ def run_micro_experiment_detailed(
     record is ``records["break"]`` or ``records["no"]``.
     """
     flag = "break" if break_applied else "no"
-    return _guarded_repeat(
-        base_params, spec, regime, flag, dataset, make_probe(dataset, probe), seed, settings, repeat_id
-    )
+    return _guarded_run(
+        base_params, spec, regime, (flag,), dataset, dataset.features[probe], seed, settings, repeat_id
+    )[flag]
 
 
 def run_micro_experiment(
@@ -403,7 +380,7 @@ def run_noncommute_curve(
     # row 0 runs A then B, row 1 runs B then A
     first = (np.stack([x_a, x_b]), np.stack([y_a, y_b]))
     second = (np.stack([x_b, x_a]), np.stack([y_b, y_a]))
-    probe = make_probe(dataset, probe_subset)
+    probe_x = dataset.features[probe_subset]
 
     curve = []
     for k in range(1, k_max + 1):
@@ -413,7 +390,7 @@ def run_noncommute_curve(
         if break_applied:
             velocity = causal_break(OptimizerState(velocity)).velocity
         params, _, _, _ = _train(spec, params, velocity, *second, k, config)
-        preds = forward(spec, params, probe.x, probe.pid).probs
+        preds = forward(spec, params, probe_x)
         curve.append((k, div_avg("tv", preds[0], preds[1])))
     return curve
 
@@ -558,7 +535,7 @@ def resolve_regime(entry) -> Regime:
     raise ConfigError(f"regimes: entries must be preset names or mappings, got {type(entry)}")
 
 
-# the top-level keys config_from_mapping reads
+# the keys config_from_mapping reads, at the top level and inside each section
 CONFIG_KEYS = frozenset(
     {
         "output_dir", "dataset", "model", "regimes", "base_stage", "break_flags", "seeds", "repeats",
@@ -566,17 +543,26 @@ CONFIG_KEYS = frozenset(
         "pretrain_passes",
     }
 )
+SECTION_DEFAULTS = {
+    "optimizer": {"weight_decay": 1e-4, "clip_norm": 1.0},
+    "early_stop": {"enabled": True, "floor": 64, "stride": 32, "half_width": 2e-4},
+    "stats": {"bootstrap_samples": 2000, "tost_epsilon": 1e-3, "bh_q": 0.05},
+    "diagnostics": {"enabled": True, "noncommute_k_max": 6, "probe_subset": 512},
+}
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
     """Validate a parsed configuration file and normalize it to a RunConfig.
 
-    Unknown top-level keys are named in one warning on stderr and ignored.
+    Unknown keys, top-level or inside a section (as ``section.key``), are
+    named in one warning on stderr and ignored.
     """
     m = dict(mapping)
-    unknown = sorted(set(m) - CONFIG_KEYS)
+    unknown = set(m) - CONFIG_KEYS
+    for name, defaults in SECTION_DEFAULTS.items():
+        unknown |= {f"{name}.{key}" for key in set(m.get(name, {})) - set(defaults)}
     if unknown:
-        print(f"warning: ignoring unknown config keys: {', '.join(unknown)}", file=sys.stderr)
+        print(f"warning: ignoring unknown config keys: {', '.join(sorted(unknown))}", file=sys.stderr)
     for required in ("dataset", "model", "regimes", "output_dir"):
         if required not in m:
             raise ConfigError(f"{required}: missing required field")
@@ -604,10 +590,10 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     if base_stage not in ("init", "early"):
         raise ConfigError(f"base_stage: must be 'init' or 'early', got {base_stage!r}")
 
-    optimizer = dict(m.get("optimizer", {}))
-    early = dict(m.get("early_stop", {}))
-    stats_m = dict(m.get("stats", {}))
-    diag_m = dict(m.get("diagnostics", {}))
+    # each section's keys over its defaults, in SECTION_DEFAULTS order
+    optimizer, early, stats_m, diag_m = (
+        {**defaults, **m.get(name, {})} for name, defaults in SECTION_DEFAULTS.items()
+    )
 
     try:
         config = RunConfig(
@@ -622,22 +608,22 @@ def config_from_mapping(mapping: dict) -> RunConfig:
             batch_size=int(m.get("batch_size", 64)),
             probe_size=int(m.get("probe_size", 512)),
             probe_seed=int(m.get("probe_seed", 0)),
-            weight_decay=float(optimizer.get("weight_decay", 1e-4)),
-            clip_norm=(None if optimizer.get("clip_norm", 1.0) is None else float(optimizer.get("clip_norm", 1.0))),
+            weight_decay=float(optimizer["weight_decay"]),
+            clip_norm=None if optimizer["clip_norm"] is None else float(optimizer["clip_norm"]),
             early_stop=EarlyStopPolicy(
-                enabled=bool(early.get("enabled", True)),
-                floor=int(early.get("floor", 64)),
-                stride=int(early.get("stride", 32)),
-                half_width=float(early.get("half_width", 2e-4)),
+                enabled=bool(early["enabled"]),
+                floor=int(early["floor"]),
+                stride=int(early["stride"]),
+                half_width=float(early["half_width"]),
             ),
             stats=StatsPolicy(
-                bootstrap_samples=int(stats_m.get("bootstrap_samples", 2000)),
-                tost_epsilon=float(stats_m.get("tost_epsilon", 1e-3)),
-                bh_q=float(stats_m.get("bh_q", 0.05)),
+                bootstrap_samples=int(stats_m["bootstrap_samples"]),
+                tost_epsilon=float(stats_m["tost_epsilon"]),
+                bh_q=float(stats_m["bh_q"]),
             ),
-            diagnostics_enabled=bool(diag_m.get("enabled", True)),
-            noncommute_k_max=int(diag_m.get("noncommute_k_max", 6)),
-            probe_subset=int(diag_m.get("probe_subset", 512)),
+            diagnostics_enabled=bool(diag_m["enabled"]),
+            noncommute_k_max=int(diag_m["noncommute_k_max"]),
+            probe_subset=int(diag_m["probe_subset"]),
             pretrain_passes=int(m.get("pretrain_passes", 3)),
         )
     except (TypeError, ValueError) as exc:
@@ -645,7 +631,10 @@ def config_from_mapping(mapping: dict) -> RunConfig:
 
     if config.repeats < 1:
         raise ConfigError("repeats: must be positive")
-    spec = config.model_spec()
+    try:
+        spec = config.model_spec()
+    except (TypeError, ValueError) as exc:  # a misspelled, missing or invalid field
+        raise ConfigError(f"model: {exc}") from None
     dataset_classes = config.dataset.get("num_classes")
     if dataset_classes is not None and int(dataset_classes) != spec.num_classes:
         raise ConfigError(
@@ -657,12 +646,13 @@ def config_from_mapping(mapping: dict) -> RunConfig:
 def build_dataset(config: RunConfig) -> Dataset:
     spec = dict(config.dataset)
     kind = spec.pop("kind", None)
-    if kind == "synthetic":
-        dataset = make_synthetic(**spec)
-    elif kind == "file":
-        dataset = load_table(spec["path"], spec["format"])
-    else:
+    loaders = {"synthetic": make_synthetic, "file": load_table}
+    if kind not in loaders:
         raise ConfigError(f"dataset: kind must be 'synthetic' or 'file', got {kind!r}")
+    try:
+        dataset = loaders[kind](**spec)
+    except TypeError as exc:  # a misspelled, unknown or missing field
+        raise ConfigError(f"dataset: {exc}") from None
     return split_probe(dataset, config.probe_size, derive_seed("probe", config.probe_seed))
 
 
@@ -685,7 +675,7 @@ def base_parameters(config: RunConfig, dataset: Dataset, seed_value: int) -> np.
 # Sweep execution and summary assembly.
 
 
-def _cell_repeat(base_params, spec, regime, flags, dataset, probe, settings, seed_value, store, repeat_id):
+def _cell_repeat(base_params, spec, regime, flags, dataset, probe_x, settings, seed_value, store, repeat_id):
     """The record of ``flags[0]`` for one repeat of a cell.
 
     The repeat is run for every flag in ``flags`` at once; the records of
@@ -697,12 +687,10 @@ def _cell_repeat(base_params, spec, regime, flags, dataset, probe, settings, see
     if key in store:
         return store.pop(key)
     repeat_seed = derive_seed("repeat", seed_value, repeat_id)
-    records = _repeat_records(
-        base_params, spec, regime, flags, dataset, probe, repeat_seed, settings, repeat_id
-    )
+    runs = _guarded_run(base_params, spec, regime, flags, dataset, probe_x, repeat_seed, settings, repeat_id)
     for other in flags[1:]:
-        store[(seed_value, other, repeat_id)] = records[other]
-    return records[flag]
+        store[(seed_value, other, repeat_id)] = runs[other].records[other]
+    return runs[flag].records[flag]
 
 
 def _record_payload(record: BackflowRecord) -> dict:
@@ -774,19 +762,22 @@ def _metric_block(deltas: np.ndarray, policy: StatsPolicy, boot_seed: int) -> di
     return block
 
 
-def _cell_diagnostics(config, spec, regime, flag, dataset, probe, base_params, seed_value, records):
-    sub = dataset.probe_indices[: min(config.probe_subset, len(dataset.probe_indices))]
+def _cell_diagnostics(
+    config, spec, regime, flag, dataset, probe_x, base_params, seed_value, alignment_mean, runs
+):
+    """The diagnostics record of one cell.
+
+    Its diagnostics repeat is run for all of the regime's flags at the
+    seed's first cell and kept in ``runs`` (by seed) for the other flags.
+    """
+    if seed_value not in runs:
+        diag_seed = derive_seed("diag", seed_value)
+        runs[seed_value] = _guarded_run(
+            base_params, spec, regime, config.break_flags, dataset, probe_x, diag_seed, config.settings(), 0
+        )
+    run = runs[seed_value][flag]
+    sub = dataset.probe_indices[: config.probe_subset]
     break_applied = flag == "break"
-    run = run_micro_experiment_detailed(
-        base_params,
-        spec,
-        regime,
-        break_applied,
-        dataset,
-        probe,
-        derive_seed("diag", seed_value),
-        config.settings(),
-    )
     curve_error = None
     try:
         curve, curve_retried = _nan_guarded(
@@ -805,7 +796,6 @@ def _cell_diagnostics(config, spec, regime, flag, dataset, probe, base_params, s
         )
     except NanGuardError as exc:
         curve, curve_retried, curve_error = [], True, f"nan_guard: {exc}"
-    alignments = [r.momentum_alignment for r in records if r.ok and r.momentum_alignment is not None]
     payload = {
         "record": "diagnostics",
         "regime": regime.name,
@@ -815,7 +805,7 @@ def _cell_diagnostics(config, spec, regime, flag, dataset, probe, base_params, s
         "noncommute_slope": diag.curve_slope([k for k, _ in curve], [v for _, v in curve])
         if len(curve) >= 2
         else None,
-        "alignment_mean": float(np.mean(alignments)) if alignments else None,
+        "alignment_mean": alignment_mean,
     }
     if curve_retried:
         payload["noncommute_retried"] = True
@@ -823,11 +813,11 @@ def _cell_diagnostics(config, spec, regime, flag, dataset, probe, base_params, s
         payload["noncommute_error"] = curve_error
     record = run.records[flag]
     if record.ok:
-        x_sub = dataset.features[sub]
-        (mid_a, mid_ap), (end_a, end_ap) = run.params_mid, run.params_end
+        x_sub = probe_x[: config.probe_subset]
+        row = 2 * run.flags.index(flag)
+        (mid_a, mid_ap), (end_a, end_ap) = run.params_mid, run.params_end[row : row + 2]
         feats = [penultimate_features(spec, p, x_sub) for p in (mid_a, mid_ap, end_a, end_ap)]
-        pid = probe_identifier(dataset, sub)
-        preds = [forward(spec, p, x_sub, pid).probs for p in (mid_a, end_a, mid_ap, end_ap)]
+        preds = [forward(spec, p, x_sub) for p in (mid_a, end_a, mid_ap, end_ap)]
         projection = diag.pca_project(preds)
         payload.update(
             {
@@ -871,7 +861,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
         raise ConfigError(
             f"model: num_classes {spec.num_classes} does not match dataset classes {dataset.num_classes}"
         )
-    probe = make_probe(dataset, dataset.probe_indices)
+    probe_x = dataset.features[dataset.probe_indices]
     digest = config.digest()
 
     (run_dir / "config.json").write_text(
@@ -884,8 +874,9 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
     cell_records: dict[tuple[str, str, int], list[BackflowRecord]] = {}
     diagnostics_payloads = []
     for regime in config.regimes:
-        # each repeat's engine run is shared across the regime's flags
+        # each repeat's engine run, and each seed's diagnostics run, is shared across the regime's flags
         store = {}
+        diagnostics_runs = {}
         for index, flag in enumerate(config.break_flags):
             for seed_value in config.seeds:
                 sample_fn = partial(
@@ -895,7 +886,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
                     regime,
                     config.break_flags[index:],
                     dataset,
-                    probe,
+                    probe_x,
                     config.settings(),
                     seed_value,
                     store,
@@ -923,10 +914,11 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
                             regime,
                             flag,
                             dataset,
-                            dataset.probe_indices,
+                            probe_x,
                             base_by_seed[seed_value],
                             seed_value,
-                            records,
+                            cells[-1]["alignment_mean"],
+                            diagnostics_runs,
                         )
                     )
 

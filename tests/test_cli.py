@@ -95,16 +95,20 @@ def test_oracle_demo_witness(capsys):
     assert "before break" in out
 
 
+PLOT_TABLES = (
+    "delta_hist.csv", "break_scatter.csv", "break_scatter_summary.csv", "regime_means.csv",
+    "noncommute_curves.csv", "cka_table.csv", "trajectories.csv", "delta_vs_slope.csv",
+    "delta_vs_alignment.csv", "correlations.csv", "alignment_hist.csv",
+)
+
+
 def test_plot_data_outputs(tmp_path):
     path, mapping = write_config(tmp_path, regimes=["standard", "negative"], seeds=[0, 1])
     assert main(["run", str(path)]) == 0
     run_dir = tmp_path / "run"
     assert main(["plot-data", str(run_dir)]) == 0
     plots = run_dir / "plots"
-    for name in ("delta_hist.csv", "break_scatter.csv", "break_scatter_summary.csv",
-                 "regime_means.csv", "noncommute_curves.csv", "cka_table.csv",
-                 "trajectories.csv", "delta_vs_slope.csv", "delta_vs_alignment.csv",
-                 "correlations.csv", "alignment_hist.csv"):
+    for name in PLOT_TABLES:
         assert (plots / name).exists(), name
 
     scatter = read_csv(plots / "break_scatter.csv")
@@ -132,6 +136,29 @@ def test_plot_data_missing_inputs_named(tmp_path, capsys):
     missing.mkdir()
     assert main(["plot-data", str(missing)]) == 2
     assert "summary.json" in capsys.readouterr().err
+
+    # diagnostics were on but their file is gone: nothing is written
+    path, _ = write_config(tmp_path, repeats=2)
+    assert main(["run", str(path)]) == 0
+    (tmp_path / "run" / "diagnostics.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["plot-data", str(tmp_path / "run")]) == 2
+    assert "diagnostics.jsonl" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "plots").exists()
+
+
+def test_plot_data_diagnostics_off(tmp_path):
+    path, _ = write_config(tmp_path, repeats=3, diagnostics={"enabled": False})
+    assert main(["run", str(path)]) == 0
+    run_dir = tmp_path / "run"
+    assert not (run_dir / "diagnostics.jsonl").exists()
+    assert main(["plot-data", str(run_dir)]) == 0
+    plots = run_dir / "plots"
+    assert sorted(p.name for p in plots.iterdir()) == sorted(PLOT_TABLES)
+    for name in ("noncommute_curves.csv", "cka_table.csv", "trajectories.csv", "delta_vs_slope.csv"):
+        assert read_csv(plots / name) == [] and (plots / name).read_text().count("\n") == 1, name
+    assert len(read_csv(plots / "break_scatter.csv")) == 1
+    assert sum(int(r["count"]) for r in read_csv(plots / "alignment_hist.csv")) == 3
 
 
 def test_sign_flip_count_on_fixture():
@@ -175,10 +202,19 @@ def test_unknown_config_keys_warn_and_are_ignored(tmp_path, capsys):
     _, mapping = write_config(tmp_path)
     plain = run_sweep(config_from_mapping(mapping), created_at="pinned")
     assert capsys.readouterr().err == ""
-    # "workers" is a retired key; "repeat" is a typo of "repeats" and must not change the repeat count
-    extra = config_from_mapping({**mapping, "output_dir": str(tmp_path / "extra"), "workers": 2, "repeat": 64})
+    # "workers" is a retired key; "repeat" is a typo of "repeats" and must not change the repeat count;
+    # a typo inside a section is named with its section and leaves the section's defaults
+    extra = config_from_mapping({
+        **mapping, "output_dir": str(tmp_path / "extra"), "workers": 2, "repeat": 64,
+        "early_stop": {"enabled": False, "half_widht": 1.0},
+        "optimizer": {"clip": None}, "stats": {"bh": 0.5},
+        "diagnostics": {**mapping["diagnostics"], "probe_sub": 8},
+    })
     (warning,) = capsys.readouterr().err.splitlines()
-    assert "unknown config keys" in warning and "repeat" in warning and "workers" in warning
+    assert warning == (
+        "warning: ignoring unknown config keys: diagnostics.probe_sub, early_stop.half_widht, "
+        "optimizer.clip, repeat, stats.bh, workers"
+    )
     result = run_sweep(extra, created_at="pinned")
 
     def artifacts(run_dir):

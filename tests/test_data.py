@@ -45,7 +45,7 @@ def test_well_separated_classes_are_learnable():
     from backflow.model import forward
 
     preds = forward(spec, params, ds.features[ds.probe_indices])
-    accuracy = (preds.probs.argmax(axis=1) == ds.labels[ds.probe_indices]).mean()
+    accuracy = (preds.argmax(axis=1) == ds.labels[ds.probe_indices]).mean()
     assert accuracy >= 0.99
 
 

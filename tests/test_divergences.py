@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from backflow.divergences import KINDS, div_avg, div_row
-from backflow.model import ProbePredictions
 
 
 def random_prob(rng, n):
@@ -123,14 +122,6 @@ def test_div_avg_matches_row_loop():
     for kind in KINDS:
         naive = sum(div_row(kind, p[i], q[i]) for i in range(len(p))) / len(p)
         assert div_avg(kind, p, q) == pytest.approx(naive, abs=1e-12)
-
-
-def test_div_avg_probe_mismatch():
-    p = ProbePredictions(np.array([[0.5, 0.5]]), probe_id="probe-a")
-    q = ProbePredictions(np.array([[0.5, 0.5]]), probe_id="probe-b")
-    with pytest.raises(ValueError, match="probe mismatch"):
-        div_avg("tv", p, q)
-    assert div_avg("tv", p, ProbePredictions(p.probs, "probe-a")) == 0.0
 
 
 def test_div_avg_shape_mismatch():

@@ -39,7 +39,7 @@ def test_init_scale():
 def test_forward_uniform_at_zero_params():
     params = np.zeros(parameter_count(LINEAR))
     preds = forward(LINEAR, params, np.random.default_rng(0).normal(size=(5, 4)))
-    assert np.allclose(preds.probs, 1.0 / 3.0, atol=1e-15)
+    assert np.allclose(preds, 1.0 / 3.0, atol=1e-15)
 
 
 def test_forward_rows_sum_to_one():
@@ -47,8 +47,8 @@ def test_forward_rows_sum_to_one():
     for spec in (LINEAR, MLP):
         params = init_params(spec, seed=3)
         preds = forward(spec, params, rng.normal(size=(20, spec.input_dim)))
-        assert np.allclose(preds.probs.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(preds.probs >= 0.0) and np.all(preds.probs <= 1.0)
+        assert np.allclose(preds.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(preds >= 0.0) and np.all(preds <= 1.0)
 
 
 def test_softmax_shift_invariance():
@@ -57,7 +57,7 @@ def test_softmax_shift_invariance():
     x = rng.normal(size=(6, 4))
     shifted = params.copy()
     shifted[12:] += 3.7  # add one constant to every class bias -> same logit shift per row
-    assert np.allclose(forward(LINEAR, params, x).probs, forward(LINEAR, shifted, x).probs, atol=1e-12)
+    assert np.allclose(forward(LINEAR, params, x), forward(LINEAR, shifted, x), atol=1e-12)
 
 
 def test_forward_matches_direct_reimplementation():
@@ -68,14 +68,14 @@ def test_forward_matches_direct_reimplementation():
     b = params[12:]
     z = w @ x[0] + b
     expected = np.exp(z) / np.exp(z).sum()
-    assert np.allclose(forward(LINEAR, params, x).probs[0], expected, atol=1e-12)
+    assert np.allclose(forward(LINEAR, params, x)[0], expected, atol=1e-12)
 
 
 def test_forward_determinism_bitwise():
     rng = np.random.default_rng(4)
     params = init_params(MLP, seed=2)
     x = rng.normal(size=(10, 8))
-    assert np.array_equal(forward(MLP, params, x).probs, forward(MLP, params, x).probs)
+    assert np.array_equal(forward(MLP, params, x), forward(MLP, params, x))
 
 
 def test_forward_dimension_mismatch():
@@ -201,11 +201,11 @@ def test_stacked_rows_match_unstacked_calls_bitwise(spec):
         assert np.array_equal(grad[r], grad_r)
     # one batch shared by every row
     _, shared = loss_and_grad(spec, rows, x[0], y[0])
-    probs = forward(spec, rows, x[0]).probs
+    probs = forward(spec, rows, x[0])
     assert probs.shape == (3, 12, spec.num_classes)
     for r in range(3):
         assert np.array_equal(shared[r], loss_and_grad(spec, rows[r], x[0], y[0])[1])
-        assert np.array_equal(probs[r], forward(spec, rows[r], x[0]).probs)
+        assert np.array_equal(probs[r], forward(spec, rows[r], x[0]))
 
 
 def test_stacked_nan_guard_fires_for_one_bad_row():

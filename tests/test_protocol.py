@@ -138,7 +138,6 @@ def test_alignment_recorded_only_without_break(dataset, base_params):
 def test_micro_experiment_matches_hand_simulation(dataset, base_params):
     # k=1, momentum 0: replay the whole pipeline from the public pieces
     from backflow.instruments import AugmentationKernel, sample_batch_plan
-    from backflow.protocol import probe_identifier
 
     regime = small_regime(k=1, momentum=0.0, lr=0.05)
     seed = 55
@@ -160,13 +159,12 @@ def test_micro_experiment_matches_hand_simulation(dataset, base_params):
                       AugmentationKernel("weak", aug_seed), plan.indices_a)
     pap, sap = one_step(base_params, OptimizerState.zeros(base_params.size),
                         AugmentationKernel("color", aug_seed), plan.indices_a)
-    pid = probe_identifier(dataset, dataset.probe_indices)
     probe_x = dataset.features[dataset.probe_indices]
-    d1 = div_avg("tv", forward(SPEC, pa, probe_x, pid), forward(SPEC, pap, probe_x, pid))
+    d1 = div_avg("tv", forward(SPEC, pa, probe_x), forward(SPEC, pap, probe_x))
     b_kernel = AugmentationKernel("weak", derive_seed(seed, "aug_b"))
     pab, _ = one_step(pa, sa, b_kernel, plan.indices_b)
     papb, _ = one_step(pap, sap, b_kernel, plan.indices_b)
-    d2 = div_avg("tv", forward(SPEC, pab, probe_x, pid), forward(SPEC, papb, probe_x, pid))
+    d2 = div_avg("tv", forward(SPEC, pab, probe_x), forward(SPEC, papb, probe_x))
 
     assert record.d1["tv"] == pytest.approx(d1, abs=1e-12)
     assert record.d2["tv"] == pytest.approx(d2, abs=1e-12)
@@ -278,8 +276,8 @@ def test_pretrain_improves_fit(dataset):
     trained = pretrain(SPEC, params, dataset, passes=2, batch_size=24, seed=1)
     probe_x = dataset.features[dataset.probe_indices]
     probe_y = dataset.labels[dataset.probe_indices]
-    before = (forward(SPEC, params, probe_x).probs.argmax(1) == probe_y).mean()
-    after = (forward(SPEC, trained, probe_x).probs.argmax(1) == probe_y).mean()
+    before = (forward(SPEC, params, probe_x).argmax(1) == probe_y).mean()
+    after = (forward(SPEC, trained, probe_x).argmax(1) == probe_y).mean()
     assert after > before
 
 
@@ -387,17 +385,31 @@ def test_run_sweep_artifacts_are_pinned_byte_for_byte(tmp_path):
 
 
 def test_shared_flag_run_matches_single_flag_runs(monkeypatch, dataset, base_params):
-    from backflow.protocol import _repeat_records, make_probe
+    from backflow.protocol import _guarded_run
 
-    probe = make_probe(dataset, dataset.probe_indices)
+    probe_x = dataset.features[dataset.probe_indices]
     regime = small_regime(momentum=0.95)
+    flags = ("no", "break")
 
     def single(flag):
-        return run_micro_experiment(base_params, SPEC, regime, flag == "break", dataset,
-                                    dataset.probe_indices, seed=17, settings=SETTINGS, repeat_id=3)
+        return run_micro_experiment_detailed(base_params, SPEC, regime, flag == "break", dataset,
+                                             dataset.probe_indices, seed=17, settings=SETTINGS, repeat_id=3)
 
-    expected = {flag: single(flag) for flag in ("no", "break")}
-    shared = _repeat_records(base_params, SPEC, regime, ("no", "break"), dataset, probe, 17, SETTINGS, 3)
+    singles = {flag: single(flag) for flag in flags}
+    expected = {flag: singles[flag].records[flag] for flag in flags}
+
+    def shared_run():
+        runs = _guarded_run(base_params, SPEC, regime, flags, dataset, probe_x, 17, SETTINGS, 3)
+        for flag in flags:
+            # each flag's states are the single-flag run's, bit for bit
+            row = 2 * runs[flag].flags.index(flag)
+            assert np.array_equal(runs[flag].params_mid, singles[flag].params_mid)
+            assert np.array_equal(runs[flag].params_end[row : row + 2], singles[flag].params_end)
+            assert np.array_equal(runs[flag].first_b_params[row : row + 2], singles[flag].first_b_params)
+        return runs, {flag: runs[flag].records[flag] for flag in flags}
+
+    runs, shared = shared_run()
+    assert runs["no"] is runs["break"] and runs["no"].flags == flags  # one engine run
     assert shared == expected
     assert expected["no"].d1 == expected["break"].d1
 
@@ -410,8 +422,31 @@ def test_shared_flag_run_matches_single_flag_runs(monkeypatch, dataset, base_par
         return real_step(params, state, grad, config)
 
     monkeypatch.setattr(protocol, "step", fail_on_shared_rows)
-    fallback = _repeat_records(base_params, SPEC, regime, ("no", "break"), dataset, probe, 17, SETTINGS, 3)
+    runs, fallback = shared_run()
+    assert runs["no"] is not runs["break"]
     assert fallback == expected
+
+
+def test_diagnostics_of_a_failed_shared_run_match_single_flag_sweeps(tmp_path, monkeypatch):
+    # the sweep runs each seed's diagnostics repeat once for both flags; when
+    # that shared B phase trips the guard, each flag falls back to a run of its own
+    real_step = protocol.step
+
+    def fail_on_shared_rows(params, state, grad, config):
+        if params.shape[0] == 4:
+            raise NanGuardError("injected failure")
+        return real_step(params, state, grad, config)
+
+    monkeypatch.setattr(protocol, "step", fail_on_shared_rows)
+
+    def payloads(name, flags):
+        config = config_from_mapping(sweep_mapping(tmp_path, output_dir=str(tmp_path / name), break_flags=flags))
+        return {p["break"]: p for p in read_diagnostics(run_sweep(config, created_at="pinned").run_dir)}
+
+    both = payloads("both", ["no", "break"])
+    assert "cka_first" in both["no"] and "cka_first" in both["break"]
+    for flag in ("no", "break"):
+        assert both[flag] == payloads(flag, [flag])[flag]
 
 
 def test_norm_overflow_gives_error_record_not_zero_deltas(dataset, base_params):
@@ -535,6 +570,21 @@ def test_config_validation_errors(tmp_path):
         config_from_mapping(sweep_mapping(
             tmp_path, model={"kind": "softmax_linear", "input_dim": 12, "num_classes": 7}
         ))
+    # misspelled or missing fields of the model and the dataset name the field
+    with pytest.raises(ConfigError, match="model: .*hiden_dim"):
+        config_from_mapping(sweep_mapping(
+            tmp_path, model={"kind": "mlp1", "input_dim": 12, "num_classes": 4, "hiden_dim": 8}
+        ))
+    with pytest.raises(ConfigError, match="model: .*input_dim"):
+        config_from_mapping(sweep_mapping(tmp_path, model={"kind": "softmax_linear", "num_classes": 4}))
+    misspelled = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_klass": 120}
+    with pytest.raises(ConfigError, match="dataset: .*per_klass"):
+        protocol.build_dataset(config_from_mapping(sweep_mapping(tmp_path, dataset=misspelled)))
+    for missing in ("path", "format"):
+        dataset = {"kind": "file", "path": str(tmp_path / "table.csv"), "format": "csv_labeled"}
+        del dataset[missing]
+        with pytest.raises(ConfigError, match=f"dataset: .*'{missing}'"):
+            protocol.build_dataset(config_from_mapping(sweep_mapping(tmp_path, dataset=dataset)))
 
 
 def test_resolve_regime_mapping_and_presets():
