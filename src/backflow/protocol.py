@@ -34,6 +34,7 @@ the others.
 
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -558,6 +559,9 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     named in one warning on stderr and ignored.
     """
     m = dict(mapping)
+    for name in ("dataset", "model", *SECTION_DEFAULTS):
+        if name in m and not isinstance(m[name], dict):
+            raise ConfigError(f"{name}: must be a mapping, got {type(m[name]).__name__}")
     unknown = set(m) - CONFIG_KEYS
     for name, defaults in SECTION_DEFAULTS.items():
         unknown |= {f"{name}.{key}" for key in set(m.get(name, {})) - set(defaults)}
@@ -726,6 +730,21 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same directory.
+
+    The temporary file replaces ``path`` only once it is complete, so an
+    interrupted write leaves the previous file or none, never a truncated one.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cell_filename(regime_name: str, flag: str, seed: int) -> str:
     return f"{regime_name}__{flag}__seed{seed}.jsonl"
 
@@ -846,8 +865,6 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
     a diagnostics JSONL, and summary.json with bootstrap CIs, TOST, one- and
     two-sided tests, and BH q-values across cells per divergence kind.
     """
-    run_dir = Path(config.output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     if created_at is None:
         created_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
@@ -864,9 +881,10 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
     probe_x = dataset.features[dataset.probe_indices]
     digest = config.digest()
 
-    (run_dir / "config.json").write_text(
-        json.dumps(asdict(config), indent=2, sort_keys=True, default=str) + "\n"
-    )
+    run_dir = Path(config.output_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    config_text = json.dumps(asdict(config), indent=2, sort_keys=True, default=str) + "\n"
+    write_atomic(run_dir / "config.json", config_text)
 
     base_by_seed = {s: base_parameters(config, dataset, s) for s in config.seeds}
 
@@ -904,7 +922,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
                     "config_digest": digest,
                 }
                 lines = [_dump_line(header)] + [_dump_line(_record_payload(r)) for r in records]
-                path.write_text("\n".join(lines) + "\n")
+                write_atomic(path, "\n".join(lines) + "\n")
                 cells.append(_summarize(config, regime, flag, records, seed_value, early_stopped))
                 if config.diagnostics_enabled:
                     diagnostics_payloads.append(
@@ -930,7 +948,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
             "config_digest": digest,
         }
         lines = [_dump_line(header)] + [_dump_line(p) for p in diagnostics_payloads]
-        (run_dir / "diagnostics.jsonl").write_text("\n".join(lines) + "\n")
+        write_atomic(run_dir / "diagnostics.jsonl", "\n".join(lines) + "\n")
 
     pooled = []
     for regime in config.regimes:
@@ -978,7 +996,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
             sum(1 for records in cell_records.values() for r in records if not r.ok)
         ),
     }
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+    write_atomic(run_dir / "summary.json", json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return SweepResult(run_dir=run_dir, summary=summary)
 
 

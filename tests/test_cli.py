@@ -72,6 +72,24 @@ def test_run_unknown_preset_fails_naming_field(tmp_path, capsys):
     assert "regimes" in err and "fancy" in err
 
 
+def test_run_non_mapping_section_fails_naming_section(tmp_path, capsys):
+    for section in ("dataset", "model", "optimizer", "early_stop", "stats", "diagnostics"):
+        path, _ = write_config(tmp_path, **{section: None})
+        assert main(["run", str(path)]) == 2
+        assert f"error: {section}: must be a mapping" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+def test_run_dataset_error_leaves_no_run_dir(tmp_path, capsys):
+    misspelled = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_klass": 120}
+    missing_path = {"kind": "file", "format": "csv_labeled"}
+    for dataset in (misspelled, missing_path):
+        path, _ = write_config(tmp_path, dataset=dataset)
+        assert main(["run", str(path)]) == 2
+        assert "error: dataset:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err

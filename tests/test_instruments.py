@@ -152,6 +152,73 @@ def test_image_weak_constant_unchanged():
     assert np.allclose(out, images, atol=1e-15)
 
 
+# The per-image forms of the image augmentations, one Python step per image.
+# The batched forms in backflow.instruments must match them byte for byte.
+
+
+def reference_random_crops(rng, images, pad=4):
+    n, h, w = images.shape
+    padded = np.pad(images, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
+    offsets = rng.integers(0, 2 * pad + 1, size=(n, 2))
+    out = np.empty_like(images)
+    for i in range(n):
+        r, c = offsets[i]
+        out[i] = padded[i, r : r + h, c : c + w]
+    return out
+
+
+def reference_weak(rng, images):
+    out = reference_random_crops(rng, images)
+    flip = rng.random(out.shape[0]) < 0.5
+    out[flip] = out[flip, :, ::-1]
+    return out
+
+
+def reference_color(rng, images):
+    out = reference_weak(rng, images)
+    n = out.shape[0]
+    brightness = rng.uniform(0.6, 1.4, size=(n, 1, 1))
+    contrast = rng.uniform(0.6, 1.4, size=(n, 1, 1))
+    means = out.mean(axis=(1, 2), keepdims=True)
+    return (out * brightness - means) * contrast + means
+
+
+def reference_blur(rng, images):
+    out = reference_weak(rng, images)
+    sigma = rng.uniform(0.1, 2.0, size=out.shape[0])
+    side = np.exp(-0.5 / (sigma * sigma))
+    for i in range(out.shape[0]):
+        tap = np.array([side[i], 1.0, side[i]])
+        tap /= tap.sum()
+        rows = np.pad(out[i], ((1, 1), (0, 0)), mode="edge")
+        blurred = tap[0] * rows[:-2] + tap[1] * rows[1:-1] + tap[2] * rows[2:]
+        cols = np.pad(blurred, ((0, 0), (1, 1)), mode="edge")
+        out[i] = tap[0] * cols[:, :-2] + tap[1] * cols[:, 1:-1] + tap[2] * cols[:, 2:]
+    return out
+
+
+REFERENCE_IMAGE_FORMS = {"weak": reference_weak, "color": reference_color, "blur": reference_blur}
+
+
+@pytest.mark.parametrize("kind", ["weak", "color", "blur"])
+def test_image_forms_match_per_image_reference(kind):
+    rng = np.random.default_rng(31)
+    fixed = [(1, 5, 5), (1, 16, 9), (2, 7, 7), (3, 5, 19), (128, 16, 16)]
+    drawn = [tuple(int(v) for v in rng.integers((1, 5, 5), (200, 20, 20))) for _ in range(25)]
+    for n, h, w in fixed + drawn:
+        images = rng.normal(size=(n, h, w)) * rng.choice([1e-3, 1.0, 255.0])
+        before = images.copy()
+        for seed in (0, 1, int(rng.integers(0, 2**63))):
+            expected = REFERENCE_IMAGE_FORMS[kind](np.random.default_rng(seed), images.copy())
+            out = apply_augmentation(AugmentationKernel(kind, seed), images)
+            assert out.dtype == np.float64 and out.flags.c_contiguous
+            assert out.shape == (n, h, w) and out.tobytes() == expected.tobytes(), (kind, n, h, w, seed)
+            flat = AugmentationKernel(kind, seed, params={"image_shape": (h, w)})
+            out_flat = apply_augmentation(flat, images.reshape(n, h * w))
+            assert out_flat.shape == (n, h * w) and out_flat.tobytes() == expected.tobytes()
+        assert np.array_equal(images, before)  # the input batch is left as it was
+
+
 def first_pair(dataset, regime, batch_size, seed):
     """The A/A' instruments and mid-time states of one micro-experiment."""
     settings = ProtocolSettings(batch_size=batch_size)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from backflow.protocol import (
     run_sweep,
 )
 from backflow.seeding import derive_seed
+
+from test_data import write_idx_pair
 
 SPEC = ModelSpec("softmax_linear", 12, 4)
 SETTINGS = ProtocolSettings(batch_size=24)
@@ -384,6 +387,83 @@ def test_run_sweep_artifacts_are_pinned_byte_for_byte(tmp_path):
     assert digests == PINNED_SHA256
 
 
+def seeded_idx_images(directory, seed, n=240, shape=(6, 7), classes=4):
+    """Write a seeded IDX pair of uint8 images: a random template per class plus pixel noise."""
+    rng = np.random.default_rng(seed)
+    templates = rng.uniform(40.0, 216.0, size=(classes, *shape))
+    labels = rng.permutation(np.repeat(np.arange(classes), n // classes))
+    images = np.clip(np.rint(templates[labels] + rng.normal(scale=25.0, size=(n, *shape))), 0, 255)
+    write_idx_pair(directory, images, labels)
+
+
+# an image sweep: standard trains A' on "color", resonant_strong trains A on
+# "color" and A' on "blur"; paths are relative so the config digest is fixed
+PINNED_IMAGE_SWEEP = dict(
+    output_dir="run",
+    dataset={"kind": "file", "path": "tiny-images-idx3-ubyte", "format": "idx_pair"},
+    model={"kind": "mlp1", "input_dim": 42, "num_classes": 4, "hidden_dim": 8, "activation": "tanh"},
+    regimes=["standard", "resonant_strong"],
+    base_stage="early",
+    pretrain_passes=1,
+    repeats=6,
+    probe_size=64,
+    diagnostics={"noncommute_k_max": 3, "probe_subset": 32},
+)
+# sha256 of its artifacts, computed with the per-image augmentation loops;
+# the same at one and two BLAS threads
+PINNED_IMAGE_SHA256 = {
+    "diagnostics.jsonl": "ff6a426dc32526ecfe55f6e1263192b8a99ff3bdc7cb4c19a19b8c2fc7a42e5d",
+    "resonant_strong__break__seed0.jsonl": "965225a424e9a8e4fc4463d6d022dd6c97f5163e18a58db302d53d7efb3da7b5",
+    "resonant_strong__no__seed0.jsonl": "3cf7052291354b1ad45ed0135fce69ce3908ab3fccdfd41f840b89d3ad4d73c0",
+    "standard__break__seed0.jsonl": "8f9a786469593b99a19f5b37ef506591ceaadb152a988a363ff671ec22e2026c",
+    "standard__no__seed0.jsonl": "8001f5f75caf711c0d57849aa7068fdb4cc2ca75e08a820e427b14404e95d66a",
+    "summary.json": "a06e6b719f847f0cd53af123f5020383b9b9e27407d968041e194dd92369be5c",
+}
+
+
+def test_image_sweep_artifacts_are_pinned_byte_for_byte(tmp_path, monkeypatch):
+    from hashlib import sha256
+
+    monkeypatch.chdir(tmp_path)
+    seeded_idx_images(tmp_path, seed=5)
+    config = config_from_mapping(sweep_mapping(tmp_path, **PINNED_IMAGE_SWEEP))
+    result = run_sweep(config, created_at="pinned")
+    assert result.summary["n_persistent_errors"] == 0
+    digests = {name: sha256(blob).hexdigest() for name, blob in artifact_bytes(result.run_dir).items()}
+    assert digests == PINNED_IMAGE_SHA256
+
+
+def test_failed_artifact_write_leaves_no_partial_or_temp_file(tmp_path, monkeypatch):
+    real_write_text = Path.write_text
+
+    def interrupted(self, text, *args, **kwargs):
+        if "summary" not in self.name:
+            return real_write_text(self, text, *args, **kwargs)
+        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", interrupted)
+    config = config_from_mapping(sweep_mapping(tmp_path))
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(config, created_at="pinned")
+    # the artifacts written before the failure are complete; summary.json is absent, not truncated
+    names = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert names == ["config.json", "diagnostics.jsonl", "standard__break__seed0.jsonl",
+                     "standard__no__seed0.jsonl"]
+    expected_lines = {"diagnostics.jsonl": 3, "standard__break__seed0.jsonl": 5, "standard__no__seed0.jsonl": 5}
+    for name, count in expected_lines.items():
+        lines = (tmp_path / "run" / name).read_text().splitlines()
+        assert len([json.loads(line) for line in lines]) == count
+
+    # an artifact that already exists keeps its old bytes when its rewrite fails
+    old = tmp_path / "run" / "summary.json"
+    old.write_bytes(b"previous\n")
+    with pytest.raises(OSError, match="disk full"):
+        protocol.write_atomic(old, "replacement\n")
+    assert old.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted([*names, "summary.json"])
+
+
 def test_shared_flag_run_matches_single_flag_runs(monkeypatch, dataset, base_params):
     from backflow.protocol import _guarded_run
 
@@ -577,6 +657,11 @@ def test_config_validation_errors(tmp_path):
         ))
     with pytest.raises(ConfigError, match="model: .*input_dim"):
         config_from_mapping(sweep_mapping(tmp_path, model={"kind": "softmax_linear", "num_classes": 4}))
+    # a section that is not a mapping is named, whatever its value
+    for section in ("dataset", "model", "optimizer", "early_stop", "stats", "diagnostics"):
+        for value in (None, [1], "fast", 3):
+            with pytest.raises(ConfigError, match=f"^{section}: must be a mapping, got {type(value).__name__}$"):
+                config_from_mapping(sweep_mapping(tmp_path, **{section: value}))
     misspelled = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_klass": 120}
     with pytest.raises(ConfigError, match="dataset: .*per_klass"):
         protocol.build_dataset(config_from_mapping(sweep_mapping(tmp_path, dataset=misspelled)))
