@@ -112,32 +112,33 @@ def cmd_oracle(seed: int, count: int, demo_witness: bool = False, tol: float = 1
     return status
 
 
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, header: tuple, rows) -> None:
+    """One header row, then the rows; None is written as an empty field."""
     with path.open("w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _histogram_rows(values, condition: str, bins: int = 20) -> list[dict]:
+HIST_HEADER = ("condition", "bin_left", "bin_right", "count")
+
+
+def _histogram_rows(values, condition: str, bins: int = 20) -> list[tuple]:
     if not values:
         return []
     edges = np.histogram_bin_edges(values, bins=bins)
     counts, _ = np.histogram(values, bins=edges)
     return [
-        {
-            "condition": condition,
-            "bin_left": float(edges[i]),
-            "bin_right": float(edges[i + 1]),
-            "count": int(counts[i]),
-        }
-        for i in range(len(counts))
+        (condition, float(left), float(right), int(count))
+        for left, right, count in zip(edges[:-1], edges[1:], counts)
     ]
 
 
-def sign_flip_rows(cells: list[dict]) -> tuple[list[dict], int]:
-    """Pair no-break and break cells by (regime, seed) and flag sign flips."""
+def sign_flip_rows(cells: list[dict]) -> tuple[list[tuple], int]:
+    """Pair no-break and break cells by (regime, seed) and flag sign flips.
+
+    Rows are (regime, seed, delta_no, delta_break, sign_flip).
+    """
     by_key = {}
     for cell in cells:
         mean = cell["metrics"].get("tv", {}).get("mean")
@@ -145,23 +146,11 @@ def sign_flip_rows(cells: list[dict]) -> tuple[list[dict], int]:
             continue
         by_key.setdefault((cell["regime"], cell["seed"]), {})[cell["break"]] = mean
     rows = []
-    flips = 0
-    for (regime, seed) in sorted(by_key):
-        pair = by_key[(regime, seed)]
-        if "no" not in pair or "break" not in pair:
-            continue
-        flip = int(np.sign(pair["no"]) != np.sign(pair["break"]))
-        flips += flip
-        rows.append(
-            {
-                "regime": regime,
-                "seed": seed,
-                "delta_no": pair["no"],
-                "delta_break": pair["break"],
-                "sign_flip": flip,
-            }
-        )
-    return rows, flips
+    for (regime, seed), pair in sorted(by_key.items()):
+        if "no" in pair and "break" in pair:
+            flip = int(np.sign(pair["no"]) != np.sign(pair["break"]))
+            rows.append((regime, seed, pair["no"], pair["break"], flip))
+    return rows, sum(row[-1] for row in rows)
 
 
 def _missing_inputs(paths: list[Path]) -> bool:
@@ -170,6 +159,11 @@ def _missing_inputs(paths: list[Path]) -> bool:
     for path in missing:
         print(f"error: missing input: {path}", file=sys.stderr)
     return bool(missing)
+
+
+def _cell_key(record: dict) -> tuple:
+    """The (regime, break, seed) of a summary cell or a diagnostics record."""
+    return record["regime"], record["break"], record["seed"]
 
 
 def cmd_plotdata(run_dir: str) -> int:
@@ -187,233 +181,123 @@ def cmd_plotdata(run_dir: str) -> int:
         return 2
     out = run / "plots"
     out.mkdir(exist_ok=True)
-    regimes_meta = summary["meta"]["regimes"]
 
-    # Per-cell mean TV delta histograms by condition.
-    hist_rows = []
-    for condition in ("no", "break"):
-        values = [
-            c["metrics"]["tv"].get("mean")
-            for c in cells
-            if c["break"] == condition and c["metrics"]["tv"].get("mean") is not None
-        ]
-        hist_rows.extend(_histogram_rows(values, condition))
-    _write_csv(out / "delta_hist.csv", ["condition", "bin_left", "bin_right", "count"], hist_rows)
+    # mean TV delta of every cell that has one, in summary order
+    mean_by_cell = {
+        _cell_key(c): c["metrics"]["tv"]["mean"] for c in cells if c["metrics"]["tv"].get("mean") is not None
+    }
+    hist_rows = [
+        row
+        for condition in ("no", "break")
+        for row in _histogram_rows([m for key, m in mean_by_cell.items() if key[1] == condition], condition)
+    ]
+    _write_csv(out / "delta_hist.csv", HIST_HEADER, hist_rows)
 
     scatter_rows, flips = sign_flip_rows(cells)
-    _write_csv(
-        out / "break_scatter.csv",
-        ["regime", "seed", "delta_no", "delta_break", "sign_flip"],
-        scatter_rows,
-    )
+    _write_csv(out / "break_scatter.csv", ("regime", "seed", "delta_no", "delta_break", "sign_flip"), scatter_rows)
+    flip_fraction = flips / len(scatter_rows) if scatter_rows else float("nan")
     _write_csv(
         out / "break_scatter_summary.csv",
-        ["n_points", "n_sign_flips", "flip_fraction"],
+        ("n_points", "n_sign_flips", "flip_fraction"),
+        [(len(scatter_rows), flips, flip_fraction)],
+    )
+
+    stat_columns = [(kind, bound) for kind in KINDS for bound in ("mean", "ci_low", "ci_high")]
+    _write_csv(
+        out / "regime_means.csv",
+        ("regime", "break", "n", *(f"{kind}_{bound}" for kind, bound in stat_columns)),
         [
-            {
-                "n_points": len(scatter_rows),
-                "n_sign_flips": flips,
-                "flip_fraction": (flips / len(scatter_rows)) if scatter_rows else float("nan"),
-            }
+            (pool["regime"], pool["break"], pool["n_repeats"],
+             *(pool["metrics"].get(kind, {}).get(bound) for kind, bound in stat_columns))
+            for pool in summary["pooled"]
         ],
     )
 
-    regime_rows = []
-    for pool in summary["pooled"]:
-        row = {"regime": pool["regime"], "break": pool["break"], "n": pool["n_repeats"]}
-        for kind in KINDS:
-            block = pool["metrics"].get(kind, {})
-            row[f"{kind}_mean"] = block.get("mean")
-            row[f"{kind}_ci_low"] = block.get("ci_low")
-            row[f"{kind}_ci_high"] = block.get("ci_high")
-        regime_rows.append(row)
-    regime_fields = ["regime", "break", "n"]
-    for kind in KINDS:
-        regime_fields += [f"{kind}_mean", f"{kind}_ci_low", f"{kind}_ci_high"]
-    _write_csv(out / "regime_means.csv", regime_fields, regime_rows)
-
+    curve_rows, cka_rows, traj_rows, slope_rows = [], [], [], []
     diag_records = _read_jsonl(diagnostics_path)[1] if diagnostics_enabled else []
-
-    curve_rows = []
-    cka_rows = []
-    traj_rows = []
-    slope_by_cell = {}
     for rec in diag_records:
-        key = (rec["regime"], rec["break"], rec["seed"])
-        for k, tv in rec.get("noncommute", []):
-            curve_rows.append(
-                {"regime": rec["regime"], "break": rec["break"], "seed": rec["seed"], "k": k, "tv": tv}
-            )
-        if rec.get("noncommute_slope") is not None:
-            slope_by_cell[key] = rec["noncommute_slope"]
+        key = _cell_key(rec)
+        curve_rows += [(*key, k, tv) for k, tv in rec.get("noncommute", [])]
         if rec.get("cka_first") is not None:
-            cka_rows.append(
-                {
-                    "regime": rec["regime"],
-                    "break": rec["break"],
-                    "seed": rec["seed"],
-                    "cka_first": rec["cka_first"],
-                    "cka_second": rec["cka_second"],
-                }
-            )
-        for label, point in zip(rec.get("pca_labels", []), rec.get("pca_points", [])):
-            traj_rows.append(
-                {
-                    "regime": rec["regime"],
-                    "break": rec["break"],
-                    "seed": rec["seed"],
-                    "label": label,
-                    "x": point[0],
-                    "y": point[1],
-                    "explained_1": rec["pca_explained"][0],
-                    "explained_2": rec["pca_explained"][1],
-                }
-            )
-    _write_csv(out / "noncommute_curves.csv", ["regime", "break", "seed", "k", "tv"], curve_rows)
-    _write_csv(out / "cka_table.csv", ["regime", "break", "seed", "cka_first", "cka_second"], cka_rows)
+            cka_rows.append((*key, rec["cka_first"], rec["cka_second"]))
+        for label, (x, y) in zip(rec.get("pca_labels", []), rec.get("pca_points", [])):
+            traj_rows.append((*key, label, x, y, *rec["pca_explained"]))
+        if rec.get("noncommute_slope") is not None and key in mean_by_cell:
+            slope_rows.append((*key, rec["noncommute_slope"], mean_by_cell[key]))
+    slope_rows.sort()
+    _write_csv(out / "noncommute_curves.csv", ("regime", "break", "seed", "k", "tv"), curve_rows)
+    _write_csv(out / "cka_table.csv", ("regime", "break", "seed", "cka_first", "cka_second"), cka_rows)
     _write_csv(
         out / "trajectories.csv",
-        ["regime", "break", "seed", "label", "x", "y", "explained_1", "explained_2"],
+        ("regime", "break", "seed", "label", "x", "y", "explained_1", "explained_2"),
         traj_rows,
     )
-
-    mean_by_cell = {
-        (c["regime"], c["break"], c["seed"]): c["metrics"]["tv"].get("mean")
-        for c in cells
-        if c["metrics"]["tv"].get("mean") is not None
-    }
-    align_by_cell = {
-        (c["regime"], c["break"], c["seed"]): c["alignment_mean"]
-        for c in cells
-        if c.get("alignment_mean") is not None
-    }
-
-    slope_rows = [
-        {
-            "regime": key[0],
-            "break": key[1],
-            "seed": key[2],
-            "noncommute_slope": slope_by_cell[key],
-            "mean_delta_tv": mean_by_cell[key],
-        }
-        for key in sorted(slope_by_cell)
-        if key in mean_by_cell
-    ]
     _write_csv(
-        out / "delta_vs_slope.csv",
-        ["regime", "break", "seed", "noncommute_slope", "mean_delta_tv"],
-        slope_rows,
-    )
-    align_rows = [
-        {
-            "regime": key[0],
-            "seed": key[2],
-            "alignment_mean": align_by_cell[key],
-            "mean_delta_tv": mean_by_cell[key],
-        }
-        for key in sorted(align_by_cell)
-        if key in mean_by_cell and key[1] == "no"
-    ]
-    _write_csv(
-        out / "delta_vs_alignment.csv",
-        ["regime", "seed", "alignment_mean", "mean_delta_tv"],
-        align_rows,
+        out / "delta_vs_slope.csv", ("regime", "break", "seed", "noncommute_slope", "mean_delta_tv"), slope_rows
     )
 
+    align_rows = sorted(
+        (c["regime"], c["seed"], c["alignment_mean"], mean_by_cell[_cell_key(c)])
+        for c in cells
+        if c["break"] == "no" and c.get("alignment_mean") is not None and _cell_key(c) in mean_by_cell
+    )
+    _write_csv(out / "delta_vs_alignment.csv", ("regime", "seed", "alignment_mean", "mean_delta_tv"), align_rows)
+
+    # each correlation over the (x, mean delta) columns of its table's no-break rows
     corr_rows = []
-    no_break_slopes = [
-        (slope_by_cell[k], mean_by_cell[k])
-        for k in sorted(slope_by_cell)
-        if k in mean_by_cell and k[1] == "no"
-    ]
     for name, pairs in (
-        ("delta_vs_slope", no_break_slopes),
-        ("delta_vs_alignment", [(r["alignment_mean"], r["mean_delta_tv"]) for r in align_rows]),
+        ("delta_vs_slope", [row[3:] for row in slope_rows if row[1] == "no"]),
+        ("delta_vs_alignment", [row[2:] for row in align_rows]),
     ):
-        xs = [p[0] for p in pairs]
-        ys = [p[1] for p in pairs]
         try:
-            c = correlations(xs, ys)
+            c = correlations([x for x, _ in pairs], [y for _, y in pairs])
         except ValueError:
             continue
-        corr_rows.append(
-            {
-                "relation": name,
-                "n": len(xs),
-                "pearson_r": c.pearson_r,
-                "pearson_p": c.pearson_p,
-                "spearman_rho": c.spearman_rho,
-                "spearman_p": c.spearman_p,
-            }
-        )
+        corr_rows.append((name, len(pairs), c.pearson_r, c.pearson_p, c.spearman_rho, c.spearman_p))
     _write_csv(
         out / "correlations.csv",
-        ["relation", "n", "pearson_r", "pearson_p", "spearman_rho", "spearman_p"],
+        ("relation", "n", "pearson_r", "pearson_p", "spearman_rho", "spearman_p"),
         corr_rows,
     )
 
-    cosines = []
-    for path in alignment_paths:
-        _, records = _read_jsonl(path)
-        cosines.extend(
-            r["momentum_alignment"]
-            for r in records
-            if r.get("momentum_alignment") is not None and r.get("error") is None
-        )
-    _write_csv(
-        out / "alignment_hist.csv",
-        ["condition", "bin_left", "bin_right", "count"],
-        _histogram_rows(cosines, "no", bins=24),
-    )
+    cosines = [
+        r["momentum_alignment"]
+        for path in alignment_paths
+        for r in _read_jsonl(path)[1]
+        if r.get("momentum_alignment") is not None and r.get("error") is None
+    ]
+    _write_csv(out / "alignment_hist.csv", HIST_HEADER, _histogram_rows(cosines, "no", bins=24))
 
+    regimes_meta = summary["meta"]["regimes"]
     dose_points = [
         diag.ConfigPoint(
-            regime=c["regime"],
-            seed=c["seed"],
-            k=regimes_meta[c["regime"]]["k"],
-            momentum=regimes_meta[c["regime"]]["momentum"],
-            overlap=regimes_meta[c["regime"]]["overlap"],
-            aug_b=regimes_meta[c["regime"]]["aug_b"],
-            delta=c["metrics"]["tv"]["mean"],
+            regime=regime,
+            seed=seed,
+            delta=mean,
+            **{knob: regimes_meta[regime][knob] for knob in ("k", "momentum", "overlap", "aug_b")},
         )
-        for c in cells
-        if c["break"] == "no" and c["metrics"]["tv"].get("mean") is not None
+        for (regime, flag, seed), mean in mean_by_cell.items()
+        if flag == "no"
     ]
     try:
         dose = diag.dose_response(dose_points)
     except ValueError as exc:
         print(f"note: dose-response skipped: {exc}")
     else:
+        fit = dose.fit
         _write_csv(
             out / "dose_response_fit.csv",
-            ["n", "alpha", "beta", "gamma", "se_alpha", "se_beta", "se_gamma",
+            ("n", "alpha", "beta", "gamma", "se_alpha", "se_beta", "se_gamma",
              "p_alpha", "p_beta", "p_gamma", "r_squared", "mean_lift",
-             "lift_ci_low", "lift_ci_high", "paired_p"],
+             "lift_ci_low", "lift_ci_high", "paired_p"),
             [
-                {
-                    "n": dose.n_points,
-                    "alpha": dose.fit.alpha,
-                    "beta": dose.fit.beta,
-                    "gamma": dose.fit.gamma,
-                    "se_alpha": dose.fit.std_errors[0],
-                    "se_beta": dose.fit.std_errors[1],
-                    "se_gamma": dose.fit.std_errors[2],
-                    "p_alpha": dose.fit.p_values[0],
-                    "p_beta": dose.fit.p_values[1],
-                    "p_gamma": dose.fit.p_values[2],
-                    "r_squared": dose.fit.r_squared,
-                    "mean_lift": dose.mean_lift,
-                    "lift_ci_low": dose.lift_ci.ci_low if dose.lift_ci else "",
-                    "lift_ci_high": dose.lift_ci.ci_high if dose.lift_ci else "",
-                    "paired_p": dose.paired.p_value if dose.paired else "",
-                }
+                (dose.n_points, fit.alpha, fit.beta, fit.gamma, *fit.std_errors, *fit.p_values,
+                 fit.r_squared, dose.mean_lift,
+                 *((dose.lift_ci.ci_low, dose.lift_ci.ci_high) if dose.lift_ci else ("", "")),
+                 dose.paired.p_value if dose.paired else "")
             ],
         )
-        _write_csv(
-            out / "dose_response_pairs.csv",
-            ["seed", "lift"],
-            [{"seed": s, "lift": d} for s, d in zip(dose.pair_seeds, dose.pair_diffs)],
-        )
+        _write_csv(out / "dose_response_pairs.csv", ("seed", "lift"), zip(dose.pair_seeds, dose.pair_diffs))
 
     print(f"plot data written to {out}")
     return 0

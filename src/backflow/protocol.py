@@ -562,6 +562,9 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     for name in ("dataset", "model", *SECTION_DEFAULTS):
         if name in m and not isinstance(m[name], dict):
             raise ConfigError(f"{name}: must be a mapping, got {type(m[name]).__name__}")
+    for name in ("regimes", "break_flags", "seeds"):
+        if name in m and not isinstance(m[name], (list, tuple)):
+            raise ConfigError(f"{name}: must be a list, got {type(m[name]).__name__}")
     unknown = set(m) - CONFIG_KEYS
     for name, defaults in SECTION_DEFAULTS.items():
         unknown |= {f"{name}.{key}" for key in set(m.get(name, {})) - set(defaults)}
@@ -698,32 +701,7 @@ def _cell_repeat(base_params, spec, regime, flags, dataset, probe_x, settings, s
 
 
 def _record_payload(record: BackflowRecord) -> dict:
-    return {
-        "record": "repeat",
-        "repeat_id": record.repeat_id,
-        "seed": record.seed,
-        "break_applied": record.break_applied,
-        "d1": record.d1,
-        "d2": record.d2,
-        "delta": record.delta,
-        "momentum_alignment": record.momentum_alignment,
-        "retried": record.retried,
-        "error": record.error,
-    }
-
-
-def record_from_payload(payload: dict) -> BackflowRecord:
-    return BackflowRecord(
-        repeat_id=payload["repeat_id"],
-        seed=payload["seed"],
-        break_applied=payload["break_applied"],
-        d1=payload["d1"],
-        d2=payload["d2"],
-        delta=payload["delta"],
-        momentum_alignment=payload.get("momentum_alignment"),
-        retried=payload.get("retried", False),
-        error=payload.get("error"),
-    )
+    return {"record": "repeat", **asdict(record)}
 
 
 def _dump_line(obj: dict) -> str:

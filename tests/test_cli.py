@@ -80,6 +80,14 @@ def test_run_non_mapping_section_fails_naming_section(tmp_path, capsys):
         assert not (tmp_path / "run").exists()
 
 
+def test_run_non_list_field_fails_naming_field(tmp_path, capsys):
+    for field, value in (("regimes", None), ("break_flags", "no"), ("seeds", 3), ("seeds", None)):
+        path, _ = write_config(tmp_path, **{field: value})
+        assert main(["run", str(path)]) == 2
+        assert f"error: {field}: must be a list, got {type(value).__name__}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 def test_run_dataset_error_leaves_no_run_dir(tmp_path, capsys):
     misspelled = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_klass": 120}
     missing_path = {"kind": "file", "format": "csv_labeled"}
@@ -177,6 +185,42 @@ def test_plot_data_diagnostics_off(tmp_path):
         assert read_csv(plots / name) == [] and (plots / name).read_text().count("\n") == 1, name
     assert len(read_csv(plots / "break_scatter.csv")) == 1
     assert sum(int(r["count"]) for r in read_csv(plots / "alignment_hist.csv")) == 3
+
+
+# three weak-second-step regimes over three seeds: enough no-break cells for
+# both correlations and the dose-response fit with its paired lift
+PINNED_PLOT_SWEEP = dict(regimes=["standard", "resonant_strong", "resonant_mid"], seeds=[0, 1, 2], repeats=4)
+# sha256 of every plots/*.csv of that sweep, computed with the DictWriter
+# tables; the same at one and two BLAS threads
+PINNED_PLOT_SHA256 = {
+    "alignment_hist.csv": "a0e44b167cd0397812d37daf637b962559ef99227d4da2a2cef17a2638c7b23b",
+    "break_scatter.csv": "95b0b8ae4417a2f595579871b98bb3320a468ac7824d70440abb21dd5a88a690",
+    "break_scatter_summary.csv": "fac1d36b3c6b79099e5e3d40947d9412ff52dcc95881fbab58164cc93ea1efad",
+    "cka_table.csv": "0f5b9cb8da977c337ea3d871ab90d1fa2de6000660a25700c7b60faadb052b6e",
+    "correlations.csv": "f4e07ca887da0b03453d7f5f528b4d485f3f0cb36e611a46142a0580bb9f57c2",
+    "delta_hist.csv": "b92ad56ff9127363b24cfc93b369db816ed2bb8b5b184435426eb2752e2433b6",
+    "delta_vs_alignment.csv": "472dcfcdbed272fa7cba57e7817ce397fe57c6c65b196c4149c48184fc584236",
+    "delta_vs_slope.csv": "f221f93ffe064bdcbe789560eab33b7fa8744d3f20cf0141c473306983848566",
+    "dose_response_fit.csv": "7d6d5d0c756acb4839441017fc37d9300cae979f3eee242be60de685574a1dfe",
+    "dose_response_pairs.csv": "4f36fa4327972b09a0b4bb4fec7db35f6df2b8369e4dd482a541fc853288a841",
+    "noncommute_curves.csv": "767512c9cca7c78754edf97b854d3caab5e5be7c2ab1e9b02784e801c27953ae",
+    "regime_means.csv": "ca4cb070e6e969e97f3d0a765e228be1dff83e4b4ae5dd0eaf0df4eecad2738f",
+    "trajectories.csv": "9ab6603d0cb4437f996963158e07d992e63fd110aa9f6bccecfa32a8a08e2613",
+}
+
+
+def test_plot_data_tables_are_pinned_byte_for_byte(tmp_path, capsys):
+    from hashlib import sha256
+
+    path, _ = write_config(tmp_path, **PINNED_PLOT_SWEEP)
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    plots = tmp_path / "run" / "plots"
+    assert main(["plot-data", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out == f"plot data written to {plots}\n"
+    assert len(read_csv(plots / "correlations.csv")) == 2
+    digests = {p.name: sha256(p.read_bytes()).hexdigest() for p in plots.iterdir()}
+    assert digests == PINNED_PLOT_SHA256
 
 
 def test_sign_flip_count_on_fixture():

@@ -585,12 +585,13 @@ def test_noncommute_curve_retried_at_half_lr(tmp_path, monkeypatch):
 
 
 def test_record_payload_round_trip(dataset, base_params):
-    from backflow.protocol import _record_payload, record_from_payload
+    from backflow.protocol import _record_payload
 
     record = run_micro_experiment(base_params, SPEC, small_regime(), False, dataset,
                                   dataset.probe_indices, seed=91, settings=SETTINGS)
-    restored = record_from_payload(json.loads(json.dumps(_record_payload(record))))
-    assert restored == record
+    payload = json.loads(json.dumps(_record_payload(record)))
+    assert payload.pop("record") == "repeat"
+    assert BackflowRecord(**payload) == record
 
 
 def test_early_base_stage_pretrains(tmp_path):
@@ -662,6 +663,11 @@ def test_config_validation_errors(tmp_path):
         for value in (None, [1], "fast", 3):
             with pytest.raises(ConfigError, match=f"^{section}: must be a mapping, got {type(value).__name__}$"):
                 config_from_mapping(sweep_mapping(tmp_path, **{section: value}))
+    # so is a list field that is not a list: a string is not read as its characters
+    for field in ("regimes", "break_flags", "seeds"):
+        for value in (None, 3, "no", {"no": 1}):
+            with pytest.raises(ConfigError, match=f"^{field}: must be a list, got {type(value).__name__}$"):
+                config_from_mapping(sweep_mapping(tmp_path, **{field: value}))
     misspelled = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_klass": 120}
     with pytest.raises(ConfigError, match="dataset: .*per_klass"):
         protocol.build_dataset(config_from_mapping(sweep_mapping(tmp_path, dataset=misspelled)))
