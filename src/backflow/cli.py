@@ -6,10 +6,17 @@ Subcommands:
 * ``oracle --seed S --count N``  randomized no-back-flow verification runs
 * ``plot-data <run_dir>``        CSV tables for histograms, scatters, curves
 * ``report <run_dir>``           markdown summary table
+
+Only ``run``, ``plot-data`` and ``report`` import the sweep modules
+(``protocol``, ``stats``, ``diagnostics`` and with them SciPy), inside the
+command; ``oracle`` loads NumPy and the process oracle alone.  ``plot-data``
+and ``report`` write each file through ``protocol.write_atomic``, so a
+failed write leaves the previous file.
 """
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -17,11 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import comb as comb_mod
-from . import diagnostics as diag
 from .divergences import KINDS
 from .errors import ConfigError
-from .protocol import cell_filename, config_from_mapping, run_sweep
-from .stats import correlations
 
 
 def _read_jsonl(path: Path) -> tuple[dict, list[dict]]:
@@ -33,6 +37,8 @@ def _read_jsonl(path: Path) -> tuple[dict, list[dict]]:
 
 
 def cmd_run(config_path: str) -> int:
+    from .protocol import config_from_mapping, run_sweep
+
     try:
         mapping = json.loads(Path(config_path).read_text())
     except FileNotFoundError:
@@ -114,10 +120,13 @@ def cmd_oracle(seed: int, count: int, demo_witness: bool = False, tol: float = 1
 
 def _write_csv(path: Path, header: tuple, rows) -> None:
     """One header row, then the rows; None is written as an empty field."""
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    from .protocol import write_atomic
+
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue())
 
 
 HIST_HEADER = ("condition", "bin_left", "bin_right", "count")
@@ -167,6 +176,10 @@ def _cell_key(record: dict) -> tuple:
 
 
 def cmd_plotdata(run_dir: str) -> int:
+    from . import diagnostics as diag
+    from .protocol import cell_filename
+    from .stats import correlations
+
     run = Path(run_dir)
     summary_path, config_path = run / "summary.json", run / "config.json"
     if _missing_inputs([summary_path, config_path]):
@@ -304,6 +317,8 @@ def cmd_plotdata(run_dir: str) -> int:
 
 
 def cmd_report(run_dir: str) -> int:
+    from .protocol import write_atomic
+
     run = Path(run_dir)
     summary_path = run / "summary.json"
     if _missing_inputs([summary_path]):
@@ -328,9 +343,20 @@ def cmd_report(run_dir: str) -> int:
     lines.append("")
     lines.append(f"Sign flips between conditions (per regime x seed): {flips}")
     text = "\n".join(lines) + "\n"
-    (run / "report.md").write_text(text)
+    write_atomic(run / "report.md", text)
     print(text, end="")
     return 0
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of ``--count``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="randomized no-back-flow verification")
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--count", type=int, default=100)
+    p_oracle.add_argument("--count", type=_non_negative_int, default=100)
     p_oracle.add_argument("--demo-witness", action="store_true",
                           help="also exhibit the hand-built memoryful process")
 

@@ -17,10 +17,13 @@ The module supports the two constructions used by the verification suite:
   observables back to latent states, which makes the same factorization
   explicit after the break.
 
-Each check computes a label's laws once and evaluates all pairs of a
-process as stacked rows: one divergence call per law step covers every pair
-and kind.  Brute-force checks against path enumeration live in the test
-suite.
+Each check computes the laws of all of a process's labels as stacked rows:
+the kernels form one (L, S, S) stack, and every later step is one stacked
+matrix-vector product, bit for bit the one-label path (``two_time_laws`` is
+the one-label case).  One divergence call then covers both law steps of
+every pair and kind.  Every kernel, including each ``link`` product, and
+every prior is validated when built.  Brute-force checks against path
+enumeration live in the test suite.
 """
 
 from dataclasses import dataclass, field
@@ -45,13 +48,19 @@ class Space:
 
 
 def _check_stochastic(matrix: np.ndarray, what: str) -> None:
+    """Raise unless ``matrix`` is 2-D, finite, non-negative and column-stochastic.
+
+    One pass per condition; the comparisons are written so that NaN fails
+    them.  ``initial`` gives an empty matrix a verdict: a matrix with no
+    columns passes, an empty column fails its sum.
+    """
     if matrix.ndim != 2:
         raise ValueError(f"{what}: matrix must be 2-D")
-    if np.any(matrix < -_STOCH_TOL):
-        raise ValueError(f"{what}: negative entries")
-    col_sums = matrix.sum(axis=0)
-    if np.any(np.abs(col_sums - 1.0) > _STOCH_TOL):
-        worst = float(np.max(np.abs(col_sums - 1.0)))
+    lowest = matrix.min(initial=0.0)
+    if not lowest >= -_STOCH_TOL:
+        raise ValueError(f"{what}: negative entries" if lowest < 0 else f"{what}: non-finite entries")
+    worst = float(np.abs(matrix.sum(axis=0) - 1.0).max(initial=0.0))
+    if not worst <= _STOCH_TOL:
         raise ValueError(f"{what}: columns do not sum to 1 (max deviation {worst:.3e})")
 
 
@@ -134,27 +143,49 @@ class Comb:
             raise KeyError(f"unknown instrument label {label!r}") from None
 
 
-def _renorm(dist: np.ndarray) -> np.ndarray:
-    total = dist.sum()
-    if not np.isfinite(total) or total <= 0:
+def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for every row of ``rows`` (..., n), as one stacked matvec.
+
+    The stacked matvec evaluates each row as the one-row product does, bit for
+    bit; the gemm form ``rows @ matrix.T`` sums in another order.
+    """
+    return (matrix @ rows[..., None])[..., 0]
+
+
+def _renorm(rows: np.ndarray) -> np.ndarray:
+    """Each row over its own sum, which must be finite and positive."""
+    totals = rows.sum(axis=-1, keepdims=True)
+    if not (totals.min(initial=1.0) > 0 and totals.max(initial=1.0) < np.inf):
         raise ValueError("distribution is not normalizable")
-    return dist / total
+    return rows / totals
+
+
+def _laws(
+    comb: Comb, first_labels: list[str], second_label: str, break_before_second: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One- and two-step observable laws of every first label, as (L, C) rows.
+
+    Row i holds the laws of the pair (``first_labels[i]``, ``second_label``).
+    """
+    size = comb.state_space.size
+    # reshape gives no labels the (0, S, S) stack their empty product needs
+    kernels = np.array([comb.kernel(lbl).matrix for lbl in first_labels]).reshape(-1, size, size)
+    pi1 = kernels @ comb.prior
+    mid = pi1
+    if break_before_second:
+        if comb.break_kernel is None:
+            raise ValueError("comb has no configured break kernel")
+        mid = _apply(comb.break_kernel.matrix, pi1)
+    pi2 = _apply(comb.kernel(second_label).matrix, mid)
+    return _renorm(_apply(comb.observation.matrix, pi1)), _renorm(_apply(comb.observation.matrix, pi2))
 
 
 def two_time_laws(
     comb: Comb, i0: str, i1: str, break_before_second: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """One- and two-step observable laws for the instrument pair (i0, i1)."""
-    pi1 = comb.kernel(i0).apply(comb.prior)
-    phi1 = comb.observation.apply(pi1)
-    mid = pi1
-    if break_before_second:
-        if comb.break_kernel is None:
-            raise ValueError("comb has no configured break kernel")
-        mid = comb.break_kernel.apply(pi1)
-    pi2 = comb.kernel(i1).apply(mid)
-    phi2 = comb.observation.apply(pi2)
-    return _renorm(phi1), _renorm(phi2)
+    phi1, phi2 = _laws(comb, [i0], i1, break_before_second)
+    return phi1[0], phi2[0]
 
 
 def channel_from_break(comb: Comb, b_label: str, lifting: Kernel) -> Kernel:
@@ -172,37 +203,37 @@ def channel_from_break(comb: Comb, b_label: str, lifting: Kernel) -> Kernel:
     return link(comb.observation, link(broken_b, lifting))
 
 
-def _laws(
-    comb: Comb, instrument_pairs: list[tuple[str, str]], b_label: str, break_before_second: bool
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """``two_time_laws`` of every label in the pairs, computed once per label."""
-    labels = sorted({lbl for pair in instrument_pairs for lbl in pair})
-    return {lbl: two_time_laws(comb, lbl, b_label, break_before_second) for lbl in labels}
+def _pair_labels(instrument_pairs: list[tuple[str, str]]) -> list[str]:
+    return sorted({lbl for pair in instrument_pairs for lbl in pair})
 
 
 def _pair_deltas(
-    laws: dict[str, tuple[np.ndarray, np.ndarray]],
+    labels: list[str],
+    phi1: np.ndarray,
+    phi2: np.ndarray,
     instrument_pairs: list[tuple[str, str]],
     kinds: tuple[str, ...],
 ) -> list[tuple[str, str, str, float]]:
     """D2 - D1 for every (pair, kind), pair-major and kind-minor.
 
-    Each law step is one ``div_avg`` over the pairs' laws stacked as
-    (pairs, 1, C) one-row matrices, whose averages are the rows' own
-    divergences, bit for bit what ``div_row`` gives for each pair.
+    ``phi1`` and ``phi2`` are the law rows of ``labels``.  One ``div_avg`` covers
+    both law steps of every pair, stacked as (2 * pairs, 1, C) one-row
+    matrices whose averages are the rows' own divergences, bit for bit what
+    ``div_row`` gives for each pair and step.
     """
     if not instrument_pairs:
         return []
-    d1, d2 = (
-        div_avg(
-            tuple(kinds),
-            np.stack([laws[a][step] for a, _ in instrument_pairs])[:, None, :],
-            np.stack([laws[a_prime][step] for _, a_prime in instrument_pairs])[:, None, :],
-        )
-        for step in (0, 1)
+    row = {lbl: i for i, lbl in enumerate(labels)}
+    firsts = [row[a] for a, _ in instrument_pairs]
+    seconds = [row[a_prime] for _, a_prime in instrument_pairs]
+    values = div_avg(
+        tuple(kinds),
+        np.concatenate([phi1[firsts], phi2[firsts]])[:, None, :],
+        np.concatenate([phi1[seconds], phi2[seconds]])[:, None, :],
     )
+    n = len(instrument_pairs)
     return [
-        (a, a_prime, kind, float(d2[kind][i] - d1[kind][i]))
+        (a, a_prime, kind, float(values[kind][n + i] - values[kind][i]))
         for i, (a, a_prime) in enumerate(instrument_pairs)
         for kind in kinds
     ]
@@ -236,11 +267,10 @@ def verify_no_backflow(
     not applicable.  Otherwise reports the largest D2 - D1 over all pairs and
     divergence kinds.
     """
-    laws = _laws(comb, instrument_pairs, b_label, break_before_second)
-    residual = 0.0
-    for phi1, phi2 in laws.values():
-        predicted = _renorm(lambda_b.apply(phi1))
-        residual = max(residual, float(0.5 * np.abs(predicted - phi2).sum()))
+    labels = _pair_labels(instrument_pairs)
+    phi1, phi2 = _laws(comb, labels, b_label, break_before_second)
+    predicted = _renorm(_apply(lambda_b.matrix, phi1))
+    residual = float((0.5 * np.abs(predicted - phi2).sum(axis=-1)).max(initial=0.0))
     if residual > omc_tol:
         return NoBackflowReport(
             applicable=False,
@@ -250,7 +280,7 @@ def verify_no_backflow(
         )
 
     report = NoBackflowReport(applicable=True, omc_residual=residual, max_delta=-np.inf)
-    report.deltas = _pair_deltas(laws, instrument_pairs, kinds)
+    report.deltas = _pair_deltas(labels, phi1, phi2, instrument_pairs, kinds)
     for *_, delta in report.deltas:
         report.max_delta = max(report.max_delta, delta)
     return report
@@ -265,9 +295,9 @@ def search_backflow_witness(
 ) -> tuple[tuple[str, str], str, float]:
     """Largest D2 - D1 over the supplied pairs; positive values exhibit memory."""
     best = (instrument_pairs[0], kinds[0], -np.inf)
-    for a, a_prime, kind, delta in _pair_deltas(
-        _laws(comb, instrument_pairs, b_label, break_before_second), instrument_pairs, kinds
-    ):
+    labels = _pair_labels(instrument_pairs)
+    laws = _laws(comb, labels, b_label, break_before_second)
+    for a, a_prime, kind, delta in _pair_deltas(labels, *laws, instrument_pairs, kinds):
         if delta > best[2]:
             best = ((a, a_prime), kind, delta)
     return best

@@ -24,12 +24,19 @@ _ROW_SUM_TOL = 1e-6
 
 
 def _as_prob_rows(a, name: str) -> np.ndarray:
+    """Rows of ``a`` renormalized, after checking them in one pass per condition.
+
+    The comparisons are written so that NaN fails them.  ``initial`` gives
+    empty input a verdict: an empty row fails its sum, a stack of no rows
+    passes.
+    """
     rows = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    if np.any(rows < -1e-12):
-        raise ValueError(f"{name} has negative entries")
+    lowest = rows.min(initial=0.0)
+    if not lowest >= -1e-12:
+        raise ValueError(f"{name} has negative entries" if lowest < 0 else f"{name}: non-finite entries")
     sums = rows.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
-        worst = float(np.max(np.abs(sums - 1.0)))
+    worst = float(np.abs(sums - 1.0).max(initial=0.0))
+    if not worst <= _ROW_SUM_TOL:
         raise ValueError(f"{name} rows are not normalized (max deviation {worst:.3e})")
     return np.clip(rows, 0.0, None) / sums
 

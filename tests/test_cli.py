@@ -1,6 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import backflow
 from backflow.cli import main, sign_flip_rows
 
 
@@ -112,6 +119,31 @@ def test_oracle_smoke(capsys):
 def test_oracle_zero_count(capsys):
     assert main(["oracle", "--seed", "1", "--count", "0"]) == 0
     assert "0 processes" in capsys.readouterr().out
+
+
+def test_oracle_negative_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--count", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--count: must be >= 0" in err
+
+
+def test_oracle_loads_no_sweep_modules():
+    # a fresh interpreter: the test process has already imported every module
+    sweep_modules = ("scipy", "backflow.protocol", "backflow.stats", "backflow.diagnostics")
+    code = (
+        "import sys\n"
+        "from backflow import cli\n"
+        "assert cli.main(['oracle', '--count', '2']) == 0\n"
+        f"print([m for m in {sweep_modules!r} if m in sys.modules])\n"
+    )
+    src = str(Path(backflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_oracle_demo_witness(capsys):
@@ -294,3 +326,25 @@ def test_report_writes_markdown(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "| negative | no |" in out
     assert (tmp_path / "run" / "report.md").exists()
+
+
+def test_failed_plot_data_and_report_writes_keep_the_earlier_files(tmp_path, capsys, monkeypatch):
+    path, _ = write_config(tmp_path, regimes=["negative"], repeats=4)
+    assert main(["run", str(path)]) == 0
+    run_dir = tmp_path / "run"
+    assert main(["plot-data", str(run_dir)]) == 0
+    assert main(["report", str(run_dir)]) == 0
+    written = [*sorted((run_dir / "plots").iterdir()), run_dir / "report.md"]
+    before = {p: p.read_bytes() for p in written}
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        with open(self, "w") as f:
+            f.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    for command in ("plot-data", "report"):
+        with pytest.raises(OSError, match="disk full"):
+            main([command, str(run_dir)])
+    assert {p: p.read_bytes() for p in written} == before
+    assert not list(run_dir.rglob("*.tmp"))

@@ -3,6 +3,7 @@ import pytest
 
 from backflow.comb import (
     B_LABEL,
+    _laws,
     Comb,
     Kernel,
     Space,
@@ -86,6 +87,26 @@ def test_kernel_validation():
         Kernel(np.array([[1.2, 0.5], [-0.2, 0.5]]), s, s)
     with pytest.raises(ValueError, match="shape"):
         Kernel(np.eye(3), s, s)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        Kernel(np.array([[np.nan, 0.5], [np.nan, 0.5]]), s, s)
+    with pytest.raises(ValueError, match="max deviation inf"):
+        Kernel(np.array([[np.inf, 0.5], [0.0, 0.5]]), s, s)
+    # an empty column fails its sum; a matrix of no columns has none to fail
+    empty = make_space("e", 0)
+    with pytest.raises(ValueError, match="columns do not sum"):
+        Kernel(np.zeros((0, 2)), s, empty)
+    Kernel(np.zeros((2, 0)), empty, s)
+
+
+def test_prior_validation():
+    s = make_space("s", 2)
+    kernels = {"I": identity_kernel(s)}
+    with pytest.raises(ValueError, match="prior: non-finite entries"):
+        Comb(s, s, np.array([np.nan, 1.0]), kernels, identity_kernel(s))
+    with pytest.raises(ValueError, match="prior: negative entries"):
+        Comb(s, s, np.array([-0.5, 1.5]), kernels, identity_kernel(s))
+    with pytest.raises(ValueError, match="prior: columns do not sum"):
+        Comb(s, s, np.array([0.5, 0.6]), kernels, identity_kernel(s))
 
 
 def make_random_comb(rng, n_s=3, n_o=2, n_instruments=3):
@@ -322,12 +343,31 @@ def test_data_processing_on_module_kernels():
             assert div_row(kind, lam.apply(p), lam.apply(q)) <= div_row(kind, p, q) + 1e-12
 
 
+def reference_laws(comb, i0, i1, break_flag):
+    """The laws of (i0, i1) one label at a time, one matrix-vector product per step."""
+    pi1 = comb.kernel(i0).matrix @ comb.prior
+    phi1 = comb.observation.matrix @ pi1
+    mid = comb.break_kernel.matrix @ pi1 if break_flag else pi1
+    phi2 = comb.observation.matrix @ (comb.kernel(i1).matrix @ mid)
+    return phi1 / phi1.sum(), phi2 / phi2.sum()
+
+
+def reference_residual(comb, labels, b_label, lam, break_flag):
+    residual = 0.0
+    for label in labels:
+        phi1, phi2 = reference_laws(comb, label, b_label, break_flag)
+        predicted = lam.matrix @ phi1
+        predicted = predicted / predicted.sum()
+        residual = max(residual, float(0.5 * np.abs(predicted - phi2).sum()))
+    return residual
+
+
 def reference_deltas(comb, pairs, b_label, kinds, break_flag):
     """D2 - D1 per (pair, kind) from one ``div_row`` call per law and kind."""
     deltas = []
     for a, a_prime in pairs:
-        phi1_a, phi2_a = two_time_laws(comb, a, b_label, break_flag)
-        phi1_ap, phi2_ap = two_time_laws(comb, a_prime, b_label, break_flag)
+        phi1_a, phi2_a = reference_laws(comb, a, b_label, break_flag)
+        phi1_ap, phi2_ap = reference_laws(comb, a_prime, b_label, break_flag)
         for kind in kinds:
             delta = div_row(kind, phi2_a, phi2_ap) - div_row(kind, phi1_a, phi1_ap)
             deltas.append((a, a_prime, kind, delta))
@@ -347,6 +387,8 @@ def check_against_reference(comb, pairs, b_label, lam, kinds, break_flag):
     if lam is not None:
         report = verify_no_backflow(comb, pairs, b_label, lam, kinds=kinds, break_before_second=break_flag)
         assert report.applicable
+        labels = sorted({lbl for pair in pairs for lbl in pair})
+        assert report.omc_residual == reference_residual(comb, labels, b_label, lam, break_flag)
         assert report.deltas == expected  # same order, values bit for bit
         max_delta = -np.inf
         for *_, delta in expected:
@@ -373,6 +415,32 @@ def test_stacked_pair_deltas_match_div_row_loop_bitwise():
     for kinds in kind_sets:
         check_against_reference(comb, [pair], b_label, None, kinds, False)
         check_against_reference(comb, [pair, pair[::-1]], b_label, lam, kinds, True)
+
+
+def check_laws_against_reference(comb, b_label, break_flag):
+    labels = sorted(comb.instrument_kernels)
+    phi1, phi2 = _laws(comb, labels, b_label, break_flag)
+    assert phi1.shape == phi2.shape == (len(labels), comb.obs_space.size)
+    for i, label in enumerate(labels):
+        ref1, ref2 = reference_laws(comb, label, b_label, break_flag)
+        assert np.array_equal(phi1[i], ref1) and np.array_equal(phi2[i], ref2)
+        one1, one2 = two_time_laws(comb, label, b_label, break_flag)
+        assert np.array_equal(one1, ref1) and np.array_equal(one2, ref2)
+
+
+def test_stacked_laws_match_per_label_loop_bitwise():
+    rng = np.random.default_rng(22)
+    for _ in range(100):
+        comb, b_label, _ = random_factoring_comb(rng)
+        check_laws_against_reference(comb, b_label, False)
+        with pytest.raises(ValueError, match="no configured break kernel"):
+            _laws(comb, ["I0"], b_label, True)
+        comb, b_label, _ = random_break_comb(rng)
+        for break_flag in (False, True):
+            check_laws_against_reference(comb, b_label, break_flag)
+    comb, _, b_label = memoryful_demo_comb()
+    for break_flag in (False, True):
+        check_laws_against_reference(comb, b_label, break_flag)
 
 
 def test_verify_no_backflow_empty_pair_list():

@@ -97,6 +97,20 @@ def test_renormalization_tolerance():
         div_row("tv", [0.6, 0.6], [0.5, 0.5])
 
 
+def test_non_finite_rows_raise():
+    nan_row, row = [np.nan, 0.5], [0.5, 0.5]
+    for p, q in ((nan_row, row), (row, nan_row)):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            div_row("tv", p, q)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            div_avg(KINDS, np.array([row, p]), np.array([row, q]))
+
+
+def test_empty_row_is_not_normalized():
+    with pytest.raises(ValueError, match="not normalized"):
+        div_row("tv", [], [])
+
+
 def test_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         div_row("tv", [1, 0], [1, 0, 0])
