@@ -73,18 +73,21 @@ def cmd_run(config_path: str) -> int:
     return 0
 
 
+def _oracle_processes(maker, rng: np.random.Generator, count: int):
+    """``count`` processes of ``maker``, each built only when the oracle reads it."""
+    for _ in range(count):
+        comb, b_label, lambda_b = maker(rng)
+        yield comb, comb_mod.instrument_pairs(comb), b_label, lambda_b
+
+
 def cmd_oracle(seed: int, count: int, demo_witness: bool = False, tol: float = 1e-10) -> int:
     """Randomized verification that the no-back-flow bound holds where proven."""
     rng = np.random.default_rng(seed)
     worst = -np.inf
     worst_residual = 0.0
     for maker, break_flag in ((comb_mod.random_factoring_comb, False), (comb_mod.random_break_comb, True)):
-        for _ in range(count):
-            comb, b_label, lambda_b = maker(rng)
-            pairs = comb_mod.instrument_pairs(comb)
-            report = comb_mod.verify_no_backflow(
-                comb, pairs, b_label, lambda_b, break_before_second=break_flag, omc_tol=tol
-            )
+        processes = _oracle_processes(maker, rng, count)
+        for report in comb_mod.verify_no_backflow(processes, break_before_second=break_flag, omc_tol=tol):
             if not report.applicable:
                 print("FAIL: single-channel precondition violated "
                       f"(residual {report.omc_residual:.3e})")
@@ -92,9 +95,11 @@ def cmd_oracle(seed: int, count: int, demo_witness: bool = False, tol: float = 1
             worst = max(worst, report.max_delta)
             worst_residual = max(worst_residual, report.omc_residual)
     if count:
+        # the last report is applicable here, with one delta per (pair, kind)
+        n_pairs = len(report.deltas) // len(KINDS)
         print(f"checked {2 * count} processes "
               f"({count} factoring, {count} break+lifting), "
-              f"{len(pairs)} pairs x {len(KINDS)} divergences each")
+              f"{n_pairs} pairs x {len(KINDS)} divergences each")
         print(f"worst channel residual: {worst_residual:.3e}")
         print(f"worst back-flow delta:  {worst:.3e} (bound {tol:.1e})")
     else:
@@ -334,10 +339,12 @@ def cmd_report(run_dir: str) -> int:
         tv = pool["metrics"]["tv"]
         if tv.get("mean") is None:
             continue
+        # fewer than two repeats give a mean alone: no CI and no test
+        ci = f"[{tv['ci_low']:+.6f}, {tv['ci_high']:+.6f}]" if "ci_low" in tv else "-"
+        p_value = f"{tv['p_one_sided']:.3g}" if "p_one_sided" in tv else "-"
         lines.append(
             f"| {pool['regime']} | {pool['break']} | {tv['n']} "
-            f"| {tv['mean']:+.6f} | [{tv['ci_low']:+.6f}, {tv['ci_high']:+.6f}] "
-            f"| {tv.get('tost_verdict', '-')} | {tv.get('p_one_sided', float('nan')):.3g} |"
+            f"| {tv['mean']:+.6f} | {ci} | {tv.get('tost_verdict', '-')} | {p_value} |"
         )
     _, flips = sign_flip_rows(summary["cells"])
     lines.append("")

@@ -17,16 +17,23 @@ The module supports the two constructions used by the verification suite:
   observables back to latent states, which makes the same factorization
   explicit after the break.
 
-Each check computes the laws of all of a process's labels as stacked rows:
-the kernels form one (L, S, S) stack, and every later step is one stacked
-matrix-vector product, bit for bit the one-label path (``two_time_laws`` is
-the one-label case).  One divergence call then covers both law steps of
-every pair and kind.  Every kernel, including each ``link`` product, and
-every prior is validated when built.  Brute-force checks against path
-enumeration live in the test suite.
+``verify_no_backflow`` takes many processes and checks them in groups: it
+reads its input a bounded chunk at a time and stacks each chunk's processes
+that share state and observable sizes, instrument pairs and second label.
+A group of G processes and L labels has its kernels as one (G, L, S, S)
+stack; every later law step, and the channel's prediction, is one stacked
+matrix-vector product, bit for bit the one-process, one-label path.  One
+divergence call then covers both law steps of every pair, kind and process
+of the group.  ``two_time_laws``, ``search_backflow_witness`` and a
+one-process check are the G = 1 case of the same helpers.  Every kernel,
+including each ``link`` product, and every prior is validated when built.
+Brute-force checks against path enumeration live in the test suite.
 """
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -146,8 +153,9 @@ class Comb:
 def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``matrix @ row`` for every row of ``rows`` (..., n), as one stacked matvec.
 
-    The stacked matvec evaluates each row as the one-row product does, bit for
-    bit; the gemm form ``rows @ matrix.T`` sums in another order.
+    ``matrix`` may itself be a stack broadcast against the rows.  The stacked
+    matvec evaluates each row as the one-row product does, bit for bit; the
+    gemm form ``rows @ matrix.T`` sums in another order.
     """
     return (matrix @ rows[..., None])[..., 0]
 
@@ -160,32 +168,41 @@ def _renorm(rows: np.ndarray) -> np.ndarray:
     return rows / totals
 
 
-def _laws(
-    comb: Comb, first_labels: list[str], second_label: str, break_before_second: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """One- and two-step observable laws of every first label, as (L, C) rows.
+def _stack(kernels: list[Kernel]) -> np.ndarray:
+    """The matrices of one kernel per comb as a (G, 1, n, m) stack, broadcast over label rows."""
+    return np.array([k.matrix for k in kernels])[:, None]
 
-    Row i holds the laws of the pair (``first_labels[i]``, ``second_label``).
+
+def _laws(
+    combs: list[Comb], first_labels: list[str], second_label: str, break_before_second: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One- and two-step observable laws of every comb and first label, as (G, L, C) stacks.
+
+    Entry [g, i] holds the laws of the pair (``first_labels[i]``,
+    ``second_label``) in ``combs[g]``; the combs share their state and
+    observable sizes.
     """
-    size = comb.state_space.size
-    # reshape gives no labels the (0, S, S) stack their empty product needs
-    kernels = np.array([comb.kernel(lbl).matrix for lbl in first_labels]).reshape(-1, size, size)
-    pi1 = kernels @ comb.prior
+    size = combs[0].state_space.size
+    # reshape gives no labels the (G, 0, S, S) stack their empty product needs
+    kernels = np.array([c.kernel(lbl).matrix for c in combs for lbl in first_labels])
+    kernels = kernels.reshape(len(combs), -1, size, size)
+    pi1 = _apply(kernels, np.array([c.prior for c in combs])[:, None])
     mid = pi1
     if break_before_second:
-        if comb.break_kernel is None:
+        if any(c.break_kernel is None for c in combs):
             raise ValueError("comb has no configured break kernel")
-        mid = _apply(comb.break_kernel.matrix, pi1)
-    pi2 = _apply(comb.kernel(second_label).matrix, mid)
-    return _renorm(_apply(comb.observation.matrix, pi1)), _renorm(_apply(comb.observation.matrix, pi2))
+        mid = _apply(_stack([c.break_kernel for c in combs]), pi1)
+    pi2 = _apply(_stack([c.kernel(second_label) for c in combs]), mid)
+    observation = _stack([c.observation for c in combs])
+    return _renorm(_apply(observation, pi1)), _renorm(_apply(observation, pi2))
 
 
 def two_time_laws(
     comb: Comb, i0: str, i1: str, break_before_second: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """One- and two-step observable laws for the instrument pair (i0, i1)."""
-    phi1, phi2 = _laws(comb, [i0], i1, break_before_second)
-    return phi1[0], phi2[0]
+    phi1, phi2 = _laws([comb], [i0], i1, break_before_second)
+    return phi1[0, 0], phi2[0, 0]
 
 
 def channel_from_break(comb: Comb, b_label: str, lifting: Kernel) -> Kernel:
@@ -213,30 +230,32 @@ def _pair_deltas(
     phi2: np.ndarray,
     instrument_pairs: list[tuple[str, str]],
     kinds: tuple[str, ...],
-) -> list[tuple[str, str, str, float]]:
-    """D2 - D1 for every (pair, kind), pair-major and kind-minor.
+) -> list[list[tuple[str, str, str, float]]]:
+    """D2 - D1 for every (pair, kind) of every process, pair-major and kind-minor.
 
-    ``phi1`` and ``phi2`` are the law rows of ``labels``.  One ``div_avg`` covers
-    both law steps of every pair, stacked as (2 * pairs, 1, C) one-row
-    matrices whose averages are the rows' own divergences, bit for bit what
-    ``div_row`` gives for each pair and step.
+    ``phi1`` and ``phi2`` are (G, L, C) law stacks whose rows follow
+    ``labels``; the result holds one list per process.  One ``div_avg`` covers
+    both law steps of every pair of every process, stacked as (G, 2 * pairs,
+    1, C) one-row matrices whose averages are the rows' own divergences, bit
+    for bit what ``div_row`` gives for each pair and step.
     """
-    if not instrument_pairs:
-        return []
+    n = len(instrument_pairs)
+    if not n:
+        return [[] for _ in phi1]
     row = {lbl: i for i, lbl in enumerate(labels)}
     firsts = [row[a] for a, _ in instrument_pairs]
     seconds = [row[a_prime] for _, a_prime in instrument_pairs]
     values = div_avg(
         tuple(kinds),
-        np.concatenate([phi1[firsts], phi2[firsts]])[:, None, :],
-        np.concatenate([phi1[seconds], phi2[seconds]])[:, None, :],
+        np.concatenate([phi1[:, firsts], phi2[:, firsts]], axis=1)[:, :, None, :],
+        np.concatenate([phi1[:, seconds], phi2[:, seconds]], axis=1)[:, :, None, :],
     )
-    n = len(instrument_pairs)
-    return [
-        (a, a_prime, kind, float(values[kind][n + i] - values[kind][i]))
-        for i, (a, a_prime) in enumerate(instrument_pairs)
-        for kind in kinds
-    ]
+    diffs = np.empty((len(phi1), n, len(kinds)))
+    for k, kind in enumerate(kinds):
+        diffs[:, :, k] = values[kind][:, n:] - values[kind][:, :n]
+    keys = [(a, a_prime, kind) for a, a_prime in instrument_pairs for kind in kinds]
+    rows = diffs.reshape(len(phi1), len(keys)).tolist()
+    return [[(*key, delta) for key, delta in zip(keys, row)] for row in rows]
 
 
 @dataclass
@@ -250,40 +269,79 @@ class NoBackflowReport:
     deltas: list[tuple[str, str, str, float]] = field(default_factory=list)
 
 
+# processes read from the input at a time: bounds the combs and stacks held alive
+_CHUNK = 64
+
+Process = tuple[Comb, list[tuple[str, str]], str, Kernel]
+
+
 def verify_no_backflow(
-    comb: Comb,
-    instrument_pairs: list[tuple[str, str]],
-    b_label: str,
-    lambda_b: Kernel,
+    processes: Iterable[Process],
     kinds: tuple[str, ...] = KINDS,
     break_before_second: bool = False,
     omc_tol: float = 1e-10,
-) -> NoBackflowReport:
-    """Check the single-channel condition and the resulting no-back-flow bound.
+) -> list[NoBackflowReport]:
+    """Check the single-channel condition and the no-back-flow bound of each process.
 
-    First verifies that ``lambda_b`` maps each one-step law to the matching
+    Each process is ``(comb, instrument_pairs, b_label, lambda_b)``.  First
+    verifies that ``lambda_b`` maps each one-step law to the matching
     two-step law (within ``omc_tol`` in total variation) for every instrument
     appearing in the pairs.  If that precondition fails, the report is marked
     not applicable.  Otherwise reports the largest D2 - D1 over all pairs and
-    divergence kinds.
+    divergence kinds.  Returns one report per process, in input order.
+
+    ``processes`` is read ``_CHUNK`` at a time; each chunk's processes with the
+    same state and observable sizes, pairs and ``b_label`` are checked as one
+    stack, bit for bit as each would be alone.
     """
+    reports = []
+    processes = iter(processes)
+    while chunk := list(itertools.islice(processes, _CHUNK)):
+        groups: dict[tuple, list[int]] = {}
+        for i, (comb, pairs, b_label, _) in enumerate(chunk):
+            key = (comb.state_space.size, comb.obs_space.size, tuple(map(tuple, pairs)), b_label)
+            groups.setdefault(key, []).append(i)
+        by_index = {}
+        for (_, _, pairs, b_label), members in groups.items():
+            group = [chunk[i] for i in members]
+            group_reports = _verify_group(group, list(pairs), b_label, kinds, break_before_second, omc_tol)
+            by_index.update(zip(members, group_reports))
+        reports += [by_index[i] for i in range(len(chunk))]
+    return reports
+
+
+def _verify_group(
+    group: list[Process],
+    instrument_pairs: list[tuple[str, str]],
+    b_label: str,
+    kinds: tuple[str, ...],
+    break_before_second: bool,
+    omc_tol: float,
+) -> list[NoBackflowReport]:
+    """The reports of processes that share their sizes, pairs and ``b_label``, as one stack."""
     labels = _pair_labels(instrument_pairs)
-    phi1, phi2 = _laws(comb, labels, b_label, break_before_second)
-    predicted = _renorm(_apply(lambda_b.matrix, phi1))
-    residual = float((0.5 * np.abs(predicted - phi2).sum(axis=-1)).max(initial=0.0))
-    if residual > omc_tol:
-        return NoBackflowReport(
+    phi1, phi2 = _laws([comb for comb, *_ in group], labels, b_label, break_before_second)
+    predicted = _renorm(_apply(_stack([lambda_b for *_, lambda_b in group]), phi1))
+    residuals = (0.5 * np.abs(predicted - phi2).sum(axis=-1)).max(axis=-1, initial=0.0).tolist()
+    # deltas only where the channel holds: the bound says nothing elsewhere
+    kept = [g for g, residual in enumerate(residuals) if not residual > omc_tol]
+    deltas = dict(zip(kept, _pair_deltas(labels, phi1[kept], phi2[kept], instrument_pairs, kinds)))
+    return [
+        NoBackflowReport(
+            applicable=True,
+            omc_residual=residual,
+            max_delta=max(map(itemgetter(3), deltas[g]), default=-np.inf),
+            deltas=deltas[g],
+        )
+        if g in deltas
+        else NoBackflowReport(
             applicable=False,
             omc_residual=residual,
             max_delta=float("nan"),
             note="single-channel condition not satisfied; bound not applicable",
         )
-
-    report = NoBackflowReport(applicable=True, omc_residual=residual, max_delta=-np.inf)
-    report.deltas = _pair_deltas(labels, phi1, phi2, instrument_pairs, kinds)
-    for *_, delta in report.deltas:
-        report.max_delta = max(report.max_delta, delta)
-    return report
+        for g, residual in enumerate(residuals)
+    ]
 
 
 def search_backflow_witness(
@@ -294,10 +352,12 @@ def search_backflow_witness(
     break_before_second: bool = False,
 ) -> tuple[tuple[str, str], str, float]:
     """Largest D2 - D1 over the supplied pairs; positive values exhibit memory."""
+    if not instrument_pairs:
+        raise ValueError("search_backflow_witness needs at least one instrument pair")
     best = (instrument_pairs[0], kinds[0], -np.inf)
     labels = _pair_labels(instrument_pairs)
-    laws = _laws(comb, labels, b_label, break_before_second)
-    for a, a_prime, kind, delta in _pair_deltas(labels, *laws, instrument_pairs, kinds):
+    laws = _laws([comb], labels, b_label, break_before_second)
+    for a, a_prime, kind, delta in _pair_deltas(labels, *laws, instrument_pairs, kinds)[0]:
         if delta > best[2]:
             best = ((a, a_prime), kind, delta)
     return best

@@ -87,13 +87,13 @@ def test_01_process_oracle_theorems():
     rng = np.random.default_rng(2024)
     worst = -np.inf
     for maker, break_flag in ((random_factoring_comb, False), (random_break_comb, True)):
+        processes = []
         for _ in range(100):
             comb, b_label, lambda_b = maker(rng)
             pairs = instrument_pairs(comb)
             assert len(pairs) == 10
-            report = verify_no_backflow(
-                comb, pairs, b_label, lambda_b, kinds=KINDS, break_before_second=break_flag
-            )
+            processes.append((comb, pairs, b_label, lambda_b))
+        for report in verify_no_backflow(processes, kinds=KINDS, break_before_second=break_flag):
             assert report.applicable, "channel precondition must hold by construction"
             worst = max(worst, report.max_delta)
     assert worst <= 1e-10

@@ -1,13 +1,16 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import backflow
+from backflow import comb as comb_mod
 from backflow.cli import main, sign_flip_rows
 
 
@@ -348,3 +351,43 @@ def test_failed_plot_data_and_report_writes_keep_the_earlier_files(tmp_path, cap
             main([command, str(run_dir)])
     assert {p: p.read_bytes() for p in written} == before
     assert not list(run_dir.rglob("*.tmp"))
+
+
+def test_report_without_ci_prints_dashes(tmp_path, capsys):
+    # one repeat of one seed: the pooled entry has a mean but no CI, TOST or p
+    path, _ = write_config(tmp_path, regimes=["negative"], break_flags=["no"], repeats=1,
+                           diagnostics={"enabled": False})
+    assert main(["run", str(path)]) == 0
+    pooled = json.loads((tmp_path / "run" / "summary.json").read_text())["pooled"]
+    assert [sorted(pool["metrics"]["tv"]) for pool in pooled] == [["mean", "n"]]
+    assert main(["report", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert "| negative | no | 1 | +0.000000 | - | - | - |" in out
+
+
+def test_oracle_fails_at_the_first_process_without_a_channel(monkeypatch, capsys):
+    made = []
+    maker = comb_mod.random_factoring_comb
+
+    def wrong_at_3_and_7(rng):
+        comb, b_label, lambda_b = maker(rng)
+        if len(made) in (3, 7):
+            n_o = comb.obs_space.size
+            lambda_b = comb_mod.Kernel(np.roll(np.eye(n_o), 1, axis=0), comb.obs_space, comb.obs_space)
+        made.append((comb, comb_mod.instrument_pairs(comb), b_label, lambda_b))
+        return comb, b_label, lambda_b
+
+    monkeypatch.setattr(comb_mod, "random_factoring_comb", wrong_at_3_and_7)
+    assert main(["oracle", "--seed", "0", "--count", "10"]) == 1
+    reports = comb_mod.verify_no_backflow(made)
+    assert [i for i, report in enumerate(reports) if not report.applicable] == [3, 7]
+    residual_3, residual_7 = (f"{reports[i].omc_residual:.3e}" for i in (3, 7))
+    assert residual_3 != residual_7
+    assert capsys.readouterr().out == f"FAIL: single-channel precondition violated (residual {residual_3})\n"
+
+
+def test_oracle_stdout_matches_the_recorded_seed0_digest(capsys):
+    baseline = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
+    recorded = json.loads(baseline.read_text())["digests_seed0"]["oracle"]
+    assert main(["oracle", "--seed", "0", "--count", "400", "--demo-witness"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded

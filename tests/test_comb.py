@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from backflow import comb as comb_mod
 from backflow.comb import (
     B_LABEL,
     _laws,
@@ -226,7 +229,7 @@ def test_channel_from_break_columns_stochastic():
 def test_verify_no_backflow_equal_pair_is_zero():
     rng = np.random.default_rng(12)
     comb, b_label, lam = random_factoring_comb(rng)
-    report = verify_no_backflow(comb, [("I0", "I0")], b_label, lam)
+    [report] = verify_no_backflow([(comb, [("I0", "I0")], b_label, lam)])
     assert report.applicable
     assert report.max_delta == 0.0
 
@@ -241,16 +244,20 @@ def test_verify_no_backflow_identity_channel_equality_case():
         B_LABEL: identity_kernel(s),
     }
     comb = Comb(s, s, random_prior(rng, 3), kernels, identity_kernel(s))
-    report = verify_no_backflow(comb, [("I0", "I1")], B_LABEL, identity_kernel(s))
+    [report] = verify_no_backflow([(comb, [("I0", "I1")], B_LABEL, identity_kernel(s))])
     assert report.applicable
     assert abs(report.max_delta) <= 1e-15
 
 
 def test_verify_no_backflow_randomized_factoring():
     rng = np.random.default_rng(14)
+    processes = []
     for _ in range(25):
         comb, b_label, lam = random_factoring_comb(rng)
-        report = verify_no_backflow(comb, instrument_pairs(comb), b_label, lam)
+        processes.append((comb, instrument_pairs(comb), b_label, lam))
+    reports = verify_no_backflow(processes)
+    assert len(reports) == 25
+    for report in reports:
         assert report.applicable
         assert report.omc_residual <= 1e-12
         assert report.max_delta <= 1e-10
@@ -258,11 +265,13 @@ def test_verify_no_backflow_randomized_factoring():
 
 def test_verify_no_backflow_randomized_break_lifting():
     rng = np.random.default_rng(15)
+    processes = []
     for _ in range(25):
         comb, b_label, lam = random_break_comb(rng)
-        report = verify_no_backflow(
-            comb, instrument_pairs(comb), b_label, lam, break_before_second=True
-        )
+        processes.append((comb, instrument_pairs(comb), b_label, lam))
+    reports = verify_no_backflow(processes, break_before_second=True)
+    assert len(reports) == 25
+    for report in reports:
         assert report.applicable
         assert report.omc_residual <= 1e-12
         assert report.max_delta <= 1e-10
@@ -275,9 +284,7 @@ def test_verify_reports_not_applicable_when_channel_wrong():
     wrong = Kernel(
         np.roll(np.eye(n_o), 1, axis=0), comb.obs_space, comb.obs_space
     )
-    report = verify_no_backflow(
-        comb, instrument_pairs(comb), b_label, wrong, break_before_second=True
-    )
+    [report] = verify_no_backflow([(comb, instrument_pairs(comb), b_label, wrong)], break_before_second=True)
     if report.applicable:  # rolled identity can coincide only on degenerate laws
         assert report.omc_residual <= 1e-10
     else:
@@ -385,7 +392,7 @@ def reference_witness(deltas):
 def check_against_reference(comb, pairs, b_label, lam, kinds, break_flag):
     expected = reference_deltas(comb, pairs, b_label, kinds, break_flag)
     if lam is not None:
-        report = verify_no_backflow(comb, pairs, b_label, lam, kinds=kinds, break_before_second=break_flag)
+        [report] = verify_no_backflow([(comb, pairs, b_label, lam)], kinds=kinds, break_before_second=break_flag)
         assert report.applicable
         labels = sorted({lbl for pair in pairs for lbl in pair})
         assert report.omc_residual == reference_residual(comb, labels, b_label, lam, break_flag)
@@ -419,11 +426,11 @@ def test_stacked_pair_deltas_match_div_row_loop_bitwise():
 
 def check_laws_against_reference(comb, b_label, break_flag):
     labels = sorted(comb.instrument_kernels)
-    phi1, phi2 = _laws(comb, labels, b_label, break_flag)
-    assert phi1.shape == phi2.shape == (len(labels), comb.obs_space.size)
+    phi1, phi2 = _laws([comb], labels, b_label, break_flag)
+    assert phi1.shape == phi2.shape == (1, len(labels), comb.obs_space.size)
     for i, label in enumerate(labels):
         ref1, ref2 = reference_laws(comb, label, b_label, break_flag)
-        assert np.array_equal(phi1[i], ref1) and np.array_equal(phi2[i], ref2)
+        assert np.array_equal(phi1[0, i], ref1) and np.array_equal(phi2[0, i], ref2)
         one1, one2 = two_time_laws(comb, label, b_label, break_flag)
         assert np.array_equal(one1, ref1) and np.array_equal(one2, ref2)
 
@@ -434,7 +441,7 @@ def test_stacked_laws_match_per_label_loop_bitwise():
         comb, b_label, _ = random_factoring_comb(rng)
         check_laws_against_reference(comb, b_label, False)
         with pytest.raises(ValueError, match="no configured break kernel"):
-            _laws(comb, ["I0"], b_label, True)
+            _laws([comb], ["I0"], b_label, True)
         comb, b_label, _ = random_break_comb(rng)
         for break_flag in (False, True):
             check_laws_against_reference(comb, b_label, break_flag)
@@ -445,7 +452,103 @@ def test_stacked_laws_match_per_label_loop_bitwise():
 
 def test_verify_no_backflow_empty_pair_list():
     comb, b_label, lam = random_factoring_comb(np.random.default_rng(21))
-    report = verify_no_backflow(comb, [], b_label, lam)
+    [report] = verify_no_backflow([(comb, [], b_label, lam)])
     assert report.applicable
     assert report.max_delta == -np.inf
     assert report.deltas == []
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def reference_report(process, kinds, break_flag, tol=1e-10):
+    """(applicable, residual bits, max-delta bits, deltas with value bits) of one process alone."""
+    comb, pairs, b_label, lam = process
+    labels = sorted({lbl for pair in pairs for lbl in pair})
+    residual = reference_residual(comb, labels, b_label, lam, break_flag)
+    if residual > tol:
+        return False, bits(residual), None, []
+    deltas = reference_deltas(comb, pairs, b_label, kinds, break_flag)
+    max_delta = -np.inf
+    for *_, delta in deltas:
+        max_delta = max(max_delta, delta)
+    return True, bits(residual), bits(max_delta), [(*key, bits(delta)) for *key, delta in deltas]
+
+
+def report_bits(report):
+    max_delta = bits(report.max_delta) if report.applicable else None
+    deltas = [(*key, bits(delta)) for *key, delta in report.deltas]
+    return report.applicable, bits(report.omc_residual), max_delta, deltas
+
+
+def wrong_channel(comb):
+    n_o = comb.obs_space.size
+    return Kernel(np.roll(np.eye(n_o), 1, axis=0), comb.obs_space, comb.obs_space)
+
+
+def test_batch_reports_match_per_process_reference_bitwise():
+    rng = np.random.default_rng(23)
+    demo, demo_pair, demo_b = memoryful_demo_comb()
+    demo_lam = channel_from_break(demo, demo_b, theta_lifting_kernel(2, 2))
+    demo_process = (demo, [demo_pair, demo_pair[::-1]], demo_b, demo_lam)
+    n = 2 * comb_mod._CHUNK + 7  # three chunks
+    for break_flag in (False, True):
+        processes = []
+        for i in range(n):
+            if i in (3, comb_mod._CHUNK + 3):  # one group split across two chunks
+                processes.append(demo_process)
+                continue
+            maker = random_break_comb if break_flag or i % 2 else random_factoring_comb
+            comb, b_label, lam = maker(rng)
+            pairs = instrument_pairs(comb)
+            if i % 5 == 0:  # duplicate and reversed pairs
+                pairs = pairs + [("I0", "I0"), pairs[-1][::-1], pairs[0]]
+            if i % 11 == 0:
+                pairs = []
+            if i == comb_mod._CHUNK // 2:
+                lam = wrong_channel(comb)
+            processes.append((comb, pairs, b_label, lam))
+        reports = verify_no_backflow(iter(processes), break_before_second=break_flag)
+        expected = [reference_report(process, KINDS, break_flag) for process in processes]
+        assert [report_bits(report) for report in reports] == expected
+        applicable = [report.applicable for report in reports]
+        assert not applicable[comb_mod._CHUNK // 2] and any(applicable)
+        assert len({p[0].obs_space.size for p in processes}) > 1
+        assert len({p[0].state_space.size for p in processes}) > 1
+        assert applicable[3] == applicable[comb_mod._CHUNK + 3] == break_flag
+        if not break_flag:  # break combs without their break: the channel does not hold
+            assert not all(applicable[1::2])
+    comb, b_label, lam = random_factoring_comb(rng)
+    with pytest.raises(ValueError, match="comb has no configured break kernel"):
+        verify_no_backflow([demo_process, (comb, instrument_pairs(comb), b_label, lam)], break_before_second=True)
+
+
+def test_verify_no_backflow_reads_processes_one_chunk_at_a_time(monkeypatch):
+    rng = np.random.default_rng(24)
+    pulled = []
+    seen_at_laws = []
+
+    def processes():
+        for _ in range(3 * comb_mod._CHUNK):
+            comb, b_label, lam = random_break_comb(rng)
+            pulled.append(comb)
+            yield comb, instrument_pairs(comb), b_label, lam
+
+    def laws(*args):
+        seen_at_laws.append(len(pulled))
+        return comb_mod_laws(*args)
+
+    comb_mod_laws = comb_mod._laws
+    monkeypatch.setattr(comb_mod, "_laws", laws)
+    reports = verify_no_backflow(processes(), break_before_second=True)
+    assert len(reports) == 3 * comb_mod._CHUNK
+    assert seen_at_laws[0] == comb_mod._CHUNK
+    assert sorted(set(seen_at_laws)) == [comb_mod._CHUNK, 2 * comb_mod._CHUNK, 3 * comb_mod._CHUNK]
+    assert verify_no_backflow(iter([])) == []
+
+
+def test_search_backflow_witness_empty_pair_list():
+    comb, _, b_label = memoryful_demo_comb()
+    with pytest.raises(ValueError, match="needs at least one instrument pair"):
+        search_backflow_witness(comb, [], b_label)
