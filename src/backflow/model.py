@@ -101,9 +101,10 @@ def _check_inputs(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
 
 
 def _activation(spec: ModelSpec, pre: np.ndarray) -> np.ndarray:
+    """The hidden activation, written over ``pre``."""
     if spec.activation == "tanh":
-        return np.tanh(pre)
-    return np.maximum(pre, 0.0)
+        return np.tanh(pre, out=pre)
+    return np.maximum(pre, 0.0, out=pre)
 
 
 def _T(a: np.ndarray) -> np.ndarray:
@@ -112,7 +113,10 @@ def _T(a: np.ndarray) -> np.ndarray:
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x @ _T(w) + b[..., None, :]
+    """``x @ w.T + b``, the bias added into the product's own buffer."""
+    z = x @ _T(w)
+    z += b[..., None, :]
+    return z
 
 
 def _hidden(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -129,10 +133,12 @@ def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax of the last axis, written over ``z``."""
     # Max subtraction keeps the exponentials bounded for the NaN guard.
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def forward(spec: ModelSpec, params: np.ndarray, inputs) -> np.ndarray:
@@ -168,8 +174,7 @@ def loss_and_grad(
         z = _affine(x, w, b)
     else:
         w1, b1, w2, b2 = _unpack(spec, params)
-        pre = _affine(x, w1, b1)
-        hidden = _activation(spec, pre)
+        hidden = _activation(spec, _affine(x, w1, b1))
         z = _affine(hidden, w2, b2)
     # flat (row, example) view of z, to pick each example's label column
     target = (np.arange(z.size // z.shape[-1]), np.broadcast_to(y, z.shape[:-1]).ravel())
@@ -194,7 +199,7 @@ def loss_and_grad(
         if spec.activation == "tanh":
             dpre = dh * (1.0 - hidden * hidden)
         else:
-            dpre = dh * (pre > 0.0)
+            dpre = dh * (hidden > 0.0)  # relu(pre) > 0 exactly where pre > 0
         parts = [_T(dpre) @ x, dpre.sum(axis=-2), gw2, gb2]
     grad = np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
 

@@ -13,16 +13,22 @@ and the per-repeat back-flow delta = d2 - d1 for each divergence kind.
 A positive mean delta certifies that no single fixed channel maps the
 mid-time probe laws to the post-B laws.
 
-One engine (``_run_repeat``) runs a repeat for a tuple of break flags.  The
-flags of a repeat share its batch plan, its augmentation draws, its A/A'
-phase and so d1, which depend on the repeat alone; they part only at B,
-where the A and A' rows of every flag train as one parameter stack.  One
-guarded entry (``_guarded_run``) wraps it in the NaN-guard rule for the
-public micro-experiments, the sweep's repeats and its diagnostics.  The
-sweep, which runs serially, asks for all flags of a repeat at the first
-flag's cell and keeps the other flags' records for their cells; it runs
-each (regime, seed)'s diagnostics repeat once for all flags in the same
-way.  The non-commute curve goes through the same k-step loop.
+One engine (``_run_repeat``) runs a block of repeats for a tuple of break
+flags.  The flags of a repeat share its batch plan, its augmentation draws,
+its A/A' phase and so d1, which depend on the repeat alone; they part only
+at B.  The A and A' rows of every repeat in the block train as one
+parameter stack, and at B the rows of every (repeat, flag) do.  A block
+holds as many repeats as fit a fixed budget of floats per stacked call
+(``_STACK_FLOATS``), and at least one.  One guarded entry (``_guarded_run``)
+wraps a one-repeat block in the NaN-guard rule for the public
+micro-experiments and the diagnostics; a sweep block that trips the guard
+reruns each of its repeats through it.  The sweep, which runs serially,
+asks for all flags of a block at the first flag's cell, in blocks that
+never cross an early-stop checkpoint, and keeps the other flags' records
+for their cells; it runs each (regime, seed)'s diagnostics repeat once for
+all flags in the same way.  The non-commute curve trains one k_max-step
+first phase and then every k as one shrinking stack, grouped by the same
+budget.
 
 Randomness discipline: each repeat derives its own streams from
 (seed, repeat_id, tag).  The A/A' kernels share one augmentation seed (they
@@ -55,7 +61,7 @@ from .instruments import (
     apply_augmentation,
     sample_batch_plan,
 )
-from .model import ModelSpec, forward, init_params, loss_and_grad, penultimate_features
+from .model import ModelSpec, forward, init_params, loss_and_grad, parameter_count, penultimate_features
 from .optimizer import OptimizerConfig, OptimizerState, causal_break, step
 from .seeding import derive_seed
 from .stats import bh_fdr, bh_qvalues, bootstrap_mean_ci, normal_ci_half_width, t_test_mean, tost_equivalence
@@ -202,69 +208,101 @@ class Repeat:
     first_b_params: np.ndarray | None = None
 
 
-def _run_repeat(
-    base_params, spec, regime, dataset, probe_x, seed, settings, repeat_id, flags, lr_scale
-) -> Repeat:
-    """The engine: one repeat of the A/A'->B protocol for every flag in ``flags``.
+# Float64 values one stacked training call may hold, counted per parameter
+# row by _row_floats (4 MiB).  A block of repeats and a group of the
+# non-commute curve hold as many rows as fit, but never fewer than one
+# repeat or one k value.
+_STACK_FLOATS = 1 << 19
 
-    The plan, the augmented batches, the A/A' phase and d1 do not depend on
-    the break flag and are computed once.  The B phase then trains the A and
-    A' rows of every flag together, the ``break`` rows starting from zero
-    velocity.  Raises NanGuardError if any row stops being finite.
+
+def _row_floats(spec: ModelSpec, batch_size: int, probe_size: int) -> int:
+    """Float64 values one stacked row holds: parameters, batch, and activations on batch and probe."""
+    width = (spec.hidden_dim or 0) + spec.num_classes
+    return parameter_count(spec) + batch_size * spec.input_dim + (batch_size + probe_size) * width
+
+
+def _repeats_per_block(spec: ModelSpec, batch_size: int, probe_size: int, n_flags: int) -> int:
+    """Repeats the engine runs as one stack: the B phase holds 2 rows per repeat and flag."""
+    return max(1, _STACK_FLOATS // (2 * n_flags * _row_floats(spec, batch_size, probe_size)))
+
+
+def _run_repeat(
+    base_params, spec, regime, dataset, probe_x, settings, repeats, flags, lr_scale
+) -> list[Repeat]:
+    """The engine: a block of repeats of the A/A'->B protocol, each for every flag in ``flags``.
+
+    ``repeats`` lists (seed, repeat_id) pairs; one ``Repeat`` is returned
+    per pair.  A repeat's plan, augmented batches, A/A' phase and d1 do not
+    depend on the break flag and are computed once.  The A phase trains the
+    A and A' rows of every repeat as one stack, each row on its own batch;
+    the B phase trains rows ordered (repeat, flag, A/A') as one stack, the
+    ``break`` rows starting from zero velocity.  Every row is computed as it
+    would be alone.  Raises NanGuardError if any row stops being finite.
     """
-    plan, (instr_a, instr_ap, instr_b), config = _instruments(regime, dataset, seed, settings, lr_scale)
+    setups = [_instruments(regime, dataset, seed, settings, lr_scale) for seed, _ in repeats]
+    config = setups[0][2]
+    n_rep, n_flags, size = len(repeats), len(flags), base_params.size
+
     params_mid, velocity_mid, _, _ = _train(
         spec,
-        np.stack([base_params, base_params]),
-        np.zeros((2, base_params.size)),
-        np.stack([apply_instrument_batch(instr_a, dataset), apply_instrument_batch(instr_ap, dataset)]),
-        dataset.labels[plan.indices_a],
+        np.tile(base_params, (2 * n_rep, 1)),
+        np.zeros((2 * n_rep, size)),
+        np.stack([apply_instrument_batch(instr, dataset) for _, instrs, _ in setups for instr in instrs[:2]]),
+        np.repeat([dataset.labels[plan.indices_a] for plan, _, _ in setups], 2, axis=0),
         regime.k,
         config,
     )
     preds_mid = forward(spec, params_mid, probe_x)
-    d1 = div_avg(KINDS, preds_mid[0], preds_mid[1])
+    d1_rows = div_avg(KINDS, preds_mid[0::2], preds_mid[1::2])
 
-    mid_state = OptimizerState(velocity_mid)
-    velocity_b = np.concatenate(
-        [(causal_break(mid_state) if flag == "break" else mid_state).velocity for flag in flags]
+    mid_state = OptimizerState(velocity_mid.reshape(n_rep, 2, size))
+    velocity_b = np.stack(
+        [(causal_break(mid_state) if flag == "break" else mid_state).velocity for flag in flags], axis=1
     )
+    rows_b = 2 * n_flags  # B rows of one repeat
     params_end, _, first_b_params, first_b_grad = _train(
         spec,
-        np.concatenate([params_mid] * len(flags)),
-        velocity_b,
-        apply_instrument_batch(instr_b, dataset),
-        dataset.labels[plan.indices_b],
+        np.repeat(params_mid.reshape(n_rep, 2, size), n_flags, axis=0).reshape(-1, size),
+        velocity_b.reshape(-1, size),
+        np.repeat([apply_instrument_batch(instrs[2], dataset) for _, instrs, _ in setups], rows_b, axis=0),
+        np.repeat([dataset.labels[plan.indices_b] for plan, _, _ in setups], rows_b, axis=0),
         regime.k,
         config,
     )
     preds_end = forward(spec, params_end, probe_x)
     d2_rows = div_avg(KINDS, preds_end[0::2], preds_end[1::2])
 
-    records = {}
-    for i, flag in enumerate(flags):
-        d2 = {kind: float(d2_rows[kind][i]) for kind in KINDS}
-        # the first B gradient of the A row is taken at the mid-time parameters
-        alignment = diag.cosine(first_b_grad[2 * i], velocity_mid[0]) if flag == "no" else None
-        records[flag] = BackflowRecord(
-            repeat_id=repeat_id,
-            seed=seed,
-            break_applied=flag == "break",
-            d1=dict(d1),
-            d2=d2,
-            delta={kind: d2[kind] - d1[kind] for kind in KINDS},
-            momentum_alignment=alignment,
+    runs = []
+    for r, ((seed, repeat_id), (plan, instrs, _)) in enumerate(zip(repeats, setups)):
+        d1 = {kind: float(d1_rows[kind][r]) for kind in KINDS}
+        records = {}
+        for i, flag in enumerate(flags):
+            d2 = {kind: float(d2_rows[kind][r * n_flags + i]) for kind in KINDS}
+            # the first B gradient of the A row is taken at the mid-time parameters
+            row = r * rows_b + 2 * i
+            alignment = diag.cosine(first_b_grad[row], velocity_mid[2 * r]) if flag == "no" else None
+            records[flag] = BackflowRecord(
+                repeat_id=repeat_id,
+                seed=seed,
+                break_applied=flag == "break",
+                d1=dict(d1),
+                d2=d2,
+                delta={kind: d2[kind] - d1[kind] for kind in KINDS},
+                momentum_alignment=alignment,
+            )
+        runs.append(
+            Repeat(
+                records=records,
+                flags=flags,
+                plan=plan,
+                instruments=instrs,
+                params_mid=params_mid[2 * r : 2 * r + 2],
+                velocity_mid=velocity_mid[2 * r : 2 * r + 2],
+                params_end=params_end[r * rows_b : (r + 1) * rows_b],
+                first_b_params=first_b_params[r * rows_b : (r + 1) * rows_b],
+            )
         )
-    return Repeat(
-        records=records,
-        flags=flags,
-        plan=plan,
-        instruments=(instr_a, instr_ap, instr_b),
-        params_mid=params_mid,
-        velocity_mid=velocity_mid,
-        params_end=params_end,
-        first_b_params=first_b_params,
-    )
+    return runs
 
 
 def _nan_guarded(attempt):
@@ -289,7 +327,12 @@ def _guarded_run(
     the learning rate; a second failure gives an error record.  So each
     flag's record and states equal those of a run of that flag alone.
     """
-    attempt = partial(_run_repeat, base_params, spec, regime, dataset, probe_x, seed, settings, repeat_id)
+
+    def attempt(run_flags, lr_scale):
+        return _run_repeat(
+            base_params, spec, regime, dataset, probe_x, settings, [(seed, repeat_id)], run_flags, lr_scale
+        )[0]
+
     if len(flags) > 1:
         try:
             return dict.fromkeys(flags, attempt(flags, 1.0))
@@ -314,6 +357,26 @@ def _guarded_run(
             run = Repeat(records={flag: record}, flags=(flag,))
         runs[flag] = run
     return runs
+
+
+def _guarded_block(base_params, spec, regime, flags, dataset, probe_x, settings, repeats) -> list[dict]:
+    """The records of a block of (seed, repeat_id) ``repeats``, as one ``{flag: record}`` per repeat.
+
+    The block is one engine run.  If it trips the NaN guard, each of its
+    repeats reruns through ``_guarded_run``, so every record equals that of
+    its flag run alone.
+    """
+    if len(repeats) > 1:
+        try:
+            runs = _run_repeat(base_params, spec, regime, dataset, probe_x, settings, repeats, flags, 1.0)
+            return [run.records for run in runs]
+        except NanGuardError:
+            pass
+    records = []
+    for seed, repeat_id in repeats:
+        runs = _guarded_run(base_params, spec, regime, flags, dataset, probe_x, seed, settings, repeat_id)
+        records.append({flag: run.records[flag] for flag, run in runs.items()})
+    return records
 
 
 def run_micro_experiment_detailed(
@@ -373,26 +436,43 @@ def run_noncommute_curve(
     Both orders start from the same base parameters and share the repeat's
     batch plan and augmentation draws; they train as two stacked rows.
     Under the break condition the buffers are zeroed at the switch point in
-    both orders.  Raises NanGuardError if either order stops being finite.
+    both orders.  The first phase is one k_max-step trajectory, whose state
+    after k steps is the k-step one.  The second phase trains every k as
+    one stack, rows ordered by k descending, so the rows still training at
+    a step are a prefix; k values are grouped so that a stack stays within
+    ``_STACK_FLOATS``.  Every row is computed as in a run of its k alone.
+    Raises NanGuardError if either order stops being finite.
     """
     plan, (instr_a, _, instr_b), config = _instruments(regime, dataset, seed, settings, lr_scale)
     x_a, x_b = apply_instrument_batch(instr_a, dataset), apply_instrument_batch(instr_b, dataset)
     y_a, y_b = dataset.labels[plan.indices_a], dataset.labels[plan.indices_b]
     # row 0 runs A then B, row 1 runs B then A
-    first = (np.stack([x_a, x_b]), np.stack([y_a, y_b]))
-    second = (np.stack([x_b, x_a]), np.stack([y_b, y_a]))
-    probe_x = dataset.features[probe_subset]
+    x_first, y_first = np.stack([x_a, x_b]), np.stack([y_a, y_b])
+    x_second, y_second = np.stack([x_b, x_a]), np.stack([y_b, y_a])
 
+    probe_x = dataset.features[probe_subset]
+    per_group = max(1, _STACK_FLOATS // (2 * _row_floats(spec, settings.batch_size, len(probe_subset))))
+    first, state = np.stack([base_params, base_params]), OptimizerState(np.zeros((2, base_params.size)))
     curve = []
-    for k in range(1, k_max + 1):
-        params, velocity, _, _ = _train(
-            spec, np.stack([base_params, base_params]), np.zeros((2, base_params.size)), *first, k, config
-        )
-        if break_applied:
-            velocity = causal_break(OptimizerState(velocity)).velocity
-        params, _, _, _ = _train(spec, params, velocity, *second, k, config)
+    for start in range(0, k_max, per_group):
+        group = range(min(start + per_group, k_max), start, -1)  # k descending
+        # the first phase's trajectory, advanced to the group's largest k
+        switch = {}
+        for k in range(start + 1, group[0] + 1):
+            _, grad = loss_and_grad(spec, first, x_first, y_first)
+            first, state = step(first, state, grad, config)
+            switch[k] = (first, (causal_break(state) if break_applied else state).velocity)
+        params = np.concatenate([switch[k][0] for k in group])
+        velocity = np.concatenate([switch[k][1] for k in group])
+        x, y = np.concatenate([x_second] * len(group)), np.concatenate([y_second] * len(group))
+        for t in range(group[0]):
+            live = 2 * sum(k > t for k in group)  # the rows whose k exceeds t
+            _, grad = loss_and_grad(spec, params[:live], x[:live], y[:live])
+            params[:live], trained = step(params[:live], OptimizerState(velocity[:live]), grad, config)
+            velocity[:live] = trained.velocity
         preds = forward(spec, params, probe_x)
-        curve.append((k, div_avg("tv", preds[0], preds[1])))
+        values = div_avg("tv", preds[0::2], preds[1::2])
+        curve.extend((k, float(v)) for k, v in zip(reversed(group), values[::-1]))
     return curve
 
 
@@ -444,12 +524,16 @@ def collect_with_early_stop(
     sample_fn,
     max_repeats: int,
     policy: EarlyStopPolicy = EarlyStopPolicy(),
+    *,
+    block_size: int = 1,
 ) -> tuple[list[BackflowRecord], bool]:
-    """Run ``sample_fn(repeat_id)`` for up to ``max_repeats`` repeats.
+    """Run ``sample_fn(repeat_ids)`` for up to ``max_repeats`` repeats.
 
-    Returns the records and whether the early-stop rule fired.  Errored
-    repeats are kept in the list (for the logs) but excluded from the
-    half-width check.
+    ``sample_fn`` takes a range of at most ``block_size`` repeat ids and
+    returns one record per id.  No range crosses a checkpoint, so a cell
+    that stops computes no repeat past it.  Returns the records and whether
+    the early-stop rule fired.  Errored repeats are kept in the list (for
+    the logs) but excluded from the half-width check.
     """
     checkpoints = []
     if policy.enabled:
@@ -463,7 +547,8 @@ def collect_with_early_stop(
     early_stopped = False
     done = 0
     for boundary in boundaries:
-        records.extend(sample_fn(i) for i in range(done, boundary))
+        for start in range(done, boundary, block_size):
+            records.extend(sample_fn(range(start, min(start + block_size, boundary))))
         done = boundary
         if boundary in checkpoints:
             valid = [r.delta["tv"] for r in records if r.ok]
@@ -636,8 +721,15 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
-    if config.repeats < 1:
-        raise ConfigError("repeats: must be positive")
+    for name, value in (
+        ("repeats", config.repeats),
+        ("batch_size", config.batch_size),
+        ("probe_size", config.probe_size),
+        ("early_stop.stride", config.early_stop.stride),
+        ("stats.bootstrap_samples", config.stats.bootstrap_samples),
+    ):
+        if value < 1:
+            raise ConfigError(f"{name}: must be positive, got {value}")
     try:
         spec = config.model_spec()
     except (TypeError, ValueError) as exc:  # a misspelled, missing or invalid field
@@ -682,26 +774,25 @@ def base_parameters(config: RunConfig, dataset: Dataset, seed_value: int) -> np.
 # Sweep execution and summary assembly.
 
 
-def _cell_repeat(base_params, spec, regime, flags, dataset, probe_x, settings, seed_value, store, repeat_id):
-    """The record of ``flags[0]`` for one repeat of a cell.
+def _cell_block(base_params, spec, regime, flags, dataset, probe_x, settings, seed_value, store, repeat_ids):
+    """The records of ``flags[0]`` for a block of a cell's repeat ids.
 
-    The repeat is run for every flag in ``flags`` at once; the records of
+    The repeats are run for every flag in ``flags`` at once; the records of
     the other flags wait in ``store`` for their own cells, and a record
     found there is taken instead of recomputed.
     """
-    flag = flags[0]
-    key = (seed_value, flag, repeat_id)
-    if key in store:
-        return store.pop(key)
-    repeat_seed = derive_seed("repeat", seed_value, repeat_id)
-    runs = _guarded_run(base_params, spec, regime, flags, dataset, probe_x, repeat_seed, settings, repeat_id)
-    for other in flags[1:]:
-        store[(seed_value, other, repeat_id)] = runs[other].records[other]
-    return runs[flag].records[flag]
+    todo = [i for i in repeat_ids if (seed_value, flags[0], i) not in store]
+    if todo:
+        repeats = [(derive_seed("repeat", seed_value, i), i) for i in todo]
+        blocks = _guarded_block(base_params, spec, regime, flags, dataset, probe_x, settings, repeats)
+        for i, records in zip(todo, blocks):
+            store.update(((seed_value, flag, i), record) for flag, record in records.items())
+    return [store.pop((seed_value, flags[0], i)) for i in repeat_ids]
 
 
 def _record_payload(record: BackflowRecord) -> dict:
-    return {"record": "repeat", **asdict(record)}
+    # a shallow copy: the record's dicts are written as they are, not deep-copied
+    return {"record": "repeat", **vars(record)}
 
 
 def _dump_line(obj: dict) -> str:
@@ -874,20 +965,24 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
         store = {}
         diagnostics_runs = {}
         for index, flag in enumerate(config.break_flags):
+            cell_flags = config.break_flags[index:]
+            block_size = _repeats_per_block(spec, config.batch_size, config.probe_size, len(cell_flags))
             for seed_value in config.seeds:
                 sample_fn = partial(
-                    _cell_repeat,
+                    _cell_block,
                     base_by_seed[seed_value],
                     spec,
                     regime,
-                    config.break_flags[index:],
+                    cell_flags,
                     dataset,
                     probe_x,
                     config.settings(),
                     seed_value,
                     store,
                 )
-                records, early_stopped = collect_with_early_stop(sample_fn, config.repeats, config.early_stop)
+                records, early_stopped = collect_with_early_stop(
+                    sample_fn, config.repeats, config.early_stop, block_size=block_size
+                )
                 cell_records[(regime.name, flag, seed_value)] = records
                 path = run_dir / cell_filename(regime.name, flag, seed_value)
                 header = {

@@ -274,9 +274,9 @@ def test_08_negative_control(tmp_path):
 
 
 def test_09_early_stop_discipline():
-    def constant(i):
-        return BackflowRecord(i, i, False, {"tv": 0.1}, {"tv": 0.1},
-                              {"tv": 0.0, "js": 0.0, "hellinger": 0.0})
+    def constant(ids):
+        return [BackflowRecord(i, i, False, {"tv": 0.1}, {"tv": 0.1},
+                               {"tv": 0.0, "js": 0.0, "hellinger": 0.0}) for i in ids]
 
     records, stopped = collect_with_early_stop(constant, 128, EarlyStopPolicy())
     assert stopped and len(records) == 64
@@ -284,9 +284,9 @@ def test_09_early_stop_discipline():
     rng = np.random.default_rng(3)
     noise = rng.normal(0.0, 0.01, size=128)
 
-    def noisy(i):
-        return BackflowRecord(i, i, False, {"tv": 0.1}, {"tv": 0.1},
-                              {"tv": noise[i], "js": noise[i], "hellinger": noise[i]})
+    def noisy(ids):
+        return [BackflowRecord(i, i, False, {"tv": 0.1}, {"tv": 0.1},
+                               {"tv": noise[i], "js": noise[i], "hellinger": noise[i]}) for i in ids]
 
     records, stopped = collect_with_early_stop(noisy, 128, EarlyStopPolicy())
     assert not stopped and len(records) == 128

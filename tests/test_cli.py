@@ -98,6 +98,19 @@ def test_run_non_list_field_fails_naming_field(tmp_path, capsys):
         assert not (tmp_path / "run").exists()
 
 
+def test_run_non_positive_integer_fails_naming_field(tmp_path, capsys):
+    for overrides, field in (
+        ({"batch_size": 0}, "batch_size"),
+        ({"stats": {"bootstrap_samples": 0}}, "stats.bootstrap_samples"),
+        ({"early_stop": {"enabled": True, "floor": 2, "stride": 0}}, "early_stop.stride"),
+        ({"early_stop": {"enabled": True, "floor": 2, "stride": -1}}, "early_stop.stride"),
+    ):
+        path, _ = write_config(tmp_path, **overrides)
+        assert main(["run", str(path)]) == 2
+        assert f"error: {field}: must be positive, got " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 def test_run_dataset_error_leaves_no_run_dir(tmp_path, capsys):
     misspelled = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_klass": 120}
     missing_path = {"kind": "file", "format": "csv_labeled"}

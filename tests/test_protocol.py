@@ -242,9 +242,14 @@ def make_injected_record(i, value):
                           delta={"tv": value, "js": value, "hellinger": value})
 
 
+def injected(value_of):
+    """A block sampler for collect_with_early_stop: one injected record per repeat id."""
+    return lambda ids: [make_injected_record(i, value_of(i)) for i in ids]
+
+
 def test_early_stop_zero_variance_stops_at_floor():
     records, stopped = collect_with_early_stop(
-        lambda i: make_injected_record(i, 0.0), 128, EarlyStopPolicy()
+        injected(lambda i: 0.0), 128, EarlyStopPolicy()
     )
     assert stopped
     assert len(records) == 64
@@ -254,7 +259,7 @@ def test_early_stop_noisy_runs_to_max():
     rng = np.random.default_rng(0)
     noise = rng.normal(0.0, 0.01, size=128)
     records, stopped = collect_with_early_stop(
-        lambda i: make_injected_record(i, noise[i]), 128, EarlyStopPolicy()
+        injected(lambda i: noise[i]), 128, EarlyStopPolicy()
     )
     assert not stopped
     assert len(records) == 128
@@ -262,14 +267,14 @@ def test_early_stop_noisy_runs_to_max():
 
 def test_early_stop_disabled_runs_all():
     records, stopped = collect_with_early_stop(
-        lambda i: make_injected_record(i, 0.0), 80, EarlyStopPolicy(enabled=False)
+        injected(lambda i: 0.0), 80, EarlyStopPolicy(enabled=False)
     )
     assert not stopped and len(records) == 80
 
 
 def test_below_floor_runs_exactly_requested():
     records, stopped = collect_with_early_stop(
-        lambda i: make_injected_record(i, 0.0), 4, EarlyStopPolicy()
+        injected(lambda i: 0.0), 4, EarlyStopPolicy()
     )
     assert not stopped and len(records) == 4
 
@@ -527,6 +532,153 @@ def test_diagnostics_of_a_failed_shared_run_match_single_flag_sweeps(tmp_path, m
     assert "cka_first" in both["no"] and "cka_first" in both["break"]
     for flag in ("no", "break"):
         assert both[flag] == payloads(flag, [flag])[flag]
+
+
+def read_cell_records(run_dir, regime_name, flag, seed):
+    lines = (run_dir / protocol.cell_filename(regime_name, flag, seed)).read_text().splitlines()[1:]
+    return [BackflowRecord(**{k: v for k, v in json.loads(line).items() if k != "record"}) for line in lines]
+
+
+def spy_engine(monkeypatch):
+    """Replace the engine with a spy; returns the list of repeat ids of each call."""
+    calls = []
+    real_engine = protocol._run_repeat
+
+    def engine(*args):
+        calls.append([repeat_id for _, repeat_id in args[6]])
+        return real_engine(*args)
+
+    monkeypatch.setattr(protocol, "_run_repeat", engine)
+    return calls
+
+
+def two_repeat_blocks(monkeypatch):
+    # a budget that holds the B rows of two repeats of both flags: blocks of 2, 2, 1 over 5 repeats
+    monkeypatch.setattr(protocol, "_STACK_FLOATS", 2 * 4 * protocol._row_floats(SPEC, 24, 96))
+    assert protocol._repeats_per_block(SPEC, 24, 96, 2) == 2
+
+
+@pytest.mark.parametrize("failures", ["none", "block_stacks", "row_values"])
+@pytest.mark.parametrize("flags", [["no", "break"], ["break", "no"]])
+def test_block_records_match_single_repeat_single_flag_runs(tmp_path, monkeypatch, flags, failures):
+    config = config_from_mapping(sweep_mapping(tmp_path, break_flags=flags, repeats=5,
+                                               diagnostics={"enabled": False}))
+    regime = config.regimes[0]
+    real_step = protocol.step
+
+    def failing_step(params, state, grad, config):
+        if failures == "block_stacks" and params.shape[0] == 8:  # the B phase of a two-repeat block
+            raise NanGuardError("injected failure")
+        if failures == "row_values":
+            # decided by the rows' own values, as a real overflow is, so a row fails alike alone or stacked
+            last = grad[..., -1]
+            if np.any(last > 0.15) or (config.lr == regime.lr and np.any((last > 0.07) | (last < -0.077))):
+                raise NanGuardError("injected failure")
+        return real_step(params, state, grad, config)
+
+    monkeypatch.setattr(protocol, "step", failing_step)
+    dataset = protocol.build_dataset(config)
+    base = protocol.base_parameters(config, dataset, 0)
+    expected = {
+        flag: [run_micro_experiment(base, SPEC, regime, flag == "break", dataset, dataset.probe_indices,
+                                    seed=derive_seed("repeat", 0, i), settings=config.settings(), repeat_id=i)
+               for i in range(5)]
+        for flag in flags
+    }
+
+    two_repeat_blocks(monkeypatch)
+    calls = spy_engine(monkeypatch)
+    run_dir = run_sweep(config, created_at="pinned").run_dir
+    for flag in flags:
+        # every field: d1, d2, delta, momentum_alignment, retried and error
+        assert read_cell_records(run_dir, regime.name, flag, 0) == expected[flag]
+    if failures == "none":
+        assert calls == [[0, 1], [2, 3], [4]]  # one engine call per block; the second flag's cell runs none
+    if failures == "block_stacks":
+        # each two-repeat block falls back to one shared-flag run per repeat
+        assert calls == [[0, 1], [0], [1], [2, 3], [2], [3], [4]]
+    if failures == "row_values":
+        outcomes = {(r.retried, r.ok) for records in expected.values() for r in records}
+        assert outcomes == {(False, True), (True, True), (True, False)}
+
+
+def test_an_early_stopped_cell_computes_no_repeat_past_its_checkpoint(tmp_path, monkeypatch):
+    # checkpoints at 3 and 5 of 7 repeats; the loose half-width stops every cell at 3
+    config = config_from_mapping(sweep_mapping(
+        tmp_path, repeats=7, diagnostics={"enabled": False},
+        early_stop={"enabled": True, "floor": 3, "stride": 2, "half_width": 1.0},
+    ))
+    two_repeat_blocks(monkeypatch)
+    calls = spy_engine(monkeypatch)
+    result = run_sweep(config, created_at="pinned")
+    assert [(cell["n_repeats"], cell["early_stopped"]) for cell in result.summary["cells"]] == [(3, True)] * 2
+    assert calls == [[0, 1], [2]]  # the block of two never crosses the checkpoint
+
+
+def test_non_positive_integer_config_values_name_their_field(tmp_path):
+    # a stride of 0 used to hang the early-stop loop, -1 to exhaust memory; a batch of 0 read as a
+    # NaN-guard failure and 0 bootstrap samples as an IndexError, after the run directory was made
+    for overrides, field, value in (
+        ({"early_stop": {"enabled": True, "floor": 2, "stride": 0}}, "early_stop.stride", 0),
+        ({"early_stop": {"enabled": True, "floor": 2, "stride": -1}}, "early_stop.stride", -1),
+        ({"batch_size": 0}, "batch_size", 0),
+        ({"stats": {"bootstrap_samples": 0}}, "stats.bootstrap_samples", 0),
+        ({"repeats": -3}, "repeats", -3),
+    ):
+        with pytest.raises(ConfigError, match=f"^{field}: must be positive, got {value}$"):
+            config_from_mapping(sweep_mapping(tmp_path, **overrides))
+
+
+def test_repeats_per_block_bounds_the_stacks():
+    demo = ModelSpec("mlp1", 32, 10, hidden_dim=32)
+    image = ModelSpec("mlp1", 256, 10, hidden_dim=64)
+    # configs/demo.json trains four repeats per stack; eight measured +10% peak RSS on it
+    assert 4 <= protocol._repeats_per_block(demo, 64, 512, 2) < 8
+    # the image benchmark spec stays at one repeat per stack, as before blocks
+    assert protocol._repeats_per_block(image, 128, 1000, 2) == 1
+
+
+def reference_curve(base_params, spec, regime, break_applied, dataset, probe_subset, seed, k_max, settings):
+    """The non-commute curve as one two-row run of both phases per k: the loop the stacked curve replaces."""
+    plan, (instr_a, _, instr_b), config = protocol._instruments(regime, dataset, seed, settings, 1.0)
+    x_a = protocol.apply_instrument_batch(instr_a, dataset)
+    x_b = protocol.apply_instrument_batch(instr_b, dataset)
+    y_a, y_b = dataset.labels[plan.indices_a], dataset.labels[plan.indices_b]
+    curve = []
+    for k in range(1, k_max + 1):
+        params, velocity, _, _ = protocol._train(spec, np.stack([base_params, base_params]),
+                                                 np.zeros((2, base_params.size)),
+                                                 np.stack([x_a, x_b]), np.stack([y_a, y_b]), k, config)
+        if break_applied:
+            velocity = np.zeros_like(velocity)
+        params, _, _, _ = protocol._train(spec, params, velocity, np.stack([x_b, x_a]),
+                                          np.stack([y_b, y_a]), k, config)
+        preds = forward(spec, params, dataset.features[probe_subset])
+        curve.append((k, div_avg("tv", preds[0], preds[1])))
+    return curve
+
+
+@pytest.mark.parametrize("break_applied", [False, True])
+@pytest.mark.parametrize("k_max, groups", [(1, 1), (6, 1), (6, 3), (6, 6), (5, 3)])
+def test_stacked_noncommute_curve_matches_per_k_reference_bitwise(monkeypatch, dataset, base_params,
+                                                                  break_applied, k_max, groups):
+    regime = small_regime(k=3, momentum=0.95, lr=0.03, aug_a="color", aug_b="blur")
+    sub = dataset.probe_indices[:64]
+    expected = reference_curve(base_params, SPEC, regime, break_applied, dataset, sub, 29, k_max, SETTINGS)
+    per_group = -(-k_max // groups)  # k values per stack that give ``groups`` stacks
+    monkeypatch.setattr(protocol, "_STACK_FLOATS", 2 * per_group * protocol._row_floats(SPEC, 24, 64))
+    real_forward = protocol.forward
+    stacks = []
+
+    def counted_forward(spec, params, inputs):
+        stacks.append(params.shape[0])
+        return real_forward(spec, params, inputs)
+
+    monkeypatch.setattr(protocol, "forward", counted_forward)
+    curve = run_noncommute_curve(base_params, SPEC, regime, break_applied, dataset, sub, 29,
+                                 k_max=k_max, settings=SETTINGS)
+    assert curve == expected
+    assert len(stacks) == groups and sum(stacks) == 2 * k_max
 
 
 def test_norm_overflow_gives_error_record_not_zero_deltas(dataset, base_params):
