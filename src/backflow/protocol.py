@@ -19,16 +19,16 @@ its A/A' phase and so d1, which depend on the repeat alone; they part only
 at B.  The A and A' rows of every repeat in the block train as one
 parameter stack, and at B the rows of every (repeat, flag) do.  A block
 holds as many repeats as fit a fixed budget of floats per stacked call
-(``_STACK_FLOATS``), and at least one.  One guarded entry (``_guarded_run``)
-wraps a one-repeat block in the NaN-guard rule for the public
-micro-experiments and the diagnostics; a sweep block that trips the guard
-reruns each of its repeats through it.  The sweep, which runs serially,
-asks for all flags of a block at the first flag's cell, in blocks that
-never cross an early-stop checkpoint, and keeps the other flags' records
-for their cells; it runs each (regime, seed)'s diagnostics repeat once for
-all flags in the same way.  The non-commute curve trains one k_max-step
-first phase and then every k as one shrinking stack, grouped by the same
-budget.
+(``_STACK_FLOATS``), and at least one.  One guard rule (``_guarded_block``)
+serves the sweep, the public micro-experiment and the diagnostics: a block
+runs once, and if it trips the NaN guard each (repeat, flag) reruns alone,
+retried once at half the learning rate.  The sweep, which runs serially,
+loops over (regime, seed) and collects the cells of all break flags in
+lockstep: each block runs for the flags whose cells are still open and
+never crosses an early-stop checkpoint, where each flag stops on its own
+records.  Each (regime, seed)'s diagnostics repeat is a one-repeat block
+for all flags.  The non-commute curve trains one k_max-step first phase
+and then every k as one shrinking stack, grouped by the same budget.
 
 Randomness discipline: each repeat derives its own streams from
 (seed, repeat_id, tag).  The A/A' kernels share one augmentation seed (they
@@ -174,38 +174,32 @@ def _train(spec, params, velocity, x, y, k, config):
     """k optimizer steps of every stacked parameter row on its batch.
 
     ``x``/``y`` are one batch shared by all rows or one per row.  Returns the
-    final parameters and velocities, the parameters after the first step and
-    the first gradient.  ``step`` is called through this module's namespace,
-    so a replacement installed there (as the NaN-guard tests do) is used.
+    final parameters and velocities and the first gradient.  ``step`` is
+    called through this module's namespace, so a replacement installed there
+    (as the NaN-guard tests do) is used.
     """
     state = OptimizerState(velocity)
-    first_params = first_grad = None
+    first_grad = None
     for t in range(k):
         _, grad = loss_and_grad(spec, params, x, y)
         params, state = step(params, state, grad, config)
         if t == 0:
-            first_params, first_grad = params, grad
-    return params, state.velocity, first_params, first_grad
+            first_grad = grad
+    return params, state.velocity, first_grad
 
 
 @dataclass
 class Repeat:
-    """One repeat run for a tuple of break flags: its records and its states.
+    """One repeat run for one break flag: its record and its states.
 
-    Mid-time arrays have rows (A, A'); post-B arrays have rows (A, A') for
-    each flag in ``flags``, so flag ``flags[i]`` owns rows ``2i`` and
-    ``2i + 1``.  ``instruments`` are (A, A', B).  An errored repeat has no
-    arrays.
+    The arrays have rows (A, A'): mid-time parameters and velocities, and
+    post-B parameters.  An errored repeat has no arrays.
     """
 
-    records: dict[str, BackflowRecord]
-    flags: tuple[str, ...]
-    plan: object = None
-    instruments: tuple[Instrument, Instrument, Instrument] | None = None
+    record: BackflowRecord
     params_mid: np.ndarray | None = None
     velocity_mid: np.ndarray | None = None
     params_end: np.ndarray | None = None
-    first_b_params: np.ndarray | None = None
 
 
 # Float64 values one stacked training call may hold, counted per parameter
@@ -228,22 +222,23 @@ def _repeats_per_block(spec: ModelSpec, batch_size: int, probe_size: int, n_flag
 
 def _run_repeat(
     base_params, spec, regime, dataset, probe_x, settings, repeats, flags, lr_scale
-) -> list[Repeat]:
+) -> list[dict[str, Repeat]]:
     """The engine: a block of repeats of the A/A'->B protocol, each for every flag in ``flags``.
 
-    ``repeats`` lists (seed, repeat_id) pairs; one ``Repeat`` is returned
-    per pair.  A repeat's plan, augmented batches, A/A' phase and d1 do not
-    depend on the break flag and are computed once.  The A phase trains the
-    A and A' rows of every repeat as one stack, each row on its own batch;
-    the B phase trains rows ordered (repeat, flag, A/A') as one stack, the
-    ``break`` rows starting from zero velocity.  Every row is computed as it
-    would be alone.  Raises NanGuardError if any row stops being finite.
+    ``repeats`` lists (seed, repeat_id) pairs; one ``{flag: Repeat}`` is
+    returned per pair.  A repeat's plan, augmented batches, A/A' phase and
+    d1 do not depend on the break flag and are computed once.  The A phase
+    trains the A and A' rows of every repeat as one stack, each row on its
+    own batch; the B phase trains rows ordered (repeat, flag, A/A') as one
+    stack, the ``break`` rows starting from zero velocity.  Every row is
+    computed as it would be alone.  Raises NanGuardError if any row stops
+    being finite.
     """
     setups = [_instruments(regime, dataset, seed, settings, lr_scale) for seed, _ in repeats]
     config = setups[0][2]
     n_rep, n_flags, size = len(repeats), len(flags), base_params.size
 
-    params_mid, velocity_mid, _, _ = _train(
+    params_mid, velocity_mid, _ = _train(
         spec,
         np.tile(base_params, (2 * n_rep, 1)),
         np.zeros((2 * n_rep, size)),
@@ -260,7 +255,7 @@ def _run_repeat(
         [(causal_break(mid_state) if flag == "break" else mid_state).velocity for flag in flags], axis=1
     )
     rows_b = 2 * n_flags  # B rows of one repeat
-    params_end, _, first_b_params, first_b_grad = _train(
+    params_end, _, first_b_grad = _train(
         spec,
         np.repeat(params_mid.reshape(n_rep, 2, size), n_flags, axis=0).reshape(-1, size),
         velocity_b.reshape(-1, size),
@@ -273,15 +268,15 @@ def _run_repeat(
     d2_rows = div_avg(KINDS, preds_end[0::2], preds_end[1::2])
 
     runs = []
-    for r, ((seed, repeat_id), (plan, instrs, _)) in enumerate(zip(repeats, setups)):
+    for r, (seed, repeat_id) in enumerate(repeats):
         d1 = {kind: float(d1_rows[kind][r]) for kind in KINDS}
-        records = {}
+        by_flag = {}
         for i, flag in enumerate(flags):
             d2 = {kind: float(d2_rows[kind][r * n_flags + i]) for kind in KINDS}
+            row = r * rows_b + 2 * i  # the flag's A row; its A' row follows
             # the first B gradient of the A row is taken at the mid-time parameters
-            row = r * rows_b + 2 * i
             alignment = diag.cosine(first_b_grad[row], velocity_mid[2 * r]) if flag == "no" else None
-            records[flag] = BackflowRecord(
+            record = BackflowRecord(
                 repeat_id=repeat_id,
                 seed=seed,
                 break_applied=flag == "break",
@@ -290,18 +285,13 @@ def _run_repeat(
                 delta={kind: d2[kind] - d1[kind] for kind in KINDS},
                 momentum_alignment=alignment,
             )
-        runs.append(
-            Repeat(
-                records=records,
-                flags=flags,
-                plan=plan,
-                instruments=instrs,
+            by_flag[flag] = Repeat(
+                record,
                 params_mid=params_mid[2 * r : 2 * r + 2],
                 velocity_mid=velocity_mid[2 * r : 2 * r + 2],
-                params_end=params_end[r * rows_b : (r + 1) * rows_b],
-                first_b_params=first_b_params[r * rows_b : (r + 1) * rows_b],
+                params_end=params_end[row : row + 2],
             )
-        )
+        runs.append(by_flag)
     return runs
 
 
@@ -317,89 +307,42 @@ def _nan_guarded(attempt):
         return attempt(0.5), True
 
 
-def _guarded_run(
-    base_params, spec, regime, flags, dataset, probe_x, seed, settings, repeat_id
-) -> dict[str, Repeat]:
-    """One repeat for every flag in ``flags`` under the NaN-guard rule, as ``{flag: Repeat}``.
-
-    Several flags share one engine run.  A single flag, and every flag of a
-    shared run that trips the guard, runs alone and is retried once at half
-    the learning rate; a second failure gives an error record.  So each
-    flag's record and states equal those of a run of that flag alone.
-    """
-
-    def attempt(run_flags, lr_scale):
-        return _run_repeat(
-            base_params, spec, regime, dataset, probe_x, settings, [(seed, repeat_id)], run_flags, lr_scale
-        )[0]
-
-    if len(flags) > 1:
-        try:
-            return dict.fromkeys(flags, attempt(flags, 1.0))
-        except NanGuardError:
-            pass
-    runs = {}
-    for flag in flags:
-        try:
-            run, retried = _nan_guarded(partial(attempt, (flag,)))
-            run.records[flag].retried = retried
-        except NanGuardError as exc:
-            record = BackflowRecord(
-                repeat_id=repeat_id,
-                seed=seed,
-                break_applied=flag == "break",
-                d1=None,
-                d2=None,
-                delta=None,
-                retried=True,
-                error=f"nan_guard: {exc}",
-            )
-            run = Repeat(records={flag: record}, flags=(flag,))
-        runs[flag] = run
-    return runs
-
-
 def _guarded_block(base_params, spec, regime, flags, dataset, probe_x, settings, repeats) -> list[dict]:
-    """The records of a block of (seed, repeat_id) ``repeats``, as one ``{flag: record}`` per repeat.
+    """A block of (seed, repeat_id) ``repeats`` for every flag in ``flags`` under the NaN-guard rule.
 
-    The block is one engine run.  If it trips the NaN guard, each of its
-    repeats reruns through ``_guarded_run``, so every record equals that of
-    its flag run alone.
+    The block is one engine run.  If it trips the guard, each (repeat, flag)
+    reruns alone through ``_nan_guarded``; a second failure gives an error
+    record.  So every record and state equals that of its (repeat, flag) run
+    alone.  Returns one ``{flag: Repeat}`` per repeat.
     """
-    if len(repeats) > 1:
+    engine = partial(_run_repeat, base_params, spec, regime, dataset, probe_x, settings)
+    if len(repeats) * len(flags) > 1:  # a lone (repeat, flag) goes straight to the retry rule
         try:
-            runs = _run_repeat(base_params, spec, regime, dataset, probe_x, settings, repeats, flags, 1.0)
-            return [run.records for run in runs]
+            return engine(repeats, flags, 1.0)
         except NanGuardError:
             pass
-    records = []
+    runs = []
     for seed, repeat_id in repeats:
-        runs = _guarded_run(base_params, spec, regime, flags, dataset, probe_x, seed, settings, repeat_id)
-        records.append({flag: run.records[flag] for flag, run in runs.items()})
-    return records
-
-
-def run_micro_experiment_detailed(
-    base_params: np.ndarray,
-    spec: ModelSpec,
-    regime: Regime,
-    break_applied: bool,
-    dataset: Dataset,
-    probe: np.ndarray,
-    seed: int,
-    settings: ProtocolSettings = ProtocolSettings(),
-    repeat_id: int = 0,
-) -> Repeat:
-    """One micro-experiment with intermediate states exposed.
-
-    Retries once at half the learning rate if any loss, gradient, or update
-    stops being finite; a second failure yields an error record.  The
-    record is ``records["break"]`` or ``records["no"]``.
-    """
-    flag = "break" if break_applied else "no"
-    return _guarded_run(
-        base_params, spec, regime, (flag,), dataset, dataset.features[probe], seed, settings, repeat_id
-    )[flag]
+        by_flag = {}
+        for flag in flags:
+            try:
+                (alone,), retried = _nan_guarded(partial(engine, [(seed, repeat_id)], (flag,)))
+                by_flag[flag] = alone[flag]
+                alone[flag].record.retried = retried
+            except NanGuardError as exc:
+                record = BackflowRecord(
+                    repeat_id=repeat_id,
+                    seed=seed,
+                    break_applied=flag == "break",
+                    d1=None,
+                    d2=None,
+                    delta=None,
+                    retried=True,
+                    error=f"nan_guard: {exc}",
+                )
+                by_flag[flag] = Repeat(record)
+        runs.append(by_flag)
+    return runs
 
 
 def run_micro_experiment(
@@ -413,10 +356,16 @@ def run_micro_experiment(
     settings: ProtocolSettings = ProtocolSettings(),
     repeat_id: int = 0,
 ) -> BackflowRecord:
-    """One repeat of the two-step experiment; see the module docstring."""
-    return run_micro_experiment_detailed(
-        base_params, spec, regime, break_applied, dataset, probe, seed, settings, repeat_id
-    ).records["break" if break_applied else "no"]
+    """One repeat of the two-step experiment; see the module docstring.
+
+    Retries once at half the learning rate if any loss, gradient, or update
+    stops being finite; a second failure yields an error record.
+    """
+    flag = "break" if break_applied else "no"
+    (run,) = _guarded_block(
+        base_params, spec, regime, (flag,), dataset, dataset.features[probe], settings, [(seed, repeat_id)]
+    )
+    return run[flag].record
 
 
 def run_noncommute_curve(
@@ -525,37 +474,63 @@ def collect_with_early_stop(
     max_repeats: int,
     policy: EarlyStopPolicy = EarlyStopPolicy(),
     *,
-    block_size: int = 1,
+    block_size=1,
+    flags=None,
+    on_finish=None,
 ) -> tuple[list[BackflowRecord], bool]:
-    """Run ``sample_fn(repeat_ids)`` for up to ``max_repeats`` repeats.
+    """Collect records for up to ``max_repeats`` repeats under the early-stop rule.
 
-    ``sample_fn`` takes a range of at most ``block_size`` repeat ids and
-    returns one record per id.  No range crosses a checkpoint, so a cell
-    that stops computes no repeat past it.  Returns the records and whether
-    the early-stop rule fired.  Errored repeats are kept in the list (for
-    the logs) but excluded from the half-width check.
+    One flag: ``sample_fn(repeat_ids)`` takes a range of at most
+    ``block_size`` repeat ids and returns one record per id.
+
+    Several flags in lockstep, given ``flags``: ``sample_fn(open_flags,
+    repeat_ids)`` runs a range for the flags whose cells are still open and
+    returns ``{flag: records}``; a range holds at most
+    ``block_size(len(open_flags))`` ids; and ``on_finish(flag, records,
+    early_stopped)`` is called as each flag finishes.
+
+    No range crosses a checkpoint, so a flag that stops computes no repeat
+    past it.  At a checkpoint each open flag decides from its own records
+    alone; errored repeats are kept in the list (for the logs) but excluded
+    from the half-width check.  Returns the records of every flag, in the
+    order the flags finished, and whether the early-stop rule fired.
     """
-    checkpoints = []
-    if policy.enabled:
-        n = policy.floor
-        while n < max_repeats:
-            checkpoints.append(n)
-            n += policy.stride
-    boundaries = checkpoints + [max_repeats]
+    if flags is None:  # the lockstep case of one unnamed flag
+        flags, one_flag, one_size = (None,), sample_fn, block_size
 
-    records: list[BackflowRecord] = []
-    early_stopped = False
+        def sample_fn(_open_flags, repeat_ids):
+            return {None: one_flag(repeat_ids)}
+
+        def block_size(_n_open):
+            return one_size
+
+    checkpoints = list(range(policy.floor, max_repeats, policy.stride)) if policy.enabled else []
+    records = {flag: [] for flag in flags}
+    finished, fired = [], False
+    open_flags = tuple(flags)
     done = 0
-    for boundary in boundaries:
-        for start in range(done, boundary, block_size):
-            records.extend(sample_fn(range(start, min(start + block_size, boundary))))
+    for boundary in checkpoints + [max_repeats]:
+        size = block_size(len(open_flags))
+        for start in range(done, boundary, size):
+            for flag, block in sample_fn(open_flags, range(start, min(start + size, boundary))).items():
+                records[flag].extend(block)
         done = boundary
-        if boundary in checkpoints:
-            valid = [r.delta["tv"] for r in records if r.ok]
-            if len(valid) >= 2 and normal_ci_half_width(valid) <= policy.half_width:
-                early_stopped = True
-                break
-    return records, early_stopped
+        still_open = []
+        for flag in open_flags:
+            early_stopped = boundary in checkpoints
+            if early_stopped:
+                valid = [r.delta["tv"] for r in records[flag] if r.ok]
+                if not (len(valid) >= 2 and normal_ci_half_width(valid) <= policy.half_width):
+                    still_open.append(flag)
+                    continue
+            finished.extend(records[flag])
+            fired |= early_stopped
+            if on_finish is not None:
+                on_finish(flag, records[flag], early_stopped)
+        open_flags = tuple(still_open)
+        if not open_flags:
+            break
+    return finished, fired
 
 
 # ---------------------------------------------------------------------------
@@ -721,15 +696,18 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
-    for name, value in (
-        ("repeats", config.repeats),
-        ("batch_size", config.batch_size),
-        ("probe_size", config.probe_size),
-        ("early_stop.stride", config.early_stop.stride),
-        ("stats.bootstrap_samples", config.stats.bootstrap_samples),
+    for name, value, least in (
+        ("repeats", config.repeats, 1),
+        ("batch_size", config.batch_size, 1),
+        ("probe_size", config.probe_size, 1),
+        ("early_stop.stride", config.early_stop.stride, 1),
+        ("stats.bootstrap_samples", config.stats.bootstrap_samples, 1),
+        ("diagnostics.noncommute_k_max", config.noncommute_k_max, 0),
+        ("diagnostics.probe_subset", config.probe_subset, 2),  # CKA needs two probe rows
     ):
-        if value < 1:
-            raise ConfigError(f"{name}: must be positive, got {value}")
+        if value < least:
+            bound = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+            raise ConfigError(f"{name}: must be {bound}, got {value}")
     try:
         spec = config.model_spec()
     except (TypeError, ValueError) as exc:  # a misspelled, missing or invalid field
@@ -774,22 +752,6 @@ def base_parameters(config: RunConfig, dataset: Dataset, seed_value: int) -> np.
 # Sweep execution and summary assembly.
 
 
-def _cell_block(base_params, spec, regime, flags, dataset, probe_x, settings, seed_value, store, repeat_ids):
-    """The records of ``flags[0]`` for a block of a cell's repeat ids.
-
-    The repeats are run for every flag in ``flags`` at once; the records of
-    the other flags wait in ``store`` for their own cells, and a record
-    found there is taken instead of recomputed.
-    """
-    todo = [i for i in repeat_ids if (seed_value, flags[0], i) not in store]
-    if todo:
-        repeats = [(derive_seed("repeat", seed_value, i), i) for i in todo]
-        blocks = _guarded_block(base_params, spec, regime, flags, dataset, probe_x, settings, repeats)
-        for i, records in zip(todo, blocks):
-            store.update(((seed_value, flag, i), record) for flag, record in records.items())
-    return [store.pop((seed_value, flags[0], i)) for i in repeat_ids]
-
-
 def _record_payload(record: BackflowRecord) -> dict:
     # a shallow copy: the record's dicts are written as they are, not deep-copied
     return {"record": "repeat", **vars(record)}
@@ -797,6 +759,12 @@ def _record_payload(record: BackflowRecord) -> dict:
 
 def _dump_line(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+def _header(created_at: str, digest: str, cell: dict | None = None) -> str:
+    """The header line of a JSONL artifact, the only line that carries the timestamp."""
+    header = {"record": "header", "schema_version": SCHEMA_VERSION, "created_at": created_at, **(cell or {})}
+    return _dump_line({**header, "config_digest": digest})
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -851,19 +819,9 @@ def _metric_block(deltas: np.ndarray, policy: StatsPolicy, boot_seed: int) -> di
 
 
 def _cell_diagnostics(
-    config, spec, regime, flag, dataset, probe_x, base_params, seed_value, alignment_mean, runs
+    config, spec, regime, flag, dataset, probe_x, base_params, seed_value, alignment_mean, run
 ):
-    """The diagnostics record of one cell.
-
-    Its diagnostics repeat is run for all of the regime's flags at the
-    seed's first cell and kept in ``runs`` (by seed) for the other flags.
-    """
-    if seed_value not in runs:
-        diag_seed = derive_seed("diag", seed_value)
-        runs[seed_value] = _guarded_run(
-            base_params, spec, regime, config.break_flags, dataset, probe_x, diag_seed, config.settings(), 0
-        )
-    run = runs[seed_value][flag]
+    """The diagnostics record of one cell; ``run`` is the flag's run of the diagnostics repeat."""
     sub = dataset.probe_indices[: config.probe_subset]
     break_applied = flag == "break"
     curve_error = None
@@ -899,11 +857,9 @@ def _cell_diagnostics(
         payload["noncommute_retried"] = True
     if curve_error is not None:
         payload["noncommute_error"] = curve_error
-    record = run.records[flag]
-    if record.ok:
+    if run.record.ok:
         x_sub = probe_x[: config.probe_subset]
-        row = 2 * run.flags.index(flag)
-        (mid_a, mid_ap), (end_a, end_ap) = run.params_mid, run.params_end[row : row + 2]
+        (mid_a, mid_ap), (end_a, end_ap) = run.params_mid, run.params_end
         feats = [penultimate_features(spec, p, x_sub) for p in (mid_a, mid_ap, end_a, end_ap)]
         preds = [forward(spec, p, x_sub) for p in (mid_a, end_a, mid_ap, end_ap)]
         projection = diag.pca_project(preds)
@@ -917,7 +873,7 @@ def _cell_diagnostics(
             }
         )
     else:
-        payload["error"] = record.error
+        payload["error"] = run.record.error
     return payload
 
 
@@ -957,78 +913,61 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
 
     base_by_seed = {s: base_parameters(config, dataset, s) for s in config.seeds}
 
-    cells = []
+    settings = config.settings()
+    block_size = partial(_repeats_per_block, spec, config.batch_size, config.probe_size)
+    # by (regime name, flag, seed)
     cell_records: dict[tuple[str, str, int], list[BackflowRecord]] = {}
-    diagnostics_payloads = []
+    cell_summaries, cell_diagnostics = {}, {}
     for regime in config.regimes:
-        # each repeat's engine run, and each seed's diagnostics run, is shared across the regime's flags
-        store = {}
-        diagnostics_runs = {}
-        for index, flag in enumerate(config.break_flags):
-            cell_flags = config.break_flags[index:]
-            block_size = _repeats_per_block(spec, config.batch_size, config.probe_size, len(cell_flags))
-            for seed_value in config.seeds:
-                sample_fn = partial(
-                    _cell_block,
-                    base_by_seed[seed_value],
-                    spec,
-                    regime,
-                    cell_flags,
-                    dataset,
-                    probe_x,
-                    config.settings(),
-                    seed_value,
-                    store,
+        for seed_value in config.seeds:
+            base = base_by_seed[seed_value]
+
+            def sample(flags, repeat_ids):
+                repeats = [(derive_seed("repeat", seed_value, i), i) for i in repeat_ids]
+                runs = _guarded_block(base, spec, regime, flags, dataset, probe_x, settings, repeats)
+                return {flag: [run[flag].record for run in runs] for flag in flags}
+
+            def finish_cell(flag, records, early_stopped):
+                key = (regime.name, flag, seed_value)
+                cell_records[key] = records
+                header = _header(created_at, digest, {"regime": regime.name, "break": flag, "seed": seed_value})
+                lines = [header] + [_dump_line(_record_payload(r)) for r in records]
+                write_atomic(run_dir / cell_filename(*key), "\n".join(lines) + "\n")
+                cell_summaries[key] = _summarize(config, regime, flag, records, seed_value, early_stopped)
+
+            collect_with_early_stop(
+                sample,
+                config.repeats,
+                config.early_stop,
+                block_size=block_size,
+                flags=config.break_flags,
+                on_finish=finish_cell,
+            )
+
+            if config.diagnostics_enabled:
+                # one repeat for all flags, under the same guard rule as the cells' blocks
+                repeat = [(derive_seed("diag", seed_value), 0)]
+                (runs,) = _guarded_block(
+                    base, spec, regime, config.break_flags, dataset, probe_x, settings, repeat
                 )
-                records, early_stopped = collect_with_early_stop(
-                    sample_fn, config.repeats, config.early_stop, block_size=block_size
-                )
-                cell_records[(regime.name, flag, seed_value)] = records
-                path = run_dir / cell_filename(regime.name, flag, seed_value)
-                header = {
-                    "record": "header",
-                    "schema_version": SCHEMA_VERSION,
-                    "created_at": created_at,
-                    "regime": regime.name,
-                    "break": flag,
-                    "seed": seed_value,
-                    "config_digest": digest,
-                }
-                lines = [_dump_line(header)] + [_dump_line(_record_payload(r)) for r in records]
-                write_atomic(path, "\n".join(lines) + "\n")
-                cells.append(_summarize(config, regime, flag, records, seed_value, early_stopped))
-                if config.diagnostics_enabled:
-                    diagnostics_payloads.append(
-                        _cell_diagnostics(
-                            config,
-                            spec,
-                            regime,
-                            flag,
-                            dataset,
-                            probe_x,
-                            base_by_seed[seed_value],
-                            seed_value,
-                            cells[-1]["alignment_mean"],
-                            diagnostics_runs,
-                        )
+                for flag, run in runs.items():
+                    key = (regime.name, flag, seed_value)
+                    alignment_mean = cell_summaries[key]["alignment_mean"]
+                    cell_diagnostics[key] = _cell_diagnostics(
+                        config, spec, regime, flag, dataset, probe_x, base, seed_value, alignment_mean, run
                     )
 
+    # cells and diagnostics are reported in (regime, flag, seed) order
+    keys = [(r.name, flag, s) for r in config.regimes for flag in config.break_flags for s in config.seeds]
+    cells = [cell_summaries[key] for key in keys]
     if config.diagnostics_enabled:
-        header = {
-            "record": "header",
-            "schema_version": SCHEMA_VERSION,
-            "created_at": created_at,
-            "config_digest": digest,
-        }
-        lines = [_dump_line(header)] + [_dump_line(p) for p in diagnostics_payloads]
+        lines = [_header(created_at, digest)] + [_dump_line(cell_diagnostics[key]) for key in keys]
         write_atomic(run_dir / "diagnostics.jsonl", "\n".join(lines) + "\n")
 
     pooled = []
     for regime in config.regimes:
         for flag in config.break_flags:
-            merged: list[BackflowRecord] = []
-            for seed_value in config.seeds:
-                merged.extend(cell_records[(regime.name, flag, seed_value)])
+            merged = [r for seed_value in config.seeds for r in cell_records[(regime.name, flag, seed_value)]]
             pooled.append(_summarize(config, regime, flag, merged))
 
     bh_blocks = {}

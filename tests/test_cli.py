@@ -111,6 +111,17 @@ def test_run_non_positive_integer_fails_naming_field(tmp_path, capsys):
         assert not (tmp_path / "run").exists()
 
 
+def test_run_invalid_diagnostics_bounds_fail_naming_field(tmp_path, capsys):
+    for overrides, message in (
+        ({"probe_subset": 1}, "diagnostics.probe_subset: must be at least 2, got 1"),
+        ({"noncommute_k_max": -1}, "diagnostics.noncommute_k_max: must be non-negative, got -1"),
+    ):
+        path, _ = write_config(tmp_path, diagnostics={"noncommute_k_max": 2, "probe_subset": 64, **overrides})
+        assert main(["run", str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 def test_run_dataset_error_leaves_no_run_dir(tmp_path, capsys):
     misspelled = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_klass": 120}
     missing_path = {"kind": "file", "format": "csv_labeled"}

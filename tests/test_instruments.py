@@ -12,7 +12,8 @@ from backflow.instruments import (
 )
 from backflow.model import ModelSpec, init_params, loss_and_grad
 from backflow.optimizer import OptimizerConfig, OptimizerState, step
-from backflow.protocol import REGIME_PRESETS, ProtocolSettings, Regime, run_micro_experiment_detailed
+from backflow import protocol
+from backflow.protocol import REGIME_PRESETS, ProtocolSettings, Regime
 
 SPEC = ModelSpec("softmax_linear", 8, 4)
 
@@ -220,11 +221,12 @@ def test_image_forms_match_per_image_reference(kind):
 
 
 def first_pair(dataset, regime, batch_size, seed):
-    """The A/A' instruments and mid-time states of one micro-experiment."""
+    """The batch plan, the A/A'/B instruments and the no-break run of one micro-experiment."""
     settings = ProtocolSettings(batch_size=batch_size)
-    run = run_micro_experiment_detailed(init_params(SPEC, 0), SPEC, regime, False, dataset,
-                                        dataset.probe_indices, seed=seed, settings=settings)
-    return run, settings
+    plan, instruments, _ = protocol._instruments(regime, dataset, seed, settings, 1.0)
+    (runs,) = protocol._guarded_block(init_params(SPEC, 0), SPEC, regime, ("no",), dataset,
+                                      dataset.features[dataset.probe_indices], settings, [(seed, 0)])
+    return plan, instruments, runs["no"], settings
 
 
 def train_alone(dataset, instrument, regime, settings):
@@ -242,10 +244,9 @@ def train_alone(dataset, instrument, regime, settings):
 
 def test_make_pair_shares_everything_but_augmentation(dataset):
     regime = Regime("pair", 3, 0.02, 0.9, "weak", "color", "weak", 0.5, True)
-    run, settings = first_pair(dataset, regime, 32, seed=11)
-    a, ap, _ = run.instruments
-    assert np.array_equal(a.batch_indices, run.plan.indices_a)
-    assert np.array_equal(ap.batch_indices, run.plan.indices_a)
+    plan, (a, ap, _), run, settings = first_pair(dataset, regime, 32, seed=11)
+    assert np.array_equal(a.batch_indices, plan.indices_a)
+    assert np.array_equal(ap.batch_indices, plan.indices_a)
     assert a.k == ap.k == 3
     assert a.aug.kind == "weak" and ap.aug.kind == "color"
     assert a.aug.seed == ap.aug.seed
@@ -258,8 +259,7 @@ def test_make_pair_shares_everything_but_augmentation(dataset):
 
 def test_make_pair_placebo_identical(dataset):
     regime = Regime("placebo", 2, 0.02, 0.9, "weak", "weak", "weak", 0.5, True)
-    run, _ = first_pair(dataset, regime, 32, seed=12)
-    a, ap, _ = run.instruments
+    _, (a, ap, _), run, _ = first_pair(dataset, regime, 32, seed=12)
     assert a.aug == ap.aug
     x = dataset.features[a.batch_indices]
     assert np.array_equal(apply_augmentation(a.aug, x), apply_augmentation(ap.aug, x))
@@ -268,8 +268,7 @@ def test_make_pair_placebo_identical(dataset):
 
 def test_negative_control_pair(dataset):
     regime = REGIME_PRESETS["negative"]
-    run, settings = first_pair(dataset, regime, 16, seed=14)
-    a, ap, _ = run.instruments
+    _, (a, ap, _), run, settings = first_pair(dataset, regime, 16, seed=14)
     assert a.k == 1 and (regime.lr, regime.momentum) == (0.005, 0.0)
     x = dataset.features[a.batch_indices]
     assert np.array_equal(apply_augmentation(a.aug, x), apply_augmentation(ap.aug, x))

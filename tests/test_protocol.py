@@ -22,7 +22,6 @@ from backflow.protocol import (
     pretrain,
     resolve_regime,
     run_micro_experiment,
-    run_micro_experiment_detailed,
     run_noncommute_curve,
     run_sweep,
 )
@@ -112,20 +111,29 @@ def test_momentum_zero_collapse_bitwise(dataset, base_params):
         assert no_break.delta == broke.delta
 
 
-def test_break_first_b_update_is_momentum_free(dataset, base_params):
+def test_break_first_b_update_is_momentum_free(monkeypatch, dataset, base_params):
     regime = small_regime(momentum=0.95)
-    detailed = run_micro_experiment_detailed(base_params, SPEC, regime,
-                                             True, dataset, dataset.probe_indices,
-                                             seed=31, settings=SETTINGS)
-    instr_b = detailed.instruments[2]
+    real_step = protocol.step
+    updates = []  # the parameters after each stacked step: k of the A phase, then k of B
+
+    def recorded_step(params, state, grad, config):
+        updates.append(real_step(params, state, grad, config))
+        return updates[-1]
+
+    monkeypatch.setattr(protocol, "step", recorded_step)
+    record = run_micro_experiment(base_params, SPEC, regime, True, dataset, dataset.probe_indices,
+                                  seed=31, settings=SETTINGS)
+    assert record.ok and len(updates) == 2 * regime.k
+    params_mid, first_b_params = updates[regime.k - 1][0], updates[regime.k][0]
+    _, (_, _, instr_b), _ = protocol._instruments(regime, dataset, 31, SETTINGS, 1.0)
     xb = apply_augmentation(instr_b.aug, dataset.features[instr_b.batch_indices])
     config = OptimizerConfig(lr=regime.lr, momentum=0.0,
                              weight_decay=SETTINGS.weight_decay, clip_norm=SETTINGS.clip_norm)
     for row in (0, 1):  # the A and A' rows
-        mid = detailed.params_mid[row]
+        mid = params_mid[row]
         _, grad = loss_and_grad(SPEC, mid, xb, dataset.labels[instr_b.batch_indices])
         expected, _ = step(mid, OptimizerState.zeros(base_params.size), grad, config)
-        assert np.array_equal(detailed.first_b_params[row], expected)
+        assert np.array_equal(first_b_params[row], expected)
 
 
 def test_alignment_recorded_only_without_break(dataset, base_params):
@@ -385,8 +393,7 @@ def test_run_sweep_artifacts_are_pinned_byte_for_byte(tmp_path):
 
     result = run_sweep(config_from_mapping(sweep_mapping(tmp_path, **PINNED_SWEEP)), created_at="pinned")
     n_repeats = {(c["regime"], c["break"]): c["n_repeats"] for c in result.summary["cells"]}
-    # the flags of resonant_strong stop at different checkpoints, so the "no"
-    # cell finds only part of its repeats among the records the "break" cell kept
+    # the flags of resonant_strong stop at different checkpoints
     assert n_repeats[("resonant_strong", "break")] != n_repeats[("resonant_strong", "no")]
     digests = {name: sha256(blob).hexdigest() for name, blob in artifact_bytes(result.run_dir).items()}
     assert digests == PINNED_SHA256
@@ -470,31 +477,31 @@ def test_failed_artifact_write_leaves_no_partial_or_temp_file(tmp_path, monkeypa
 
 
 def test_shared_flag_run_matches_single_flag_runs(monkeypatch, dataset, base_params):
-    from backflow.protocol import _guarded_run
-
     probe_x = dataset.features[dataset.probe_indices]
     regime = small_regime(momentum=0.95)
     flags = ("no", "break")
 
-    def single(flag):
-        return run_micro_experiment_detailed(base_params, SPEC, regime, flag == "break", dataset,
-                                             dataset.probe_indices, seed=17, settings=SETTINGS, repeat_id=3)
+    def block(run_flags):
+        """Repeat 3 of seed 17 as a one-repeat block for ``run_flags``, as ``{flag: Repeat}``."""
+        (runs,) = protocol._guarded_block(base_params, SPEC, regime, run_flags, dataset, probe_x, SETTINGS,
+                                          [(17, 3)])
+        return runs
 
-    singles = {flag: single(flag) for flag in flags}
-    expected = {flag: singles[flag].records[flag] for flag in flags}
+    singles = {flag: block((flag,))[flag] for flag in flags}
+    expected = {flag: singles[flag].record for flag in flags}
+    calls = spy_engine(monkeypatch, lambda regime, repeats, flags: flags)
 
     def shared_run():
-        runs = _guarded_run(base_params, SPEC, regime, flags, dataset, probe_x, 17, SETTINGS, 3)
+        runs = block(flags)
         for flag in flags:
             # each flag's states are the single-flag run's, bit for bit
-            row = 2 * runs[flag].flags.index(flag)
             assert np.array_equal(runs[flag].params_mid, singles[flag].params_mid)
-            assert np.array_equal(runs[flag].params_end[row : row + 2], singles[flag].params_end)
-            assert np.array_equal(runs[flag].first_b_params[row : row + 2], singles[flag].first_b_params)
-        return runs, {flag: runs[flag].records[flag] for flag in flags}
+            assert np.array_equal(runs[flag].velocity_mid, singles[flag].velocity_mid)
+            assert np.array_equal(runs[flag].params_end, singles[flag].params_end)
+        return {flag: runs[flag].record for flag in flags}
 
-    runs, shared = shared_run()
-    assert runs["no"] is runs["break"] and runs["no"].flags == flags  # one engine run
+    shared = shared_run()
+    assert calls == [flags]  # one engine run
     assert shared == expected
     assert expected["no"].d1 == expected["break"].d1
 
@@ -507,8 +514,9 @@ def test_shared_flag_run_matches_single_flag_runs(monkeypatch, dataset, base_par
         return real_step(params, state, grad, config)
 
     monkeypatch.setattr(protocol, "step", fail_on_shared_rows)
-    runs, fallback = shared_run()
-    assert runs["no"] is not runs["break"]
+    calls.clear()
+    fallback = shared_run()
+    assert calls == [flags, ("no",), ("break",)]
     assert fallback == expected
 
 
@@ -539,13 +547,16 @@ def read_cell_records(run_dir, regime_name, flag, seed):
     return [BackflowRecord(**{k: v for k, v in json.loads(line).items() if k != "record"}) for line in lines]
 
 
-def spy_engine(monkeypatch):
-    """Replace the engine with a spy; returns the list of repeat ids of each call."""
+def spy_engine(monkeypatch, view=lambda regime, repeats, flags: [repeat_id for _, repeat_id in repeats]):
+    """Replace the engine with a spy; returns one ``view(regime, repeats, flags)`` per call.
+
+    The default view is the call's repeat ids.
+    """
     calls = []
     real_engine = protocol._run_repeat
 
     def engine(*args):
-        calls.append([repeat_id for _, repeat_id in args[6]])
+        calls.append(view(args[2], args[6], args[7]))
         return real_engine(*args)
 
     monkeypatch.setattr(protocol, "_run_repeat", engine)
@@ -595,11 +606,30 @@ def test_block_records_match_single_repeat_single_flag_runs(tmp_path, monkeypatc
     if failures == "none":
         assert calls == [[0, 1], [2, 3], [4]]  # one engine call per block; the second flag's cell runs none
     if failures == "block_stacks":
-        # each two-repeat block falls back to one shared-flag run per repeat
-        assert calls == [[0, 1], [0], [1], [2, 3], [2], [3], [4]]
+        # each two-repeat block falls back to one run per (repeat, flag)
+        assert calls == [[0, 1], [0], [0], [1], [1], [2, 3], [2], [2], [3], [3], [4]]
     if failures == "row_values":
         outcomes = {(r.retried, r.ok) for records in expected.values() for r in records}
         assert outcomes == {(False, True), (True, True), (True, False)}
+
+
+def test_a_stopped_flag_gets_no_more_b_rows(tmp_path, monkeypatch):
+    # in PINNED_SWEEP, resonant_strong's "break" cell stops at 8 repeats and its "no" cell runs to 16
+    pinned = run_sweep(config_from_mapping(sweep_mapping(tmp_path, **PINNED_SWEEP)), created_at="pinned")
+    calls = spy_engine(monkeypatch, lambda regime, repeats, flags: (regime.name, repeats, flags))
+    swapped = {**PINNED_SWEEP, "break_flags": ["no", "break"], "output_dir": str(tmp_path / "swapped")}
+    result = run_sweep(config_from_mapping(sweep_mapping(tmp_path, **swapped)), created_at="pinned")
+    n_repeats = {(c["regime"], c["break"]): c["n_repeats"] for c in result.summary["cells"]}
+    assert n_repeats[("resonant_strong", "break")] == 8 and n_repeats[("resonant_strong", "no")] == 16
+    diagnostics_repeat = [(derive_seed("diag", 0), 0)]
+    strong = [(repeats, flags) for name, repeats, flags in calls
+              if name == "resonant_strong" and repeats != diagnostics_repeat]
+    assert {flags for repeats, flags in strong if repeats[0][1] < 8} == {("no", "break")}
+    assert {flags for repeats, flags in strong if repeats[0][1] >= 8} == {("no",)}
+    # records, not bytes: the header's config_digest differs with the flag order
+    for cell in result.summary["cells"]:
+        key = (cell["regime"], cell["break"], cell["seed"])
+        assert read_cell_records(result.run_dir, *key) == read_cell_records(pinned.run_dir, *key)
 
 
 def test_an_early_stopped_cell_computes_no_repeat_past_its_checkpoint(tmp_path, monkeypatch):
@@ -617,15 +647,18 @@ def test_an_early_stopped_cell_computes_no_repeat_past_its_checkpoint(tmp_path, 
 
 def test_non_positive_integer_config_values_name_their_field(tmp_path):
     # a stride of 0 used to hang the early-stop loop, -1 to exhaust memory; a batch of 0 read as a
-    # NaN-guard failure and 0 bootstrap samples as an IndexError, after the run directory was made
-    for overrides, field, value in (
-        ({"early_stop": {"enabled": True, "floor": 2, "stride": 0}}, "early_stop.stride", 0),
-        ({"early_stop": {"enabled": True, "floor": 2, "stride": -1}}, "early_stop.stride", -1),
-        ({"batch_size": 0}, "batch_size", 0),
-        ({"stats": {"bootstrap_samples": 0}}, "stats.bootstrap_samples", 0),
-        ({"repeats": -3}, "repeats", -3),
+    # NaN-guard failure and 0 bootstrap samples as an IndexError, after the run directory was made;
+    # a probe subset of 1 failed in the first cell's CKA, and a negative k_max wrote an empty curve
+    for overrides, field, value, bound in (
+        ({"early_stop": {"enabled": True, "floor": 2, "stride": 0}}, "early_stop.stride", 0, "positive"),
+        ({"early_stop": {"enabled": True, "floor": 2, "stride": -1}}, "early_stop.stride", -1, "positive"),
+        ({"batch_size": 0}, "batch_size", 0, "positive"),
+        ({"stats": {"bootstrap_samples": 0}}, "stats.bootstrap_samples", 0, "positive"),
+        ({"repeats": -3}, "repeats", -3, "positive"),
+        ({"diagnostics": {"probe_subset": 1}}, "diagnostics.probe_subset", 1, "at least 2"),
+        ({"diagnostics": {"noncommute_k_max": -1}}, "diagnostics.noncommute_k_max", -1, "non-negative"),
     ):
-        with pytest.raises(ConfigError, match=f"^{field}: must be positive, got {value}$"):
+        with pytest.raises(ConfigError, match=f"^{field}: must be {bound}, got {value}$"):
             config_from_mapping(sweep_mapping(tmp_path, **overrides))
 
 
@@ -646,13 +679,13 @@ def reference_curve(base_params, spec, regime, break_applied, dataset, probe_sub
     y_a, y_b = dataset.labels[plan.indices_a], dataset.labels[plan.indices_b]
     curve = []
     for k in range(1, k_max + 1):
-        params, velocity, _, _ = protocol._train(spec, np.stack([base_params, base_params]),
-                                                 np.zeros((2, base_params.size)),
-                                                 np.stack([x_a, x_b]), np.stack([y_a, y_b]), k, config)
+        params, velocity, _ = protocol._train(spec, np.stack([base_params, base_params]),
+                                              np.zeros((2, base_params.size)),
+                                              np.stack([x_a, x_b]), np.stack([y_a, y_b]), k, config)
         if break_applied:
             velocity = np.zeros_like(velocity)
-        params, _, _, _ = protocol._train(spec, params, velocity, np.stack([x_b, x_a]),
-                                          np.stack([y_b, y_a]), k, config)
+        params, _, _ = protocol._train(spec, params, velocity, np.stack([x_b, x_a]),
+                                       np.stack([y_b, y_a]), k, config)
         preds = forward(spec, params, dataset.features[probe_subset])
         curve.append((k, div_avg("tv", preds[0], preds[1])))
     return curve
@@ -769,11 +802,7 @@ def test_image_datasets_get_image_augmentations(dataset):
     from backflow.instruments import AugmentationKernel
 
     image_ds = dc_replace(dataset, provenance={**dataset.provenance, "image_shape": [3, 4]})
-    detailed = run_micro_experiment_detailed(
-        init_params(SPEC, 0), SPEC, small_regime(), False, image_ds,
-        image_ds.probe_indices, seed=81, settings=SETTINGS,
-    )
-    instr_a = detailed.instruments[0]
+    _, (instr_a, _, _), _ = protocol._instruments(small_regime(), image_ds, 81, SETTINGS, 1.0)
     kernel = instr_a.aug
     assert kernel.params == {"image_shape": (3, 4)}
     flat = image_ds.features[instr_a.batch_indices]
