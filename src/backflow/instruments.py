@@ -66,6 +66,20 @@ class Instrument:
             raise ValueError("k must be at least 1")
 
 
+def shared_rows(dataset: Dataset, batch_size: int, overlap: float) -> int:
+    """Rows a plan's two batches share; ValueError if the train split cannot serve both."""
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError("overlap must lie in [0, 1]")
+    n_shared = math.floor(overlap * batch_size)
+    needed = 2 * batch_size - n_shared
+    if len(dataset.train_indices) < needed:
+        raise ValueError(
+            f"dataset has {len(dataset.train_indices)} train examples, need {needed} "
+            f"for batch_size={batch_size}, overlap={overlap}"
+        )
+    return n_shared
+
+
 def sample_batch_plan(
     dataset: Dataset,
     batch_size: int,
@@ -84,16 +98,8 @@ def sample_batch_plan(
     constructor makes them: the candidate pools are then sorted, which fixes
     the draws for a seed.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must lie in [0, 1]")
+    n_shared = shared_rows(dataset, batch_size, overlap)
     train = dataset.train_indices
-    n_shared = math.floor(overlap * batch_size)
-    needed = 2 * batch_size - n_shared
-    if len(train) < needed:
-        raise ValueError(
-            f"dataset has {len(train)} train examples, need {needed} "
-            f"for batch_size={batch_size}, overlap={overlap}"
-        )
     rng = np.random.default_rng(seed)
     idx_a = rng.choice(train, size=batch_size, replace=False)
     shared = rng.choice(idx_a, size=n_shared, replace=False) if n_shared else np.array([], dtype=idx_a.dtype)

@@ -47,6 +47,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from hashlib import sha256
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from .instruments import (
     Instrument,
     apply_augmentation,
     sample_batch_plan,
+    shared_rows,
 )
 from .model import ModelSpec, forward, init_params, loss_and_grad, parameter_count, penultimate_features
 from .optimizer import OptimizerConfig, OptimizerState, causal_break, step
@@ -400,7 +402,7 @@ def run_noncommute_curve(
     x_second, y_second = np.stack([x_b, x_a]), np.stack([y_b, y_a])
 
     probe_x = dataset.features[probe_subset]
-    per_group = max(1, _STACK_FLOATS // (2 * _row_floats(spec, settings.batch_size, len(probe_subset))))
+    per_group = _repeats_per_block(spec, settings.batch_size, len(probe_subset), 1)
     first, state = np.stack([base_params, base_params]), OptimizerState(np.zeros((2, base_params.size)))
     curve = []
     for start in range(0, k_max, per_group):
@@ -554,11 +556,11 @@ class RunConfig:
     break_flags: tuple[str, ...] = ("no", "break")
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     repeats: int = 128
-    batch_size: int = 64
+    batch_size: int = ProtocolSettings.batch_size
     probe_size: int = 512
     probe_seed: int = 0
-    weight_decay: float = 1e-4
-    clip_norm: float | None = 1.0
+    weight_decay: float = ProtocolSettings.weight_decay
+    clip_norm: float | None = ProtocolSettings.clip_norm
     early_stop: EarlyStopPolicy = EarlyStopPolicy()
     stats: StatsPolicy = StatsPolicy()
     diagnostics_enabled: bool = True
@@ -567,9 +569,7 @@ class RunConfig:
     pretrain_passes: int = 3
 
     def settings(self) -> ProtocolSettings:
-        return ProtocolSettings(
-            batch_size=self.batch_size, weight_decay=self.weight_decay, clip_norm=self.clip_norm
-        )
+        return ProtocolSettings(self.batch_size, self.weight_decay, self.clip_norm)
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(**self.model)
@@ -596,124 +596,117 @@ def resolve_regime(entry) -> Regime:
     raise ConfigError(f"regimes: entries must be preset names or mappings, got {type(entry)}")
 
 
-# the keys config_from_mapping reads, at the top level and inside each section
-CONFIG_KEYS = frozenset(
-    {
-        "output_dir", "dataset", "model", "regimes", "base_stage", "break_flags", "seeds", "repeats",
-        "batch_size", "probe_size", "probe_seed", "optimizer", "early_stop", "stats", "diagnostics",
-        "pretrain_passes",
-    }
-)
-SECTION_DEFAULTS = {
-    "optimizer": {"weight_decay": 1e-4, "clip_norm": 1.0},
-    "early_stop": {"enabled": True, "floor": 64, "stride": 32, "half_width": 2e-4},
-    "stats": {"bootstrap_samples": 2000, "tost_epsilon": 1e-3, "bh_q": 0.05},
-    "diagnostics": {"enabled": True, "noncommute_k_max": 6, "probe_subset": 512},
+_POSITIVE = ("positive", lambda v: v > 0)
+_NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+
+# Every optional config key, named "section.key" inside a section: the dataclass and field it
+# sets, and the (description, test) of the values it takes.  The field holds its type and default.
+CONFIG_FIELDS = {
+    "base_stage": (RunConfig, "base_stage", ("'init' or 'early'", lambda v: v in ("init", "early"))),
+    "break_flags": (RunConfig, "break_flags", None),
+    "seeds": (RunConfig, "seeds", None),
+    "repeats": (RunConfig, "repeats", _POSITIVE),
+    "batch_size": (RunConfig, "batch_size", _POSITIVE),
+    "probe_size": (RunConfig, "probe_size", _POSITIVE),
+    "probe_seed": (RunConfig, "probe_seed", None),
+    "pretrain_passes": (RunConfig, "pretrain_passes", _NON_NEGATIVE),
+    "optimizer.weight_decay": (RunConfig, "weight_decay", _NON_NEGATIVE),
+    "optimizer.clip_norm": (RunConfig, "clip_norm", _POSITIVE),
+    "early_stop.enabled": (EarlyStopPolicy, "enabled", None),
+    "early_stop.floor": (EarlyStopPolicy, "floor", _NON_NEGATIVE),
+    "early_stop.stride": (EarlyStopPolicy, "stride", _POSITIVE),
+    "early_stop.half_width": (EarlyStopPolicy, "half_width", _NON_NEGATIVE),
+    "stats.bootstrap_samples": (StatsPolicy, "bootstrap_samples", _POSITIVE),
+    "stats.tost_epsilon": (StatsPolicy, "tost_epsilon", _POSITIVE),
+    "stats.bh_q": (StatsPolicy, "bh_q", ("in [0, 1]", lambda v: 0 <= v <= 1)),
+    "diagnostics.enabled": (RunConfig, "diagnostics_enabled", None),
+    "diagnostics.noncommute_k_max": (RunConfig, "noncommute_k_max", _NON_NEGATIVE),
+    "diagnostics.probe_subset": (RunConfig, "probe_subset", ("at least 2", lambda v: v >= 2)),  # for the CKA
 }
+_SECTIONS = sorted({key.split(".")[0] for key in CONFIG_FIELDS if "." in key})
+_REQUIRED = ("dataset", "model", "regimes", "output_dir")
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _read(key: str, value, kind):
+    """``value`` from JSON as a field of type ``kind``, or a ConfigError naming ``key``.
+
+    A bool is no number, and only a ``float | None`` field takes null.
+    """
+    if get_origin(kind) is tuple:  # tuple[item, ...], given as a list
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key}: must be a list, got {type(value).__name__}")
+        return tuple(_read(key, item, get_args(kind)[0]) for item in value)
+    if kind == float | None:
+        return None if value is None else _read(key, value, float)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+        return float(value) if kind is float else value
+    raise ConfigError(f"{key}: must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
     """Validate a parsed configuration file and normalize it to a RunConfig.
 
-    Unknown keys, top-level or inside a section (as ``section.key``), are
-    named in one warning on stderr and ignored.
+    Each key of ``CONFIG_FIELDS`` is read with its field's JSON type and
+    bound.  Unknown keys, top-level or inside a section (as
+    ``section.key``), are named in one warning on stderr and ignored.
     """
     m = dict(mapping)
-    for name in ("dataset", "model", *SECTION_DEFAULTS):
+    for name in ("dataset", "model", *_SECTIONS):
         if name in m and not isinstance(m[name], dict):
             raise ConfigError(f"{name}: must be a mapping, got {type(m[name]).__name__}")
-    for name in ("regimes", "break_flags", "seeds"):
-        if name in m and not isinstance(m[name], (list, tuple)):
-            raise ConfigError(f"{name}: must be a list, got {type(m[name]).__name__}")
-    unknown = set(m) - CONFIG_KEYS
-    for name, defaults in SECTION_DEFAULTS.items():
-        unknown |= {f"{name}.{key}" for key in set(m.get(name, {})) - set(defaults)}
+    if "regimes" in m and not isinstance(m["regimes"], (list, tuple)):
+        raise ConfigError(f"regimes: must be a list, got {type(m['regimes']).__name__}")
+    unknown = set(m) - {*_REQUIRED, *_SECTIONS, *(key for key in CONFIG_FIELDS if "." not in key)}
+    unknown |= {f"{name}.{key}" for name in _SECTIONS for key in m.get(name, {})} - set(CONFIG_FIELDS)
     if unknown:
         print(f"warning: ignoring unknown config keys: {', '.join(sorted(unknown))}", file=sys.stderr)
-    for required in ("dataset", "model", "regimes", "output_dir"):
+    for required in _REQUIRED:
         if required not in m:
             raise ConfigError(f"{required}: missing required field")
-    regimes = tuple(resolve_regime(entry) for entry in m["regimes"])
-    if not regimes:
-        raise ConfigError("regimes: at least one regime is required")
-    names = [r.name for r in regimes]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"regimes: duplicate regime names {names}")
 
-    break_flags = tuple(m.get("break_flags", ("no", "break")))
-    for flag in break_flags:
+    values = {RunConfig: {}, EarlyStopPolicy: {}, StatsPolicy: {}}  # by owner, the fields given
+    for key, (owner, name, bound) in CONFIG_FIELDS.items():
+        section, _, leaf = key.rpartition(".")
+        given = m.get(section, {}) if section else m
+        if leaf in given:
+            value = _read(key, given[leaf], owner.__annotations__[name])
+            if bound is not None and value is not None and not bound[1](value):
+                raise ConfigError(f"{key}: must be {bound[0]}, got {value!r}")
+            values[owner][name] = value
+
+    regimes = tuple(resolve_regime(entry) for entry in m["regimes"])
+    config = RunConfig(
+        dataset=dict(m["dataset"]),
+        model=dict(m["model"]),
+        regimes=regimes,
+        output_dir=str(m["output_dir"]),
+        early_stop=EarlyStopPolicy(**values[EarlyStopPolicy]),
+        stats=StatsPolicy(**values[StatsPolicy]),
+        **values[RunConfig],
+    )
+    for flag in config.break_flags:
         if flag not in ("no", "break"):
             raise ConfigError(f"break_flags: entries must be 'no' or 'break', got {flag!r}")
-    if not break_flags:
-        raise ConfigError("break_flags: at least one condition is required")
-    if len(set(break_flags)) != len(break_flags):
-        raise ConfigError(f"break_flags: duplicate conditions {list(break_flags)}")
-
-    seeds = tuple(int(s) for s in m.get("seeds", (0, 1, 2, 3, 4)))
-    if not seeds:
-        raise ConfigError("seeds: at least one seed is required")
-
-    base_stage = m.get("base_stage", "init")
-    if base_stage not in ("init", "early"):
-        raise ConfigError(f"base_stage: must be 'init' or 'early', got {base_stage!r}")
-
-    # each section's keys over its defaults, in SECTION_DEFAULTS order
-    optimizer, early, stats_m, diag_m = (
-        {**defaults, **m.get(name, {})} for name, defaults in SECTION_DEFAULTS.items()
-    )
-
-    try:
-        config = RunConfig(
-            dataset=dict(m["dataset"]),
-            model=dict(m["model"]),
-            regimes=regimes,
-            output_dir=str(m["output_dir"]),
-            base_stage=base_stage,
-            break_flags=break_flags,
-            seeds=seeds,
-            repeats=int(m.get("repeats", 128)),
-            batch_size=int(m.get("batch_size", 64)),
-            probe_size=int(m.get("probe_size", 512)),
-            probe_seed=int(m.get("probe_seed", 0)),
-            weight_decay=float(optimizer["weight_decay"]),
-            clip_norm=None if optimizer["clip_norm"] is None else float(optimizer["clip_norm"]),
-            early_stop=EarlyStopPolicy(
-                enabled=bool(early["enabled"]),
-                floor=int(early["floor"]),
-                stride=int(early["stride"]),
-                half_width=float(early["half_width"]),
-            ),
-            stats=StatsPolicy(
-                bootstrap_samples=int(stats_m["bootstrap_samples"]),
-                tost_epsilon=float(stats_m["tost_epsilon"]),
-                bh_q=float(stats_m["bh_q"]),
-            ),
-            diagnostics_enabled=bool(diag_m["enabled"]),
-            noncommute_k_max=int(diag_m["noncommute_k_max"]),
-            probe_subset=int(diag_m["probe_subset"]),
-            pretrain_passes=int(m.get("pretrain_passes", 3)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-    for name, value, least in (
-        ("repeats", config.repeats, 1),
-        ("batch_size", config.batch_size, 1),
-        ("probe_size", config.probe_size, 1),
-        ("early_stop.stride", config.early_stop.stride, 1),
-        ("stats.bootstrap_samples", config.stats.bootstrap_samples, 1),
-        ("diagnostics.noncommute_k_max", config.noncommute_k_max, 0),
-        ("diagnostics.probe_subset", config.probe_subset, 2),  # CKA needs two probe rows
+    for key, one, many, items in (
+        ("regimes", "regime", "regime names", [r.name for r in regimes]),
+        ("break_flags", "condition", "conditions", list(config.break_flags)),
+        ("seeds", "seed", "seeds", list(config.seeds)),  # a repeated seed would count its repeats twice
     ):
-        if value < least:
-            bound = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
-            raise ConfigError(f"{name}: must be {bound}, got {value}")
+        if not items:
+            raise ConfigError(f"{key}: at least one {one} is required")
+        if len(set(items)) != len(items):
+            raise ConfigError(f"{key}: duplicate {many} {items}")
+    # the CKA runs on min(probe_subset, probe_size) probe rows
+    if config.diagnostics_enabled and config.probe_size < 2:
+        raise ConfigError(f"probe_size: must be at least 2 with diagnostics enabled, got {config.probe_size}")
     try:
         spec = config.model_spec()
     except (TypeError, ValueError) as exc:  # a misspelled, missing or invalid field
         raise ConfigError(f"model: {exc}") from None
     dataset_classes = config.dataset.get("num_classes")
-    if dataset_classes is not None and int(dataset_classes) != spec.num_classes:
+    if dataset_classes is not None and dataset_classes != spec.num_classes:
         raise ConfigError(
             f"model: num_classes {spec.num_classes} does not match dataset num_classes {dataset_classes}"
         )
@@ -903,6 +896,11 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
         raise ConfigError(
             f"model: num_classes {spec.num_classes} does not match dataset classes {dataset.num_classes}"
         )
+    for regime in config.regimes:  # the check each repeat's batch plan makes
+        try:
+            shared_rows(dataset, config.batch_size, regime.overlap)
+        except ValueError as exc:
+            raise ConfigError(f"batch_size: regime {regime.name!r}: {exc}") from None
     probe_x = dataset.features[dataset.probe_indices]
     digest = config.digest()
 

@@ -122,6 +122,29 @@ def test_run_invalid_diagnostics_bounds_fail_naming_field(tmp_path, capsys):
         assert not (tmp_path / "run").exists()
 
 
+def test_run_out_of_bound_values_fail_before_the_run_dir(tmp_path, capsys):
+    # each used to run, or to fail only after config.json or cell files were written
+    for overrides, message in (
+        ({"seeds": [0, 0]}, "seeds: duplicate seeds [0, 0]"),
+        ({"stats": {"tost_epsilon": 0}}, "stats.tost_epsilon: must be positive, got 0.0"),
+        ({"stats": {"tost_epsilon": -1e-3}}, "stats.tost_epsilon: must be positive, got -0.001"),
+        ({"stats": {"bh_q": 1.5}}, "stats.bh_q: must be in [0, 1], got 1.5"),
+        ({"stats": {"bh_q": -0.1}}, "stats.bh_q: must be in [0, 1], got -0.1"),
+        ({"optimizer": {"weight_decay": -1e-4}}, "optimizer.weight_decay: must be non-negative, got -0.0001"),
+        ({"optimizer": {"clip_norm": 0}}, "optimizer.clip_norm: must be positive, got 0.0"),
+        ({"base_stage": "early", "pretrain_passes": -1}, "pretrain_passes: must be non-negative, got -1"),
+        ({"early_stop": {"floor": -4}}, "early_stop.floor: must be non-negative, got -4"),
+        ({"early_stop": {"half_width": float("nan")}}, "early_stop.half_width: must be non-negative, got nan"),
+        ({"probe_size": 1}, "probe_size: must be at least 2 with diagnostics enabled, got 1"),
+        ({"batch_size": 300}, "batch_size: regime 'standard': dataset has 384 train examples, "
+                              "need 450 for batch_size=300, overlap=0.5"),
+    ):
+        path, _ = write_config(tmp_path, **overrides)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+
 def test_run_dataset_error_leaves_no_run_dir(tmp_path, capsys):
     misspelled = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_klass": 120}
     missing_path = {"kind": "file", "format": "csv_labeled"}

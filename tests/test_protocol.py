@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from backflow.protocol import (
     EarlyStopPolicy,
     ProtocolSettings,
     Regime,
+    StatsPolicy,
     collect_with_early_stop,
     config_from_mapping,
     pretrain,
@@ -660,6 +662,54 @@ def test_non_positive_integer_config_values_name_their_field(tmp_path):
     ):
         with pytest.raises(ConfigError, match=f"^{field}: must be {bound}, got {value}$"):
             config_from_mapping(sweep_mapping(tmp_path, **overrides))
+
+
+def test_config_values_of_the_wrong_json_type_name_their_key(tmp_path):
+    # each of the first four used to be cast and run: "false" ran the diagnostics, "no" enabled
+    # early stopping, 4.7 ran 4 repeats and [0.9, true] ran seeds 0 and 1
+    for overrides, message in (
+        ({"diagnostics": {"enabled": "false"}}, "diagnostics.enabled: must be true or false, got 'false'"),
+        ({"early_stop": {"enabled": "no"}}, "early_stop.enabled: must be true or false, got 'no'"),
+        ({"repeats": 4.7}, "repeats: must be an integer, got 4.7"),
+        ({"seeds": [0.9, True]}, "seeds: must be an integer, got 0.9"),
+        ({"seeds": [0, True]}, "seeds: must be an integer, got True"),
+        ({"batch_size": True}, "batch_size: must be an integer, got True"),
+        ({"early_stop": {"floor": 8.0}}, "early_stop.floor: must be an integer, got 8.0"),
+        ({"probe_seed": "0"}, "probe_seed: must be an integer, got '0'"),
+        ({"early_stop": {"enabled": 1}}, "early_stop.enabled: must be true or false, got 1"),
+        ({"stats": {"bh_q": False}}, "stats.bh_q: must be a number, got False"),
+        ({"stats": {"tost_epsilon": "1e-3"}}, "stats.tost_epsilon: must be a number, got '1e-3'"),
+        ({"optimizer": {"weight_decay": None}}, "optimizer.weight_decay: must be a number, got None"),
+        ({"repeats": None}, "repeats: must be an integer, got None"),
+        ({"diagnostics": {"enabled": None}}, "diagnostics.enabled: must be true or false, got None"),
+        ({"base_stage": None}, "base_stage: must be a string, got None"),
+        ({"break_flags": ["no", None]}, "break_flags: must be a string, got None"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_mapping(sweep_mapping(tmp_path, **overrides))
+    # a float field takes any JSON number and stores a float; only clip_norm takes null
+    config = config_from_mapping(sweep_mapping(tmp_path, optimizer={"weight_decay": 0, "clip_norm": None}))
+    assert (type(config.weight_decay), config.weight_decay, config.clip_norm) == (float, 0.0, None)
+
+
+def test_a_minimal_config_takes_the_defaults_of_the_python_api(tmp_path):
+    minimal = {key: sweep_mapping(tmp_path)[key] for key in ("output_dir", "dataset", "model", "regimes")}
+    config = config_from_mapping(minimal)
+    assert config.early_stop == EarlyStopPolicy()
+    assert config.stats == StatsPolicy()
+    assert config.settings() == ProtocolSettings()
+    # a one-row probe is refused only when the diagnostics would run the CKA on it
+    assert config_from_mapping({**minimal, "probe_size": 1, "diagnostics": {"enabled": False}}).probe_size == 1
+
+
+def test_shipped_demo_config_parses_under_the_strict_reader(capsys):
+    demo = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+    config = config_from_mapping(json.loads(demo.read_text()))
+    # configs/demo.json keeps the retired workers key as long as perfbench's generated copy of it does
+    assert capsys.readouterr().err == "warning: ignoring unknown config keys: workers\n"
+    assert (config.repeats, config.seeds, config.early_stop.enabled, config.diagnostics_enabled) == (
+        48, (0, 1), False, True
+    )
 
 
 def test_repeats_per_block_bounds_the_stacks():
