@@ -1,8 +1,9 @@
 """Controllable interventions: batch plans and seeded augmentation kernels.
 
-An instrument bundles a mini-batch index set, an augmentation kernel and a
-micro-step count.  Batch plans control the overlap between the first and
-second instrument's batches exactly and can match class histograms.
+An instrument is a mini-batch, an augmentation kernel applied to it, and a
+micro-step count (the regime's k).  Batch plans control the overlap between
+the first and second instrument's batches exactly and can match class
+histograms.
 Augmentations are deterministic maps given (kind, seed, params, input), so
 a branch pair that shares a kernel sees bit-identical batches.
 
@@ -50,20 +51,7 @@ class AugmentationKernel:
 class BatchPlan:
     indices_a: np.ndarray
     indices_b: np.ndarray
-    overlap: float
-    same_classes: bool
     shortfall: int = 0
-
-
-@dataclass
-class Instrument:
-    batch_indices: np.ndarray
-    aug: AugmentationKernel
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
 
 
 def shared_rows(dataset: Dataset, batch_size: int, overlap: float) -> int:
@@ -132,13 +120,7 @@ def sample_batch_plan(
         rest = rng.choice(pool, size=n_rest, replace=False)
 
     idx_b = np.concatenate([shared, rest])
-    return BatchPlan(
-        indices_a=np.sort(idx_a),
-        indices_b=np.sort(idx_b),
-        overlap=overlap,
-        same_classes=same_classes,
-        shortfall=shortfall,
-    )
+    return BatchPlan(indices_a=np.sort(idx_a), indices_b=np.sort(idx_b), shortfall=shortfall)
 
 
 # ---------------------------------------------------------------------------

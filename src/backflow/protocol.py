@@ -30,6 +30,10 @@ records.  Each (regime, seed)'s diagnostics repeat is a one-repeat block
 for all flags.  The non-commute curve trains one k_max-step first phase
 and then every k as one shrinking stack, grouped by the same budget.
 
+There is one training loop, ``_train``: the engine's A and B phases, both
+phases of the curve and the base pretraining run their optimizer steps
+through it, on batch arrays that ``_repeat_batches`` builds per repeat.
+
 Randomness discipline: each repeat derives its own streams from
 (seed, repeat_id, tag).  The A/A' kernels share one augmentation seed (they
 must differ only by kind), and B's plan and draws are common to both
@@ -58,7 +62,6 @@ from .errors import ConfigError, NanGuardError
 from .instruments import (
     AUG_KINDS,
     AugmentationKernel,
-    Instrument,
     apply_augmentation,
     sample_batch_plan,
     shared_rows,
@@ -136,58 +139,61 @@ class BackflowRecord:
         return self.error is None
 
 
-def _aug_kernel(kind: str, seed: int, dataset: Dataset) -> AugmentationKernel:
-    """Kernel for this dataset; image datasets get the image transform forms."""
-    params = {}
-    if "image_shape" in dataset.provenance:
-        params["image_shape"] = tuple(dataset.provenance["image_shape"])
-    return AugmentationKernel(kind, seed, params)
+def _repeat_batches(regime: Regime, dataset: Dataset, seed: int, batch_size: int):
+    """A repeat's augmented batches and labels: ``x_a, x_ap, x_b, y_a, y_b``.
 
-
-def apply_instrument_batch(instrument: Instrument, dataset: Dataset) -> np.ndarray:
-    """The augmented batch an instrument trains on (fixed for its k steps)."""
-    return apply_augmentation(instrument.aug, dataset.features[instrument.batch_indices])
-
-
-def _instruments(regime, dataset, seed, settings, lr_scale):
-    """A repeat's batch plan, its A, A' and B instruments, and their optimizer config."""
-    plan = sample_batch_plan(
-        dataset,
-        settings.batch_size,
-        regime.overlap,
-        regime.same_classes,
-        derive_seed(seed, "plan"),
-    )
-    # A and A' read the same batch with one augmentation seed: they differ only by kind
+    The batch plan and augmentation draws derive from ``seed``.  A and A'
+    read the plan's first batch with one augmentation seed, so they differ
+    only by kind; B reads the second batch with its own seed.  Image
+    datasets get the image transform forms.
+    """
+    plan = sample_batch_plan(dataset, batch_size, regime.overlap, regime.same_classes, derive_seed(seed, "plan"))
+    shape = dataset.provenance.get("image_shape")
+    params = {} if shape is None else {"image_shape": tuple(shape)}
+    first, second = dataset.features[plan.indices_a], dataset.features[plan.indices_b]
     aug_seed_first = derive_seed(seed, "aug_first")
-    instr_a = Instrument(plan.indices_a, _aug_kernel(regime.aug_a, aug_seed_first, dataset), regime.k)
-    instr_ap = Instrument(plan.indices_a, _aug_kernel(regime.aug_aprime, aug_seed_first, dataset), regime.k)
-    instr_b = Instrument(plan.indices_b, _aug_kernel(regime.aug_b, derive_seed(seed, "aug_b"), dataset), regime.k)
-    config = OptimizerConfig(
+    x_a = apply_augmentation(AugmentationKernel(regime.aug_a, aug_seed_first, params), first)
+    x_ap = apply_augmentation(AugmentationKernel(regime.aug_aprime, aug_seed_first, params), first)
+    x_b = apply_augmentation(AugmentationKernel(regime.aug_b, derive_seed(seed, "aug_b"), params), second)
+    return x_a, x_ap, x_b, dataset.labels[plan.indices_a], dataset.labels[plan.indices_b]
+
+
+def _optimizer_config(regime: Regime, settings: ProtocolSettings, lr_scale: float) -> OptimizerConfig:
+    """The optimizer of a regime's A and B steps, at ``lr_scale`` times its learning rate."""
+    return OptimizerConfig(
         lr=regime.lr * lr_scale,
         momentum=regime.momentum,
         weight_decay=settings.weight_decay,
         clip_norm=settings.clip_norm,
     )
-    return plan, (instr_a, instr_ap, instr_b), config
 
 
-def _train(spec, params, velocity, x, y, k, config):
-    """k optimizer steps of every stacked parameter row on its batch.
+def _train(spec, params, velocity, x, y, steps, config):
+    """Optimizer steps of every stacked parameter row on its batch: the one training loop.
 
-    ``x``/``y`` are one batch shared by all rows or one per row.  Returns the
-    final parameters and velocities and the first gradient.  ``step`` is
-    called through this module's namespace, so a replacement installed there
-    (as the NaN-guard tests do) is used.
+    ``x``/``y`` are one batch shared by all rows or one per row.  ``steps``
+    is one count for all rows or a non-increasing count per row (with one
+    batch per row), so the rows still training at step t are a prefix.
+    Returns the final parameters and velocities and the last step's gradient
+    (None without steps); the caller's arrays are never written.  ``step``
+    is called through this module's namespace, so a replacement installed
+    there (as the NaN-guard tests do) is used.
     """
-    state = OptimizerState(velocity)
-    first_grad = None
-    for t in range(k):
+    counts = np.broadcast_to(steps, len(params))
+    done = []  # (parameters, velocities) of rows past their count, the last rows first
+    grad = None
+    for t in range(counts[0]):
+        live = np.count_nonzero(counts > t)
+        if live < len(params):  # copies, so the finished rows do not hold the whole stack
+            done.append((params[live:].copy(), velocity[live:].copy()))
+            params, velocity, x, y = params[:live], velocity[:live], x[:live], y[:live]
         _, grad = loss_and_grad(spec, params, x, y)
-        params, state = step(params, state, grad, config)
-        if t == 0:
-            first_grad = grad
-    return params, state.velocity, first_grad
+        params, state = step(params, OptimizerState(velocity), grad, config)
+        velocity = state.velocity
+    if done:
+        params = np.concatenate([params, *(p for p, _ in reversed(done))])
+        velocity = np.concatenate([velocity, *(v for _, v in reversed(done))])
+    return params, velocity, grad
 
 
 @dataclass
@@ -236,16 +242,17 @@ def _run_repeat(
     computed as it would be alone.  Raises NanGuardError if any row stops
     being finite.
     """
-    setups = [_instruments(regime, dataset, seed, settings, lr_scale) for seed, _ in repeats]
-    config = setups[0][2]
+    batches = (_repeat_batches(regime, dataset, seed, settings.batch_size) for seed, _ in repeats)
+    x_a, x_ap, x_b, y_a, y_b = zip(*batches)  # each one array per repeat
+    config = _optimizer_config(regime, settings, lr_scale)
     n_rep, n_flags, size = len(repeats), len(flags), base_params.size
 
     params_mid, velocity_mid, _ = _train(
         spec,
         np.tile(base_params, (2 * n_rep, 1)),
         np.zeros((2 * n_rep, size)),
-        np.stack([apply_instrument_batch(instr, dataset) for _, instrs, _ in setups for instr in instrs[:2]]),
-        np.repeat([dataset.labels[plan.indices_a] for plan, _, _ in setups], 2, axis=0),
+        np.stack([x for pair in zip(x_a, x_ap) for x in pair]),
+        np.repeat(y_a, 2, axis=0),
         regime.k,
         config,
     )
@@ -257,15 +264,18 @@ def _run_repeat(
         [(causal_break(mid_state) if flag == "break" else mid_state).velocity for flag in flags], axis=1
     )
     rows_b = 2 * n_flags  # B rows of one repeat
-    params_end, _, first_b_grad = _train(
+    x_b, y_b = np.repeat(x_b, rows_b, axis=0), np.repeat(y_b, rows_b, axis=0)
+    # the first B step alone, for its gradient at the mid-time parameters
+    params_b, velocity_b, first_b_grad = _train(
         spec,
         np.repeat(params_mid.reshape(n_rep, 2, size), n_flags, axis=0).reshape(-1, size),
         velocity_b.reshape(-1, size),
-        np.repeat([apply_instrument_batch(instrs[2], dataset) for _, instrs, _ in setups], rows_b, axis=0),
-        np.repeat([dataset.labels[plan.indices_b] for plan, _, _ in setups], rows_b, axis=0),
-        regime.k,
+        x_b,
+        y_b,
+        1,
         config,
     )
+    params_end = _train(spec, params_b, velocity_b, x_b, y_b, regime.k - 1, config)[0]
     preds_end = forward(spec, params_end, probe_x)
     d2_rows = div_avg(KINDS, preds_end[0::2], preds_end[1::2])
 
@@ -378,7 +388,8 @@ def run_noncommute_curve(
     dataset: Dataset,
     probe_subset: np.ndarray,
     seed: int,
-    k_max: int = 6,
+    *,
+    k_max: int,
     settings: ProtocolSettings = ProtocolSettings(),
     lr_scale: float = 1.0,
 ) -> list[tuple[int, float]]:
@@ -389,38 +400,37 @@ def run_noncommute_curve(
     Under the break condition the buffers are zeroed at the switch point in
     both orders.  The first phase is one k_max-step trajectory, whose state
     after k steps is the k-step one.  The second phase trains every k as
-    one stack, rows ordered by k descending, so the rows still training at
-    a step are a prefix; k values are grouped so that a stack stays within
-    ``_STACK_FLOATS``.  Every row is computed as in a run of its k alone.
-    Raises NanGuardError if either order stops being finite.
+    one stack, rows ordered by k descending, each row for its own k steps;
+    k values are grouped so that a stack stays within ``_STACK_FLOATS``.
+    Every row is computed as in a run of its k alone.  Raises NanGuardError
+    if either order stops being finite.
     """
-    plan, (instr_a, _, instr_b), config = _instruments(regime, dataset, seed, settings, lr_scale)
-    x_a, x_b = apply_instrument_batch(instr_a, dataset), apply_instrument_batch(instr_b, dataset)
-    y_a, y_b = dataset.labels[plan.indices_a], dataset.labels[plan.indices_b]
+    x_a, _, x_b, y_a, y_b = _repeat_batches(regime, dataset, seed, settings.batch_size)
+    config = _optimizer_config(regime, settings, lr_scale)
     # row 0 runs A then B, row 1 runs B then A
     x_first, y_first = np.stack([x_a, x_b]), np.stack([y_a, y_b])
     x_second, y_second = np.stack([x_b, x_a]), np.stack([y_b, y_a])
 
     probe_x = dataset.features[probe_subset]
     per_group = _repeats_per_block(spec, settings.batch_size, len(probe_subset), 1)
-    first, state = np.stack([base_params, base_params]), OptimizerState(np.zeros((2, base_params.size)))
+    first, velocity = np.stack([base_params, base_params]), np.zeros((2, base_params.size))
     curve = []
     for start in range(0, k_max, per_group):
         group = range(min(start + per_group, k_max), start, -1)  # k descending
         # the first phase's trajectory, advanced to the group's largest k
         switch = {}
         for k in range(start + 1, group[0] + 1):
-            _, grad = loss_and_grad(spec, first, x_first, y_first)
-            first, state = step(first, state, grad, config)
-            switch[k] = (first, (causal_break(state) if break_applied else state).velocity)
-        params = np.concatenate([switch[k][0] for k in group])
-        velocity = np.concatenate([switch[k][1] for k in group])
-        x, y = np.concatenate([x_second] * len(group)), np.concatenate([y_second] * len(group))
-        for t in range(group[0]):
-            live = 2 * sum(k > t for k in group)  # the rows whose k exceeds t
-            _, grad = loss_and_grad(spec, params[:live], x[:live], y[:live])
-            params[:live], trained = step(params[:live], OptimizerState(velocity[:live]), grad, config)
-            velocity[:live] = trained.velocity
+            first, velocity, _ = _train(spec, first, velocity, x_first, y_first, 1, config)
+            switch[k] = (first, causal_break(OptimizerState(velocity)).velocity if break_applied else velocity)
+        params, _, _ = _train(
+            spec,
+            np.concatenate([switch[k][0] for k in group]),
+            np.concatenate([switch[k][1] for k in group]),
+            np.concatenate([x_second] * len(group)),
+            np.concatenate([y_second] * len(group)),
+            np.repeat(group, 2),
+            config,
+        )
         preds = forward(spec, params, probe_x)
         values = div_avg("tv", preds[0::2], preds[1::2])
         curve.extend((k, float(v)) for k, v in zip(reversed(group), values[::-1]))
@@ -431,25 +441,26 @@ def pretrain(
     spec: ModelSpec,
     params: np.ndarray,
     dataset: Dataset,
-    passes: int = 3,
-    batch_size: int = 64,
+    *,
+    passes: int,
+    batch_size: int,
     seed: int = 0,
     lr: float = 0.1,
     momentum: float = 0.9,
     weight_decay: float = 5e-4,
 ) -> np.ndarray:
-    """Short base-training run over the train split (the "early" stage)."""
+    """Short base-training run over the train split (the "early" stage), as a one-row stack."""
     rng = np.random.default_rng(seed)
     config = OptimizerConfig(lr=lr, momentum=momentum, weight_decay=weight_decay, clip_norm=1.0)
-    state = OptimizerState.zeros(params.size)
-    params = params.copy()
+    params, velocity = params[None], np.zeros((1, params.size))
     for _ in range(passes):
         order = rng.permutation(dataset.train_indices)
         for start in range(0, len(order) - batch_size + 1, batch_size):
             batch = order[start : start + batch_size]
-            _, grad = loss_and_grad(spec, params, dataset.features[batch], dataset.labels[batch])
-            params, state = step(params, state, grad, config)
-    return params
+            params, velocity, _ = _train(
+                spec, params, velocity, dataset.features[batch], dataset.labels[batch], 1, config
+            )
+    return params[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,20 +487,17 @@ def collect_with_early_stop(
     max_repeats: int,
     policy: EarlyStopPolicy = EarlyStopPolicy(),
     *,
-    block_size=1,
-    flags=None,
+    block_size,
+    flags,
     on_finish=None,
 ) -> tuple[list[BackflowRecord], bool]:
-    """Collect records for up to ``max_repeats`` repeats under the early-stop rule.
+    """Collect records for up to ``max_repeats`` repeats of every flag in lockstep.
 
-    One flag: ``sample_fn(repeat_ids)`` takes a range of at most
-    ``block_size`` repeat ids and returns one record per id.
-
-    Several flags in lockstep, given ``flags``: ``sample_fn(open_flags,
-    repeat_ids)`` runs a range for the flags whose cells are still open and
-    returns ``{flag: records}``; a range holds at most
-    ``block_size(len(open_flags))`` ids; and ``on_finish(flag, records,
-    early_stopped)`` is called as each flag finishes.
+    ``sample_fn(open_flags, repeat_ids)`` runs a range of repeat ids for the
+    flags whose cells are still open and returns ``{flag: records}``; a
+    range holds at most ``block_size(len(open_flags))`` ids; and
+    ``on_finish(flag, records, early_stopped)`` is called as each flag
+    finishes.
 
     No range crosses a checkpoint, so a flag that stops computes no repeat
     past it.  At a checkpoint each open flag decides from its own records
@@ -497,15 +505,6 @@ def collect_with_early_stop(
     from the half-width check.  Returns the records of every flag, in the
     order the flags finished, and whether the early-stop rule fired.
     """
-    if flags is None:  # the lockstep case of one unnamed flag
-        flags, one_flag, one_size = (None,), sample_fn, block_size
-
-        def sample_fn(_open_flags, repeat_ids):
-            return {None: one_flag(repeat_ids)}
-
-        def block_size(_n_open):
-            return one_size
-
     checkpoints = list(range(policy.floor, max_repeats, policy.stride)) if policy.enabled else []
     records = {flag: [] for flag in flags}
     finished, fired = [], False
@@ -681,7 +680,7 @@ def config_from_mapping(mapping: dict) -> RunConfig:
         dataset=dict(m["dataset"]),
         model=dict(m["model"]),
         regimes=regimes,
-        output_dir=str(m["output_dir"]),
+        output_dir=_read("output_dir", m["output_dir"], str),
         early_stop=EarlyStopPolicy(**values[EarlyStopPolicy]),
         stats=StatsPolicy(**values[StatsPolicy]),
         **values[RunConfig],

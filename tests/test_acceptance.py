@@ -274,21 +274,19 @@ def test_08_negative_control(tmp_path):
 
 
 def test_09_early_stop_discipline():
-    def constant(ids):
-        return [BackflowRecord(i, i, False, {"tv": 0.1}, {"tv": 0.1},
-                               {"tv": 0.0, "js": 0.0, "hellinger": 0.0}) for i in ids]
+    def collect(delta_of):
+        def sample(open_flags, ids):
+            return {"no": [BackflowRecord(i, i, False, {"tv": 0.1}, {"tv": 0.1},
+                                          dict.fromkeys(("tv", "js", "hellinger"), delta_of(i))) for i in ids]}
 
-    records, stopped = collect_with_early_stop(constant, 128, EarlyStopPolicy())
+        return collect_with_early_stop(sample, 128, EarlyStopPolicy(), flags=("no",), block_size=lambda n: 1)
+
+    records, stopped = collect(lambda i: 0.0)
     assert stopped and len(records) == 64
 
     rng = np.random.default_rng(3)
     noise = rng.normal(0.0, 0.01, size=128)
-
-    def noisy(ids):
-        return [BackflowRecord(i, i, False, {"tv": 0.1}, {"tv": 0.1},
-                               {"tv": noise[i], "js": noise[i], "hellinger": noise[i]}) for i in ids]
-
-    records, stopped = collect_with_early_stop(noisy, 128, EarlyStopPolicy())
+    records, stopped = collect(lambda i: noise[i])
     assert not stopped and len(records) == 128
     print("\n[ 9] early stop: PASS (zero variance stops at exactly 64; "
           "sigma=0.01 noise runs the full 128)")

@@ -6,7 +6,6 @@ import pytest
 from backflow.data import make_synthetic, split_probe
 from backflow.instruments import (
     AugmentationKernel,
-    Instrument,
     apply_augmentation,
     sample_batch_plan,
 )
@@ -14,6 +13,7 @@ from backflow.model import ModelSpec, init_params, loss_and_grad
 from backflow.optimizer import OptimizerConfig, OptimizerState, step
 from backflow import protocol
 from backflow.protocol import REGIME_PRESETS, ProtocolSettings, Regime
+from backflow.seeding import derive_seed
 
 SPEC = ModelSpec("softmax_linear", 8, 4)
 
@@ -221,64 +221,64 @@ def test_image_forms_match_per_image_reference(kind):
 
 
 def first_pair(dataset, regime, batch_size, seed):
-    """The batch plan, the A/A'/B instruments and the no-break run of one micro-experiment."""
+    """The batch plan, the batches and the no-break run of one micro-experiment."""
     settings = ProtocolSettings(batch_size=batch_size)
-    plan, instruments, _ = protocol._instruments(regime, dataset, seed, settings, 1.0)
+    plan = sample_batch_plan(dataset, batch_size, regime.overlap, regime.same_classes, derive_seed(seed, "plan"))
+    batches = protocol._repeat_batches(regime, dataset, seed, batch_size)
     (runs,) = protocol._guarded_block(init_params(SPEC, 0), SPEC, regime, ("no",), dataset,
                                       dataset.features[dataset.probe_indices], settings, [(seed, 0)])
-    return plan, instruments, runs["no"], settings
+    return plan, batches, runs["no"], settings
 
 
-def train_alone(dataset, instrument, regime, settings):
+def train_alone(x, y, regime, settings):
     """k steps of one branch from the base with the regime's lr and momentum."""
     config = OptimizerConfig(lr=regime.lr, momentum=regime.momentum,
                              weight_decay=settings.weight_decay, clip_norm=settings.clip_norm)
     params = init_params(SPEC, 0)
     state = OptimizerState.zeros(params.size)
-    x = apply_augmentation(instrument.aug, dataset.features[instrument.batch_indices])
-    for _ in range(instrument.k):
-        _, grad = loss_and_grad(SPEC, params, x, dataset.labels[instrument.batch_indices])
+    for _ in range(regime.k):
+        _, grad = loss_and_grad(SPEC, params, x, y)
         params, state = step(params, state, grad, config)
     return params, state.velocity
 
 
 def test_make_pair_shares_everything_but_augmentation(dataset):
     regime = Regime("pair", 3, 0.02, 0.9, "weak", "color", "weak", 0.5, True)
-    plan, (a, ap, _), run, settings = first_pair(dataset, regime, 32, seed=11)
-    assert np.array_equal(a.batch_indices, plan.indices_a)
-    assert np.array_equal(ap.batch_indices, plan.indices_a)
-    assert a.k == ap.k == 3
-    assert a.aug.kind == "weak" and ap.aug.kind == "color"
-    assert a.aug.seed == ap.aug.seed
-    # both branches step with the regime's lr and momentum
-    for row, instrument in enumerate((a, ap)):
-        params, velocity = train_alone(dataset, instrument, regime, settings)
+    plan, (x_a, x_ap, x_b, y_a, y_b), run, settings = first_pair(dataset, regime, 32, seed=11)
+    # A and A' augment the plan's first batch with one seed; B its second batch with another
+    first, aug_seed = dataset.features[plan.indices_a], derive_seed(11, "aug_first")
+    assert np.array_equal(x_a, apply_augmentation(AugmentationKernel("weak", aug_seed), first))
+    assert np.array_equal(x_ap, apply_augmentation(AugmentationKernel("color", aug_seed), first))
+    b_kernel = AugmentationKernel("weak", derive_seed(11, "aug_b"))
+    assert np.array_equal(x_b, apply_augmentation(b_kernel, dataset.features[plan.indices_b]))
+    assert np.array_equal(y_a, dataset.labels[plan.indices_a])
+    assert np.array_equal(y_b, dataset.labels[plan.indices_b])
+    # both branches step k times with the regime's lr and momentum
+    for row, x in enumerate((x_a, x_ap)):
+        params, velocity = train_alone(x, y_a, regime, settings)
         assert np.array_equal(run.params_mid[row], params)
         assert np.array_equal(run.velocity_mid[row], velocity)
 
 
 def test_make_pair_placebo_identical(dataset):
     regime = Regime("placebo", 2, 0.02, 0.9, "weak", "weak", "weak", 0.5, True)
-    _, (a, ap, _), run, _ = first_pair(dataset, regime, 32, seed=12)
-    assert a.aug == ap.aug
-    x = dataset.features[a.batch_indices]
-    assert np.array_equal(apply_augmentation(a.aug, x), apply_augmentation(ap.aug, x))
+    _, (x_a, x_ap, _, _, _), run, _ = first_pair(dataset, regime, 32, seed=12)
+    assert np.array_equal(x_a, x_ap)
     assert np.array_equal(run.params_mid[0], run.params_mid[1])
 
 
 def test_negative_control_pair(dataset):
     regime = REGIME_PRESETS["negative"]
-    _, (a, ap, _), run, settings = first_pair(dataset, regime, 16, seed=14)
-    assert a.k == 1 and (regime.lr, regime.momentum) == (0.005, 0.0)
-    x = dataset.features[a.batch_indices]
-    assert np.array_equal(apply_augmentation(a.aug, x), apply_augmentation(ap.aug, x))
-    for row, instrument in enumerate((a, ap)):
-        params, _ = train_alone(dataset, instrument, regime, settings)
+    plan, (x_a, x_ap, _, y_a, _), run, settings = first_pair(dataset, regime, 16, seed=14)
+    assert regime.k == 1 and (regime.lr, regime.momentum) == (0.005, 0.0)
+    assert np.array_equal(x_a, x_ap) and np.array_equal(x_a, dataset.features[plan.indices_a])
+    for row, x in enumerate((x_a, x_ap)):
+        params, _ = train_alone(x, y_a, regime, settings)
         assert np.array_equal(run.params_mid[row], params)
 
 
 def test_instrument_validation():
     with pytest.raises(ValueError, match="k must be"):
-        Instrument(np.arange(4), AugmentationKernel("none"), k=0)
+        Regime("bad", 0, 0.02, 0.9, "weak", "color", "weak", 0.5, True)
     with pytest.raises(ValueError, match="unknown augmentation"):
         AugmentationKernel("cutout")

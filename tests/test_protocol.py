@@ -127,13 +127,12 @@ def test_break_first_b_update_is_momentum_free(monkeypatch, dataset, base_params
                                   seed=31, settings=SETTINGS)
     assert record.ok and len(updates) == 2 * regime.k
     params_mid, first_b_params = updates[regime.k - 1][0], updates[regime.k][0]
-    _, (_, _, instr_b), _ = protocol._instruments(regime, dataset, 31, SETTINGS, 1.0)
-    xb = apply_augmentation(instr_b.aug, dataset.features[instr_b.batch_indices])
+    _, _, xb, _, yb = protocol._repeat_batches(regime, dataset, 31, SETTINGS.batch_size)
     config = OptimizerConfig(lr=regime.lr, momentum=0.0,
                              weight_decay=SETTINGS.weight_decay, clip_norm=SETTINGS.clip_norm)
     for row in (0, 1):  # the A and A' rows
         mid = params_mid[row]
-        _, grad = loss_and_grad(SPEC, mid, xb, dataset.labels[instr_b.batch_indices])
+        _, grad = loss_and_grad(SPEC, mid, xb, yb)
         expected, _ = step(mid, OptimizerState.zeros(base_params.size), grad, config)
         assert np.array_equal(first_b_params[row], expected)
 
@@ -252,15 +251,17 @@ def make_injected_record(i, value):
                           delta={"tv": value, "js": value, "hellinger": value})
 
 
-def injected(value_of):
-    """A block sampler for collect_with_early_stop: one injected record per repeat id."""
-    return lambda ids: [make_injected_record(i, value_of(i)) for i in ids]
+def collect_injected(value_of, max_repeats, policy):
+    """collect_with_early_stop on one flag, one injected record per repeat id, one id per block."""
+    def sample(open_flags, ids):
+        assert open_flags == ("no",)
+        return {"no": [make_injected_record(i, value_of(i)) for i in ids]}
+
+    return collect_with_early_stop(sample, max_repeats, policy, flags=("no",), block_size=lambda n_open: 1)
 
 
 def test_early_stop_zero_variance_stops_at_floor():
-    records, stopped = collect_with_early_stop(
-        injected(lambda i: 0.0), 128, EarlyStopPolicy()
-    )
+    records, stopped = collect_injected(lambda i: 0.0, 128, EarlyStopPolicy())
     assert stopped
     assert len(records) == 64
 
@@ -268,24 +269,18 @@ def test_early_stop_zero_variance_stops_at_floor():
 def test_early_stop_noisy_runs_to_max():
     rng = np.random.default_rng(0)
     noise = rng.normal(0.0, 0.01, size=128)
-    records, stopped = collect_with_early_stop(
-        injected(lambda i: noise[i]), 128, EarlyStopPolicy()
-    )
+    records, stopped = collect_injected(lambda i: noise[i], 128, EarlyStopPolicy())
     assert not stopped
     assert len(records) == 128
 
 
 def test_early_stop_disabled_runs_all():
-    records, stopped = collect_with_early_stop(
-        injected(lambda i: 0.0), 80, EarlyStopPolicy(enabled=False)
-    )
+    records, stopped = collect_injected(lambda i: 0.0, 80, EarlyStopPolicy(enabled=False))
     assert not stopped and len(records) == 80
 
 
 def test_below_floor_runs_exactly_requested():
-    records, stopped = collect_with_early_stop(
-        injected(lambda i: 0.0), 4, EarlyStopPolicy()
-    )
+    records, stopped = collect_injected(lambda i: 0.0, 4, EarlyStopPolicy())
     assert not stopped and len(records) == 4
 
 
@@ -297,6 +292,21 @@ def test_pretrain_improves_fit(dataset):
     before = (forward(SPEC, params, probe_x).argmax(1) == probe_y).mean()
     after = (forward(SPEC, trained, probe_x).argmax(1) == probe_y).mean()
     assert after > before
+
+
+def test_pretrain_matches_unstacked_steps_bitwise(dataset):
+    params = init_params(SPEC, 0)
+    trained = pretrain(SPEC, params, dataset, passes=2, batch_size=24, seed=1)
+    rng = np.random.default_rng(1)
+    config = OptimizerConfig(lr=0.1, momentum=0.9, weight_decay=5e-4, clip_norm=1.0)
+    expected, state = params, OptimizerState.zeros(params.size)
+    for _ in range(2):
+        order = rng.permutation(dataset.train_indices)
+        for start in range(0, len(order) - 23, 24):
+            batch = order[start : start + 24]
+            _, grad = loss_and_grad(SPEC, expected, dataset.features[batch], dataset.labels[batch])
+            expected, state = step(expected, state, grad, config)
+    assert trained.shape == params.shape and trained.tobytes() == expected.tobytes()
 
 
 def sweep_mapping(tmp_path, **overrides):
@@ -684,6 +694,9 @@ def test_config_values_of_the_wrong_json_type_name_their_key(tmp_path):
         ({"diagnostics": {"enabled": None}}, "diagnostics.enabled: must be true or false, got None"),
         ({"base_stage": None}, "base_stage: must be a string, got None"),
         ({"break_flags": ["no", None]}, "break_flags: must be a string, got None"),
+        # these two used to name the run directories '3' and 'None'
+        ({"output_dir": 3}, "output_dir: must be a string, got 3"),
+        ({"output_dir": None}, "output_dir: must be a string, got None"),
     ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_mapping(sweep_mapping(tmp_path, **overrides))
@@ -723,10 +736,9 @@ def test_repeats_per_block_bounds_the_stacks():
 
 def reference_curve(base_params, spec, regime, break_applied, dataset, probe_subset, seed, k_max, settings):
     """The non-commute curve as one two-row run of both phases per k: the loop the stacked curve replaces."""
-    plan, (instr_a, _, instr_b), config = protocol._instruments(regime, dataset, seed, settings, 1.0)
-    x_a = protocol.apply_instrument_batch(instr_a, dataset)
-    x_b = protocol.apply_instrument_batch(instr_b, dataset)
-    y_a, y_b = dataset.labels[plan.indices_a], dataset.labels[plan.indices_b]
+    x_a, _, x_b, y_a, y_b = protocol._repeat_batches(regime, dataset, seed, settings.batch_size)
+    config = OptimizerConfig(lr=regime.lr, momentum=regime.momentum,
+                             weight_decay=settings.weight_decay, clip_norm=settings.clip_norm)
     curve = []
     for k in range(1, k_max + 1):
         params, velocity, _ = protocol._train(spec, np.stack([base_params, base_params]),
@@ -849,19 +861,18 @@ def test_early_base_stage_pretrains(tmp_path):
 def test_image_datasets_get_image_augmentations(dataset):
     from dataclasses import replace as dc_replace
 
-    from backflow.instruments import AugmentationKernel
+    from backflow.instruments import AugmentationKernel, sample_batch_plan
 
     image_ds = dc_replace(dataset, provenance={**dataset.provenance, "image_shape": [3, 4]})
-    _, (instr_a, _, _), _ = protocol._instruments(small_regime(), image_ds, 81, SETTINGS, 1.0)
-    kernel = instr_a.aug
-    assert kernel.params == {"image_shape": (3, 4)}
-    flat = image_ds.features[instr_a.batch_indices]
-    expected = apply_augmentation(
-        AugmentationKernel(kernel.kind, kernel.seed, {"image_shape": (3, 4)}), flat
-    )
-    from backflow.protocol import apply_instrument_batch
-
-    assert np.array_equal(apply_instrument_batch(instr_a, image_ds), expected)
+    regime = small_regime()
+    x_a = protocol._repeat_batches(regime, image_ds, 81, SETTINGS.batch_size)[0]
+    plan = sample_batch_plan(image_ds, SETTINGS.batch_size, regime.overlap, regime.same_classes,
+                             derive_seed(81, "plan"))
+    flat = image_ds.features[plan.indices_a]
+    kernel = AugmentationKernel(regime.aug_a, derive_seed(81, "aug_first"), {"image_shape": (3, 4)})
+    assert np.array_equal(x_a, apply_augmentation(kernel, flat))
+    # the vector form of the same draw differs: the image shape is what selects the form
+    assert not np.array_equal(x_a, apply_augmentation(AugmentationKernel(kernel.kind, kernel.seed), flat))
 
 
 def test_config_validation_errors(tmp_path):
