@@ -356,7 +356,7 @@ def cmd_report(run_dir: str) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of ``--count``: an integer >= 0."""
+    """argparse type of ``oracle --seed`` and ``--count``: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the run configuration (JSON)")
 
     p_oracle = sub.add_parser("oracle", help="randomized no-back-flow verification")
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=_non_negative_int, default=0)
     p_oracle.add_argument("--count", type=_non_negative_int, default=100)
     p_oracle.add_argument("--demo-witness", action="store_true",
                           help="also exhibit the hand-built memoryful process")

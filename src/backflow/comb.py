@@ -24,10 +24,10 @@ A group of G processes and L labels has its kernels as one (G, L, S, S)
 stack; every later law step, and the channel's prediction, is one stacked
 matrix-vector product, bit for bit the one-process, one-label path.  One
 divergence call then covers both law steps of every pair, kind and process
-of the group.  ``two_time_laws``, ``search_backflow_witness`` and a
-one-process check are the G = 1 case of the same helpers.  Every kernel,
-including each ``link`` product, and every prior is validated when built.
-Brute-force checks against path enumeration live in the test suite.
+of the group.  ``search_backflow_witness`` and a one-process check are the
+G = 1 case of the same helpers.  Every kernel, including each ``link``
+product, and every prior is validated when built.  Brute-force checks
+against path enumeration live in the test suite.
 """
 
 import itertools
@@ -89,13 +89,6 @@ class Kernel:
                 f"({self.to_space.size}x{self.from_space.size})"
             )
         _check_stochastic(m, f"kernel {self.from_space.name}->{self.to_space.name}")
-
-    def apply(self, dist: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(dist, dtype=np.float64)
-
-
-def identity_kernel(space: Space) -> Kernel:
-    return Kernel(np.eye(space.size), space, space)
 
 
 def link(k2: Kernel, k1: Kernel) -> Kernel:
@@ -195,14 +188,6 @@ def _laws(
     pi2 = _apply(_stack([c.kernel(second_label) for c in combs]), mid)
     observation = _stack([c.observation for c in combs])
     return _renorm(_apply(observation, pi1)), _renorm(_apply(observation, pi2))
-
-
-def two_time_laws(
-    comb: Comb, i0: str, i1: str, break_before_second: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """One- and two-step observable laws for the instrument pair (i0, i1)."""
-    phi1, phi2 = _laws([comb], [i0], i1, break_before_second)
-    return phi1[0, 0], phi2[0, 0]
 
 
 def channel_from_break(comb: Comb, b_label: str, lifting: Kernel) -> Kernel:

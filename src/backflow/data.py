@@ -9,6 +9,7 @@ happens when the split is made (the statistics do not exist earlier).
 
 import csv
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -104,9 +105,12 @@ def _load_csv_labeled(path: str) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(f"{path}: row {row_num} has {len(row)} fields, expected {width}")
             try:
                 labels.append(int(row[0]))
-                features.append([float(v) for v in row[1:]])
+                values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}: row {row_num}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: row {row_num} has a non-finite feature")
+            features.append(values)
     if not features:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
@@ -121,8 +125,10 @@ def _read_idx(path: str, expected_magic: int):
     if magic != expected_magic:
         raise ValueError(f"{path}: IDX magic {magic} != expected {expected_magic}")
     ndim = magic & 0xFF
-    dims = struct.unpack(f">{ndim}I", raw[4 : 4 + 4 * ndim])
     offset = 4 + 4 * ndim
+    if len(raw) < offset:
+        raise ValueError(f"{path}: truncated IDX header ({len(raw)} bytes, {ndim} dims need {offset})")
+    dims = struct.unpack(f">{ndim}I", raw[4:offset])
     data = np.frombuffer(raw, dtype=np.uint8, offset=offset)
     if data.size != int(np.prod(dims)):
         raise ValueError(f"{path}: payload size does not match header dims {dims}")

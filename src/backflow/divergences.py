@@ -12,8 +12,9 @@ The Hellinger coefficient is deliberately 1/2 (not the conventional
 1/sqrt(2)), so its maximum over disjoint supports is sqrt(2)/2.
 
 Matrix variants average the per-row divergence, which preserves the
-data-processing property row-wise.  ``div_avg`` also takes a stack of
-prediction matrices (R x N x C) and returns one average per matrix pair.
+data-processing property row-wise.  ``div_avg`` takes a tuple of kinds and
+returns a ``{kind: value}`` dict; it also takes a stack of prediction
+matrices (R x N x C) and then gives one average per matrix pair.
 """
 
 import numpy as np
@@ -78,11 +79,11 @@ def div_row(kind: str, p, q) -> float:
     return float(_row_values(kind, pr, qr)[0])
 
 
-def div_avg(kind, p, q):
-    """Mean per-row divergence between two N x C prediction matrices on the same N inputs.
+def div_avg(kinds: tuple[str, ...], p, q) -> dict:
+    """Mean per-row divergence of each of ``kinds`` between two N x C prediction matrices.
 
-    ``kind`` is one kind, or a tuple of kinds for a ``{kind: value}`` dict
-    computed from one validation of each side.  Stacked R x N x C inputs
+    The matrices hold predictions on the same N inputs and are validated
+    once for all kinds.  Returns ``{kind: value}``; stacked R x N x C inputs
     give an array of R averages per kind.
     """
     p = np.asarray(p, dtype=np.float64)
@@ -92,10 +93,8 @@ def div_avg(kind, p, q):
     pr = _as_prob_rows(p, "p")
     qr = _as_prob_rows(q, "q")
 
-    def average(k):
-        value = _row_values(k, pr, qr).mean(axis=-1)
+    def average(kind):
+        value = _row_values(kind, pr, qr).mean(axis=-1)
         return float(value) if value.ndim == 0 else value
 
-    if isinstance(kind, tuple):
-        return {k: average(k) for k in kind}
-    return average(kind)
+    return {kind: average(kind) for kind in kinds}

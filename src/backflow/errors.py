@@ -1,13 +1,10 @@
 class NanGuardError(RuntimeError):
     """A loss, gradient, or parameter update stopped being finite.
 
-    Carries enough context for the caller to retry the surrounding
-    micro-experiment at a halved learning rate.
+    The message names what stopped being finite; the caller retries the
+    surrounding micro-experiment at a halved learning rate and records the
+    message if that fails too.
     """
-
-    def __init__(self, message: str, context: dict | None = None):
-        super().__init__(message)
-        self.context = dict(context or {})
 
 
 class ConfigError(ValueError):

@@ -1,11 +1,12 @@
-"""Controllable interventions: batch plans and seeded augmentation kernels.
+"""Controllable interventions: batch plans and seeded augmentations.
 
-An instrument is a mini-batch, an augmentation kernel applied to it, and a
+An instrument is a mini-batch, an augmentation applied to it, and a
 micro-step count (the regime's k).  Batch plans control the overlap between
 the first and second instrument's batches exactly and can match class
 histograms.
-Augmentations are deterministic maps given (kind, seed, params, input), so
-a branch pair that shares a kernel sees bit-identical batches.
+Augmentations are deterministic maps given (kind, inputs, seed,
+image_shape), so a branch pair that shares a kind and a seed sees
+bit-identical batches.
 
 Vector-mode augmentations (desk-scale analogs of the image transforms,
 ordered none < weak < color/blur in perturbation strength):
@@ -15,18 +16,18 @@ ordered none < weak < color/blur in perturbation strength):
 * color: weak, then per-feature multiplicative jitter in [0.6, 1.4] and,
          per example with probability 0.2, projection onto the example mean
 * blur:  weak, then window-3 moving-average smoothing with a mixing weight
-         drawn from the kernel's strength range
+         drawn from the blur's strength range
 
-When the kernel's params carry ``image_shape`` (or the inputs are already
-N x H x W), the image forms are used instead: weak = reflect-pad-4 random
-crop + horizontal flip, color adds brightness/contrast jitter, blur adds a
-3-tap Gaussian.  Each image draws its own crop offset, flip, jitter and blur
+Given ``image_shape`` (H, W), the N x (H*W) rows are read as images and
+the image forms are used instead: weak = reflect-pad-4 random crop +
+horizontal flip, color adds brightness/contrast jitter, blur adds a 3-tap
+Gaussian.  Each image draws its own crop offset, flip, jitter and blur
 width, and each form is applied to the whole batch at once; the output bits
 equal those of applying it one image at a time.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,17 +35,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .data import Dataset
 
 AUG_KINDS = ("none", "weak", "color", "blur")
-
-
-@dataclass
-class AugmentationKernel:
-    kind: str
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in AUG_KINDS:
-            raise ValueError(f"unknown augmentation kind {self.kind!r}")
 
 
 @dataclass
@@ -124,7 +114,7 @@ def sample_batch_plan(
 
 
 # ---------------------------------------------------------------------------
-# Augmentation kernels.
+# Augmentations.
 
 
 def _moving_average3(x: np.ndarray) -> np.ndarray:
@@ -198,22 +188,22 @@ _VECTOR_FORMS = {"weak": _weak_vec, "color": _color_vec, "blur": _blur_vec}
 _IMAGE_FORMS = {"weak": _weak_img, "color": _color_img, "blur": _blur_img}
 
 
-def apply_augmentation(aug: AugmentationKernel, inputs) -> np.ndarray:
-    """Apply the kernel; same (kernel, inputs) always yields the same output."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if aug.kind == "none":
-        return x.copy()
-    rng = np.random.default_rng(aug.seed)
+def apply_augmentation(kind: str, inputs, seed: int, image_shape=None) -> np.ndarray:
+    """Augment N x d rows; the same arguments always yield the same output.
 
-    image_shape = aug.params.get("image_shape")
-    if x.ndim == 3:
-        return _IMAGE_FORMS[aug.kind](rng, x)
+    With ``image_shape`` (H, W) each row is an H x W image, d = H * W.
+    """
+    if kind not in AUG_KINDS:
+        raise ValueError(f"unknown augmentation kind {kind!r}")
+    x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
-        raise ValueError("inputs must be N x d feature vectors or N x H x W grids")
-    if image_shape is not None:
-        h, w = image_shape
-        if x.shape[1] != h * w:
-            raise ValueError(f"flat width {x.shape[1]} does not match image_shape {image_shape}")
-        out = _IMAGE_FORMS[aug.kind](rng, x.reshape(-1, h, w))
-        return out.reshape(x.shape)
-    return _VECTOR_FORMS[aug.kind](rng, x)
+        raise ValueError("inputs must be N x d rows")
+    if kind == "none":
+        return x.copy()
+    rng = np.random.default_rng(seed)
+    if image_shape is None:
+        return _VECTOR_FORMS[kind](rng, x)
+    h, w = image_shape
+    if x.shape[1] != h * w:
+        raise ValueError(f"flat width {x.shape[1]} does not match image_shape {image_shape}")
+    return _IMAGE_FORMS[kind](rng, x.reshape(-1, h, w)).reshape(x.shape)

@@ -204,7 +204,7 @@ def loss_and_grad(
     grad = np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
 
     if not np.all(np.isfinite(loss)) or not np.all(np.isfinite(grad)):
-        raise NanGuardError("non-finite loss or gradient", {"loss": loss.tolist(), "kind": spec.kind})
+        raise NanGuardError("non-finite loss or gradient")
     return (float(loss) if loss.ndim == 0 else loss), grad
 
 

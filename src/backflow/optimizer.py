@@ -1,9 +1,10 @@
 """SGD with momentum, per-step weight decay, and global-norm gradient clipping.
 
-The momentum buffer is the memory the harness probes: ``causal_break``
-zeroes it while leaving parameters untouched, severing the only channel by
-which the first instrument's history can reach the second one through the
-optimizer.
+The optimizer state is one plain array, the momentum buffer ("velocity"),
+and it is the memory the harness probes: ``step`` maps ``(params,
+velocity)`` to their successors, and ``causal_break`` zeroes the buffer
+while leaving parameters untouched, severing the only channel by which the
+first instrument's history can reach the second one through the optimizer.
 
 Update rule (buffer-form heavy ball):
 
@@ -42,26 +43,17 @@ class OptimizerConfig:
             raise ValueError("clip_norm must be positive when set")
 
 
-@dataclass
-class OptimizerState:
-    velocity: np.ndarray
-
-    @classmethod
-    def zeros(cls, shape) -> "OptimizerState":
-        return cls(np.zeros(shape))
-
-
 def step(
     params: np.ndarray,
-    state: OptimizerState,
+    velocity: np.ndarray,
     grad: np.ndarray,
     config: OptimizerConfig,
-) -> tuple[np.ndarray, OptimizerState]:
-    """One update; returns fresh arrays, inputs are never mutated."""
-    if params.shape != grad.shape or state.velocity.shape != params.shape:
+) -> tuple[np.ndarray, np.ndarray]:
+    """One update to ``(params, velocity)``; returns fresh arrays, inputs are never mutated."""
+    if params.shape != grad.shape or velocity.shape != params.shape:
         raise ValueError("params, gradient, and velocity must share one shape")
     if not np.all(np.isfinite(grad)):
-        raise NanGuardError("non-finite gradient", {"where": "grad"})
+        raise NanGuardError("non-finite gradient")
 
     g = grad + config.weight_decay * params
     if config.clip_norm is not None:
@@ -69,20 +61,20 @@ def step(
             norm = np.sqrt(np.vecdot(g, g))[..., None]  # per row
         if not np.all(np.isfinite(norm)):
             # an overflowing norm would scale the gradient to exactly zero
-            raise NanGuardError("non-finite gradient norm", {"where": "clip"})
+            raise NanGuardError("non-finite gradient norm")
         # rows within the clip norm are scaled by exactly 1.0
         g = g * (config.clip_norm / np.maximum(norm, config.clip_norm))
-    velocity = config.momentum * state.velocity + g
+    velocity = config.momentum * velocity + g
     with np.errstate(over="ignore", invalid="ignore"):  # NaN guard below decides
         new_params = params - config.lr * velocity
     if not np.all(np.isfinite(new_params)):
-        raise NanGuardError("non-finite parameter update", {"where": "update", "lr": config.lr})
-    return new_params, OptimizerState(velocity)
+        raise NanGuardError("non-finite parameter update")
+    return new_params, velocity
 
 
-def causal_break(state: OptimizerState) -> OptimizerState:
-    """Zero the momentum buffer; parameters are not part of the state."""
-    return OptimizerState(np.zeros_like(state.velocity))
+def causal_break(velocity: np.ndarray) -> np.ndarray:
+    """Zero the momentum buffer; parameters are not part of the optimizer state."""
+    return np.zeros_like(velocity)
 
 
 def amplification_factor(mu: float, k: int) -> float:

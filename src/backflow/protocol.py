@@ -35,7 +35,7 @@ phases of the curve and the base pretraining run their optimizer steps
 through it, on batch arrays that ``_repeat_batches`` builds per repeat.
 
 Randomness discipline: each repeat derives its own streams from
-(seed, repeat_id, tag).  The A/A' kernels share one augmentation seed (they
+(seed, repeat_id, tag).  The A/A' augmentations share one seed (they
 must differ only by kind), and B's plan and draws are common to both
 branches of a repeat.  Records are pure functions of (config, seed,
 repeat_id, flag): a record is the same whether its flag ran alone or with
@@ -61,13 +61,12 @@ from .divergences import KINDS, div_avg
 from .errors import ConfigError, NanGuardError
 from .instruments import (
     AUG_KINDS,
-    AugmentationKernel,
     apply_augmentation,
     sample_batch_plan,
     shared_rows,
 )
 from .model import ModelSpec, forward, init_params, loss_and_grad, parameter_count, penultimate_features
-from .optimizer import OptimizerConfig, OptimizerState, causal_break, step
+from .optimizer import OptimizerConfig, causal_break, step
 from .seeding import derive_seed
 from .stats import bh_fdr, bh_qvalues, bootstrap_mean_ci, normal_ci_half_width, t_test_mean, tost_equivalence
 
@@ -149,12 +148,11 @@ def _repeat_batches(regime: Regime, dataset: Dataset, seed: int, batch_size: int
     """
     plan = sample_batch_plan(dataset, batch_size, regime.overlap, regime.same_classes, derive_seed(seed, "plan"))
     shape = dataset.provenance.get("image_shape")
-    params = {} if shape is None else {"image_shape": tuple(shape)}
     first, second = dataset.features[plan.indices_a], dataset.features[plan.indices_b]
     aug_seed_first = derive_seed(seed, "aug_first")
-    x_a = apply_augmentation(AugmentationKernel(regime.aug_a, aug_seed_first, params), first)
-    x_ap = apply_augmentation(AugmentationKernel(regime.aug_aprime, aug_seed_first, params), first)
-    x_b = apply_augmentation(AugmentationKernel(regime.aug_b, derive_seed(seed, "aug_b"), params), second)
+    x_a = apply_augmentation(regime.aug_a, first, aug_seed_first, shape)
+    x_ap = apply_augmentation(regime.aug_aprime, first, aug_seed_first, shape)
+    x_b = apply_augmentation(regime.aug_b, second, derive_seed(seed, "aug_b"), shape)
     return x_a, x_ap, x_b, dataset.labels[plan.indices_a], dataset.labels[plan.indices_b]
 
 
@@ -188,8 +186,7 @@ def _train(spec, params, velocity, x, y, steps, config):
             done.append((params[live:].copy(), velocity[live:].copy()))
             params, velocity, x, y = params[:live], velocity[:live], x[:live], y[:live]
         _, grad = loss_and_grad(spec, params, x, y)
-        params, state = step(params, OptimizerState(velocity), grad, config)
-        velocity = state.velocity
+        params, velocity = step(params, velocity, grad, config)
     if done:
         params = np.concatenate([params, *(p for p, _ in reversed(done))])
         velocity = np.concatenate([velocity, *(v for _, v in reversed(done))])
@@ -259,9 +256,9 @@ def _run_repeat(
     preds_mid = forward(spec, params_mid, probe_x)
     d1_rows = div_avg(KINDS, preds_mid[0::2], preds_mid[1::2])
 
-    mid_state = OptimizerState(velocity_mid.reshape(n_rep, 2, size))
+    velocity_pairs = velocity_mid.reshape(n_rep, 2, size)
     velocity_b = np.stack(
-        [(causal_break(mid_state) if flag == "break" else mid_state).velocity for flag in flags], axis=1
+        [causal_break(velocity_pairs) if flag == "break" else velocity_pairs for flag in flags], axis=1
     )
     rows_b = 2 * n_flags  # B rows of one repeat
     x_b, y_b = np.repeat(x_b, rows_b, axis=0), np.repeat(y_b, rows_b, axis=0)
@@ -421,7 +418,7 @@ def run_noncommute_curve(
         switch = {}
         for k in range(start + 1, group[0] + 1):
             first, velocity, _ = _train(spec, first, velocity, x_first, y_first, 1, config)
-            switch[k] = (first, causal_break(OptimizerState(velocity)).velocity if break_applied else velocity)
+            switch[k] = (first, causal_break(velocity) if break_applied else velocity)
         params, _, _ = _train(
             spec,
             np.concatenate([switch[k][0] for k in group]),
@@ -432,7 +429,7 @@ def run_noncommute_curve(
             config,
         )
         preds = forward(spec, params, probe_x)
-        values = div_avg("tv", preds[0::2], preds[1::2])
+        values = div_avg(("tv",), preds[0::2], preds[1::2])["tv"]
         curve.extend((k, float(v)) for k, v in zip(reversed(group), values[::-1]))
     return curve
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,25 @@ def test_run_dataset_error_leaves_no_run_dir(tmp_path, capsys):
         assert not (tmp_path / "run").exists()
 
 
+def test_run_bad_dataset_file_leaves_no_run_dir(tmp_path, capsys):
+    # a non-finite CSV feature and a truncated IDX header are input errors, not NaN-guard failures
+    table = tmp_path / "table.csv"
+    table.write_text("label,f0\n0,1.0\n1,nan\n")
+    images = tmp_path / "short-images-idx3-ubyte"
+    images.write_bytes(struct.pack(">II", 0x00000803, 1))
+    (tmp_path / "short-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x00000801, 1) + bytes(1))
+    cases = (
+        ({"kind": "file", "path": str(table), "format": "csv_labeled"}, "table.csv: row 3"),
+        ({"kind": "file", "path": str(images), "format": "idx_pair"}, "short-images-idx3-ubyte: truncated"),
+    )
+    for dataset, message in cases:
+        path, _ = write_config(tmp_path, dataset=dataset)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "run").exists()
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
@@ -172,12 +192,13 @@ def test_oracle_zero_count(capsys):
 
 
 def test_oracle_negative_count_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--count", "-1"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage:")
-    assert "--count: must be >= 0" in err
+    for flag in ("--count", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", flag, "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"{flag}: must be >= 0" in err
 
 
 def test_oracle_loads_no_sweep_modules():
@@ -327,7 +348,7 @@ def test_run_persistent_nan_guard_exits_nonzero(tmp_path, capsys, monkeypatch):
     import backflow.protocol as protocol
     from backflow.errors import NanGuardError
 
-    def always_fail(params, state, grad, config):
+    def always_fail(params, velocity, grad, config):
         raise NanGuardError("injected failure")
 
     monkeypatch.setattr(protocol, "step", always_fail)

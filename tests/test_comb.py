@@ -12,7 +12,6 @@ from backflow.comb import (
     Space,
     buffer_reset_kernel,
     channel_from_break,
-    identity_kernel,
     instrument_pairs,
     link,
     memoryful_demo_comb,
@@ -24,7 +23,6 @@ from backflow.comb import (
     search_backflow_witness,
     theta_lifting_kernel,
     theta_readout_kernel,
-    two_time_laws,
     verify_no_backflow,
 )
 from backflow.divergences import KINDS, div_row
@@ -32,6 +30,16 @@ from backflow.divergences import KINDS, div_row
 
 def make_space(name, n):
     return Space(name, tuple(f"{name}{i}" for i in range(n)))
+
+
+def identity_kernel(space):
+    return Kernel(np.eye(space.size), space, space)
+
+
+def two_time_laws(comb, i0, i1, break_before_second=False):
+    """One- and two-step observable laws of the pair (i0, i1), the one-comb, one-label case of ``_laws``."""
+    phi1, phi2 = _laws([comb], [i0], i1, break_before_second)
+    return phi1[0, 0], phi2[0, 0]
 
 
 def test_link_identity():
@@ -347,7 +355,7 @@ def test_data_processing_on_module_kernels():
         p = random_prior(rng, n)
         q = random_prior(rng, n)
         for kind in KINDS:
-            assert div_row(kind, lam.apply(p), lam.apply(q)) <= div_row(kind, p, q) + 1e-12
+            assert div_row(kind, lam.matrix @ p, lam.matrix @ q) <= div_row(kind, p, q) + 1e-12
 
 
 def reference_laws(comb, i0, i1, break_flag):

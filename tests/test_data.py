@@ -6,7 +6,7 @@ import pytest
 
 from backflow.data import load_table, make_synthetic, split_probe
 from backflow.model import ModelSpec, init_params, loss_and_grad
-from backflow.optimizer import OptimizerConfig, OptimizerState, step
+from backflow.optimizer import OptimizerConfig, step
 
 
 def test_synthetic_determinism():
@@ -36,12 +36,12 @@ def test_well_separated_classes_are_learnable():
     spec = ModelSpec("softmax_linear", 8, 4)
     params = init_params(spec, 0)
     config = OptimizerConfig(lr=0.5, momentum=0.9)
-    state = OptimizerState.zeros(params.size)
+    velocity = np.zeros(params.size)
     rng = np.random.default_rng(3)
     for _ in range(200):
         batch = rng.choice(ds.train_indices, size=32, replace=False)
         _, grad = loss_and_grad(spec, params, ds.features[batch], ds.labels[batch])
-        params, state = step(params, state, grad, config)
+        params, velocity = step(params, velocity, grad, config)
     from backflow.model import forward
 
     preds = forward(spec, params, ds.features[ds.probe_indices])
@@ -106,6 +106,14 @@ def test_load_csv_malformed_row_names_row(tmp_path):
         load_table(str(path), "csv_labeled")
 
 
+def test_load_csv_non_finite_feature_names_row(tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    for cell in ("nan", "inf", "-inf"):
+        path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,{cell}\n")
+        with pytest.raises(ValueError, match="nonfinite.csv: row 3 has a non-finite feature"):
+            load_table(str(path), "csv_labeled")
+
+
 def test_load_csv_header_required(tmp_path):
     path = tmp_path / "nohdr.csv"
     path.write_text("f0,f1\n1.0,2.0\n")
@@ -162,6 +170,15 @@ def test_load_idx_bad_magic(tmp_path):
     path.write_bytes(struct.pack(">IIII", 0x00000801, 1, 2, 2) + bytes(4))
     (tmp_path / "bad-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x00000801, 1) + bytes(1))
     with pytest.raises(ValueError, match="magic"):
+        load_table(str(path), "idx_pair")
+
+
+def test_load_idx_truncated_header_names_file(tmp_path):
+    # magic and count only: the three dimension sizes of an idx3 header are missing
+    path = tmp_path / "short-images-idx3-ubyte"
+    path.write_bytes(struct.pack(">II", 0x00000803, 1))
+    (tmp_path / "short-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x00000801, 1) + bytes(1))
+    with pytest.raises(ValueError, match="short-images-idx3-ubyte: truncated IDX header"):
         load_table(str(path), "idx_pair")
 
 

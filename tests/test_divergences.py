@@ -124,9 +124,9 @@ def test_unknown_kind():
 def test_div_avg_identity_and_mean():
     p = np.array([[1.0, 0.0], [0.5, 0.5]])
     q = np.array([[0.0, 1.0], [0.5, 0.5]])
-    assert div_avg("tv", p, p) == 0.0
+    assert div_avg(("tv",), p, p) == {"tv": 0.0}
     # row divergences are 1 and 0, so the mean is 0.5
-    assert div_avg("tv", p, q) == pytest.approx(0.5, abs=1e-15)
+    assert div_avg(("tv",), p, q)["tv"] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_div_avg_matches_row_loop():
@@ -135,12 +135,12 @@ def test_div_avg_matches_row_loop():
     q = np.stack([random_prob(rng, 6) for _ in range(40)])
     for kind in KINDS:
         naive = sum(div_row(kind, p[i], q[i]) for i in range(len(p))) / len(p)
-        assert div_avg(kind, p, q) == pytest.approx(naive, abs=1e-12)
+        assert div_avg((kind,), p, q)[kind] == pytest.approx(naive, abs=1e-12)
 
 
 def test_div_avg_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
-        div_avg("tv", np.eye(2), np.eye(3))
+        div_avg(("tv",), np.eye(2), np.eye(3))
 
 
 def test_div_avg_stacked_and_multi_kind_match_single_calls():
@@ -152,5 +152,5 @@ def test_div_avg_stacked_and_multi_kind_match_single_calls():
     for kind in KINDS:
         assert stacked[kind].shape == (3,)
         for r in range(3):
-            assert stacked[kind][r] == div_avg(kind, p[r], q[r])
-    assert div_avg(KINDS, p[0], q[0]) == {kind: div_avg(kind, p[0], q[0]) for kind in KINDS}
+            assert stacked[kind][r] == div_avg((kind,), p[r], q[r])[kind]
+    assert div_avg(KINDS, p[0], q[0]) == {kind: div_avg((kind,), p[0], q[0])[kind] for kind in KINDS}

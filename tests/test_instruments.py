@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from backflow.data import make_synthetic, split_probe
-from backflow.instruments import (
-    AugmentationKernel,
-    apply_augmentation,
-    sample_batch_plan,
-)
+from backflow.instruments import apply_augmentation, sample_batch_plan
 from backflow.model import ModelSpec, init_params, loss_and_grad
-from backflow.optimizer import OptimizerConfig, OptimizerState, step
+from backflow.optimizer import OptimizerConfig, step
 from backflow import protocol
 from backflow.protocol import REGIME_PRESETS, ProtocolSettings, Regime
 from backflow.seeding import derive_seed
@@ -104,53 +100,51 @@ def test_batches_come_from_train_split(dataset):
 def test_none_is_identity():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 6))
-    out = apply_augmentation(AugmentationKernel("none", seed=1), x)
+    out = apply_augmentation("none", x, 1)
     assert np.array_equal(out, x)
     assert out is not x
 
 
 def test_blur_preserves_constants():
     x = np.full((3, 10), 2.5)
-    out = apply_augmentation(AugmentationKernel("blur", seed=2), x)
+    out = apply_augmentation("blur", x, 2)
     assert np.allclose(out, x, atol=1e-12)
 
 
 def test_weak_determinism():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(5, 12))
-    aug = AugmentationKernel("weak", seed=77)
-    assert np.array_equal(apply_augmentation(aug, x), apply_augmentation(aug, x))
+    assert np.array_equal(apply_augmentation("weak", x, 77), apply_augmentation("weak", x, 77))
 
 
 @pytest.mark.parametrize("kind", ["weak", "color", "blur"])
 def test_augmentation_shapes_and_determinism(kind):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(6, 16))
-    aug = AugmentationKernel(kind, seed=5)
-    out = apply_augmentation(aug, x)
+    out = apply_augmentation(kind, x, 5)
     assert out.shape == x.shape
-    assert np.array_equal(out, apply_augmentation(aug, x))
+    assert np.array_equal(out, apply_augmentation(kind, x, 5))
     assert not np.array_equal(out, x)
-    assert not np.array_equal(out, apply_augmentation(AugmentationKernel(kind, seed=6), x))
+    assert not np.array_equal(out, apply_augmentation(kind, x, 6))
 
 
 @pytest.mark.parametrize("kind", ["weak", "color", "blur"])
 def test_image_mode(kind):
     rng = np.random.default_rng(10)
     images = rng.random((4, 10, 10))
-    aug = AugmentationKernel(kind, seed=3)
-    out = apply_augmentation(aug, images)
-    assert out.shape == images.shape
-    assert np.array_equal(out, apply_augmentation(aug, images))
-    flat = AugmentationKernel(kind, seed=3, params={"image_shape": (10, 10)})
-    out_flat = apply_augmentation(flat, images.reshape(4, 100))
-    assert np.array_equal(out_flat, out.reshape(4, 100))
+    flat = images.reshape(4, 100)
+    out = apply_augmentation(kind, flat, 3, (10, 10))
+    assert out.shape == flat.shape
+    assert np.array_equal(out, apply_augmentation(kind, flat, 3, (10, 10)))
+    expected = REFERENCE_IMAGE_FORMS[kind](np.random.default_rng(3), images.copy())
+    assert out.tobytes() == expected.tobytes()
+    assert not np.array_equal(out, apply_augmentation(kind, flat, 3))  # the vector form differs
 
 
 def test_image_weak_constant_unchanged():
-    images = np.full((2, 8, 8), 0.3)
-    out = apply_augmentation(AugmentationKernel("weak", seed=4), images)
-    assert np.allclose(out, images, atol=1e-15)
+    flat = np.full((2, 64), 0.3)
+    out = apply_augmentation("weak", flat, 4, (8, 8))
+    assert np.allclose(out, flat, atol=1e-15)
 
 
 # The per-image forms of the image augmentations, one Python step per image.
@@ -211,12 +205,9 @@ def test_image_forms_match_per_image_reference(kind):
         before = images.copy()
         for seed in (0, 1, int(rng.integers(0, 2**63))):
             expected = REFERENCE_IMAGE_FORMS[kind](np.random.default_rng(seed), images.copy())
-            out = apply_augmentation(AugmentationKernel(kind, seed), images)
+            out = apply_augmentation(kind, images.reshape(n, h * w), seed, (h, w))
             assert out.dtype == np.float64 and out.flags.c_contiguous
-            assert out.shape == (n, h, w) and out.tobytes() == expected.tobytes(), (kind, n, h, w, seed)
-            flat = AugmentationKernel(kind, seed, params={"image_shape": (h, w)})
-            out_flat = apply_augmentation(flat, images.reshape(n, h * w))
-            assert out_flat.shape == (n, h * w) and out_flat.tobytes() == expected.tobytes()
+            assert out.shape == (n, h * w) and out.tobytes() == expected.tobytes(), (kind, n, h, w, seed)
         assert np.array_equal(images, before)  # the input batch is left as it was
 
 
@@ -235,11 +226,11 @@ def train_alone(x, y, regime, settings):
     config = OptimizerConfig(lr=regime.lr, momentum=regime.momentum,
                              weight_decay=settings.weight_decay, clip_norm=settings.clip_norm)
     params = init_params(SPEC, 0)
-    state = OptimizerState.zeros(params.size)
+    velocity = np.zeros(params.size)
     for _ in range(regime.k):
         _, grad = loss_and_grad(SPEC, params, x, y)
-        params, state = step(params, state, grad, config)
-    return params, state.velocity
+        params, velocity = step(params, velocity, grad, config)
+    return params, velocity
 
 
 def test_make_pair_shares_everything_but_augmentation(dataset):
@@ -247,10 +238,9 @@ def test_make_pair_shares_everything_but_augmentation(dataset):
     plan, (x_a, x_ap, x_b, y_a, y_b), run, settings = first_pair(dataset, regime, 32, seed=11)
     # A and A' augment the plan's first batch with one seed; B its second batch with another
     first, aug_seed = dataset.features[plan.indices_a], derive_seed(11, "aug_first")
-    assert np.array_equal(x_a, apply_augmentation(AugmentationKernel("weak", aug_seed), first))
-    assert np.array_equal(x_ap, apply_augmentation(AugmentationKernel("color", aug_seed), first))
-    b_kernel = AugmentationKernel("weak", derive_seed(11, "aug_b"))
-    assert np.array_equal(x_b, apply_augmentation(b_kernel, dataset.features[plan.indices_b]))
+    assert np.array_equal(x_a, apply_augmentation("weak", first, aug_seed))
+    assert np.array_equal(x_ap, apply_augmentation("color", first, aug_seed))
+    assert np.array_equal(x_b, apply_augmentation("weak", dataset.features[plan.indices_b], derive_seed(11, "aug_b")))
     assert np.array_equal(y_a, dataset.labels[plan.indices_a])
     assert np.array_equal(y_b, dataset.labels[plan.indices_b])
     # both branches step k times with the regime's lr and momentum
@@ -281,4 +271,8 @@ def test_instrument_validation():
     with pytest.raises(ValueError, match="k must be"):
         Regime("bad", 0, 0.02, 0.9, "weak", "color", "weak", 0.5, True)
     with pytest.raises(ValueError, match="unknown augmentation"):
-        AugmentationKernel("cutout")
+        apply_augmentation("cutout", np.zeros((2, 4)), 0)
+    with pytest.raises(ValueError, match="N x d rows"):
+        apply_augmentation("weak", np.zeros((2, 2, 2)), 0, (2, 2))
+    with pytest.raises(ValueError, match="flat width 4"):
+        apply_augmentation("weak", np.zeros((2, 4)), 0, (3, 3))

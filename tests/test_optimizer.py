@@ -6,7 +6,6 @@ import pytest
 from backflow.errors import NanGuardError
 from backflow.optimizer import (
     OptimizerConfig,
-    OptimizerState,
     amplification_factor,
     causal_break,
     step,
@@ -17,9 +16,9 @@ def test_plain_sgd_limit():
     params = np.array([1.0, -2.0, 0.5])
     grad = np.array([0.1, 0.2, -0.3])
     config = OptimizerConfig(lr=0.5, momentum=0.0, weight_decay=0.0, clip_norm=None)
-    new_params, state = step(params, OptimizerState.zeros(3), grad, config)
+    new_params, velocity = step(params, np.zeros(3), grad, config)
     assert np.allclose(new_params, params - 0.5 * grad, atol=1e-15)
-    assert np.array_equal(state.velocity, grad)
+    assert np.array_equal(velocity, grad)
     assert np.array_equal(params, [1.0, -2.0, 0.5])  # inputs untouched
 
 
@@ -29,9 +28,9 @@ def test_momentum_decay_from_seeded_buffer():
     v0 = np.array([2.0, -1.0])
     config = OptimizerConfig(lr=lr, momentum=mu)
     params = np.zeros(2)
-    state = OptimizerState(v0.copy())
+    velocity = v0.copy()
     for _ in range(k):
-        params, state = step(params, state, np.zeros(2), config)
+        params, velocity = step(params, velocity, np.zeros(2), config)
     expected = -lr * v0 * sum(mu**t for t in range(1, k + 1))
     assert np.allclose(params, expected, atol=1e-12)
 
@@ -43,9 +42,9 @@ def test_momentum_telescoping_against_simulation():
     g = np.array([0.4, -0.2, 0.1])
     config = OptimizerConfig(lr=lr, momentum=mu)
     params = np.zeros(3)
-    state = OptimizerState.zeros(3)
+    velocity = np.zeros(3)
     for _ in range(k):
-        params, state = step(params, state, g, config)
+        params, velocity = step(params, velocity, g, config)
     expected = -lr * g * sum(amplification_factor(mu, t) for t in range(1, k + 1))
     assert np.allclose(params, expected, atol=1e-10)
 
@@ -54,32 +53,32 @@ def test_clipping_normalizes_gradient_norm():
     grad = np.full(4, 5.0)  # norm 10
     assert np.linalg.norm(grad) == pytest.approx(10.0)
     config = OptimizerConfig(lr=1.0, clip_norm=1.0)
-    new_params, state = step(np.zeros(4), OptimizerState.zeros(4), grad, config)
-    assert np.linalg.norm(state.velocity) == pytest.approx(1.0, abs=1e-12)
+    new_params, velocity = step(np.zeros(4), np.zeros(4), grad, config)
+    assert np.linalg.norm(velocity) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(new_params) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_clip_inactive_below_threshold():
     grad = np.array([0.3, 0.0])
     config = OptimizerConfig(lr=1.0, clip_norm=1.0)
-    _, state = step(np.zeros(2), OptimizerState.zeros(2), grad, config)
-    assert np.array_equal(state.velocity, grad)
+    _, velocity = step(np.zeros(2), np.zeros(2), grad, config)
+    assert np.array_equal(velocity, grad)
 
 
 def test_weight_decay_enters_before_clip():
     params = np.array([10.0, 0.0])
     config = OptimizerConfig(lr=1.0, weight_decay=1.0, clip_norm=1.0)
     # g = grad + params = (10, 0) with norm 10, clipped to norm 1
-    _, state = step(params, OptimizerState.zeros(2), np.zeros(2), config)
-    assert np.allclose(state.velocity, [1.0, 0.0], atol=1e-12)
+    _, velocity = step(params, np.zeros(2), np.zeros(2), config)
+    assert np.allclose(velocity, [1.0, 0.0], atol=1e-12)
 
 
 def test_causal_break_zeroes_and_is_idempotent():
-    state = OptimizerState(np.array([1.0, 2.0]))
-    broken = causal_break(state)
-    assert np.array_equal(broken.velocity, np.zeros(2))
-    assert np.array_equal(causal_break(broken).velocity, np.zeros(2))
-    assert np.array_equal(state.velocity, [1.0, 2.0])  # original untouched
+    velocity = np.array([1.0, 2.0])
+    broken = causal_break(velocity)
+    assert np.array_equal(broken, np.zeros(2))
+    assert np.array_equal(causal_break(broken), np.zeros(2))
+    assert np.array_equal(velocity, [1.0, 2.0])  # original untouched
 
 
 def test_first_step_after_break_is_momentum_free():
@@ -87,9 +86,9 @@ def test_first_step_after_break_is_momentum_free():
     params = np.array([1.0, 1.0])
     high = OptimizerConfig(lr=0.1, momentum=0.99)
     zero = OptimizerConfig(lr=0.1, momentum=0.0)
-    broken = causal_break(OptimizerState(np.array([4.0, 4.0])))
+    broken = causal_break(np.array([4.0, 4.0]))
     p_high, _ = step(params, broken, grad, high)
-    p_zero, _ = step(params, OptimizerState.zeros(2), grad, zero)
+    p_zero, _ = step(params, np.zeros(2), grad, zero)
     assert np.array_equal(p_high, p_zero)
 
 
@@ -98,10 +97,10 @@ def test_momentum_free_steps_commute():
     g1, g2 = rng.normal(size=(2, 3))
     config = OptimizerConfig(lr=0.2, momentum=0.0)
     p = rng.normal(size=3)
-    a, s = step(p, OptimizerState.zeros(3), g1, config)
-    a, _ = step(a, s, g2, config)
-    b, s = step(p, OptimizerState.zeros(3), g2, config)
-    b, _ = step(b, s, g1, config)
+    a, v = step(p, np.zeros(3), g1, config)
+    a, _ = step(a, v, g2, config)
+    b, v = step(p, np.zeros(3), g2, config)
+    b, _ = step(b, v, g1, config)
     assert np.allclose(a, b, atol=1e-15)
 
 
@@ -136,19 +135,19 @@ def test_config_validation():
 def test_nan_guard_on_bad_gradient():
     config = OptimizerConfig(lr=0.1)
     with pytest.raises(NanGuardError):
-        step(np.zeros(2), OptimizerState.zeros(2), np.array([np.nan, 0.0]), config)
+        step(np.zeros(2), np.zeros(2), np.array([np.nan, 0.0]), config)
 
 
 def test_nan_guard_on_overflowing_update():
     config = OptimizerConfig(lr=1e308)
     with pytest.raises(NanGuardError):
-        step(np.zeros(2), OptimizerState.zeros(2), np.array([1e5, 0.0]), config)
+        step(np.zeros(2), np.zeros(2), np.array([1e5, 0.0]), config)
 
 
 def test_shape_mismatch():
     config = OptimizerConfig(lr=0.1)
     with pytest.raises(ValueError, match="shape"):
-        step(np.zeros(2), OptimizerState.zeros(3), np.zeros(2), config)
+        step(np.zeros(2), np.zeros(3), np.zeros(2), config)
 
 
 def test_stacked_step_clips_each_row_like_an_unstacked_step():
@@ -157,11 +156,11 @@ def test_stacked_step_clips_each_row_like_an_unstacked_step():
     velocity = rng.normal(size=(3, 5))
     grad = rng.normal(size=(3, 5)) * np.array([[0.01], [10.0], [1.0]])  # one row below the clip norm
     config = OptimizerConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, clip_norm=1.0)
-    new_params, state = step(params, OptimizerState(velocity), grad, config)
+    new_params, new_velocity = step(params, velocity, grad, config)
     for r in range(3):
-        row_params, row_state = step(params[r], OptimizerState(velocity[r]), grad[r], config)
+        row_params, row_velocity = step(params[r], velocity[r], grad[r], config)
         assert np.array_equal(new_params[r], row_params)
-        assert np.array_equal(state.velocity[r], row_state.velocity)
+        assert np.array_equal(new_velocity[r], row_velocity)
 
 
 def test_overflowing_gradient_norm_trips_guard():
@@ -169,6 +168,6 @@ def test_overflowing_gradient_norm_trips_guard():
     config = OptimizerConfig(lr=0.1, clip_norm=1.0)
     grad = np.array([1e200, 0.0])
     with pytest.raises(NanGuardError, match="norm"):
-        step(np.zeros(2), OptimizerState.zeros(2), grad, config)
+        step(np.zeros(2), np.zeros(2), grad, config)
     with pytest.raises(NanGuardError, match="norm"):
-        step(np.zeros((2, 2)), OptimizerState.zeros((2, 2)), np.stack([grad[::-1] * 1e-200, grad]), config)
+        step(np.zeros((2, 2)), np.zeros((2, 2)), np.stack([grad[::-1] * 1e-200, grad]), config)

@@ -11,7 +11,7 @@ from backflow.divergences import KINDS, div_avg
 from backflow.errors import ConfigError, NanGuardError
 from backflow.instruments import apply_augmentation
 from backflow.model import ModelSpec, forward, init_params, loss_and_grad
-from backflow.optimizer import OptimizerConfig, OptimizerState, step
+from backflow.optimizer import OptimizerConfig, step
 from backflow.protocol import (
     REGIME_PRESETS,
     BackflowRecord,
@@ -118,8 +118,8 @@ def test_break_first_b_update_is_momentum_free(monkeypatch, dataset, base_params
     real_step = protocol.step
     updates = []  # the parameters after each stacked step: k of the A phase, then k of B
 
-    def recorded_step(params, state, grad, config):
-        updates.append(real_step(params, state, grad, config))
+    def recorded_step(params, velocity, grad, config):
+        updates.append(real_step(params, velocity, grad, config))
         return updates[-1]
 
     monkeypatch.setattr(protocol, "step", recorded_step)
@@ -133,7 +133,7 @@ def test_break_first_b_update_is_momentum_free(monkeypatch, dataset, base_params
     for row in (0, 1):  # the A and A' rows
         mid = params_mid[row]
         _, grad = loss_and_grad(SPEC, mid, xb, yb)
-        expected, _ = step(mid, OptimizerState.zeros(base_params.size), grad, config)
+        expected, _ = step(mid, np.zeros(base_params.size), grad, config)
         assert np.array_equal(first_b_params[row], expected)
 
 
@@ -149,7 +149,7 @@ def test_alignment_recorded_only_without_break(dataset, base_params):
 
 def test_micro_experiment_matches_hand_simulation(dataset, base_params):
     # k=1, momentum 0: replay the whole pipeline from the public pieces
-    from backflow.instruments import AugmentationKernel, sample_batch_plan
+    from backflow.instruments import sample_batch_plan
 
     regime = small_regime(k=1, momentum=0.0, lr=0.05)
     seed = 55
@@ -162,21 +162,19 @@ def test_micro_experiment_matches_hand_simulation(dataset, base_params):
     config = OptimizerConfig(lr=regime.lr, momentum=0.0,
                              weight_decay=SETTINGS.weight_decay, clip_norm=SETTINGS.clip_norm)
 
-    def one_step(params, state, kernel, indices):
-        x = apply_augmentation(kernel, dataset.features[indices])
+    def one_step(params, velocity, kind, aug_seed, indices):
+        x = apply_augmentation(kind, dataset.features[indices], aug_seed)
         _, grad = loss_and_grad(SPEC, params, x, dataset.labels[indices])
-        return step(params, state, grad, config)
+        return step(params, velocity, grad, config)
 
-    pa, sa = one_step(base_params, OptimizerState.zeros(base_params.size),
-                      AugmentationKernel("weak", aug_seed), plan.indices_a)
-    pap, sap = one_step(base_params, OptimizerState.zeros(base_params.size),
-                        AugmentationKernel("color", aug_seed), plan.indices_a)
+    pa, va = one_step(base_params, np.zeros(base_params.size), "weak", aug_seed, plan.indices_a)
+    pap, vap = one_step(base_params, np.zeros(base_params.size), "color", aug_seed, plan.indices_a)
     probe_x = dataset.features[dataset.probe_indices]
-    d1 = div_avg("tv", forward(SPEC, pa, probe_x), forward(SPEC, pap, probe_x))
-    b_kernel = AugmentationKernel("weak", derive_seed(seed, "aug_b"))
-    pab, _ = one_step(pa, sa, b_kernel, plan.indices_b)
-    papb, _ = one_step(pap, sap, b_kernel, plan.indices_b)
-    d2 = div_avg("tv", forward(SPEC, pab, probe_x), forward(SPEC, papb, probe_x))
+    d1 = div_avg(("tv",), forward(SPEC, pa, probe_x), forward(SPEC, pap, probe_x))["tv"]
+    b_seed = derive_seed(seed, "aug_b")
+    pab, _ = one_step(pa, va, "weak", b_seed, plan.indices_b)
+    papb, _ = one_step(pap, vap, "weak", b_seed, plan.indices_b)
+    d2 = div_avg(("tv",), forward(SPEC, pab, probe_x), forward(SPEC, papb, probe_x))["tv"]
 
     assert record.d1["tv"] == pytest.approx(d1, abs=1e-12)
     assert record.d2["tv"] == pytest.approx(d2, abs=1e-12)
@@ -220,11 +218,11 @@ def test_nan_guard_retry_succeeds(monkeypatch, dataset, base_params):
     calls = {"n": 0}
     real_step = protocol.step
 
-    def flaky_step(params, state, grad, config):
+    def flaky_step(params, velocity, grad, config):
         calls["n"] += 1
         if calls["n"] == 1:
             raise NanGuardError("injected failure")
-        return real_step(params, state, grad, config)
+        return real_step(params, velocity, grad, config)
 
     monkeypatch.setattr(protocol, "step", flaky_step)
     record = run_micro_experiment(base_params, SPEC, small_regime(), False, dataset,
@@ -234,7 +232,7 @@ def test_nan_guard_retry_succeeds(monkeypatch, dataset, base_params):
 
 
 def test_nan_guard_persistent_failure_records_error(monkeypatch, dataset, base_params):
-    def always_fail(params, state, grad, config):
+    def always_fail(params, velocity, grad, config):
         raise NanGuardError("injected failure")
 
     monkeypatch.setattr(protocol, "step", always_fail)
@@ -299,13 +297,13 @@ def test_pretrain_matches_unstacked_steps_bitwise(dataset):
     trained = pretrain(SPEC, params, dataset, passes=2, batch_size=24, seed=1)
     rng = np.random.default_rng(1)
     config = OptimizerConfig(lr=0.1, momentum=0.9, weight_decay=5e-4, clip_norm=1.0)
-    expected, state = params, OptimizerState.zeros(params.size)
+    expected, velocity = params, np.zeros(params.size)
     for _ in range(2):
         order = rng.permutation(dataset.train_indices)
         for start in range(0, len(order) - 23, 24):
             batch = order[start : start + 24]
             _, grad = loss_and_grad(SPEC, expected, dataset.features[batch], dataset.labels[batch])
-            expected, state = step(expected, state, grad, config)
+            expected, velocity = step(expected, velocity, grad, config)
     assert trained.shape == params.shape and trained.tobytes() == expected.tobytes()
 
 
@@ -520,10 +518,10 @@ def test_shared_flag_run_matches_single_flag_runs(monkeypatch, dataset, base_par
     # a NaN-guard trip of the shared run falls back to one run per flag
     real_step = protocol.step
 
-    def fail_on_shared_rows(params, state, grad, config):
+    def fail_on_shared_rows(params, velocity, grad, config):
         if params.shape[0] == 4:  # the B phase of both flags at once
             raise NanGuardError("injected failure")
-        return real_step(params, state, grad, config)
+        return real_step(params, velocity, grad, config)
 
     monkeypatch.setattr(protocol, "step", fail_on_shared_rows)
     calls.clear()
@@ -537,10 +535,10 @@ def test_diagnostics_of_a_failed_shared_run_match_single_flag_sweeps(tmp_path, m
     # that shared B phase trips the guard, each flag falls back to a run of its own
     real_step = protocol.step
 
-    def fail_on_shared_rows(params, state, grad, config):
+    def fail_on_shared_rows(params, velocity, grad, config):
         if params.shape[0] == 4:
             raise NanGuardError("injected failure")
-        return real_step(params, state, grad, config)
+        return real_step(params, velocity, grad, config)
 
     monkeypatch.setattr(protocol, "step", fail_on_shared_rows)
 
@@ -589,7 +587,7 @@ def test_block_records_match_single_repeat_single_flag_runs(tmp_path, monkeypatc
     regime = config.regimes[0]
     real_step = protocol.step
 
-    def failing_step(params, state, grad, config):
+    def failing_step(params, velocity, grad, config):
         if failures == "block_stacks" and params.shape[0] == 8:  # the B phase of a two-repeat block
             raise NanGuardError("injected failure")
         if failures == "row_values":
@@ -597,7 +595,7 @@ def test_block_records_match_single_repeat_single_flag_runs(tmp_path, monkeypatc
             last = grad[..., -1]
             if np.any(last > 0.15) or (config.lr == regime.lr and np.any((last > 0.07) | (last < -0.077))):
                 raise NanGuardError("injected failure")
-        return real_step(params, state, grad, config)
+        return real_step(params, velocity, grad, config)
 
     monkeypatch.setattr(protocol, "step", failing_step)
     dataset = protocol.build_dataset(config)
@@ -749,7 +747,7 @@ def reference_curve(base_params, spec, regime, break_applied, dataset, probe_sub
         params, _, _ = protocol._train(spec, params, velocity, np.stack([x_b, x_a]),
                                        np.stack([y_b, y_a]), k, config)
         preds = forward(spec, params, dataset.features[probe_subset])
-        curve.append((k, div_avg("tv", preds[0], preds[1])))
+        curve.append((k, div_avg(("tv",), preds[0], preds[1])["tv"]))
     return curve
 
 
@@ -793,7 +791,7 @@ def read_diagnostics(run_dir):
 
 
 def test_persistent_nan_guard_in_diagnostics_is_recorded(tmp_path, monkeypatch):
-    def always_fail(params, state, grad, config):
+    def always_fail(params, velocity, grad, config):
         raise NanGuardError("injected failure")
 
     monkeypatch.setattr(protocol, "step", always_fail)
@@ -811,10 +809,10 @@ def test_noncommute_curve_retried_at_half_lr(tmp_path, monkeypatch):
     regime = REGIME_PRESETS["standard"]
     real_step = protocol.step
 
-    def fail_at_full_lr(params, state, grad, config):
+    def fail_at_full_lr(params, velocity, grad, config):
         if config.lr == regime.lr:
             raise NanGuardError("injected failure")
-        return real_step(params, state, grad, config)
+        return real_step(params, velocity, grad, config)
 
     monkeypatch.setattr(protocol, "step", fail_at_full_lr)
     result = run_sweep(config_from_mapping(sweep_mapping(tmp_path, break_flags=["no"], repeats=2)),
@@ -861,7 +859,7 @@ def test_early_base_stage_pretrains(tmp_path):
 def test_image_datasets_get_image_augmentations(dataset):
     from dataclasses import replace as dc_replace
 
-    from backflow.instruments import AugmentationKernel, sample_batch_plan
+    from backflow.instruments import sample_batch_plan
 
     image_ds = dc_replace(dataset, provenance={**dataset.provenance, "image_shape": [3, 4]})
     regime = small_regime()
@@ -869,10 +867,10 @@ def test_image_datasets_get_image_augmentations(dataset):
     plan = sample_batch_plan(image_ds, SETTINGS.batch_size, regime.overlap, regime.same_classes,
                              derive_seed(81, "plan"))
     flat = image_ds.features[plan.indices_a]
-    kernel = AugmentationKernel(regime.aug_a, derive_seed(81, "aug_first"), {"image_shape": (3, 4)})
-    assert np.array_equal(x_a, apply_augmentation(kernel, flat))
+    aug_seed = derive_seed(81, "aug_first")
+    assert np.array_equal(x_a, apply_augmentation(regime.aug_a, flat, aug_seed, (3, 4)))
     # the vector form of the same draw differs: the image shape is what selects the form
-    assert not np.array_equal(x_a, apply_augmentation(AugmentationKernel(kernel.kind, kernel.seed), flat))
+    assert not np.array_equal(x_a, apply_augmentation(regime.aug_a, flat, aug_seed))
 
 
 def test_config_validation_errors(tmp_path):
