@@ -8,8 +8,8 @@ Subcommands:
 * ``report <run_dir>``           markdown summary table
 
 Only ``run``, ``plot-data`` and ``report`` import the sweep modules
-(``protocol``, ``stats``, ``diagnostics`` and with them SciPy), inside the
-command; ``oracle`` loads NumPy and the process oracle alone.  ``plot-data``
+(``protocol``, ``stats`` and ``diagnostics``), inside the command; ``oracle``
+loads NumPy and the process oracle alone.  No command loads SciPy.  ``plot-data``
 and ``report`` write each file through ``protocol.write_atomic``, so a
 failed write leaves the previous file.
 """

@@ -294,17 +294,18 @@ def test_plot_data_diagnostics_off(tmp_path):
 # both correlations and the dose-response fit with its paired lift
 PINNED_PLOT_SWEEP = dict(regimes=["standard", "resonant_strong", "resonant_mid"], seeds=[0, 1, 2], repeats=4)
 # sha256 of every plots/*.csv of that sweep, computed with the DictWriter
-# tables; the same at one and two BLAS threads
+# tables and, for the p-values, the math-only t tails; the same at one and two
+# BLAS threads
 PINNED_PLOT_SHA256 = {
     "alignment_hist.csv": "a0e44b167cd0397812d37daf637b962559ef99227d4da2a2cef17a2638c7b23b",
     "break_scatter.csv": "95b0b8ae4417a2f595579871b98bb3320a468ac7824d70440abb21dd5a88a690",
     "break_scatter_summary.csv": "fac1d36b3c6b79099e5e3d40947d9412ff52dcc95881fbab58164cc93ea1efad",
     "cka_table.csv": "0f5b9cb8da977c337ea3d871ab90d1fa2de6000660a25700c7b60faadb052b6e",
-    "correlations.csv": "f4e07ca887da0b03453d7f5f528b4d485f3f0cb36e611a46142a0580bb9f57c2",
+    "correlations.csv": "b94103a5f91b9a81cc4e54d46a575da0c406c11efb1e6e2f5c14c314d84dc856",
     "delta_hist.csv": "b92ad56ff9127363b24cfc93b369db816ed2bb8b5b184435426eb2752e2433b6",
     "delta_vs_alignment.csv": "472dcfcdbed272fa7cba57e7817ce397fe57c6c65b196c4149c48184fc584236",
     "delta_vs_slope.csv": "f221f93ffe064bdcbe789560eab33b7fa8744d3f20cf0141c473306983848566",
-    "dose_response_fit.csv": "7d6d5d0c756acb4839441017fc37d9300cae979f3eee242be60de685574a1dfe",
+    "dose_response_fit.csv": "3b2f080c3b33bbe31bbdf5f7cb2ce0b4b17848ef97f4123e07878a1d4514c490",
     "dose_response_pairs.csv": "4f36fa4327972b09a0b4bb4fec7db35f6df2b8369e4dd482a541fc853288a841",
     "noncommute_curves.csv": "767512c9cca7c78754edf97b854d3caab5e5be7c2ab1e9b02784e801c27953ae",
     "regime_means.csv": "ca4cb070e6e969e97f3d0a765e228be1dff83e4b4ae5dd0eaf0df4eecad2738f",

@@ -379,7 +379,8 @@ def artifact_bytes(run_dir):
 
 
 # sha256 of the artifacts of PINNED_SWEEP, computed with the per-branch engine
-# (each branch of each flag stepped alone); the same at one and two BLAS threads
+# (each branch of each flag stepped alone) and, for summary.json, the math-only
+# t tails; the same at one and two BLAS threads
 PINNED_SWEEP = dict(
     model={"kind": "mlp1", "input_dim": 12, "num_classes": 4, "hidden_dim": 8, "activation": "tanh"},
     regimes=["standard", "resonant_strong"],
@@ -394,7 +395,7 @@ PINNED_SHA256 = {
     "resonant_strong__no__seed0.jsonl": "18ad263fb99e49edebb3029db547d704a30ee5d01649758873dfe6dcbb39fe97",
     "standard__break__seed0.jsonl": "af7a811fece771b1c2911c7d8756b0bfcc4eb5fb1dcb697cef216ce7fc26b5a0",
     "standard__no__seed0.jsonl": "769d7eba46967e501dbcc6ee73b791f1b90631d21fc2fc06e34c91739d6d1334",
-    "summary.json": "06621076709876ec9b39b998ab869163789cb55b32e3b6b5123025031e93bd9a",
+    "summary.json": "04f2421c8fc4d66d96ae8e9c44a7b9930ed69f14dc1bafe3b8bf952e220b59a6",
 }
 
 
@@ -431,15 +432,15 @@ PINNED_IMAGE_SWEEP = dict(
     probe_size=64,
     diagnostics={"noncommute_k_max": 3, "probe_subset": 32},
 )
-# sha256 of its artifacts, computed with the per-image augmentation loops;
-# the same at one and two BLAS threads
+# sha256 of its artifacts, computed with the per-image augmentation loops and,
+# for summary.json, the math-only t tails; the same at one and two BLAS threads
 PINNED_IMAGE_SHA256 = {
     "diagnostics.jsonl": "ff6a426dc32526ecfe55f6e1263192b8a99ff3bdc7cb4c19a19b8c2fc7a42e5d",
     "resonant_strong__break__seed0.jsonl": "965225a424e9a8e4fc4463d6d022dd6c97f5163e18a58db302d53d7efb3da7b5",
     "resonant_strong__no__seed0.jsonl": "3cf7052291354b1ad45ed0135fce69ce3908ab3fccdfd41f840b89d3ad4d73c0",
     "standard__break__seed0.jsonl": "8f9a786469593b99a19f5b37ef506591ceaadb152a988a363ff671ec22e2026c",
     "standard__no__seed0.jsonl": "8001f5f75caf711c0d57849aa7068fdb4cc2ca75e08a820e427b14404e95d66a",
-    "summary.json": "a06e6b719f847f0cd53af123f5020383b9b9e27407d968041e194dd92369be5c",
+    "summary.json": "2d1efa88efc1de7523e6ace255557deb4cedf6f55b4a13d5f4469b48e1cac416",
 }
 
 

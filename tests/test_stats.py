@@ -1,6 +1,9 @@
+import csv
+import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -257,36 +260,90 @@ def test_ols2_needs_enough_rows():
         ols2([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
 
 
-def test_importing_cli_does_not_load_scipy_stats():
-    # scipy.stats took about 1 s of a 1.5 s start-up; only t tails are needed
-    code = "import sys, backflow.cli; print('scipy.stats' in sys.modules)"
-    src = str(Path(backflow.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+def test_importing_cli_does_not_load_scipy_stats(tmp_path):
+    # SciPy is no runtime dependency: a run, its report and its plot data load no scipy module
+    config = {
+        "output_dir": str(tmp_path / "run"),
+        "dataset": {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_class": 60, "spread": 3.0, "seed": 0},
+        "model": {"kind": "softmax_linear", "input_dim": 12, "num_classes": 4},
+        "regimes": ["standard", "resonant_strong"],
+        "break_flags": ["no", "break"],
+        "repeats": 4,
+        "probe_size": 48,
+        "diagnostics": {"noncommute_k_max": 2, "probe_subset": 32},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    run_dir = tmp_path / "run"
+    code = (
+        "import sys\n"
+        "from backflow import cli\n"
+        f"assert cli.main(['run', {str(path)!r}]) == 0\n"
+        f"assert cli.main(['report', {str(run_dir)!r}]) == 0\n"
+        f"assert cli.main(['plot-data', {str(run_dir)!r}]) == 0\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
     )
-    assert out.stdout.strip() == "False"
+    src = str(Path(backflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (run_dir / "summary.json").exists() and (run_dir / "plots").is_dir()
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_t_tails_match_scipy_stats_bitwise():
-    ts = (-300.0, -40.0, -5.0, -1.5, -0.3, -1e-300, -0.0, 0.0, 1e-300, 0.3, 1.5, 5.0, 40.0, 300.0)
-    for df in (1, 2, 3, 4, 7, 10, 29, 100, 1000, 10**6):
-        for t in ts:
-            assert _t_sf(t, df) == float(sps.t.sf(t, df=df)), (t, df)
-            assert _t_cdf(t, df) == float(sps.t.cdf(t, df=df)), (t, df)
+# P(T > t) from mpmath at 50 digits; see tests/data/make_t_tails.py
+T_TAILS = Path(__file__).resolve().parent / "data" / "t_tails.csv"
 
 
-def test_t_test_and_tost_p_values_match_scipy_stats_bitwise():
+def test_t_tails_match_mpmath_table():
+    with open(T_TAILS, newline="") as f:
+        rows = [(int(r["df"]), float(r["t"]), float(r["sf"])) for r in csv.DictReader(f)]
+    assert len(rows) > 1000
+    assert {1, 1000, 10**4, 10**6} <= {df for df, _, _ in rows}
+    assert min(sf for _, _, sf in rows) < 1e-295
+    for df, t, sf in rows:
+        rtol = 1e-12 if df <= 1000 else 1e-10
+        assert abs(_t_sf(t, df) - sf) <= rtol * sf, (df, t)
+        assert abs(_t_cdf(-t, df) - sf) <= rtol * sf, (df, t)
+
+
+def test_t_tails_edge_cases():
+    dfs = (1, 2, 3, 10, 47, 1000, 10**6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for df in dfs:
+            for zero in (0.0, -0.0, np.float64(-0.0)):
+                assert _t_sf(zero, df) == 0.5 == _t_cdf(zero, df)
+            for big in (np.inf, np.float64(np.inf), 1e200, np.float64(1e200)):
+                if df == 1 and not np.isinf(big):
+                    continue  # the Cauchy tail 1/(pi t) is still a normal double; checked below
+                assert (_t_sf(big, df), _t_sf(-big, df)) == (0.0, 1.0), (df, big)
+                assert (_t_cdf(big, df), _t_cdf(-big, df)) == (1.0, 0.0), (df, big)
+            assert np.isnan(_t_sf(np.nan, df)) and np.isnan(_t_cdf(np.nan, df))
+        # where t² overflows, df = 1 still has the tail atan(1/t) / pi = 1 / (pi t)
+        assert _t_sf(np.float64(1e200), 1) == pytest.approx(1.0 / (np.pi * 1e200), rel=1e-13, abs=0)
+        assert _t_cdf(-1e200, 1) == pytest.approx(1.0 / (np.pi * 1e200), rel=1e-13, abs=0)
+    with pytest.raises(ValueError):
+        bh_fdr([0.01, _t_sf(np.nan, 5)])
+    rng = np.random.default_rng(30)
+    ts = np.concatenate([rng.standard_cauchy(200), [1e-300, 1e-8, 0.5, 300.0, 1e160, np.inf]])
+    for df in dfs:
+        for t in np.concatenate([ts, -ts]):
+            assert _t_sf(t, df) == _t_cdf(-t, df), (t, df)
+
+
+def test_t_test_and_tost_p_values_match_scipy_stats():
     rng = np.random.default_rng(31)
     for n in (3, 5, 12, 40):
         x = rng.normal(0.2, 1.0, n)
         mean, se = x.mean(), x.std(ddof=1) / np.sqrt(n)
         t = mean / se
-        assert t_test_mean(x).p_value == min(float(2.0 * sps.t.sf(abs(t), df=n - 1)), 1.0)
-        assert t_test_mean(x, alternative="greater").p_value == float(sps.t.sf(t, df=n - 1))
+        assert t_test_mean(x).p_value == pytest.approx(min(float(2.0 * sps.t.sf(abs(t), df=n - 1)), 1.0), rel=1e-12, abs=0)
+        assert t_test_mean(x, alternative="greater").p_value == pytest.approx(float(sps.t.sf(t, df=n - 1)), rel=1e-12, abs=0)
         eps = 0.5
         p_low = float(sps.t.sf((mean + eps) / se, df=n - 1))
         p_high = float(sps.t.cdf((mean - eps) / se, df=n - 1))
-        assert tost_equivalence(x, epsilon=eps).p_value == max(p_low, p_high)
+        assert tost_equivalence(x, epsilon=eps).p_value == pytest.approx(max(p_low, p_high), rel=1e-12, abs=0)
 
 
 def test_average_ranks_match_rankdata():
