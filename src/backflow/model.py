@@ -209,8 +209,14 @@ def loss_and_grad(
 
 
 def penultimate_features(spec: ModelSpec, params: np.ndarray, inputs) -> np.ndarray:
-    """Input to the final linear layer (the inputs themselves for the linear model)."""
+    """Input to the final linear layer (the inputs themselves for the linear model).
+
+    Stacked (R, P) parameters give (R, N, ·) features, row r from parameter
+    row r, as ``forward`` does; the linear model then gives one copy of the
+    inputs per row.
+    """
     x = _check_inputs(spec, inputs)
     if spec.kind == "softmax_linear":
-        return x.copy()
+        shape = np.broadcast_shapes(params.shape[:-1] + (1, 1), x.shape)
+        return np.array(np.broadcast_to(x, shape))
     return _hidden(spec, params, x)

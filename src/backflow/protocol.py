@@ -13,26 +13,27 @@ and the per-repeat back-flow delta = d2 - d1 for each divergence kind.
 A positive mean delta certifies that no single fixed channel maps the
 mid-time probe laws to the post-B laws.
 
-One engine (``_run_repeat``) runs a block of repeats for a tuple of break
-flags.  The flags of a repeat share its batch plan, its augmentation draws,
-its A/A' phase and so d1, which depend on the repeat alone; they part only
-at B.  The A and A' rows of every repeat in the block train as one
-parameter stack, and at B the rows of every (repeat, flag) do.  A block
-holds as many repeats as fit a fixed budget of floats per stacked call
-(``_STACK_FLOATS``), and at least one.  One guard rule (``_guarded_block``)
-serves the sweep, the public micro-experiment and the diagnostics: a block
-runs once, and if it trips the NaN guard each (repeat, flag) reruns alone,
-retried once at half the learning rate.  The sweep, which runs serially,
-loops over (regime, seed) and collects the cells of all break flags in
-lockstep: each block runs for the flags whose cells are still open and
-never crosses an early-stop checkpoint, where each flag stops on its own
-records.  Each (regime, seed)'s diagnostics repeat is a one-repeat block
-for all flags.  The non-commute curve trains one k_max-step first phase
-and then every k as one shrinking stack, grouped by the same budget.
+One trainer (``_two_phase``) runs the protocol for pairs of parameter
+rows: a first phase from zero velocity, then at each of a list of switch
+step counts every break flag's velocity rule and a second phase of as many
+steps.  The engine (``_run_repeat``) is its one-switch case for a block of
+repeats, whose A and A' rows are the pairs, so the flags of a repeat share
+its batch plan, augmentation draws, A/A' phase and d1.  The non-commute
+curve is its case of one pair (A then B, B then A) switched at every k up
+to k_max.  A block of repeats, or a group of switches, holds as many as
+fit a budget of floats per stacked call (``_STACK_FLOATS``) with the rows
+of every flag, and at least one.  One guard rule (``_guard_rule``) serves
+both: a stack runs once, and if it trips the NaN guard each (repeat, flag),
+or each flag of a curve, reruns alone, retried once at half the learning
+rate.  The sweep, which runs serially, loops over (regime, seed) and
+collects the cells of all break flags in lockstep: each block runs for the
+flags whose cells are still open and never crosses an early-stop
+checkpoint, where each flag stops on its own records.  The diagnostics of
+a (regime, seed) are one engine repeat and one curve for all flags.
 
-There is one training loop, ``_train``: the engine's A and B phases, both
-phases of the curve and the base pretraining run their optimizer steps
-through it, on batch arrays that ``_repeat_batches`` builds per repeat.
+There is one training loop, ``_train``: the trainer's two phases and the
+base pretraining run their optimizer steps through it, on batch arrays
+that ``_repeat_batches`` builds per repeat.
 
 Randomness discipline: each repeat derives its own streams from
 (seed, repeat_id, tag).  The A/A' augmentations share one seed (they
@@ -50,6 +51,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from hashlib import sha256
+from operator import itemgetter
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -170,27 +172,29 @@ def _train(spec, params, velocity, x, y, steps, config):
     """Optimizer steps of every stacked parameter row on its batch: the one training loop.
 
     ``x``/``y`` are one batch shared by all rows or one per row.  ``steps``
-    is one count for all rows or a non-increasing count per row (with one
-    batch per row), so the rows still training at step t are a prefix.
-    Returns the final parameters and velocities and the last step's gradient
-    (None without steps); the caller's arrays are never written.  ``step``
-    is called through this module's namespace, so a replacement installed
-    there (as the NaN-guard tests do) is used.
+    is one count for all rows or a non-decreasing count per row (with one
+    batch per row), so the rows still training at step t are a suffix.
+    Returns the final parameters and velocities and the first step's
+    gradient (None without steps); the caller's arrays are never written.
+    ``step`` is called through this module's namespace, so a replacement
+    installed there (as the NaN-guard tests do) is used.
     """
     counts = np.broadcast_to(steps, len(params))
-    done = []  # (parameters, velocities) of rows past their count, the last rows first
-    grad = None
-    for t in range(counts[0]):
-        live = np.count_nonzero(counts > t)
-        if live < len(params):  # copies, so the finished rows do not hold the whole stack
-            done.append((params[live:].copy(), velocity[live:].copy()))
-            params, velocity, x, y = params[:live], velocity[:live], x[:live], y[:live]
+    done = []  # (parameters, velocities) of rows past their count, in row order
+    first_grad = None
+    for t in range(counts[-1]):
+        finished = len(params) - np.count_nonzero(counts > t)
+        if finished:  # copies, so the finished rows do not hold the whole stack
+            done.append((params[:finished].copy(), velocity[:finished].copy()))
+            params, velocity, x, y = params[finished:], velocity[finished:], x[finished:], y[finished:]
         _, grad = loss_and_grad(spec, params, x, y)
         params, velocity = step(params, velocity, grad, config)
+        if t == 0:
+            first_grad = grad
     if done:
-        params = np.concatenate([params, *(p for p, _ in reversed(done))])
-        velocity = np.concatenate([velocity, *(v for _, v in reversed(done))])
-    return params, velocity, grad
+        params = np.concatenate([*(p for p, _ in done), params])
+        velocity = np.concatenate([*(v for _, v in done), velocity])
+    return params, velocity, first_grad
 
 
 @dataclass
@@ -208,9 +212,9 @@ class Repeat:
 
 
 # Float64 values one stacked training call may hold, counted per parameter
-# row by _row_floats (4 MiB).  A block of repeats and a group of the
-# non-commute curve hold as many rows as fit, but never fewer than one
-# repeat or one k value.
+# row by _row_floats (4 MiB).  An engine block holds as many repeats, and a
+# second-phase group of _two_phase as many switches, as fit with the rows
+# of every flag, but never fewer than one.
 _STACK_FLOATS = 1 << 19
 
 
@@ -221,8 +225,52 @@ def _row_floats(spec: ModelSpec, batch_size: int, probe_size: int) -> int:
 
 
 def _repeats_per_block(spec: ModelSpec, batch_size: int, probe_size: int, n_flags: int) -> int:
-    """Repeats the engine runs as one stack: the B phase holds 2 rows per repeat and flag."""
+    """Repeats the engine runs as one stack, 2 rows per repeat and flag (a ``_two_phase`` pair is a repeat)."""
     return max(1, _STACK_FLOATS // (2 * n_flags * _row_floats(spec, batch_size, probe_size)))
+
+
+def _two_phase(spec, params, first, second, switches, flags, config, probe_x):
+    """Both phases of the protocol for pairs of rows: the one trainer of the engine and the curve.
+
+    ``params`` holds pairs of rows (2i, 2i + 1), and ``first`` and ``second``
+    an ``(x, y)`` of one batch per row.  The first phase trains every row
+    from zero velocity as one trajectory.  At each step count s of the
+    increasing ``switches`` each flag's velocity rule is applied, and the
+    rows of every (switch, flag) train on their second batches for s steps,
+    ordered (switch, pair, flag, member), so the step counts do not
+    decrease.  Switches train in groups that fit the budget, a pair's rows
+    of all flags counting as one repeat.  Yields per group the first-phase
+    (parameters, velocities) at its switches and, in that row order, the
+    end parameters, their probabilities on ``probe_x`` and the first
+    second-phase gradient.  Every row is computed as it would be alone;
+    raises NanGuardError if one stops being finite.
+    """
+    n_flags, size = len(flags), params.shape[1]
+    per_group = _repeats_per_block(spec, first[0].shape[1], len(probe_x), len(params) // 2 * n_flags)
+
+    def by_flag(a):  # rows (pair, member) -> (pair, flag, member)
+        return np.repeat(a.reshape(-1, 2, *a.shape[1:]), n_flags, axis=0).reshape(-1, *a.shape[1:])
+
+    def switched(velocity):  # as by_flag, each flag's rows under its velocity rule
+        pairs = velocity.reshape(-1, 1, 2, size)
+        rules = [causal_break(pairs) if flag == "break" else pairs for flag in flags]
+        return np.concatenate(rules, axis=1).reshape(-1, size)
+
+    velocity, done = np.zeros_like(params), 0
+    for start in range(0, len(switches), per_group):
+        group, states = switches[start : start + per_group], []
+        for s in group:
+            params, velocity, _ = _train(spec, params, velocity, *first, s - done, config)
+            states.append((params, velocity))
+            done = s
+        params_b = by_flag(np.concatenate([p for p, _ in states]))
+        velocity_b = switched(np.concatenate([v for _, v in states]))
+        counts = np.repeat(group, len(params) * n_flags)
+        x, y = (by_flag(np.concatenate([a] * len(group))) for a in second)
+        end, _, grad = _train(spec, params_b, velocity_b, x, y, counts, config)
+        probs = forward(spec, end, probe_x)
+        yield states, end, probs, grad
+        del end, probs, grad  # a suspended trainer holds no group's outputs
 
 
 def _run_repeat(
@@ -231,49 +279,27 @@ def _run_repeat(
     """The engine: a block of repeats of the A/A'->B protocol, each for every flag in ``flags``.
 
     ``repeats`` lists (seed, repeat_id) pairs; one ``{flag: Repeat}`` is
-    returned per pair.  A repeat's plan, augmented batches, A/A' phase and
-    d1 do not depend on the break flag and are computed once.  The A phase
-    trains the A and A' rows of every repeat as one stack, each row on its
-    own batch; the B phase trains rows ordered (repeat, flag, A/A') as one
-    stack, the ``break`` rows starting from zero velocity.  Every row is
-    computed as it would be alone.  Raises NanGuardError if any row stops
-    being finite.
+    returned per pair.  The A and A' rows of each repeat, each on its own
+    batch, are a pair of ``_two_phase`` switched once, after k steps, to
+    B; the B rows are ordered (repeat, flag, A/A').  So a repeat's plan,
+    batches, A/A' phase and d1 are computed once for all flags.  Raises
+    NanGuardError if any row stops being finite.
     """
     batches = (_repeat_batches(regime, dataset, seed, settings.batch_size) for seed, _ in repeats)
     x_a, x_ap, x_b, y_a, y_b = zip(*batches)  # each one array per repeat
-    config = _optimizer_config(regime, settings, lr_scale)
-    n_rep, n_flags, size = len(repeats), len(flags), base_params.size
-
-    params_mid, velocity_mid, _ = _train(
+    (group,) = _two_phase(
         spec,
-        np.tile(base_params, (2 * n_rep, 1)),
-        np.zeros((2 * n_rep, size)),
-        np.stack([x for pair in zip(x_a, x_ap) for x in pair]),
-        np.repeat(y_a, 2, axis=0),
-        regime.k,
-        config,
+        np.tile(base_params, (2 * len(repeats), 1)),
+        (np.stack([x for pair in zip(x_a, x_ap) for x in pair]), np.repeat(y_a, 2, axis=0)),
+        (np.repeat(x_b, 2, axis=0), np.repeat(y_b, 2, axis=0)),
+        (regime.k,),
+        flags,
+        _optimizer_config(regime, settings, lr_scale),
+        probe_x,
     )
+    ((params_mid, velocity_mid),), params_end, preds_end, first_b_grad = group  # one switch, so one group
     preds_mid = forward(spec, params_mid, probe_x)
     d1_rows = div_avg(KINDS, preds_mid[0::2], preds_mid[1::2])
-
-    velocity_pairs = velocity_mid.reshape(n_rep, 2, size)
-    velocity_b = np.stack(
-        [causal_break(velocity_pairs) if flag == "break" else velocity_pairs for flag in flags], axis=1
-    )
-    rows_b = 2 * n_flags  # B rows of one repeat
-    x_b, y_b = np.repeat(x_b, rows_b, axis=0), np.repeat(y_b, rows_b, axis=0)
-    # the first B step alone, for its gradient at the mid-time parameters
-    params_b, velocity_b, first_b_grad = _train(
-        spec,
-        np.repeat(params_mid.reshape(n_rep, 2, size), n_flags, axis=0).reshape(-1, size),
-        velocity_b.reshape(-1, size),
-        x_b,
-        y_b,
-        1,
-        config,
-    )
-    params_end = _train(spec, params_b, velocity_b, x_b, y_b, regime.k - 1, config)[0]
-    preds_end = forward(spec, params_end, probe_x)
     d2_rows = div_avg(KINDS, preds_end[0::2], preds_end[1::2])
 
     runs = []
@@ -281,76 +307,66 @@ def _run_repeat(
         d1 = {kind: float(d1_rows[kind][r]) for kind in KINDS}
         by_flag = {}
         for i, flag in enumerate(flags):
-            d2 = {kind: float(d2_rows[kind][r * n_flags + i]) for kind in KINDS}
-            row = r * rows_b + 2 * i  # the flag's A row; its A' row follows
+            b = r * len(flags) + i  # the (repeat, flag) pair of B rows: its A row is 2b, its A' row 2b + 1
+            d2 = {kind: float(d2_rows[kind][b]) for kind in KINDS}
             # the first B gradient of the A row is taken at the mid-time parameters
-            alignment = diag.cosine(first_b_grad[row], velocity_mid[2 * r]) if flag == "no" else None
-            record = BackflowRecord(
-                repeat_id=repeat_id,
-                seed=seed,
-                break_applied=flag == "break",
-                d1=dict(d1),
-                d2=d2,
-                delta={kind: d2[kind] - d1[kind] for kind in KINDS},
-                momentum_alignment=alignment,
-            )
-            by_flag[flag] = Repeat(
-                record,
-                params_mid=params_mid[2 * r : 2 * r + 2],
-                velocity_mid=velocity_mid[2 * r : 2 * r + 2],
-                params_end=params_end[row : row + 2],
-            )
+            alignment = diag.cosine(first_b_grad[2 * b], velocity_mid[2 * r]) if flag == "no" else None
+            delta = {kind: d2[kind] - d1[kind] for kind in KINDS}
+            record = BackflowRecord(repeat_id, seed, flag == "break", dict(d1), d2, delta, alignment)
+            mid = slice(2 * r, 2 * r + 2)
+            by_flag[flag] = Repeat(record, params_mid[mid], velocity_mid[mid], params_end[2 * b : 2 * b + 2])
         runs.append(by_flag)
     return runs
 
 
-def _nan_guarded(attempt):
-    """Run ``attempt(lr_scale)`` under the NaN-guard rule.
+def _guard_rule(shared, alone, units) -> list[tuple]:
+    """The NaN-guard rule of the engine's blocks and of the non-commute curves.
 
-    A first NanGuardError is retried once at half the learning rate; the
-    second one propagates.  Returns the result and whether it was retried.
+    ``shared()`` runs all ``units`` at once and gives one result per unit.
+    If it trips the guard, or for a lone unit, each unit reruns by itself
+    as ``alone(unit, lr_scale)``, retried once at half the learning rate, so
+    every result equals that of its unit run alone.  Returns one ``(result,
+    retried, error)`` per unit; a unit that fails twice has no result and
+    the second failure as its error.
     """
-    try:
-        return attempt(1.0), False
-    except NanGuardError:
-        return attempt(0.5), True
+    if len(units) > 1:  # a lone unit goes straight to the retry rule
+        try:
+            return [(result, False, None) for result in shared()]
+        except NanGuardError:
+            pass
+    outcomes = []
+    for unit in units:
+        try:
+            outcomes.append((alone(unit, 1.0), False, None))
+        except NanGuardError:
+            try:
+                outcomes.append((alone(unit, 0.5), True, None))
+            except NanGuardError as exc:
+                outcomes.append((None, True, f"nan_guard: {exc}"))
+    return outcomes
 
 
 def _guarded_block(base_params, spec, regime, flags, dataset, probe_x, settings, repeats) -> list[dict]:
-    """A block of (seed, repeat_id) ``repeats`` for every flag in ``flags`` under the NaN-guard rule.
+    """A block of (seed, repeat_id) ``repeats`` for every flag in ``flags`` under ``_guard_rule``.
 
-    The block is one engine run.  If it trips the guard, each (repeat, flag)
-    reruns alone through ``_nan_guarded``; a second failure gives an error
-    record.  So every record and state equals that of its (repeat, flag) run
-    alone.  Returns one ``{flag: Repeat}`` per repeat.
+    The block is one engine run, and its units are the (repeat, flag)
+    pairs; a unit that fails twice gets an error record.  So every record
+    and state equals that of its (repeat, flag) run alone.  Returns one
+    ``{flag: Repeat}`` per repeat.
     """
     engine = partial(_run_repeat, base_params, spec, regime, dataset, probe_x, settings)
-    if len(repeats) * len(flags) > 1:  # a lone (repeat, flag) goes straight to the retry rule
-        try:
-            return engine(repeats, flags, 1.0)
-        except NanGuardError:
-            pass
-    runs = []
-    for seed, repeat_id in repeats:
-        by_flag = {}
-        for flag in flags:
-            try:
-                (alone,), retried = _nan_guarded(partial(engine, [(seed, repeat_id)], (flag,)))
-                by_flag[flag] = alone[flag]
-                alone[flag].record.retried = retried
-            except NanGuardError as exc:
-                record = BackflowRecord(
-                    repeat_id=repeat_id,
-                    seed=seed,
-                    break_applied=flag == "break",
-                    d1=None,
-                    d2=None,
-                    delta=None,
-                    retried=True,
-                    error=f"nan_guard: {exc}",
-                )
-                by_flag[flag] = Repeat(record)
-        runs.append(by_flag)
+    units = [(repeat, flag) for repeat in repeats for flag in flags]
+    outcomes = _guard_rule(
+        lambda: [run[flag] for run in engine(repeats, flags, 1.0) for flag in flags],
+        lambda unit, lr_scale: engine([unit[0]], unit[1:], lr_scale)[0][unit[1]],
+        units,
+    )
+    runs = [{} for _ in repeats]
+    for i, (((seed, repeat_id), flag), (run, retried, error)) in enumerate(zip(units, outcomes)):
+        if error is not None:
+            run = Repeat(BackflowRecord(repeat_id, seed, flag == "break", None, None, None, error=error))
+        run.record.retried = retried
+        runs[i // len(flags)][flag] = run
     return runs
 
 
@@ -381,7 +397,7 @@ def run_noncommute_curve(
     base_params: np.ndarray,
     spec: ModelSpec,
     regime: Regime,
-    break_applied: bool,
+    flags: tuple[str, ...],
     dataset: Dataset,
     probe_subset: np.ndarray,
     seed: int,
@@ -389,49 +405,35 @@ def run_noncommute_curve(
     k_max: int,
     settings: ProtocolSettings = ProtocolSettings(),
     lr_scale: float = 1.0,
-) -> list[tuple[int, float]]:
-    """Order sensitivity: TV between A-then-B and B-then-A endpoints vs k.
+) -> dict[str, list[tuple[int, float]]]:
+    """Order sensitivity: TV between A-then-B and B-then-A endpoints vs k, for every flag in ``flags``.
 
     Both orders start from the same base parameters and share the repeat's
-    batch plan and augmentation draws; they train as two stacked rows.
-    Under the break condition the buffers are zeroed at the switch point in
-    both orders.  The first phase is one k_max-step trajectory, whose state
-    after k steps is the k-step one.  The second phase trains every k as
-    one stack, rows ordered by k descending, each row for its own k steps;
-    k values are grouped so that a stack stays within ``_STACK_FLOATS``.
-    Every row is computed as in a run of its k alone.  Raises NanGuardError
-    if either order stops being finite.
+    batch plan and augmentation draws.  They are one pair of rows of
+    ``_two_phase``, switched after every k in 1..k_max, so one first-phase
+    trajectory serves every k and every flag.  Under ``break`` the buffers
+    are zeroed at the switch point in both orders.  Returns ``{flag: [(k,
+    tv), ...]}``; every value is computed as in a run of its k and flag
+    alone.  Raises NanGuardError if either order stops being finite.
     """
+    if k_max < 1:
+        return {flag: [] for flag in flags}
     x_a, _, x_b, y_a, y_b = _repeat_batches(regime, dataset, seed, settings.batch_size)
-    config = _optimizer_config(regime, settings, lr_scale)
-    # row 0 runs A then B, row 1 runs B then A
-    x_first, y_first = np.stack([x_a, x_b]), np.stack([y_a, y_b])
-    x_second, y_second = np.stack([x_b, x_a]), np.stack([y_b, y_a])
-
-    probe_x = dataset.features[probe_subset]
-    per_group = _repeats_per_block(spec, settings.batch_size, len(probe_subset), 1)
-    first, velocity = np.stack([base_params, base_params]), np.zeros((2, base_params.size))
-    curve = []
-    for start in range(0, k_max, per_group):
-        group = range(min(start + per_group, k_max), start, -1)  # k descending
-        # the first phase's trajectory, advanced to the group's largest k
-        switch = {}
-        for k in range(start + 1, group[0] + 1):
-            first, velocity, _ = _train(spec, first, velocity, x_first, y_first, 1, config)
-            switch[k] = (first, causal_break(velocity) if break_applied else velocity)
-        params, _, _ = _train(
-            spec,
-            np.concatenate([switch[k][0] for k in group]),
-            np.concatenate([switch[k][1] for k in group]),
-            np.concatenate([x_second] * len(group)),
-            np.concatenate([y_second] * len(group)),
-            np.repeat(group, 2),
-            config,
-        )
-        preds = forward(spec, params, probe_x)
-        values = div_avg(("tv",), preds[0::2], preds[1::2])["tv"]
-        curve.extend((k, float(v)) for k, v in zip(reversed(group), values[::-1]))
-    return curve
+    first = np.stack([x_a, x_b]), np.stack([y_a, y_b])  # row 0 runs A then B, row 1 runs B then A
+    groups = _two_phase(
+        spec,
+        np.stack([base_params, base_params]),
+        first,
+        tuple(a[::-1] for a in first),  # each order's second phase is the other's first
+        range(1, k_max + 1),
+        flags,
+        _optimizer_config(regime, settings, lr_scale),
+        dataset.features[probe_subset],
+    )
+    # one group's probabilities at a time, so that no earlier group's rows are kept
+    tv = np.concatenate([div_avg(("tv",), p[0::2], p[1::2])["tv"] for p in map(itemgetter(2), groups)])
+    tv = tv.reshape(k_max, len(flags))
+    return {flag: [(k, float(v)) for k, v in enumerate(tv[:, i], start=1)] for i, flag in enumerate(flags)}
 
 
 def pretrain(
@@ -807,63 +809,61 @@ def _metric_block(deltas: np.ndarray, policy: StatsPolicy, boot_seed: int) -> di
     return block
 
 
-def _cell_diagnostics(
-    config, spec, regime, flag, dataset, probe_x, base_params, seed_value, alignment_mean, run
-):
-    """The diagnostics record of one cell; ``run`` is the flag's run of the diagnostics repeat."""
-    sub = dataset.probe_indices[: config.probe_subset]
-    break_applied = flag == "break"
-    curve_error = None
-    try:
-        curve, curve_retried = _nan_guarded(
-            lambda lr_scale: run_noncommute_curve(
-                base_params,
-                spec,
-                regime,
-                break_applied,
-                dataset,
-                sub,
-                derive_seed("noncommute", seed_value),
-                k_max=config.noncommute_k_max,
-                settings=config.settings(),
-                lr_scale=lr_scale,
-            )
-        )
-    except NanGuardError as exc:
-        curve, curve_retried, curve_error = [], True, f"nan_guard: {exc}"
-    payload = {
-        "record": "diagnostics",
-        "regime": regime.name,
-        "break": flag,
-        "seed": seed_value,
-        "noncommute": [[k, v] for k, v in curve],
-        "noncommute_slope": diag.curve_slope([k for k, _ in curve], [v for _, v in curve])
-        if len(curve) >= 2
-        else None,
-        "alignment_mean": alignment_mean,
-    }
-    if curve_retried:
-        payload["noncommute_retried"] = True
-    if curve_error is not None:
-        payload["noncommute_error"] = curve_error
-    if run.record.ok:
+def _diagnostics(config, spec, regime, dataset, probe_x, base_params, seed_value, cell_summaries) -> dict:
+    """The diagnostics records of one (regime, seed), as ``{flag: payload}``.
+
+    One repeat runs as an engine block and the non-commute curve once, both
+    for all flags under ``_guard_rule``; the CKA and PCA read the A, A', AB
+    and A'B rows of every ok flag from one stacked feature call and one
+    stacked forward.  So each record equals that of a sweep of its flag
+    alone.  ``cell_summaries`` gives each cell's alignment mean.
+    """
+    flags, settings = config.break_flags, config.settings()
+    repeat = [(derive_seed("diag", seed_value), 0)]
+    (runs,) = _guarded_block(base_params, spec, regime, flags, dataset, probe_x, settings, repeat)
+    sub, seed = dataset.probe_indices[: config.probe_subset], derive_seed("noncommute", seed_value)
+    curves = partial(run_noncommute_curve, k_max=config.noncommute_k_max, settings=settings)
+    outcomes = _guard_rule(
+        lambda: curves(base_params, spec, regime, flags, dataset, sub, seed, lr_scale=1.0).values(),
+        lambda flag, lr: curves(base_params, spec, regime, (flag,), dataset, sub, seed, lr_scale=lr)[flag],
+        flags,
+    )
+    ok = [flag for flag in flags if runs[flag].record.ok]
+    if ok:  # rows A, A', AB, A'B of every ok flag
+        rows = np.concatenate([np.concatenate([runs[flag].params_mid, runs[flag].params_end]) for flag in ok])
         x_sub = probe_x[: config.probe_subset]
-        (mid_a, mid_ap), (end_a, end_ap) = run.params_mid, run.params_end
-        feats = [penultimate_features(spec, p, x_sub) for p in (mid_a, mid_ap, end_a, end_ap)]
-        preds = [forward(spec, p, x_sub) for p in (mid_a, end_a, mid_ap, end_ap)]
-        projection = diag.pca_project(preds)
+        feats, preds = penultimate_features(spec, rows, x_sub), forward(spec, rows, x_sub)
+    payloads = {}
+    for flag, (curve, retried, error) in zip(flags, outcomes):
+        curve = curve or []
+        payloads[flag] = payload = {
+            "record": "diagnostics",
+            "regime": regime.name,
+            "break": flag,
+            "seed": seed_value,
+            "noncommute": [[k, v] for k, v in curve],
+            "noncommute_slope": diag.curve_slope([k for k, _ in curve], [v for _, v in curve])
+            if len(curve) >= 2
+            else None,
+            "alignment_mean": cell_summaries[(regime.name, flag, seed_value)]["alignment_mean"],
+        }
+        if retried:
+            payload["noncommute_retried"] = True
+        if error is not None:
+            payload["noncommute_error"] = error
+        if flag not in ok:
+            payload["error"] = runs[flag].record.error
+            continue
+        i = 4 * ok.index(flag)
+        projection = diag.pca_project([preds[i], preds[i + 2], preds[i + 1], preds[i + 3]])
         payload.update(
-            {
-                "cka_first": diag.linear_cka(feats[0], feats[1]),
-                "cka_second": diag.linear_cka(feats[2], feats[3]),
-                "pca_points": [[float(a), float(b)] for a, b in projection.points],
-                "pca_labels": ["A", "AB", "Aprime", "AprimeB"],
-                "pca_explained": list(projection.explained_variance),
-            }
+            cka_first=diag.linear_cka(feats[i], feats[i + 1]),
+            cka_second=diag.linear_cka(feats[i + 2], feats[i + 3]),
+            pca_points=[[float(a), float(b)] for a, b in projection.points],
+            pca_labels=["A", "AB", "Aprime", "AprimeB"],
+            pca_explained=list(projection.explained_variance),
         )
-    else:
-        payload["error"] = run.record.error
-    return payload
+    return payloads
 
 
 @dataclass
@@ -939,23 +939,16 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
             )
 
             if config.diagnostics_enabled:
-                # one repeat for all flags, under the same guard rule as the cells' blocks
-                repeat = [(derive_seed("diag", seed_value), 0)]
-                (runs,) = _guarded_block(
-                    base, spec, regime, config.break_flags, dataset, probe_x, settings, repeat
+                cell_diagnostics[regime.name, seed_value] = _diagnostics(
+                    config, spec, regime, dataset, probe_x, base, seed_value, cell_summaries
                 )
-                for flag, run in runs.items():
-                    key = (regime.name, flag, seed_value)
-                    alignment_mean = cell_summaries[key]["alignment_mean"]
-                    cell_diagnostics[key] = _cell_diagnostics(
-                        config, spec, regime, flag, dataset, probe_x, base, seed_value, alignment_mean, run
-                    )
 
     # cells and diagnostics are reported in (regime, flag, seed) order
     keys = [(r.name, flag, s) for r in config.regimes for flag in config.break_flags for s in config.seeds]
     cells = [cell_summaries[key] for key in keys]
     if config.diagnostics_enabled:
-        lines = [_header(created_at, digest)] + [_dump_line(cell_diagnostics[key]) for key in keys]
+        payloads = [cell_diagnostics[name, seed][flag] for name, flag, seed in keys]
+        lines = [_header(created_at, digest)] + [_dump_line(payload) for payload in payloads]
         write_atomic(run_dir / "diagnostics.jsonl", "\n".join(lines) + "\n")
 
     pooled = []

@@ -202,10 +202,13 @@ def test_stacked_rows_match_unstacked_calls_bitwise(spec):
     # one batch shared by every row
     _, shared = loss_and_grad(spec, rows, x[0], y[0])
     probs = forward(spec, rows, x[0])
+    feats = penultimate_features(spec, rows, x[0])
     assert probs.shape == (3, 12, spec.num_classes)
+    assert feats.shape == (3, 12, spec.hidden_dim or spec.input_dim)
     for r in range(3):
         assert np.array_equal(shared[r], loss_and_grad(spec, rows[r], x[0], y[0])[1])
         assert np.array_equal(probs[r], forward(spec, rows[r], x[0]))
+        assert np.array_equal(feats[r], penultimate_features(spec, rows[r], x[0]))
 
 
 def test_stacked_nan_guard_fires_for_one_bad_row():

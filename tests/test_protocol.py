@@ -183,21 +183,24 @@ def test_micro_experiment_matches_hand_simulation(dataset, base_params):
 
 def test_noncommute_same_instrument_is_zero(dataset, base_params):
     regime = small_regime(aug_a="none", aug_b="none", overlap=1.0)
-    curve = run_noncommute_curve(base_params, SPEC, regime, False, dataset,
+    curve = run_noncommute_curve(base_params, SPEC, regime, ("no",), dataset,
                                  dataset.probe_indices[:64], seed=61, k_max=3,
-                                 settings=SETTINGS)
+                                 settings=SETTINGS)["no"]
     assert [v for _, v in curve] == [0.0, 0.0, 0.0]
     assert [k for k, _ in curve] == [1, 2, 3]
+    no_k = run_noncommute_curve(base_params, SPEC, regime, ("no", "break"), dataset,
+                                dataset.probe_indices[:64], seed=61, k_max=0, settings=SETTINGS)
+    assert no_k == {"no": [], "break": []}
 
 
 def test_noncommute_eta_squared_scaling(dataset, base_params):
     small = small_regime(k=1, momentum=0.0, lr=1e-3, aug_a="weak", aug_b="color", overlap=0.0)
     half = small_regime(k=1, momentum=0.0, lr=5e-4, aug_a="weak", aug_b="color", overlap=0.0)
     kwargs = dict(settings=SETTINGS, k_max=1)
-    tv_full = run_noncommute_curve(base_params, SPEC, small, False, dataset,
-                                   dataset.probe_indices[:64], seed=63, **kwargs)[0][1]
-    tv_half = run_noncommute_curve(base_params, SPEC, half, False, dataset,
-                                   dataset.probe_indices[:64], seed=63, **kwargs)[0][1]
+    tv_full = run_noncommute_curve(base_params, SPEC, small, ("no",), dataset,
+                                   dataset.probe_indices[:64], seed=63, **kwargs)["no"][0][1]
+    tv_half = run_noncommute_curve(base_params, SPEC, half, ("no",), dataset,
+                                   dataset.probe_indices[:64], seed=63, **kwargs)["no"][0][1]
     assert tv_full / tv_half == pytest.approx(4.0, rel=0.15)
 
 
@@ -206,9 +209,9 @@ def test_noncommute_resonant_curves_nondecreasing(dataset, base_params):
                           aug_aprime="blur", aug_b="weak")
     good = 0
     for seed in range(10):
-        curve = run_noncommute_curve(base_params, SPEC, regime, False, dataset,
+        curve = run_noncommute_curve(base_params, SPEC, regime, ("no",), dataset,
                                      dataset.probe_indices[:64], seed=seed, k_max=4,
-                                     settings=SETTINGS)
+                                     settings=SETTINGS)["no"]
         values = [v for _, v in curve]
         good += all(values[i + 1] >= values[i] - 1e-12 for i in range(len(values) - 1))
     assert good >= 8
@@ -553,6 +556,46 @@ def test_diagnostics_of_a_failed_shared_run_match_single_flag_sweeps(tmp_path, m
         assert both[flag] == payloads(flag, [flag])[flag]
 
 
+@pytest.mark.parametrize("failures", ["none", "shared_curve", "full_lr"])
+def test_one_curve_per_regime_and_seed_matches_single_flag_sweeps(tmp_path, monkeypatch, failures):
+    real_curve, real_step = protocol.run_noncommute_curve, protocol.step
+    calls = []
+
+    def curve(*args, **kwargs):
+        calls.append((args[2].name, args[3], kwargs["lr_scale"]))
+        # keyed on the shared curve itself: a failure keyed on a stack's shape would hit engine stacks too
+        if failures == "shared_curve" and len(args[3]) > 1:
+            raise NanGuardError("injected failure")
+        return real_curve(*args, **kwargs)
+
+    def failing_step(params, velocity, grad, config):
+        if failures == "full_lr" and config.lr == REGIME_PRESETS["standard"].lr:
+            raise NanGuardError("injected failure")
+        return real_step(params, velocity, grad, config)
+
+    monkeypatch.setattr(protocol, "step", failing_step)
+
+    def payloads(flags):
+        config = config_from_mapping(sweep_mapping(tmp_path, output_dir=str(tmp_path / "-".join(flags)),
+                                                   break_flags=flags, seeds=[0, 1]))
+        run_dir = run_sweep(config, created_at="pinned").run_dir
+        return {(p["break"], p["seed"]): p for p in read_diagnostics(run_dir)}
+
+    singles = {**payloads(["no"]), **payloads(["break"])}
+    monkeypatch.setattr(protocol, "run_noncommute_curve", curve)
+    both = payloads(["no", "break"])
+    assert both == singles
+    assert all(("noncommute_retried" in p) == (failures == "full_lr") for p in both.values())
+    shared = [("standard", ("no", "break"), 1.0)]
+    if failures == "none":
+        assert calls == shared * 2  # one curve per (regime, seed)
+    if failures == "shared_curve":
+        assert calls == (shared + [("standard", ("no",), 1.0), ("standard", ("break",), 1.0)]) * 2
+    if failures == "full_lr":
+        alone = [("standard", (flag,), lr_scale) for flag in ("no", "break") for lr_scale in (1.0, 0.5)]
+        assert calls == (shared + alone) * 2
+
+
 def read_cell_records(run_dir, regime_name, flag, seed):
     lines = (run_dir / protocol.cell_filename(regime_name, flag, seed)).read_text().splitlines()[1:]
     return [BackflowRecord(**{k: v for k, v in json.loads(line).items() if k != "record"}) for line in lines]
@@ -752,15 +795,20 @@ def reference_curve(base_params, spec, regime, break_applied, dataset, probe_sub
     return curve
 
 
-@pytest.mark.parametrize("break_applied", [False, True])
+# the single-flag ids name whether the break is applied
+@pytest.mark.parametrize("flags", [("no",), ("break",), ("no", "break"), ("break", "no")],
+                         ids=["False", "True", "no-break", "break-no"])
 @pytest.mark.parametrize("k_max, groups", [(1, 1), (6, 1), (6, 3), (6, 6), (5, 3)])
 def test_stacked_noncommute_curve_matches_per_k_reference_bitwise(monkeypatch, dataset, base_params,
-                                                                  break_applied, k_max, groups):
+                                                                  flags, k_max, groups):
     regime = small_regime(k=3, momentum=0.95, lr=0.03, aug_a="color", aug_b="blur")
     sub = dataset.probe_indices[:64]
-    expected = reference_curve(base_params, SPEC, regime, break_applied, dataset, sub, 29, k_max, SETTINGS)
-    per_group = -(-k_max // groups)  # k values per stack that give ``groups`` stacks
-    monkeypatch.setattr(protocol, "_STACK_FLOATS", 2 * per_group * protocol._row_floats(SPEC, 24, 64))
+    expected = {flag: reference_curve(base_params, SPEC, regime, flag == "break", dataset, sub, 29, k_max,
+                                      SETTINGS)
+                for flag in flags}
+    per_group = -(-k_max // groups)  # k values per stack that give ``groups`` stacks, all flags' rows in each
+    monkeypatch.setattr(protocol, "_STACK_FLOATS",
+                        2 * len(flags) * per_group * protocol._row_floats(SPEC, 24, 64))
     real_forward = protocol.forward
     stacks = []
 
@@ -769,10 +817,10 @@ def test_stacked_noncommute_curve_matches_per_k_reference_bitwise(monkeypatch, d
         return real_forward(spec, params, inputs)
 
     monkeypatch.setattr(protocol, "forward", counted_forward)
-    curve = run_noncommute_curve(base_params, SPEC, regime, break_applied, dataset, sub, 29,
-                                 k_max=k_max, settings=SETTINGS)
-    assert curve == expected
-    assert len(stacks) == groups and sum(stacks) == 2 * k_max
+    curves = run_noncommute_curve(base_params, SPEC, regime, flags, dataset, sub, 29,
+                                  k_max=k_max, settings=SETTINGS)
+    assert curves == expected and list(curves) == list(flags)
+    assert len(stacks) == groups and sum(stacks) == 2 * k_max * len(flags)
 
 
 def test_norm_overflow_gives_error_record_not_zero_deltas(dataset, base_params):
@@ -824,9 +872,9 @@ def test_noncommute_curve_retried_at_half_lr(tmp_path, monkeypatch):
     config = config_from_mapping(sweep_mapping(tmp_path))
     dataset = protocol.build_dataset(config)
     half = run_noncommute_curve(protocol.base_parameters(config, dataset, 0), config.model_spec(), regime,
-                                False, dataset, dataset.probe_indices[:64],
+                                ("no",), dataset, dataset.probe_indices[:64],
                                 derive_seed("noncommute", 0), k_max=2, settings=config.settings(),
-                                lr_scale=0.5)
+                                lr_scale=0.5)["no"]
     assert payload["noncommute"] == [[k, v] for k, v in half]
 
 
