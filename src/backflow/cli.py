@@ -11,11 +11,14 @@ Only ``run``, ``plot-data`` and ``report`` import the sweep modules
 (``protocol``, ``stats`` and ``diagnostics``), inside the command; ``oracle``
 loads NumPy and the process oracle alone.  No command loads SciPy.  ``plot-data``
 and ``report`` write each file through ``protocol.write_atomic``, so a
-failed write leaves the previous file.
+failed write leaves the previous file.  ``run`` first fixes glibc's heap
+thresholds (``_fix_heap_thresholds``), which the sweep's many short-lived
+NumPy temporaries need.
 """
 
 import argparse
 import csv
+import ctypes
 import io
 import json
 import sys
@@ -36,7 +39,32 @@ def _read_jsonl(path: Path) -> tuple[dict, list[dict]]:
     return header, [json.loads(line) for line in lines[1:]]
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+
+
+def _fix_heap_thresholds() -> None:
+    """Keep freed NumPy temporaries in the heap for the rest of the process.
+
+    By default glibc raises its mmap and trim thresholds only as large
+    blocks are freed, and trims the top of the heap whenever a few
+    sweep-sized temporaries (256 KB to 2 MB) are freed together, so the
+    next ones fault their pages in again.  The mmap threshold is fixed at
+    32 MiB, the ceiling of glibc's dynamic threshold on 64-bit, and the
+    trim threshold at twice that, as glibc's dynamic rule would set it.
+    Does nothing where the C library has no ``mallopt`` (macOS, Windows).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def cmd_run(config_path: str) -> int:
+    _fix_heap_thresholds()
     from .protocol import config_from_mapping, run_sweep
 
     try:

@@ -42,15 +42,15 @@ def _as_prob_rows(a, name: str) -> np.ndarray:
     return np.clip(rows, 0.0, None) / sums
 
 
-def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Entries p * log2(p / m) of KL(p || m) for m = (p + q) / 2, 0 where p is 0.
+def _kl_terms(p: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Entries p * log2(p / m) of KL(p || m) for m = total / 2, total = p + q, 0 where p is 0.
 
     The ratio is formed as 2p / (p + q), and only where p > 0 (there
     p + q > 0), so nothing is divided by 0.  It equals p / m whenever m is
     exact, and stays right where m itself would underflow to 0.
     """
     positive = p > 0.0
-    return p * np.log2(np.where(positive, 2.0 * p, 1.0) / np.where(positive, p + q, 1.0))
+    return p * np.log2(np.where(positive, 2.0 * p, 1.0) / np.where(positive, total, 1.0))
 
 
 def _row_values(kind: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -60,7 +60,8 @@ def _row_values(kind: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         diff = np.sqrt(p) - np.sqrt(q)
         return 0.5 * np.sqrt((diff * diff).sum(axis=-1))
     if kind == "js":
-        return 0.5 * _kl_terms(p, q).sum(axis=-1) + 0.5 * _kl_terms(q, p).sum(axis=-1)
+        total = p + q  # both terms' sum: IEEE addition commutes, so q + p is the same
+        return 0.5 * _kl_terms(p, total).sum(axis=-1) + 0.5 * _kl_terms(q, total).sum(axis=-1)
     raise ValueError(f"unknown divergence kind: {kind!r}")
 
 

@@ -95,8 +95,9 @@ def sample_batch_plan(
             labels[shared], minlength=dataset.num_classes
         )
         picked = []
+        pool_labels = labels[pool]
         for c in np.flatnonzero(want > 0):
-            available = pool[labels[pool] == c]
+            available = pool[pool_labels == c]
             take = min(int(want[c]), len(available))
             shortfall += int(want[c]) - take
             if take:

@@ -132,10 +132,22 @@ def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _affine(_hidden(spec, params, x), w2, b2)
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """``z.max(axis=-1, keepdims=True)``, taken one class column at a time.
+
+    A maximum is exact in any order, so the values are the same; over the
+    few classes of the last axis this is faster than NumPy's reduction.
+    """
+    out = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(out, z[..., j : j + 1], out=out)
+    return out
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax of the last axis, written over ``z``."""
     # Max subtraction keeps the exponentials bounded for the NaN guard.
-    z -= z.max(axis=-1, keepdims=True)
+    z -= _row_max(z)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
@@ -151,6 +163,21 @@ def forward(spec: ModelSpec, params: np.ndarray, inputs) -> np.ndarray:
     return _softmax(_logits(spec, params, x))
 
 
+def check_batch(spec: ModelSpec, inputs, labels) -> tuple[np.ndarray, np.ndarray]:
+    """A batch as float64 inputs and int64 labels, after checking its shapes and label range.
+
+    ``inputs`` is (n, d) or (R, n, d) and ``labels`` (n,) or (R, n), one
+    class index per input row; raises ValueError otherwise.
+    """
+    x = _check_inputs(spec, inputs)
+    y = np.asarray(labels, dtype=np.int64)
+    if y.ndim not in (1, 2) or y.shape[-1] != x.shape[-2]:
+        raise ValueError("labels must be one integer per input row")
+    if np.any(y < 0) or np.any(y >= spec.num_classes):
+        raise ValueError("labels out of range")
+    return x, y
+
+
 def loss_and_grad(
     spec: ModelSpec, params: np.ndarray, inputs, labels
 ) -> tuple[float | np.ndarray, np.ndarray]:
@@ -161,14 +188,17 @@ def loss_and_grad(
     an (R,) loss array with an (R, P) gradient.  Each row is computed
     exactly as the unstacked call on that row would compute it.
     """
-    x = _check_inputs(spec, inputs)
-    y = np.asarray(labels, dtype=np.int64)
-    n = x.shape[-2]
-    if y.ndim not in (1, 2) or y.shape[-1] != n:
-        raise ValueError("labels must be one integer per input row")
-    if np.any(y < 0) or np.any(y >= spec.num_classes):
-        raise ValueError("labels out of range")
+    return loss_and_grad_unchecked(spec, params, *check_batch(spec, inputs, labels))
 
+
+def loss_and_grad_unchecked(
+    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """``loss_and_grad`` on a batch that ``check_batch`` has returned, without checking it again.
+
+    A training loop checks its fixed batch once and calls this per step.
+    """
+    n = x.shape[-2]
     if spec.kind == "softmax_linear":
         w, b = _unpack(spec, params)
         z = _affine(x, w, b)
@@ -180,7 +210,7 @@ def loss_and_grad(
     target = (np.arange(z.size // z.shape[-1]), np.broadcast_to(y, z.shape[:-1]).ravel())
 
     with np.errstate(over="ignore", invalid="ignore"):  # NaN guard below decides
-        zmax = z.max(axis=-1, keepdims=True)
+        zmax = _row_max(z)
         logsum = np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True)) + zmax
         picked = z.reshape(-1, z.shape[-1])[target].reshape(z.shape[:-1])
         loss = (logsum[..., 0] - picked).mean(axis=-1)
@@ -197,7 +227,9 @@ def loss_and_grad(
         gb2 = dz.sum(axis=-2)
         dh = dz @ w2
         if spec.activation == "tanh":
-            dpre = dh * (1.0 - hidden * hidden)
+            dpre = hidden * hidden  # dh * (1 - hidden**2), in one buffer
+            np.subtract(1.0, dpre, out=dpre)
+            dpre *= dh
         else:
             dpre = dh * (hidden > 0.0)  # relu(pre) > 0 exactly where pre > 0
         parts = [_T(dpre) @ x, dpre.sum(axis=-2), gw2, gb2]

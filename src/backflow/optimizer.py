@@ -55,7 +55,9 @@ def step(
     if not np.all(np.isfinite(grad)):
         raise NanGuardError("non-finite gradient")
 
-    g = grad + config.weight_decay * params
+    # each product below is a fresh array, so updating it in place mutates no input
+    g = config.weight_decay * params
+    g += grad
     if config.clip_norm is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             norm = np.sqrt(np.vecdot(g, g))[..., None]  # per row
@@ -63,10 +65,12 @@ def step(
             # an overflowing norm would scale the gradient to exactly zero
             raise NanGuardError("non-finite gradient norm")
         # rows within the clip norm are scaled by exactly 1.0
-        g = g * (config.clip_norm / np.maximum(norm, config.clip_norm))
-    velocity = config.momentum * velocity + g
+        g *= config.clip_norm / np.maximum(norm, config.clip_norm)
+    velocity = config.momentum * velocity
+    velocity += g
     with np.errstate(over="ignore", invalid="ignore"):  # NaN guard below decides
-        new_params = params - config.lr * velocity
+        new_params = config.lr * velocity
+        np.subtract(params, new_params, out=new_params)
     if not np.all(np.isfinite(new_params)):
         raise NanGuardError("non-finite parameter update")
     return new_params, velocity

@@ -67,7 +67,15 @@ from .instruments import (
     sample_batch_plan,
     shared_rows,
 )
-from .model import ModelSpec, forward, init_params, loss_and_grad, parameter_count, penultimate_features
+from .model import (
+    ModelSpec,
+    check_batch,
+    forward,
+    init_params,
+    loss_and_grad_unchecked,
+    parameter_count,
+    penultimate_features,
+)
 from .optimizer import OptimizerConfig, causal_break, step
 from .seeding import derive_seed
 from .stats import bh_fdr, bh_qvalues, bootstrap_mean_ci, normal_ci_half_width, t_test_mean, tost_equivalence
@@ -140,20 +148,22 @@ class BackflowRecord:
         return self.error is None
 
 
-def _repeat_batches(regime: Regime, dataset: Dataset, seed: int, batch_size: int):
+def _repeat_batches(regime: Regime, dataset: Dataset, seed: int, batch_size: int, contrast: bool = True):
     """A repeat's augmented batches and labels: ``x_a, x_ap, x_b, y_a, y_b``.
 
     The batch plan and augmentation draws derive from ``seed``.  A and A'
     read the plan's first batch with one augmentation seed, so they differ
     only by kind; B reads the second batch with its own seed.  Image
-    datasets get the image transform forms.
+    datasets get the image transform forms.  Without ``contrast`` x_ap is
+    None and not computed; every other batch is the same, since each
+    augmentation seeds its own generator.
     """
     plan = sample_batch_plan(dataset, batch_size, regime.overlap, regime.same_classes, derive_seed(seed, "plan"))
     shape = dataset.provenance.get("image_shape")
     first, second = dataset.features[plan.indices_a], dataset.features[plan.indices_b]
     aug_seed_first = derive_seed(seed, "aug_first")
     x_a = apply_augmentation(regime.aug_a, first, aug_seed_first, shape)
-    x_ap = apply_augmentation(regime.aug_aprime, first, aug_seed_first, shape)
+    x_ap = apply_augmentation(regime.aug_aprime, first, aug_seed_first, shape) if contrast else None
     x_b = apply_augmentation(regime.aug_b, second, derive_seed(seed, "aug_b"), shape)
     return x_a, x_ap, x_b, dataset.labels[plan.indices_a], dataset.labels[plan.indices_b]
 
@@ -176,9 +186,12 @@ def _train(spec, params, velocity, x, y, steps, config):
     batch per row), so the rows still training at step t are a suffix.
     Returns the final parameters and velocities and the first step's
     gradient (None without steps); the caller's arrays are never written.
-    ``step`` is called through this module's namespace, so a replacement
-    installed there (as the NaN-guard tests do) is used.
+    The batch is checked once, before the first step, as the gradient of
+    every step reads the same ``x``/``y``.  ``step`` is called through this
+    module's namespace, so a replacement installed there (as the NaN-guard
+    tests do) is used.
     """
+    x, y = check_batch(spec, x, y)
     counts = np.broadcast_to(steps, len(params))
     done = []  # (parameters, velocities) of rows past their count, in row order
     first_grad = None
@@ -187,7 +200,7 @@ def _train(spec, params, velocity, x, y, steps, config):
         if finished:  # copies, so the finished rows do not hold the whole stack
             done.append((params[:finished].copy(), velocity[:finished].copy()))
             params, velocity, x, y = params[finished:], velocity[finished:], x[finished:], y[finished:]
-        _, grad = loss_and_grad(spec, params, x, y)
+        _, grad = loss_and_grad_unchecked(spec, params, x, y)
         params, velocity = step(params, velocity, grad, config)
         if t == 0:
             first_grad = grad
@@ -418,7 +431,7 @@ def run_noncommute_curve(
     """
     if k_max < 1:
         return {flag: [] for flag in flags}
-    x_a, _, x_b, y_a, y_b = _repeat_batches(regime, dataset, seed, settings.batch_size)
+    x_a, _, x_b, y_a, y_b = _repeat_batches(regime, dataset, seed, settings.batch_size, contrast=False)
     first = np.stack([x_a, x_b]), np.stack([y_a, y_b])  # row 0 runs A then B, row 1 runs B then A
     groups = _two_phase(
         spec,

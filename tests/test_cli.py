@@ -1,10 +1,12 @@
 import csv
+import ctypes
 import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +362,52 @@ def test_run_persistent_nan_guard_exits_nonzero(tmp_path, capsys, monkeypatch):
     assert "NaN guard" in captured.err
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["n_persistent_errors"] == 3
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_run_keeps_freed_temporaries_from_faulting_in_again():
+    # a fresh interpreter, whose heap thresholds only cmd_run has set: here it
+    # sets them and stops at the missing config.  With glibc's default dynamic
+    # thresholds the loop faults each of its 256 KiB temporaries in anew
+    # (19,200 minor faults); with the fixed ones it reuses the same pages.
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from backflow import cli\n"
+        "assert cli.main(['run', 'no-such-config.json']) == 2\n"
+        "rng = np.random.default_rng(0)\n"
+        "a, b = rng.random((16, 64, 32)), rng.random((16, 64, 32))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(200):\n"
+        "    b * (1.0 - a * a)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(backflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 200
+
+
+def test_run_works_where_the_c_library_has_no_mallopt(tmp_path, capsys, monkeypatch):
+    loaded = []
+
+    def libc_without_mallopt(name):
+        loaded.append(name)
+        return types.SimpleNamespace()
+
+    monkeypatch.setattr(ctypes, "CDLL", libc_without_mallopt)
+    path, _ = write_config(tmp_path, repeats=3, diagnostics={"enabled": False})
+    assert main(["run", str(path)]) == 0
+    assert loaded == [None]
+    assert (tmp_path / "run" / "summary.json").exists()
 
 
 def test_unknown_config_keys_warn_and_are_ignored(tmp_path, capsys):

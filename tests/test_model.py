@@ -71,6 +71,17 @@ def test_forward_matches_direct_reimplementation():
     assert np.allclose(forward(LINEAR, params, x)[0], expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (6, 10), (3, 7, 10)])
+def test_row_max_equals_the_last_axis_reduction(shape):
+    from backflow.model import _row_max
+
+    z = np.random.default_rng(9).normal(size=shape)
+    z.flat[1::5] = np.inf
+    z.flat[2::7] = -np.inf
+    z.flat[3::11] = np.nan
+    assert np.array_equal(_row_max(z), z.max(axis=-1, keepdims=True), equal_nan=True)
+
+
 def test_forward_determinism_bitwise():
     rng = np.random.default_rng(4)
     params = init_params(MLP, seed=2)

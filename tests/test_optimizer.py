@@ -163,6 +163,24 @@ def test_stacked_step_clips_each_row_like_an_unstacked_step():
         assert np.array_equal(new_velocity[r], row_velocity)
 
 
+def test_step_leaves_its_inputs_and_matches_the_out_of_place_rule():
+    rng = np.random.default_rng(1)
+    params, velocity = rng.normal(size=(2, 3, 5))
+    grad = rng.normal(size=(3, 5)) * np.array([[0.01], [10.0], [1.0]])  # one row below the clip norm
+    inputs = [params, velocity, grad]
+    copies = [a.copy() for a in inputs]
+    config = OptimizerConfig(lr=0.1, momentum=0.9, weight_decay=1e-3, clip_norm=1.0)
+    new_params, new_velocity = step(params, velocity, grad, config)
+    assert all(np.array_equal(a, c) for a, c in zip(inputs, copies))
+    assert not any(np.shares_memory(out, a) for out in (new_params, new_velocity) for a in inputs)
+    assert not np.shares_memory(new_params, new_velocity)
+    g = grad + config.weight_decay * params
+    g = g * (config.clip_norm / np.maximum(np.sqrt(np.vecdot(g, g))[:, None], config.clip_norm))
+    expected_velocity = config.momentum * velocity + g
+    assert np.array_equal(new_velocity, expected_velocity)
+    assert np.array_equal(new_params, params - config.lr * expected_velocity)
+
+
 def test_overflowing_gradient_norm_trips_guard():
     # finite entries whose squared norm overflows used to be scaled to exactly zero
     config = OptimizerConfig(lr=0.1, clip_norm=1.0)

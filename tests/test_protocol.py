@@ -823,6 +823,45 @@ def test_stacked_noncommute_curve_matches_per_k_reference_bitwise(monkeypatch, d
     assert len(stacks) == groups and sum(stacks) == 2 * k_max * len(flags)
 
 
+def test_noncommute_curve_augments_only_the_batches_it_trains_on(monkeypatch, dataset, base_params):
+    kinds = []
+
+    def counted_augmentation(kind, *args):
+        kinds.append(kind)
+        return apply_augmentation(kind, *args)
+
+    monkeypatch.setattr(protocol, "apply_augmentation", counted_augmentation)
+    regime = small_regime(aug_a="weak", aug_aprime="color", aug_b="blur")
+    run_noncommute_curve(base_params, SPEC, regime, ("no", "break"), dataset, dataset.probe_indices[:64], 29,
+                         k_max=2, settings=SETTINGS)
+    assert kinds == ["weak", "blur"]  # A and B; the repeat's A' batch is not drawn
+
+
+@pytest.mark.parametrize("bad", ["label", "width"])
+def test_train_checks_its_batch_before_the_first_step(monkeypatch, dataset, base_params, bad):
+    steps = []
+
+    def counted_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(protocol, "step", counted_step)
+    config = OptimizerConfig(lr=0.1, momentum=0.9)
+    params = np.stack([base_params, base_params])
+    x, y = dataset.features[:24], dataset.labels[:24]
+    protocol._train(SPEC, params, np.zeros_like(params), x, y, 3, config)
+    assert len(steps) == 3
+    steps.clear()
+    if bad == "label":
+        y = y.copy()
+        y[5] = SPEC.num_classes
+    else:
+        x = x[:, :-1]
+    with pytest.raises(ValueError, match="out of range" if bad == "label" else "features"):
+        protocol._train(SPEC, params, np.zeros_like(params), x, y, 3, config)
+    assert steps == []
+
+
 def test_norm_overflow_gives_error_record_not_zero_deltas(dataset, base_params):
     # The clip norm of the second gradient overflows.  It used to scale that
     # gradient to exactly zero: both branches saturated alike and the record
