@@ -7,13 +7,14 @@ Subcommands:
 * ``plot-data <run_dir>``        CSV tables for histograms, scatters, curves
 * ``report <run_dir>``           markdown summary table
 
-Only ``run``, ``plot-data`` and ``report`` import the sweep modules
-(``protocol``, ``stats`` and ``diagnostics``), inside the command; ``oracle``
-loads NumPy and the process oracle alone.  No command loads SciPy.  ``plot-data``
-and ``report`` write each file through ``protocol.write_atomic``, so a
-failed write leaves the previous file.  ``run`` first fixes glibc's heap
-thresholds (``_fix_heap_thresholds``), which the sweep's many short-lived
-NumPy temporaries need.
+Only ``run`` imports the sweep (``protocol``); ``run`` and ``plot-data``
+import ``stats`` and ``diagnostics``, inside the command.  ``report`` reads
+the run directory through ``artifacts`` alone, and ``oracle`` loads NumPy
+and the process oracle alone.  No command loads SciPy.  Every file is
+written through ``artifacts.write_atomic``, so a failed write leaves the
+previous file.  ``run`` first fixes glibc's heap thresholds
+(``_fix_heap_thresholds``), which the sweep's many short-lived NumPy
+temporaries need.
 """
 
 import argparse
@@ -27,16 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import comb as comb_mod
+from .artifacts import cell_filename, read_jsonl, write_atomic
 from .divergences import KINDS
 from .errors import ConfigError
-
-
-def _read_jsonl(path: Path) -> tuple[dict, list[dict]]:
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    header = json.loads(lines[0])
-    return header, [json.loads(line) for line in lines[1:]]
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
@@ -153,8 +147,6 @@ def cmd_oracle(seed: int, count: int, demo_witness: bool = False, tol: float = 1
 
 def _write_csv(path: Path, header: tuple, rows) -> None:
     """One header row, then the rows; None is written as an empty field."""
-    from .protocol import write_atomic
-
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
@@ -210,7 +202,6 @@ def _cell_key(record: dict) -> tuple:
 
 def cmd_plotdata(run_dir: str) -> int:
     from . import diagnostics as diag
-    from .protocol import cell_filename
     from .stats import correlations
 
     run = Path(run_dir)
@@ -260,7 +251,7 @@ def cmd_plotdata(run_dir: str) -> int:
     )
 
     curve_rows, cka_rows, traj_rows, slope_rows = [], [], [], []
-    diag_records = _read_jsonl(diagnostics_path)[1] if diagnostics_enabled else []
+    diag_records = read_jsonl(diagnostics_path)[1] if diagnostics_enabled else []
     for rec in diag_records:
         key = _cell_key(rec)
         curve_rows += [(*key, k, tv) for k, tv in rec.get("noncommute", [])]
@@ -309,7 +300,7 @@ def cmd_plotdata(run_dir: str) -> int:
     cosines = [
         r["momentum_alignment"]
         for path in alignment_paths
-        for r in _read_jsonl(path)[1]
+        for r in read_jsonl(path)[1]
         if r.get("momentum_alignment") is not None and r.get("error") is None
     ]
     _write_csv(out / "alignment_hist.csv", HIST_HEADER, _histogram_rows(cosines, "no", bins=24))
@@ -350,8 +341,6 @@ def cmd_plotdata(run_dir: str) -> int:
 
 
 def cmd_report(run_dir: str) -> int:
-    from .protocol import write_atomic
-
     run = Path(run_dir)
     summary_path = run / "summary.json"
     if _missing_inputs([summary_path]):

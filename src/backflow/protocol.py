@@ -28,8 +28,9 @@ or each flag of a curve, reruns alone, retried once at half the learning
 rate.  The sweep, which runs serially, loops over (regime, seed) and
 collects the cells of all break flags in lockstep: each block runs for the
 flags whose cells are still open and never crosses an early-stop
-checkpoint, where each flag stops on its own records.  The diagnostics of
-a (regime, seed) are one engine repeat and one curve for all flags.
+checkpoint, where each flag stops on its own records and writes its cell
+file.  The diagnostics of a (regime, seed) are one engine repeat and one
+curve for all flags; ``summary.summarize`` reads the cells' records alone.
 
 There is one training loop, ``_train``: the trainer's two phases and the
 base pretraining run their optimizer steps through it, on batch arrays
@@ -44,7 +45,6 @@ the others.
 """
 
 import json
-import math
 import os
 import sys
 import time
@@ -58,6 +58,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import diagnostics as diag
+from .artifacts import cell_filename, write_atomic, write_jsonl
 from .data import Dataset, load_table, make_synthetic, split_probe
 from .divergences import KINDS, div_avg
 from .errors import ConfigError, NanGuardError
@@ -78,9 +79,8 @@ from .model import (
 )
 from .optimizer import OptimizerConfig, causal_break, step
 from .seeding import derive_seed
-from .stats import bh_fdr, bh_qvalues, bootstrap_mean_ci, normal_ci_half_width, t_test_mean, tost_equivalence
-
-SCHEMA_VERSION = 1
+from .stats import normal_ci_half_width
+from .summary import StatsPolicy, alignment_mean, summarize
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ class Regime:
     same_classes: bool
 
     def __post_init__(self):
+        if any(sep and sep in self.name for sep in ("/", os.sep, os.altsep)):  # it names the cell files
+            raise ValueError(f"regime {self.name!r}: name must not contain a path separator")
         if self.k < 1:
             raise ValueError(f"regime {self.name!r}: k must be at least 1")
         if not self.lr > 0:
@@ -508,8 +510,7 @@ def collect_with_early_stop(
     ``sample_fn(open_flags, repeat_ids)`` runs a range of repeat ids for the
     flags whose cells are still open and returns ``{flag: records}``; a
     range holds at most ``block_size(len(open_flags))`` ids; and
-    ``on_finish(flag, records, early_stopped)`` is called as each flag
-    finishes.
+    ``on_finish(flag, records)`` is called as each flag finishes.
 
     No range crosses a checkpoint, so a flag that stops computes no repeat
     past it.  At a checkpoint each open flag decides from its own records
@@ -527,19 +528,16 @@ def collect_with_early_stop(
         for start in range(done, boundary, size):
             for flag, block in sample_fn(open_flags, range(start, min(start + size, boundary))).items():
                 records[flag].extend(block)
-        done = boundary
-        still_open = []
+        done, at_checkpoint, still_open = boundary, boundary in checkpoints, []
         for flag in open_flags:
-            early_stopped = boundary in checkpoints
-            if early_stopped:
-                valid = [r.delta["tv"] for r in records[flag] if r.ok]
-                if not (len(valid) >= 2 and normal_ci_half_width(valid) <= policy.half_width):
-                    still_open.append(flag)
-                    continue
+            valid = [r.delta["tv"] for r in records[flag] if r.ok]
+            if at_checkpoint and not (len(valid) >= 2 and normal_ci_half_width(valid) <= policy.half_width):
+                still_open.append(flag)
+                continue
             finished.extend(records[flag])
-            fired |= early_stopped
+            fired |= at_checkpoint
             if on_finish is not None:
-                on_finish(flag, records[flag], early_stopped)
+                on_finish(flag, records[flag])
         open_flags = tuple(still_open)
         if not open_flags:
             break
@@ -548,13 +546,6 @@ def collect_with_early_stop(
 
 # ---------------------------------------------------------------------------
 # Run configuration.
-
-
-@dataclass(frozen=True)
-class StatsPolicy:
-    bootstrap_samples: int = 2000
-    tost_epsilon: float = 1e-3
-    bh_q: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -600,8 +591,10 @@ def resolve_regime(entry) -> Regime:
             )
         return REGIME_PRESETS[entry]
     if isinstance(entry, dict):
+        kinds = Regime.__annotations__
+        fields = {key: _read(f"regimes.{key}", v, kinds[key]) if key in kinds else v for key, v in entry.items()}
         try:
-            return Regime(**entry)
+            return Regime(**fields)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"regimes: invalid regime mapping: {exc}") from None
     raise ConfigError(f"regimes: entries must be preset names or mappings, got {type(entry)}")
@@ -753,7 +746,7 @@ def base_parameters(config: RunConfig, dataset: Dataset, seed_value: int) -> np.
 
 
 # ---------------------------------------------------------------------------
-# Sweep execution and summary assembly.
+# Sweep execution.
 
 
 def _record_payload(record: BackflowRecord) -> dict:
@@ -761,75 +754,14 @@ def _record_payload(record: BackflowRecord) -> dict:
     return {"record": "repeat", **vars(record)}
 
 
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
-
-
-def _header(created_at: str, digest: str, cell: dict | None = None) -> str:
-    """The header line of a JSONL artifact, the only line that carries the timestamp."""
-    header = {"record": "header", "schema_version": SCHEMA_VERSION, "created_at": created_at, **(cell or {})}
-    return _dump_line({**header, "config_digest": digest})
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same directory.
-
-    The temporary file replaces ``path`` only once it is complete, so an
-    interrupted write leaves the previous file or none, never a truncated one.
-    """
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def cell_filename(regime_name: str, flag: str, seed: int) -> str:
-    return f"{regime_name}__{flag}__seed{seed}.jsonl"
-
-
-def _metric_block(deltas: np.ndarray, policy: StatsPolicy, boot_seed: int) -> dict:
-    n = deltas.size
-    block: dict = {"n": int(n)}
-    if n < 2:
-        block.update({"mean": float(deltas.mean()) if n else None})
-        return block
-    boot = bootstrap_mean_ci(deltas, n_boot=policy.bootstrap_samples, seed=boot_seed)
-    block.update(
-        {
-            "mean": boot.mean,
-            "ci_low": boot.ci_low,
-            "ci_high": boot.ci_high,
-            "half_width": boot.half_width,
-        }
-    )
-    one_sided = t_test_mean(deltas, alternative="greater")
-    two_sided = t_test_mean(deltas, alternative="two-sided")
-    block["p_one_sided"] = one_sided.p_value
-    block["p_two_sided"] = two_sided.p_value
-    if n >= 3:
-        nominal = tost_equivalence(deltas, epsilon=policy.tost_epsilon)
-        se = float(deltas.std(ddof=1) / math.sqrt(n))
-        scaled_eps = max(policy.tost_epsilon, 3.0 * se)
-        scaled = tost_equivalence(deltas, epsilon=scaled_eps)
-        block["tost_p"] = nominal.p_value
-        block["tost_verdict"] = nominal.verdict
-        block["tost_scaled_epsilon"] = scaled_eps
-        block["tost_scaled_p"] = scaled.p_value
-        block["tost_scaled_verdict"] = scaled.verdict
-    return block
-
-
-def _diagnostics(config, spec, regime, dataset, probe_x, base_params, seed_value, cell_summaries) -> dict:
+def _diagnostics(config, spec, regime, dataset, probe_x, base_params, seed_value, records_by_cell) -> dict:
     """The diagnostics records of one (regime, seed), as ``{flag: payload}``.
 
     One repeat runs as an engine block and the non-commute curve once, both
     for all flags under ``_guard_rule``; the CKA and PCA read the A, A', AB
     and A'B rows of every ok flag from one stacked feature call and one
     stacked forward.  So each record equals that of a sweep of its flag
-    alone.  ``cell_summaries`` gives each cell's alignment mean.
+    alone.  ``records_by_cell`` gives each cell's records.
     """
     flags, settings = config.break_flags, config.settings()
     repeat = [(derive_seed("diag", seed_value), 0)]
@@ -858,7 +790,7 @@ def _diagnostics(config, spec, regime, dataset, probe_x, base_params, seed_value
             "noncommute_slope": diag.curve_slope([k for k, _ in curve], [v for _, v in curve])
             if len(curve) >= 2
             else None,
-            "alignment_mean": cell_summaries[(regime.name, flag, seed_value)]["alignment_mean"],
+            "alignment_mean": alignment_mean(records_by_cell[regime.name, flag, seed_value]),
         }
         if retried:
             payload["noncommute_retried"] = True
@@ -888,9 +820,8 @@ class SweepResult:
 def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
     """Execute every (regime, break flag, seed) cell and write run artifacts.
 
-    Writes one JSONL file per cell (header line carries the only timestamp),
-    a diagnostics JSONL, and summary.json with bootstrap CIs, TOST, one- and
-    two-sided tests, and BH q-values across cells per divergence kind.
+    Writes config.json, one JSONL file per cell as it finishes, diagnostics.jsonl,
+    and the summary that ``summarize`` makes of the cells' records.
     """
     if created_at is None:
         created_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -922,9 +853,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
 
     settings = config.settings()
     block_size = partial(_repeats_per_block, spec, config.batch_size, config.probe_size)
-    # by (regime name, flag, seed)
-    cell_records: dict[tuple[str, str, int], list[BackflowRecord]] = {}
-    cell_summaries, cell_diagnostics = {}, {}
+    records_by_cell, diagnostics = {}, {}  # by (regime name, flag, seed) and by (regime name, seed)
     for regime in config.regimes:
         for seed_value in config.seeds:
             base = base_by_seed[seed_value]
@@ -934,13 +863,11 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
                 runs = _guarded_block(base, spec, regime, flags, dataset, probe_x, settings, repeats)
                 return {flag: [run[flag].record for run in runs] for flag in flags}
 
-            def finish_cell(flag, records, early_stopped):
+            def finish_cell(flag, records):
                 key = (regime.name, flag, seed_value)
-                cell_records[key] = records
-                header = _header(created_at, digest, {"regime": regime.name, "break": flag, "seed": seed_value})
-                lines = [header] + [_dump_line(_record_payload(r)) for r in records]
-                write_atomic(run_dir / cell_filename(*key), "\n".join(lines) + "\n")
-                cell_summaries[key] = _summarize(config, regime, flag, records, seed_value, early_stopped)
+                records_by_cell[key] = records
+                cell = {"regime": regime.name, "break": flag, "seed": seed_value}
+                write_jsonl(run_dir / cell_filename(*key), map(_record_payload, records), created_at, digest, cell)
 
             collect_with_early_stop(
                 sample,
@@ -952,88 +879,13 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
             )
 
             if config.diagnostics_enabled:
-                cell_diagnostics[regime.name, seed_value] = _diagnostics(
-                    config, spec, regime, dataset, probe_x, base, seed_value, cell_summaries
+                diagnostics[regime.name, seed_value] = _diagnostics(
+                    config, spec, regime, dataset, probe_x, base, seed_value, records_by_cell
                 )
 
-    # cells and diagnostics are reported in (regime, flag, seed) order
-    keys = [(r.name, flag, s) for r in config.regimes for flag in config.break_flags for s in config.seeds]
-    cells = [cell_summaries[key] for key in keys]
-    if config.diagnostics_enabled:
-        payloads = [cell_diagnostics[name, seed][flag] for name, flag, seed in keys]
-        lines = [_header(created_at, digest)] + [_dump_line(payload) for payload in payloads]
-        write_atomic(run_dir / "diagnostics.jsonl", "\n".join(lines) + "\n")
-
-    pooled = []
-    for regime in config.regimes:
-        for flag in config.break_flags:
-            merged = [r for seed_value in config.seeds for r in cell_records[(regime.name, flag, seed_value)]]
-            pooled.append(_summarize(config, regime, flag, merged))
-
-    bh_blocks = {}
-    for kind in KINDS:
-        entries = []
-        for cell in cells:
-            metric = cell["metrics"].get(kind, {})
-            if "p_two_sided" in metric:
-                entries.append(
-                    {
-                        "regime": cell["regime"],
-                        "break": cell["break"],
-                        "seed": cell["seed"],
-                        "p_two_sided": metric["p_two_sided"],
-                    }
-                )
-        ps = [e["p_two_sided"] for e in entries]
-        if ps:
-            qvals = bh_qvalues(ps)
-            flags = bh_fdr(ps, q=config.stats.bh_q)
-            for entry, qv, fl in zip(entries, qvals, flags):
-                entry["q_value"] = float(qv)
-                entry["significant"] = bool(fl)
-        bh_blocks[kind] = entries
-
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": {
-            "created_at": created_at,
-            "config_digest": digest,
-            "regimes": {r.name: asdict(r) for r in config.regimes},
-            "base_stage": config.base_stage,
-        },
-        "cells": cells,
-        "pooled": pooled,
-        "bh": bh_blocks,
-        "n_persistent_errors": int(
-            sum(1 for records in cell_records.values() for r in records if not r.ok)
-        ),
-    }
+    summary = summarize(config, records_by_cell, created_at, digest)
+    if config.diagnostics_enabled:  # in the order of the summary's cells
+        payloads = [diagnostics[c["regime"], c["seed"]][c["break"]] for c in summary["cells"]]
+        write_jsonl(run_dir / "diagnostics.jsonl", payloads, created_at, digest)
     write_atomic(run_dir / "summary.json", json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return SweepResult(run_dir=run_dir, summary=summary)
-
-
-def _summarize(config, regime, flag, records, seed_value=None, early_stopped=False) -> dict:
-    """Statistics of one cell's records or, without ``seed_value``, of a flag's records pooled over seeds."""
-    valid = [r for r in records if r.ok]
-    counts = {"n_repeats": len(records), "n_errors": len(records) - len(valid)}
-    if seed_value is None:
-        seed_tags = ("bootstrap-pooled", regime.name, flag)
-        summary = {"regime": regime.name, "break": flag, **counts}
-    else:
-        seed_tags = ("bootstrap", regime.name, flag, seed_value)
-        alignments = [r.momentum_alignment for r in valid if r.momentum_alignment is not None]
-        summary = {
-            "regime": regime.name,
-            "break": flag,
-            "seed": seed_value,
-            **counts,
-            "early_stopped": early_stopped,
-            "alignment_mean": float(np.mean(alignments)) if alignments else None,
-        }
-    summary["metrics"] = {
-        kind: _metric_block(
-            np.array([r.delta[kind] for r in valid]), config.stats, derive_seed(*seed_tags, kind)
-        )
-        for kind in KINDS
-    }
-    return summary

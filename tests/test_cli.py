@@ -125,8 +125,16 @@ def test_run_invalid_diagnostics_bounds_fail_naming_field(tmp_path, capsys):
         assert not (tmp_path / "run").exists()
 
 
+def custom_regime(**overrides):
+    """A regime mapping with the fields of the standard preset."""
+    return {"name": "custom", "k": 3, "lr": 0.02, "momentum": 0.9, "aug_a": "weak", "aug_aprime": "color",
+            "aug_b": "weak", "overlap": 0.5, "same_classes": True, **overrides}
+
+
 def test_run_out_of_bound_values_fail_before_the_run_dir(tmp_path, capsys):
-    # each used to run, or to fail only after config.json or cell files were written
+    # each used to run, or to fail only after config.json or cell files were written; a regime
+    # named "../escaped" wrote its cell files outside the run directory
+    path_separator = "regimes: invalid regime mapping: regime {!r}: name must not contain a path separator"
     for overrides, message in (
         ({"seeds": [0, 0]}, "seeds: duplicate seeds [0, 0]"),
         ({"stats": {"tost_epsilon": 0}}, "stats.tost_epsilon: must be positive, got 0.0"),
@@ -141,11 +149,14 @@ def test_run_out_of_bound_values_fail_before_the_run_dir(tmp_path, capsys):
         ({"probe_size": 1}, "probe_size: must be at least 2 with diagnostics enabled, got 1"),
         ({"batch_size": 300}, "batch_size: regime 'standard': dataset has 384 train examples, "
                               "need 450 for batch_size=300, overlap=0.5"),
+        ({"regimes": [custom_regime(name="../escaped")]}, path_separator.format("../escaped")),
+        ({"regimes": [custom_regime(name="sub/dir")]}, path_separator.format("sub/dir")),
     ):
         path, _ = write_config(tmp_path, **overrides)
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # the input alone
 
 
 def test_run_dataset_error_leaves_no_run_dir(tmp_path, capsys):
@@ -203,20 +214,25 @@ def test_oracle_negative_count_is_a_usage_error(capsys):
         assert f"{flag}: must be >= 0" in err
 
 
-def test_oracle_loads_no_sweep_modules():
-    # a fresh interpreter: the test process has already imported every module
-    sweep_modules = ("scipy", "backflow.protocol", "backflow.stats", "backflow.diagnostics")
-    code = (
-        "import sys\n"
-        "from backflow import cli\n"
-        "assert cli.main(['oracle', '--count', '2']) == 0\n"
-        f"print([m for m in {sweep_modules!r} if m in sys.modules])\n"
-    )
+def test_oracle_loads_no_sweep_modules(tmp_path):
+    # a fresh interpreter: the test process has already imported every module; report reads the
+    # run directory through backflow.artifacts alone
+    path, _ = write_config(tmp_path, diagnostics={"enabled": False})
+    assert main(["run", str(path)]) == 0
+    sweep_modules = ("scipy", "backflow.protocol", "backflow.stats", "backflow.diagnostics",
+                     "backflow.model", "backflow.instruments")
     src = str(Path(backflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    for argv in (["oracle", "--count", "2"], ["report", str(tmp_path / "run")]):
+        code = (
+            "import sys\n"
+            "from backflow import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"print([m for m in {sweep_modules!r} if m in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", argv
 
 
 def test_oracle_demo_witness(capsys):

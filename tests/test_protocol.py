@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import backflow.protocol as protocol
+from backflow.artifacts import cell_filename, read_jsonl, write_atomic
 from backflow.data import make_synthetic, split_probe
 from backflow.divergences import KINDS, div_avg
 from backflow.errors import ConfigError, NanGuardError
@@ -28,6 +29,7 @@ from backflow.protocol import (
     run_sweep,
 )
 from backflow.seeding import derive_seed
+from backflow.summary import summarize
 
 from test_data import write_idx_pair
 
@@ -485,7 +487,7 @@ def test_failed_artifact_write_leaves_no_partial_or_temp_file(tmp_path, monkeypa
     old = tmp_path / "run" / "summary.json"
     old.write_bytes(b"previous\n")
     with pytest.raises(OSError, match="disk full"):
-        protocol.write_atomic(old, "replacement\n")
+        write_atomic(old, "replacement\n")
     assert old.read_bytes() == b"previous\n"
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted([*names, "summary.json"])
 
@@ -597,8 +599,8 @@ def test_one_curve_per_regime_and_seed_matches_single_flag_sweeps(tmp_path, monk
 
 
 def read_cell_records(run_dir, regime_name, flag, seed):
-    lines = (run_dir / protocol.cell_filename(regime_name, flag, seed)).read_text().splitlines()[1:]
-    return [BackflowRecord(**{k: v for k, v in json.loads(line).items() if k != "record"}) for line in lines]
+    _, payloads = read_jsonl(run_dir / cell_filename(regime_name, flag, seed))
+    return [BackflowRecord(**{k: v for k, v in payload.items() if k != "record"}) for payload in payloads]
 
 
 def spy_engine(monkeypatch, view=lambda regime, repeats, flags: [repeat_id for _, repeat_id in repeats]):
@@ -623,6 +625,22 @@ def two_repeat_blocks(monkeypatch):
     assert protocol._repeats_per_block(SPEC, 24, 96, 2) == 2
 
 
+def failing_by_row_values(regime, real_step):
+    """A ``step`` that raises NanGuardError on some rows of ``regime``, and on a few at half its rate too.
+
+    Decided by the rows' own values, as a real overflow is, so a row fails
+    alike alone or stacked.
+    """
+
+    def failing_step(params, velocity, grad, config):
+        last = grad[..., -1]
+        if np.any(last > 0.15) or (config.lr == regime.lr and np.any((last > 0.07) | (last < -0.077))):
+            raise NanGuardError("injected failure")
+        return real_step(params, velocity, grad, config)
+
+    return failing_step
+
+
 @pytest.mark.parametrize("failures", ["none", "block_stacks", "row_values"])
 @pytest.mark.parametrize("flags", [["no", "break"], ["break", "no"]])
 def test_block_records_match_single_repeat_single_flag_runs(tmp_path, monkeypatch, flags, failures):
@@ -630,15 +648,13 @@ def test_block_records_match_single_repeat_single_flag_runs(tmp_path, monkeypatc
                                                diagnostics={"enabled": False}))
     regime = config.regimes[0]
     real_step = protocol.step
+    row_value_step = failing_by_row_values(regime, real_step)
 
     def failing_step(params, velocity, grad, config):
         if failures == "block_stacks" and params.shape[0] == 8:  # the B phase of a two-repeat block
             raise NanGuardError("injected failure")
         if failures == "row_values":
-            # decided by the rows' own values, as a real overflow is, so a row fails alike alone or stacked
-            last = grad[..., -1]
-            if np.any(last > 0.15) or (config.lr == regime.lr and np.any((last > 0.07) | (last < -0.077))):
-                raise NanGuardError("injected failure")
+            return row_value_step(params, velocity, grad, config)
         return real_step(params, velocity, grad, config)
 
     monkeypatch.setattr(protocol, "step", failing_step)
@@ -665,6 +681,23 @@ def test_block_records_match_single_repeat_single_flag_runs(tmp_path, monkeypatc
     if failures == "row_values":
         outcomes = {(r.retried, r.ok) for records in expected.values() for r in records}
         assert outcomes == {(False, True), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("sweep", ["pinned", "persistent_errors"])
+def test_summary_is_reproduced_from_the_cell_files_alone(tmp_path, monkeypatch, sweep):
+    if sweep == "persistent_errors":  # repeats that fail the NaN guard twice, decided by their own values
+        monkeypatch.setattr(protocol, "step", failing_by_row_values(REGIME_PRESETS["standard"], protocol.step))
+    overrides = PINNED_SWEEP if sweep == "pinned" else {"repeats": 5}
+    config = config_from_mapping(sweep_mapping(tmp_path, **overrides))
+    result = run_sweep(config, created_at="pinned")
+    if sweep == "pinned":  # resonant_strong's "break" cell stops early
+        assert any(cell["early_stopped"] for cell in result.summary["cells"])
+    else:
+        assert result.summary["n_persistent_errors"] > 0
+    keys = [(r.name, flag, s) for r in config.regimes for flag in config.break_flags for s in config.seeds]
+    records_by_cell = {key: read_cell_records(result.run_dir, *key) for key in keys}
+    text = json.dumps(summarize(config, records_by_cell, "pinned", config.digest()), indent=2, allow_nan=False)
+    assert text + "\n" == (result.run_dir / "summary.json").read_text()
 
 
 def test_a_stopped_flag_gets_no_more_b_rows(tmp_path, monkeypatch):
@@ -739,12 +772,24 @@ def test_config_values_of_the_wrong_json_type_name_their_key(tmp_path):
         # these two used to name the run directories '3' and 'None'
         ({"output_dir": 3}, "output_dir: must be a string, got 3"),
         ({"output_dir": None}, "output_dir: must be a string, got None"),
+        # a custom regime's fields: 2.5 steps crashed after config.json was written, "no" ran as True
+        # and true as an overlap of 1.0
+        ({"regimes": [custom_regime(k=2.5)]}, "regimes.k: must be an integer, got 2.5"),
+        ({"regimes": [custom_regime(same_classes="no")]}, "regimes.same_classes: must be true or false, got 'no'"),
+        ({"regimes": [custom_regime(overlap=True)]}, "regimes.overlap: must be a number, got True"),
     ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_mapping(sweep_mapping(tmp_path, **overrides))
     # a float field takes any JSON number and stores a float; only clip_norm takes null
-    config = config_from_mapping(sweep_mapping(tmp_path, optimizer={"weight_decay": 0, "clip_norm": None}))
+    config = config_from_mapping(sweep_mapping(tmp_path, optimizer={"weight_decay": 0, "clip_norm": None},
+                                               regimes=[custom_regime(lr=1)]))
     assert (type(config.weight_decay), config.weight_decay, config.clip_norm) == (float, 0.0, None)
+    assert (type(config.regimes[0].lr), config.regimes[0].lr) == (float, 1.0)
+
+
+def custom_regime(**overrides):
+    """A custom regime mapping: the standard preset's fields under another name."""
+    return {**vars(REGIME_PRESETS["standard"]), "name": "custom", **overrides}
 
 
 def test_a_minimal_config_takes_the_defaults_of_the_python_api(tmp_path):
