@@ -7,8 +7,8 @@ Subcommands:
 * ``plot-data <run_dir>``        CSV tables for histograms, scatters, curves
 * ``report <run_dir>``           markdown summary table
 
-Only ``run`` imports the sweep (``protocol``); ``run`` and ``plot-data``
-import ``stats`` and ``diagnostics``, inside the command.  ``report`` reads
+Only ``run`` imports the sweep (``protocol`` and its ``engine``); ``run``
+and ``plot-data`` import ``stats`` and ``diagnostics``, inside the command.  ``report`` reads
 the run directory through ``artifacts`` alone, and ``oracle`` loads NumPy
 and the process oracle alone.  No command loads SciPy.  Every file is
 written through ``artifacts.write_atomic``, so a failed write leaves the

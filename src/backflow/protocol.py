@@ -1,57 +1,22 @@
-"""The two-step A/B micro-experiment and the sweep around it.
+"""The sweep around the two-step engine: config reading, early stop, and the run.
 
-One micro-experiment starts from cached base parameters, runs k optimizer
-steps under a first instrument (A or its contrast A', which differ only by
-augmentation on the same batch), then k steps under a common second
-instrument B.  Carrying the optimizer buffers into B is the "no break"
-condition; zeroing them immediately before B is the causal break.  The
-measurement is the pair of mean probe divergences before and after B,
-
-    d1 = div(P(theta_A), P(theta_A'))      d2 = div(P(theta_AB), P(theta_A'B))
-
-and the per-repeat back-flow delta = d2 - d1 for each divergence kind.
-A positive mean delta certifies that no single fixed channel maps the
-mid-time probe laws to the post-B laws.
-
-One trainer (``_two_phase``) runs the protocol for pairs of parameter
-rows: a first phase from zero velocity, then at each of a list of switch
-step counts every break flag's velocity rule and a second phase of as many
-steps.  The engine (``_run_repeat``) is its one-switch case for a block of
-repeats, whose A and A' rows are the pairs, so the flags of a repeat share
-its batch plan, augmentation draws, A/A' phase and d1.  The non-commute
-curve is its case of one pair (A then B, B then A) switched at every k up
-to k_max.  A block of repeats, or a group of switches, holds as many as
-fit a budget of floats per stacked call (``_STACK_FLOATS``) with the rows
-of every flag, and at least one.  One guard rule (``_guard_rule``) serves
-both: a stack runs once, and if it trips the NaN guard each (repeat, flag),
-or each flag of a curve, reruns alone, retried once at half the learning
-rate.  The sweep, which runs serially, loops over (regime, seed) and
-collects the cells of all break flags in lockstep: each block runs for the
-flags whose cells are still open and never crosses an early-stop
-checkpoint, where each flag stops on its own records and writes its cell
-file.  The diagnostics of a (regime, seed) are one engine repeat and one
-curve for all flags; ``summary.summarize`` reads the cells' records alone.
-
-There is one training loop, ``_train``: the trainer's two phases and the
-base pretraining run their optimizer steps through it, on batch arrays
-that ``_repeat_batches`` builds per repeat.
-
-Randomness discipline: each repeat derives its own streams from
-(seed, repeat_id, tag).  The A/A' augmentations share one seed (they
-must differ only by kind), and B's plan and draws are common to both
-branches of a repeat.  Records are pure functions of (config, seed,
-repeat_id, flag): a record is the same whether its flag ran alone or with
-the others.
+``engine`` runs the A/A'->B micro-experiment on arrays; this module reads
+a config into a ``RunConfig`` (whose fields extend the engine's
+``ProtocolSettings``) and runs it.  The sweep, which runs serially, loops
+over (regime, seed) and collects the cells of all break flags in
+lockstep: each block runs for the flags whose cells are still open and
+never crosses an early-stop checkpoint, where each flag stops on its own
+records and writes its cell file.  The diagnostics of a (regime, seed) are
+one engine repeat and one curve for all flags; ``summary.summarize`` reads
+the cells' records alone.
 """
 
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from hashlib import sha256
-from operator import itemgetter
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -60,57 +25,22 @@ import numpy as np
 from . import diagnostics as diag
 from .artifacts import cell_filename, write_atomic, write_jsonl
 from .data import Dataset, load_table, make_synthetic, split_probe
-from .divergences import KINDS, div_avg
-from .errors import ConfigError, NanGuardError
-from .instruments import (
-    AUG_KINDS,
-    apply_augmentation,
-    sample_batch_plan,
-    shared_rows,
+from .engine import (
+    BackflowRecord,
+    ProtocolSettings,
+    Regime,
+    guard_rule,
+    guarded_block,
+    pretrain,
+    repeats_per_block,
+    run_noncommute_curve,
 )
-from .model import (
-    ModelSpec,
-    check_batch,
-    forward,
-    init_params,
-    loss_and_grad_unchecked,
-    parameter_count,
-    penultimate_features,
-)
-from .optimizer import OptimizerConfig, causal_break, step
+from .errors import ConfigError
+from .instruments import shared_rows
+from .model import ModelSpec, forward, init_params, penultimate_features
 from .seeding import derive_seed
 from .stats import normal_ci_half_width
 from .summary import StatsPolicy, alignment_mean, summarize
-
-
-@dataclass(frozen=True)
-class Regime:
-    """One micro-step regime: step count, optimizer knobs, augmentations, overlap."""
-
-    name: str
-    k: int
-    lr: float
-    momentum: float
-    aug_a: str
-    aug_aprime: str
-    aug_b: str
-    overlap: float
-    same_classes: bool
-
-    def __post_init__(self):
-        if any(sep and sep in self.name for sep in ("/", os.sep, os.altsep)):  # it names the cell files
-            raise ValueError(f"regime {self.name!r}: name must not contain a path separator")
-        if self.k < 1:
-            raise ValueError(f"regime {self.name!r}: k must be at least 1")
-        if not self.lr > 0:
-            raise ValueError(f"regime {self.name!r}: lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"regime {self.name!r}: momentum must lie in [0, 1)")
-        for label, kind in (("aug_a", self.aug_a), ("aug_aprime", self.aug_aprime), ("aug_b", self.aug_b)):
-            if kind not in AUG_KINDS:
-                raise ValueError(f"regime {self.name!r}: {label} must be one of {AUG_KINDS}")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError(f"regime {self.name!r}: overlap must lie in [0, 1]")
 
 
 REGIME_PRESETS = {
@@ -120,269 +50,6 @@ REGIME_PRESETS = {
     "orthogonal": Regime("orthogonal", 6, 0.03, 0.99, "color", "blur", "blur", 0.0, False),
     "negative": Regime("negative", 1, 0.005, 0.00, "none", "none", "none", 0.0, False),
 }
-
-
-@dataclass(frozen=True)
-class ProtocolSettings:
-    """Micro-step context shared by every instrument of a run."""
-
-    batch_size: int = 64
-    weight_decay: float = 1e-4
-    clip_norm: float | None = 1.0
-
-
-@dataclass
-class BackflowRecord:
-    """Per-repeat measurement; d1/d2/delta are None when the repeat errored."""
-
-    repeat_id: int
-    seed: int
-    break_applied: bool
-    d1: dict[str, float] | None
-    d2: dict[str, float] | None
-    delta: dict[str, float] | None
-    momentum_alignment: float | None = None
-    retried: bool = False
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-def _repeat_batches(regime: Regime, dataset: Dataset, seed: int, batch_size: int, contrast: bool = True):
-    """A repeat's augmented batches and labels: ``x_a, x_ap, x_b, y_a, y_b``.
-
-    The batch plan and augmentation draws derive from ``seed``.  A and A'
-    read the plan's first batch with one augmentation seed, so they differ
-    only by kind; B reads the second batch with its own seed.  Image
-    datasets get the image transform forms.  Without ``contrast`` x_ap is
-    None and not computed; every other batch is the same, since each
-    augmentation seeds its own generator.
-    """
-    plan = sample_batch_plan(dataset, batch_size, regime.overlap, regime.same_classes, derive_seed(seed, "plan"))
-    shape = dataset.provenance.get("image_shape")
-    first, second = dataset.features[plan.indices_a], dataset.features[plan.indices_b]
-    aug_seed_first = derive_seed(seed, "aug_first")
-    x_a = apply_augmentation(regime.aug_a, first, aug_seed_first, shape)
-    x_ap = apply_augmentation(regime.aug_aprime, first, aug_seed_first, shape) if contrast else None
-    x_b = apply_augmentation(regime.aug_b, second, derive_seed(seed, "aug_b"), shape)
-    return x_a, x_ap, x_b, dataset.labels[plan.indices_a], dataset.labels[plan.indices_b]
-
-
-def _optimizer_config(regime: Regime, settings: ProtocolSettings, lr_scale: float) -> OptimizerConfig:
-    """The optimizer of a regime's A and B steps, at ``lr_scale`` times its learning rate."""
-    return OptimizerConfig(
-        lr=regime.lr * lr_scale,
-        momentum=regime.momentum,
-        weight_decay=settings.weight_decay,
-        clip_norm=settings.clip_norm,
-    )
-
-
-def _train(spec, params, velocity, x, y, steps, config):
-    """Optimizer steps of every stacked parameter row on its batch: the one training loop.
-
-    ``x``/``y`` are one batch shared by all rows or one per row.  ``steps``
-    is one count for all rows or a non-decreasing count per row (with one
-    batch per row), so the rows still training at step t are a suffix.
-    Returns the final parameters and velocities and the first step's
-    gradient (None without steps); the caller's arrays are never written.
-    The batch is checked once, before the first step, as the gradient of
-    every step reads the same ``x``/``y``.  ``step`` is called through this
-    module's namespace, so a replacement installed there (as the NaN-guard
-    tests do) is used.
-    """
-    x, y = check_batch(spec, x, y)
-    counts = np.broadcast_to(steps, len(params))
-    done = []  # (parameters, velocities) of rows past their count, in row order
-    first_grad = None
-    for t in range(counts[-1]):
-        finished = len(params) - np.count_nonzero(counts > t)
-        if finished:  # copies, so the finished rows do not hold the whole stack
-            done.append((params[:finished].copy(), velocity[:finished].copy()))
-            params, velocity, x, y = params[finished:], velocity[finished:], x[finished:], y[finished:]
-        _, grad = loss_and_grad_unchecked(spec, params, x, y)
-        params, velocity = step(params, velocity, grad, config)
-        if t == 0:
-            first_grad = grad
-    if done:
-        params = np.concatenate([*(p for p, _ in done), params])
-        velocity = np.concatenate([*(v for _, v in done), velocity])
-    return params, velocity, first_grad
-
-
-@dataclass
-class Repeat:
-    """One repeat run for one break flag: its record and its states.
-
-    The arrays have rows (A, A'): mid-time parameters and velocities, and
-    post-B parameters.  An errored repeat has no arrays.
-    """
-
-    record: BackflowRecord
-    params_mid: np.ndarray | None = None
-    velocity_mid: np.ndarray | None = None
-    params_end: np.ndarray | None = None
-
-
-# Float64 values one stacked training call may hold, counted per parameter
-# row by _row_floats (4 MiB).  An engine block holds as many repeats, and a
-# second-phase group of _two_phase as many switches, as fit with the rows
-# of every flag, but never fewer than one.
-_STACK_FLOATS = 1 << 19
-
-
-def _row_floats(spec: ModelSpec, batch_size: int, probe_size: int) -> int:
-    """Float64 values one stacked row holds: parameters, batch, and activations on batch and probe."""
-    width = (spec.hidden_dim or 0) + spec.num_classes
-    return parameter_count(spec) + batch_size * spec.input_dim + (batch_size + probe_size) * width
-
-
-def _repeats_per_block(spec: ModelSpec, batch_size: int, probe_size: int, n_flags: int) -> int:
-    """Repeats the engine runs as one stack, 2 rows per repeat and flag (a ``_two_phase`` pair is a repeat)."""
-    return max(1, _STACK_FLOATS // (2 * n_flags * _row_floats(spec, batch_size, probe_size)))
-
-
-def _two_phase(spec, params, first, second, switches, flags, config, probe_x):
-    """Both phases of the protocol for pairs of rows: the one trainer of the engine and the curve.
-
-    ``params`` holds pairs of rows (2i, 2i + 1), and ``first`` and ``second``
-    an ``(x, y)`` of one batch per row.  The first phase trains every row
-    from zero velocity as one trajectory.  At each step count s of the
-    increasing ``switches`` each flag's velocity rule is applied, and the
-    rows of every (switch, flag) train on their second batches for s steps,
-    ordered (switch, pair, flag, member), so the step counts do not
-    decrease.  Switches train in groups that fit the budget, a pair's rows
-    of all flags counting as one repeat.  Yields per group the first-phase
-    (parameters, velocities) at its switches and, in that row order, the
-    end parameters, their probabilities on ``probe_x`` and the first
-    second-phase gradient.  Every row is computed as it would be alone;
-    raises NanGuardError if one stops being finite.
-    """
-    n_flags, size = len(flags), params.shape[1]
-    per_group = _repeats_per_block(spec, first[0].shape[1], len(probe_x), len(params) // 2 * n_flags)
-
-    def by_flag(a):  # rows (pair, member) -> (pair, flag, member)
-        return np.repeat(a.reshape(-1, 2, *a.shape[1:]), n_flags, axis=0).reshape(-1, *a.shape[1:])
-
-    def switched(velocity):  # as by_flag, each flag's rows under its velocity rule
-        pairs = velocity.reshape(-1, 1, 2, size)
-        rules = [causal_break(pairs) if flag == "break" else pairs for flag in flags]
-        return np.concatenate(rules, axis=1).reshape(-1, size)
-
-    velocity, done = np.zeros_like(params), 0
-    for start in range(0, len(switches), per_group):
-        group, states = switches[start : start + per_group], []
-        for s in group:
-            params, velocity, _ = _train(spec, params, velocity, *first, s - done, config)
-            states.append((params, velocity))
-            done = s
-        params_b = by_flag(np.concatenate([p for p, _ in states]))
-        velocity_b = switched(np.concatenate([v for _, v in states]))
-        counts = np.repeat(group, len(params) * n_flags)
-        x, y = (by_flag(np.concatenate([a] * len(group))) for a in second)
-        end, _, grad = _train(spec, params_b, velocity_b, x, y, counts, config)
-        probs = forward(spec, end, probe_x)
-        yield states, end, probs, grad
-        del end, probs, grad  # a suspended trainer holds no group's outputs
-
-
-def _run_repeat(
-    base_params, spec, regime, dataset, probe_x, settings, repeats, flags, lr_scale
-) -> list[dict[str, Repeat]]:
-    """The engine: a block of repeats of the A/A'->B protocol, each for every flag in ``flags``.
-
-    ``repeats`` lists (seed, repeat_id) pairs; one ``{flag: Repeat}`` is
-    returned per pair.  The A and A' rows of each repeat, each on its own
-    batch, are a pair of ``_two_phase`` switched once, after k steps, to
-    B; the B rows are ordered (repeat, flag, A/A').  So a repeat's plan,
-    batches, A/A' phase and d1 are computed once for all flags.  Raises
-    NanGuardError if any row stops being finite.
-    """
-    batches = (_repeat_batches(regime, dataset, seed, settings.batch_size) for seed, _ in repeats)
-    x_a, x_ap, x_b, y_a, y_b = zip(*batches)  # each one array per repeat
-    (group,) = _two_phase(
-        spec,
-        np.tile(base_params, (2 * len(repeats), 1)),
-        (np.stack([x for pair in zip(x_a, x_ap) for x in pair]), np.repeat(y_a, 2, axis=0)),
-        (np.repeat(x_b, 2, axis=0), np.repeat(y_b, 2, axis=0)),
-        (regime.k,),
-        flags,
-        _optimizer_config(regime, settings, lr_scale),
-        probe_x,
-    )
-    ((params_mid, velocity_mid),), params_end, preds_end, first_b_grad = group  # one switch, so one group
-    preds_mid = forward(spec, params_mid, probe_x)
-    d1_rows = div_avg(KINDS, preds_mid[0::2], preds_mid[1::2])
-    d2_rows = div_avg(KINDS, preds_end[0::2], preds_end[1::2])
-
-    runs = []
-    for r, (seed, repeat_id) in enumerate(repeats):
-        d1 = {kind: float(d1_rows[kind][r]) for kind in KINDS}
-        by_flag = {}
-        for i, flag in enumerate(flags):
-            b = r * len(flags) + i  # the (repeat, flag) pair of B rows: its A row is 2b, its A' row 2b + 1
-            d2 = {kind: float(d2_rows[kind][b]) for kind in KINDS}
-            # the first B gradient of the A row is taken at the mid-time parameters
-            alignment = diag.cosine(first_b_grad[2 * b], velocity_mid[2 * r]) if flag == "no" else None
-            delta = {kind: d2[kind] - d1[kind] for kind in KINDS}
-            record = BackflowRecord(repeat_id, seed, flag == "break", dict(d1), d2, delta, alignment)
-            mid = slice(2 * r, 2 * r + 2)
-            by_flag[flag] = Repeat(record, params_mid[mid], velocity_mid[mid], params_end[2 * b : 2 * b + 2])
-        runs.append(by_flag)
-    return runs
-
-
-def _guard_rule(shared, alone, units) -> list[tuple]:
-    """The NaN-guard rule of the engine's blocks and of the non-commute curves.
-
-    ``shared()`` runs all ``units`` at once and gives one result per unit.
-    If it trips the guard, or for a lone unit, each unit reruns by itself
-    as ``alone(unit, lr_scale)``, retried once at half the learning rate, so
-    every result equals that of its unit run alone.  Returns one ``(result,
-    retried, error)`` per unit; a unit that fails twice has no result and
-    the second failure as its error.
-    """
-    if len(units) > 1:  # a lone unit goes straight to the retry rule
-        try:
-            return [(result, False, None) for result in shared()]
-        except NanGuardError:
-            pass
-    outcomes = []
-    for unit in units:
-        try:
-            outcomes.append((alone(unit, 1.0), False, None))
-        except NanGuardError:
-            try:
-                outcomes.append((alone(unit, 0.5), True, None))
-            except NanGuardError as exc:
-                outcomes.append((None, True, f"nan_guard: {exc}"))
-    return outcomes
-
-
-def _guarded_block(base_params, spec, regime, flags, dataset, probe_x, settings, repeats) -> list[dict]:
-    """A block of (seed, repeat_id) ``repeats`` for every flag in ``flags`` under ``_guard_rule``.
-
-    The block is one engine run, and its units are the (repeat, flag)
-    pairs; a unit that fails twice gets an error record.  So every record
-    and state equals that of its (repeat, flag) run alone.  Returns one
-    ``{flag: Repeat}`` per repeat.
-    """
-    engine = partial(_run_repeat, base_params, spec, regime, dataset, probe_x, settings)
-    units = [(repeat, flag) for repeat in repeats for flag in flags]
-    outcomes = _guard_rule(
-        lambda: [run[flag] for run in engine(repeats, flags, 1.0) for flag in flags],
-        lambda unit, lr_scale: engine([unit[0]], unit[1:], lr_scale)[0][unit[1]],
-        units,
-    )
-    runs = [{} for _ in repeats]
-    for i, (((seed, repeat_id), flag), (run, retried, error)) in enumerate(zip(units, outcomes)):
-        if error is not None:
-            run = Repeat(BackflowRecord(repeat_id, seed, flag == "break", None, None, None, error=error))
-        run.record.retried = retried
-        runs[i // len(flags)][flag] = run
-    return runs
 
 
 def run_micro_experiment(
@@ -396,85 +63,16 @@ def run_micro_experiment(
     settings: ProtocolSettings = ProtocolSettings(),
     repeat_id: int = 0,
 ) -> BackflowRecord:
-    """One repeat of the two-step experiment; see the module docstring.
+    """One repeat of the two-step experiment; see the ``engine`` module docstring.
 
     Retries once at half the learning rate if any loss, gradient, or update
     stops being finite; a second failure yields an error record.
     """
     flag = "break" if break_applied else "no"
-    (run,) = _guarded_block(
+    (run,) = guarded_block(
         base_params, spec, regime, (flag,), dataset, dataset.features[probe], settings, [(seed, repeat_id)]
     )
     return run[flag].record
-
-
-def run_noncommute_curve(
-    base_params: np.ndarray,
-    spec: ModelSpec,
-    regime: Regime,
-    flags: tuple[str, ...],
-    dataset: Dataset,
-    probe_subset: np.ndarray,
-    seed: int,
-    *,
-    k_max: int,
-    settings: ProtocolSettings = ProtocolSettings(),
-    lr_scale: float = 1.0,
-) -> dict[str, list[tuple[int, float]]]:
-    """Order sensitivity: TV between A-then-B and B-then-A endpoints vs k, for every flag in ``flags``.
-
-    Both orders start from the same base parameters and share the repeat's
-    batch plan and augmentation draws.  They are one pair of rows of
-    ``_two_phase``, switched after every k in 1..k_max, so one first-phase
-    trajectory serves every k and every flag.  Under ``break`` the buffers
-    are zeroed at the switch point in both orders.  Returns ``{flag: [(k,
-    tv), ...]}``; every value is computed as in a run of its k and flag
-    alone.  Raises NanGuardError if either order stops being finite.
-    """
-    if k_max < 1:
-        return {flag: [] for flag in flags}
-    x_a, _, x_b, y_a, y_b = _repeat_batches(regime, dataset, seed, settings.batch_size, contrast=False)
-    first = np.stack([x_a, x_b]), np.stack([y_a, y_b])  # row 0 runs A then B, row 1 runs B then A
-    groups = _two_phase(
-        spec,
-        np.stack([base_params, base_params]),
-        first,
-        tuple(a[::-1] for a in first),  # each order's second phase is the other's first
-        range(1, k_max + 1),
-        flags,
-        _optimizer_config(regime, settings, lr_scale),
-        dataset.features[probe_subset],
-    )
-    # one group's probabilities at a time, so that no earlier group's rows are kept
-    tv = np.concatenate([div_avg(("tv",), p[0::2], p[1::2])["tv"] for p in map(itemgetter(2), groups)])
-    tv = tv.reshape(k_max, len(flags))
-    return {flag: [(k, float(v)) for k, v in enumerate(tv[:, i], start=1)] for i, flag in enumerate(flags)}
-
-
-def pretrain(
-    spec: ModelSpec,
-    params: np.ndarray,
-    dataset: Dataset,
-    *,
-    passes: int,
-    batch_size: int,
-    seed: int = 0,
-    lr: float = 0.1,
-    momentum: float = 0.9,
-    weight_decay: float = 5e-4,
-) -> np.ndarray:
-    """Short base-training run over the train split (the "early" stage), as a one-row stack."""
-    rng = np.random.default_rng(seed)
-    config = OptimizerConfig(lr=lr, momentum=momentum, weight_decay=weight_decay, clip_norm=1.0)
-    params, velocity = params[None], np.zeros((1, params.size))
-    for _ in range(passes):
-        order = rng.permutation(dataset.train_indices)
-        for start in range(0, len(order) - batch_size + 1, batch_size):
-            batch = order[start : start + batch_size]
-            params, velocity, _ = _train(
-                spec, params, velocity, dataset.features[batch], dataset.labels[batch], 1, config
-            )
-    return params[0]
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +146,8 @@ def collect_with_early_stop(
 # Run configuration.
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(ProtocolSettings):
     dataset: dict
     model: dict
     regimes: tuple[Regime, ...]
@@ -558,20 +156,14 @@ class RunConfig:
     break_flags: tuple[str, ...] = ("no", "break")
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     repeats: int = 128
-    batch_size: int = ProtocolSettings.batch_size
     probe_size: int = 512
     probe_seed: int = 0
-    weight_decay: float = ProtocolSettings.weight_decay
-    clip_norm: float | None = ProtocolSettings.clip_norm
     early_stop: EarlyStopPolicy = EarlyStopPolicy()
     stats: StatsPolicy = StatsPolicy()
     diagnostics_enabled: bool = True
     noncommute_k_max: int = 6
     probe_subset: int = 512
     pretrain_passes: int = 3
-
-    def settings(self) -> ProtocolSettings:
-        return ProtocolSettings(self.batch_size, self.weight_decay, self.clip_norm)
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(**self.model)
@@ -610,12 +202,12 @@ CONFIG_FIELDS = {
     "break_flags": (RunConfig, "break_flags", None),
     "seeds": (RunConfig, "seeds", None),
     "repeats": (RunConfig, "repeats", _POSITIVE),
-    "batch_size": (RunConfig, "batch_size", _POSITIVE),
+    "batch_size": (ProtocolSettings, "batch_size", _POSITIVE),
     "probe_size": (RunConfig, "probe_size", _POSITIVE),
     "probe_seed": (RunConfig, "probe_seed", None),
     "pretrain_passes": (RunConfig, "pretrain_passes", _NON_NEGATIVE),
-    "optimizer.weight_decay": (RunConfig, "weight_decay", _NON_NEGATIVE),
-    "optimizer.clip_norm": (RunConfig, "clip_norm", _POSITIVE),
+    "optimizer.weight_decay": (ProtocolSettings, "weight_decay", _NON_NEGATIVE),
+    "optimizer.clip_norm": (ProtocolSettings, "clip_norm", _POSITIVE),
     "early_stop.enabled": (EarlyStopPolicy, "enabled", None),
     "early_stop.floor": (EarlyStopPolicy, "floor", _NON_NEGATIVE),
     "early_stop.stride": (EarlyStopPolicy, "stride", _POSITIVE),
@@ -670,7 +262,7 @@ def config_from_mapping(mapping: dict) -> RunConfig:
         if required not in m:
             raise ConfigError(f"{required}: missing required field")
 
-    values = {RunConfig: {}, EarlyStopPolicy: {}, StatsPolicy: {}}  # by owner, the fields given
+    values = {owner: {} for owner, _, _ in CONFIG_FIELDS.values()}  # by owner, the fields given
     for key, (owner, name, bound) in CONFIG_FIELDS.items():
         section, _, leaf = key.rpartition(".")
         given = m.get(section, {}) if section else m
@@ -688,6 +280,7 @@ def config_from_mapping(mapping: dict) -> RunConfig:
         output_dir=_read("output_dir", m["output_dir"], str),
         early_stop=EarlyStopPolicy(**values[EarlyStopPolicy]),
         stats=StatsPolicy(**values[StatsPolicy]),
+        **values[ProtocolSettings],
         **values[RunConfig],
     )
     for flag in config.break_flags:
@@ -702,6 +295,9 @@ def config_from_mapping(mapping: dict) -> RunConfig:
             raise ConfigError(f"{key}: at least one {one} is required")
         if len(set(items)) != len(items):
             raise ConfigError(f"{key}: duplicate {many} {items}")
+    for name, flag, seed in ((r.name, f, s) for r in regimes for f in config.break_flags for s in config.seeds):
+        if (size := len(f".{cell_filename(name, flag, seed)}.tmp".encode())) > 255:  # as write_atomic names it
+            raise ConfigError(f"regimes: regime {name!r}: name too long for a cell file ({size} bytes, max 255)")
     # the CKA runs on min(probe_subset, probe_size) probe rows
     if config.diagnostics_enabled and config.probe_size < 2:
         raise ConfigError(f"probe_size: must be at least 2 with diagnostics enabled, got {config.probe_size}")
@@ -758,17 +354,16 @@ def _diagnostics(config, spec, regime, dataset, probe_x, base_params, seed_value
     """The diagnostics records of one (regime, seed), as ``{flag: payload}``.
 
     One repeat runs as an engine block and the non-commute curve once, both
-    for all flags under ``_guard_rule``; the CKA and PCA read the A, A', AB
+    for all flags under ``guard_rule``; the CKA and PCA read the A, A', AB
     and A'B rows of every ok flag from one stacked feature call and one
     stacked forward.  So each record equals that of a sweep of its flag
     alone.  ``records_by_cell`` gives each cell's records.
     """
-    flags, settings = config.break_flags, config.settings()
-    repeat = [(derive_seed("diag", seed_value), 0)]
-    (runs,) = _guarded_block(base_params, spec, regime, flags, dataset, probe_x, settings, repeat)
+    flags, repeat = config.break_flags, [(derive_seed("diag", seed_value), 0)]
+    (runs,) = guarded_block(base_params, spec, regime, flags, dataset, probe_x, config, repeat)
     sub, seed = dataset.probe_indices[: config.probe_subset], derive_seed("noncommute", seed_value)
-    curves = partial(run_noncommute_curve, k_max=config.noncommute_k_max, settings=settings)
-    outcomes = _guard_rule(
+    curves = partial(run_noncommute_curve, k_max=config.noncommute_k_max, settings=config)
+    outcomes = guard_rule(
         lambda: curves(base_params, spec, regime, flags, dataset, sub, seed, lr_scale=1.0).values(),
         lambda flag, lr: curves(base_params, spec, regime, (flag,), dataset, sub, seed, lr_scale=lr)[flag],
         flags,
@@ -851,8 +446,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
 
     base_by_seed = {s: base_parameters(config, dataset, s) for s in config.seeds}
 
-    settings = config.settings()
-    block_size = partial(_repeats_per_block, spec, config.batch_size, config.probe_size)
+    block_size = partial(repeats_per_block, spec, config.batch_size, config.probe_size)
     records_by_cell, diagnostics = {}, {}  # by (regime name, flag, seed) and by (regime name, seed)
     for regime in config.regimes:
         for seed_value in config.seeds:
@@ -860,7 +454,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
 
             def sample(flags, repeat_ids):
                 repeats = [(derive_seed("repeat", seed_value, i), i) for i in repeat_ids]
-                runs = _guarded_block(base, spec, regime, flags, dataset, probe_x, settings, repeats)
+                runs = guarded_block(base, spec, regime, flags, dataset, probe_x, config, repeats)
                 return {flag: [run[flag].record for run in runs] for flag in flags}
 
             def finish_cell(flag, records):

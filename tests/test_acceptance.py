@@ -23,11 +23,9 @@ from backflow.diagnostics import ConfigPoint, dose_response
 from backflow.divergences import KINDS, div_row
 from backflow.model import ModelSpec, loss_and_grad, parameter_count
 from backflow.optimizer import amplification_factor
+from backflow.engine import BackflowRecord, ProtocolSettings, Regime
 from backflow.protocol import (
-    BackflowRecord,
     EarlyStopPolicy,
-    ProtocolSettings,
-    Regime,
     collect_with_early_stop,
     config_from_mapping,
     run_micro_experiment,

@@ -151,6 +151,11 @@ def test_run_out_of_bound_values_fail_before_the_run_dir(tmp_path, capsys):
                               "need 450 for batch_size=300, overlap=0.5"),
         ({"regimes": [custom_regime(name="../escaped")]}, path_separator.format("../escaped")),
         ({"regimes": [custom_regime(name="sub/dir")]}, path_separator.format("sub/dir")),
+        # these two failed only after config.json: "embedded null byte" and "File name too long"
+        ({"regimes": [custom_regime(name="a\0b")]},
+         "regimes: invalid regime mapping: regime 'a\\x00b': name must not contain a NUL byte"),
+        ({"regimes": [custom_regime(name="x" * 300)]},  # its first cell file's temporary name has 322 bytes
+         f"regimes: regime {'x' * 300!r}: name too long for a cell file (322 bytes, max 255)"),
     ):
         path, _ = write_config(tmp_path, **overrides)
         assert main(["run", str(path)]) == 2
@@ -214,25 +219,33 @@ def test_oracle_negative_count_is_a_usage_error(capsys):
         assert f"{flag}: must be >= 0" in err
 
 
-def test_oracle_loads_no_sweep_modules(tmp_path):
-    # a fresh interpreter: the test process has already imported every module; report reads the
-    # run directory through backflow.artifacts alone
-    path, _ = write_config(tmp_path, diagnostics={"enabled": False})
-    assert main(["run", str(path)]) == 0
-    sweep_modules = ("scipy", "backflow.protocol", "backflow.stats", "backflow.diagnostics",
-                     "backflow.model", "backflow.instruments")
+def loaded_after(statements, modules):
+    """Those of ``modules`` that a fresh interpreter has loaded after running ``statements``.
+
+    A fresh interpreter, since the test process has already imported every module.
+    """
     src = str(Path(backflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys\n{statements}\nprint([m for m in {modules!r} if m in sys.modules])\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_oracle_loads_no_sweep_modules(tmp_path):
+    # report reads the run directory through backflow.artifacts alone
+    path, _ = write_config(tmp_path, diagnostics={"enabled": False})
+    assert main(["run", str(path)]) == 0
+    sweep_modules = ("scipy", "backflow.protocol", "backflow.engine", "backflow.stats", "backflow.diagnostics",
+                     "backflow.model", "backflow.instruments")
     for argv in (["oracle", "--count", "2"], ["report", str(tmp_path / "run")]):
-        code = (
-            "import sys\n"
-            "from backflow import cli\n"
-            f"assert cli.main({argv!r}) == 0\n"
-            f"print([m for m in {sweep_modules!r} if m in sys.modules])\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]", argv
+        assert loaded_after(f"from backflow import cli\nassert cli.main({argv!r}) == 0", sweep_modules) == "[]", argv
+
+
+def test_engine_loads_no_config_sweep_or_file_format_module():
+    # the engine knows no config key, early-stop policy or run-directory format
+    run_modules = ("backflow.protocol", "backflow.summary", "backflow.artifacts", "backflow.cli")
+    assert loaded_after("import backflow.engine", run_modules + ("backflow.engine",)) == "['backflow.engine']"
 
 
 def test_oracle_demo_witness(capsys):
@@ -364,13 +377,13 @@ def test_sign_flip_count_on_fixture():
 
 
 def test_run_persistent_nan_guard_exits_nonzero(tmp_path, capsys, monkeypatch):
-    import backflow.protocol as protocol
+    import backflow.engine as engine
     from backflow.errors import NanGuardError
 
     def always_fail(params, velocity, grad, config):
         raise NanGuardError("injected failure")
 
-    monkeypatch.setattr(protocol, "step", always_fail)
+    monkeypatch.setattr(engine, "step", always_fail)
     path, _ = write_config(tmp_path, break_flags=["no"], repeats=3,
                            diagnostics={"enabled": False})
     assert main(["run", str(path)]) == 1

@@ -7,8 +7,9 @@ from backflow.data import make_synthetic, split_probe
 from backflow.instruments import apply_augmentation, sample_batch_plan
 from backflow.model import ModelSpec, init_params, loss_and_grad
 from backflow.optimizer import OptimizerConfig, step
-from backflow import protocol
-from backflow.protocol import REGIME_PRESETS, ProtocolSettings, Regime
+from backflow import engine
+from backflow.engine import ProtocolSettings, Regime
+from backflow.protocol import REGIME_PRESETS
 from backflow.seeding import derive_seed
 
 SPEC = ModelSpec("softmax_linear", 8, 4)
@@ -215,9 +216,9 @@ def first_pair(dataset, regime, batch_size, seed):
     """The batch plan, the batches and the no-break run of one micro-experiment."""
     settings = ProtocolSettings(batch_size=batch_size)
     plan = sample_batch_plan(dataset, batch_size, regime.overlap, regime.same_classes, derive_seed(seed, "plan"))
-    batches = protocol._repeat_batches(regime, dataset, seed, batch_size)
-    (runs,) = protocol._guarded_block(init_params(SPEC, 0), SPEC, regime, ("no",), dataset,
-                                      dataset.features[dataset.probe_indices], settings, [(seed, 0)])
+    batches = engine._repeat_batches(regime, dataset, seed, batch_size)
+    (runs,) = engine.guarded_block(init_params(SPEC, 0), SPEC, regime, ("no",), dataset,
+                                   dataset.features[dataset.probe_indices], settings, [(seed, 0)])
     return plan, batches, runs["no"], settings
 
 

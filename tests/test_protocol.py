@@ -1,10 +1,12 @@
 import json
 import re
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import backflow.engine as engine
 import backflow.protocol as protocol
 from backflow.artifacts import cell_filename, read_jsonl, write_atomic
 from backflow.data import make_synthetic, split_probe
@@ -13,19 +15,15 @@ from backflow.errors import ConfigError, NanGuardError
 from backflow.instruments import apply_augmentation
 from backflow.model import ModelSpec, forward, init_params, loss_and_grad
 from backflow.optimizer import OptimizerConfig, step
+from backflow.engine import BackflowRecord, ProtocolSettings, Regime, pretrain, run_noncommute_curve
 from backflow.protocol import (
     REGIME_PRESETS,
-    BackflowRecord,
     EarlyStopPolicy,
-    ProtocolSettings,
-    Regime,
     StatsPolicy,
     collect_with_early_stop,
     config_from_mapping,
-    pretrain,
     resolve_regime,
     run_micro_experiment,
-    run_noncommute_curve,
     run_sweep,
 )
 from backflow.seeding import derive_seed
@@ -117,19 +115,19 @@ def test_momentum_zero_collapse_bitwise(dataset, base_params):
 
 def test_break_first_b_update_is_momentum_free(monkeypatch, dataset, base_params):
     regime = small_regime(momentum=0.95)
-    real_step = protocol.step
+    real_step = engine.step
     updates = []  # the parameters after each stacked step: k of the A phase, then k of B
 
     def recorded_step(params, velocity, grad, config):
         updates.append(real_step(params, velocity, grad, config))
         return updates[-1]
 
-    monkeypatch.setattr(protocol, "step", recorded_step)
+    monkeypatch.setattr(engine, "step", recorded_step)
     record = run_micro_experiment(base_params, SPEC, regime, True, dataset, dataset.probe_indices,
                                   seed=31, settings=SETTINGS)
     assert record.ok and len(updates) == 2 * regime.k
     params_mid, first_b_params = updates[regime.k - 1][0], updates[regime.k][0]
-    _, _, xb, _, yb = protocol._repeat_batches(regime, dataset, 31, SETTINGS.batch_size)
+    _, _, xb, _, yb = engine._repeat_batches(regime, dataset, 31, SETTINGS.batch_size)
     config = OptimizerConfig(lr=regime.lr, momentum=0.0,
                              weight_decay=SETTINGS.weight_decay, clip_norm=SETTINGS.clip_norm)
     for row in (0, 1):  # the A and A' rows
@@ -221,7 +219,7 @@ def test_noncommute_resonant_curves_nondecreasing(dataset, base_params):
 
 def test_nan_guard_retry_succeeds(monkeypatch, dataset, base_params):
     calls = {"n": 0}
-    real_step = protocol.step
+    real_step = engine.step
 
     def flaky_step(params, velocity, grad, config):
         calls["n"] += 1
@@ -229,7 +227,7 @@ def test_nan_guard_retry_succeeds(monkeypatch, dataset, base_params):
             raise NanGuardError("injected failure")
         return real_step(params, velocity, grad, config)
 
-    monkeypatch.setattr(protocol, "step", flaky_step)
+    monkeypatch.setattr(engine, "step", flaky_step)
     record = run_micro_experiment(base_params, SPEC, small_regime(), False, dataset,
                                   dataset.probe_indices, seed=71, settings=SETTINGS)
     assert record.error is None
@@ -240,7 +238,7 @@ def test_nan_guard_persistent_failure_records_error(monkeypatch, dataset, base_p
     def always_fail(params, velocity, grad, config):
         raise NanGuardError("injected failure")
 
-    monkeypatch.setattr(protocol, "step", always_fail)
+    monkeypatch.setattr(engine, "step", always_fail)
     record = run_micro_experiment(base_params, SPEC, small_regime(), False, dataset,
                                   dataset.probe_indices, seed=72, settings=SETTINGS)
     assert record.error is not None and "nan_guard" in record.error
@@ -499,8 +497,8 @@ def test_shared_flag_run_matches_single_flag_runs(monkeypatch, dataset, base_par
 
     def block(run_flags):
         """Repeat 3 of seed 17 as a one-repeat block for ``run_flags``, as ``{flag: Repeat}``."""
-        (runs,) = protocol._guarded_block(base_params, SPEC, regime, run_flags, dataset, probe_x, SETTINGS,
-                                          [(17, 3)])
+        (runs,) = engine.guarded_block(base_params, SPEC, regime, run_flags, dataset, probe_x, SETTINGS,
+                                        [(17, 3)])
         return runs
 
     singles = {flag: block((flag,))[flag] for flag in flags}
@@ -522,14 +520,14 @@ def test_shared_flag_run_matches_single_flag_runs(monkeypatch, dataset, base_par
     assert expected["no"].d1 == expected["break"].d1
 
     # a NaN-guard trip of the shared run falls back to one run per flag
-    real_step = protocol.step
+    real_step = engine.step
 
     def fail_on_shared_rows(params, velocity, grad, config):
         if params.shape[0] == 4:  # the B phase of both flags at once
             raise NanGuardError("injected failure")
         return real_step(params, velocity, grad, config)
 
-    monkeypatch.setattr(protocol, "step", fail_on_shared_rows)
+    monkeypatch.setattr(engine, "step", fail_on_shared_rows)
     calls.clear()
     fallback = shared_run()
     assert calls == [flags, ("no",), ("break",)]
@@ -539,14 +537,14 @@ def test_shared_flag_run_matches_single_flag_runs(monkeypatch, dataset, base_par
 def test_diagnostics_of_a_failed_shared_run_match_single_flag_sweeps(tmp_path, monkeypatch):
     # the sweep runs each seed's diagnostics repeat once for both flags; when
     # that shared B phase trips the guard, each flag falls back to a run of its own
-    real_step = protocol.step
+    real_step = engine.step
 
     def fail_on_shared_rows(params, velocity, grad, config):
         if params.shape[0] == 4:
             raise NanGuardError("injected failure")
         return real_step(params, velocity, grad, config)
 
-    monkeypatch.setattr(protocol, "step", fail_on_shared_rows)
+    monkeypatch.setattr(engine, "step", fail_on_shared_rows)
 
     def payloads(name, flags):
         config = config_from_mapping(sweep_mapping(tmp_path, output_dir=str(tmp_path / name), break_flags=flags))
@@ -560,7 +558,7 @@ def test_diagnostics_of_a_failed_shared_run_match_single_flag_sweeps(tmp_path, m
 
 @pytest.mark.parametrize("failures", ["none", "shared_curve", "full_lr"])
 def test_one_curve_per_regime_and_seed_matches_single_flag_sweeps(tmp_path, monkeypatch, failures):
-    real_curve, real_step = protocol.run_noncommute_curve, protocol.step
+    real_curve, real_step = protocol.run_noncommute_curve, engine.step
     calls = []
 
     def curve(*args, **kwargs):
@@ -575,7 +573,7 @@ def test_one_curve_per_regime_and_seed_matches_single_flag_sweeps(tmp_path, monk
             raise NanGuardError("injected failure")
         return real_step(params, velocity, grad, config)
 
-    monkeypatch.setattr(protocol, "step", failing_step)
+    monkeypatch.setattr(engine, "step", failing_step)
 
     def payloads(flags):
         config = config_from_mapping(sweep_mapping(tmp_path, output_dir=str(tmp_path / "-".join(flags)),
@@ -609,20 +607,20 @@ def spy_engine(monkeypatch, view=lambda regime, repeats, flags: [repeat_id for _
     The default view is the call's repeat ids.
     """
     calls = []
-    real_engine = protocol._run_repeat
+    real_engine = engine._run_repeat
 
-    def engine(*args):
+    def spy(*args):
         calls.append(view(args[2], args[6], args[7]))
         return real_engine(*args)
 
-    monkeypatch.setattr(protocol, "_run_repeat", engine)
+    monkeypatch.setattr(engine, "_run_repeat", spy)
     return calls
 
 
 def two_repeat_blocks(monkeypatch):
     # a budget that holds the B rows of two repeats of both flags: blocks of 2, 2, 1 over 5 repeats
-    monkeypatch.setattr(protocol, "_STACK_FLOATS", 2 * 4 * protocol._row_floats(SPEC, 24, 96))
-    assert protocol._repeats_per_block(SPEC, 24, 96, 2) == 2
+    monkeypatch.setattr(engine, "_STACK_FLOATS", 2 * 4 * engine._row_floats(SPEC, 24, 96))
+    assert engine.repeats_per_block(SPEC, 24, 96, 2) == 2
 
 
 def failing_by_row_values(regime, real_step):
@@ -647,7 +645,7 @@ def test_block_records_match_single_repeat_single_flag_runs(tmp_path, monkeypatc
     config = config_from_mapping(sweep_mapping(tmp_path, break_flags=flags, repeats=5,
                                                diagnostics={"enabled": False}))
     regime = config.regimes[0]
-    real_step = protocol.step
+    real_step = engine.step
     row_value_step = failing_by_row_values(regime, real_step)
 
     def failing_step(params, velocity, grad, config):
@@ -657,12 +655,12 @@ def test_block_records_match_single_repeat_single_flag_runs(tmp_path, monkeypatc
             return row_value_step(params, velocity, grad, config)
         return real_step(params, velocity, grad, config)
 
-    monkeypatch.setattr(protocol, "step", failing_step)
+    monkeypatch.setattr(engine, "step", failing_step)
     dataset = protocol.build_dataset(config)
     base = protocol.base_parameters(config, dataset, 0)
     expected = {
         flag: [run_micro_experiment(base, SPEC, regime, flag == "break", dataset, dataset.probe_indices,
-                                    seed=derive_seed("repeat", 0, i), settings=config.settings(), repeat_id=i)
+                                    seed=derive_seed("repeat", 0, i), settings=config, repeat_id=i)
                for i in range(5)]
         for flag in flags
     }
@@ -686,7 +684,7 @@ def test_block_records_match_single_repeat_single_flag_runs(tmp_path, monkeypatc
 @pytest.mark.parametrize("sweep", ["pinned", "persistent_errors"])
 def test_summary_is_reproduced_from_the_cell_files_alone(tmp_path, monkeypatch, sweep):
     if sweep == "persistent_errors":  # repeats that fail the NaN guard twice, decided by their own values
-        monkeypatch.setattr(protocol, "step", failing_by_row_values(REGIME_PRESETS["standard"], protocol.step))
+        monkeypatch.setattr(engine, "step", failing_by_row_values(REGIME_PRESETS["standard"], engine.step))
     overrides = PINNED_SWEEP if sweep == "pinned" else {"repeats": 5}
     config = config_from_mapping(sweep_mapping(tmp_path, **overrides))
     result = run_sweep(config, created_at="pinned")
@@ -792,12 +790,21 @@ def custom_regime(**overrides):
     return {**vars(REGIME_PRESETS["standard"]), "name": "custom", **overrides}
 
 
+def test_a_regime_name_is_bounded_by_the_bytes_of_its_temporary_cell_file_names(tmp_path):
+    # the "break" cell file of a 231-character name has 251 bytes, a legal name, but its temporary file 256
+    accepted = config_from_mapping(sweep_mapping(tmp_path, regimes=[custom_regime(name="x" * 230)]))
+    assert len(f".{cell_filename(accepted.regimes[0].name, 'break', 0)}.tmp") == 255
+    for name, size in (("x" * 231, 256), ("\u00e9" * 116, 257)):  # two bytes per character in UTF-8
+        with pytest.raises(ConfigError, match=rf"name too long for a cell file \({size} bytes, max 255\)$"):
+            config_from_mapping(sweep_mapping(tmp_path, regimes=[custom_regime(name=name)]))
+
+
 def test_a_minimal_config_takes_the_defaults_of_the_python_api(tmp_path):
     minimal = {key: sweep_mapping(tmp_path)[key] for key in ("output_dir", "dataset", "model", "regimes")}
     config = config_from_mapping(minimal)
     assert config.early_stop == EarlyStopPolicy()
     assert config.stats == StatsPolicy()
-    assert config.settings() == ProtocolSettings()
+    assert (config.batch_size, config.weight_decay, config.clip_norm) == astuple(ProtocolSettings())
     # a one-row probe is refused only when the diagnostics would run the CKA on it
     assert config_from_mapping({**minimal, "probe_size": 1, "diagnostics": {"enabled": False}}).probe_size == 1
 
@@ -816,25 +823,25 @@ def test_repeats_per_block_bounds_the_stacks():
     demo = ModelSpec("mlp1", 32, 10, hidden_dim=32)
     image = ModelSpec("mlp1", 256, 10, hidden_dim=64)
     # configs/demo.json trains four repeats per stack; eight measured +10% peak RSS on it
-    assert 4 <= protocol._repeats_per_block(demo, 64, 512, 2) < 8
+    assert 4 <= engine.repeats_per_block(demo, 64, 512, 2) < 8
     # the image benchmark spec stays at one repeat per stack, as before blocks
-    assert protocol._repeats_per_block(image, 128, 1000, 2) == 1
+    assert engine.repeats_per_block(image, 128, 1000, 2) == 1
 
 
 def reference_curve(base_params, spec, regime, break_applied, dataset, probe_subset, seed, k_max, settings):
     """The non-commute curve as one two-row run of both phases per k: the loop the stacked curve replaces."""
-    x_a, _, x_b, y_a, y_b = protocol._repeat_batches(regime, dataset, seed, settings.batch_size)
+    x_a, _, x_b, y_a, y_b = engine._repeat_batches(regime, dataset, seed, settings.batch_size)
     config = OptimizerConfig(lr=regime.lr, momentum=regime.momentum,
                              weight_decay=settings.weight_decay, clip_norm=settings.clip_norm)
     curve = []
     for k in range(1, k_max + 1):
-        params, velocity, _ = protocol._train(spec, np.stack([base_params, base_params]),
-                                              np.zeros((2, base_params.size)),
-                                              np.stack([x_a, x_b]), np.stack([y_a, y_b]), k, config)
+        params, velocity, _ = engine._train(spec, np.stack([base_params, base_params]),
+                                            np.zeros((2, base_params.size)),
+                                            np.stack([x_a, x_b]), np.stack([y_a, y_b]), k, config)
         if break_applied:
             velocity = np.zeros_like(velocity)
-        params, _, _ = protocol._train(spec, params, velocity, np.stack([x_b, x_a]),
-                                       np.stack([y_b, y_a]), k, config)
+        params, _, _ = engine._train(spec, params, velocity, np.stack([x_b, x_a]),
+                                     np.stack([y_b, y_a]), k, config)
         preds = forward(spec, params, dataset.features[probe_subset])
         curve.append((k, div_avg(("tv",), preds[0], preds[1])["tv"]))
     return curve
@@ -852,16 +859,16 @@ def test_stacked_noncommute_curve_matches_per_k_reference_bitwise(monkeypatch, d
                                       SETTINGS)
                 for flag in flags}
     per_group = -(-k_max // groups)  # k values per stack that give ``groups`` stacks, all flags' rows in each
-    monkeypatch.setattr(protocol, "_STACK_FLOATS",
-                        2 * len(flags) * per_group * protocol._row_floats(SPEC, 24, 64))
-    real_forward = protocol.forward
+    monkeypatch.setattr(engine, "_STACK_FLOATS",
+                        2 * len(flags) * per_group * engine._row_floats(SPEC, 24, 64))
+    real_forward = engine.forward
     stacks = []
 
     def counted_forward(spec, params, inputs):
         stacks.append(params.shape[0])
         return real_forward(spec, params, inputs)
 
-    monkeypatch.setattr(protocol, "forward", counted_forward)
+    monkeypatch.setattr(engine, "forward", counted_forward)
     curves = run_noncommute_curve(base_params, SPEC, regime, flags, dataset, sub, 29,
                                   k_max=k_max, settings=SETTINGS)
     assert curves == expected and list(curves) == list(flags)
@@ -875,7 +882,7 @@ def test_noncommute_curve_augments_only_the_batches_it_trains_on(monkeypatch, da
         kinds.append(kind)
         return apply_augmentation(kind, *args)
 
-    monkeypatch.setattr(protocol, "apply_augmentation", counted_augmentation)
+    monkeypatch.setattr(engine, "apply_augmentation", counted_augmentation)
     regime = small_regime(aug_a="weak", aug_aprime="color", aug_b="blur")
     run_noncommute_curve(base_params, SPEC, regime, ("no", "break"), dataset, dataset.probe_indices[:64], 29,
                          k_max=2, settings=SETTINGS)
@@ -890,11 +897,11 @@ def test_train_checks_its_batch_before_the_first_step(monkeypatch, dataset, base
         steps.append(args)
         return step(*args)
 
-    monkeypatch.setattr(protocol, "step", counted_step)
+    monkeypatch.setattr(engine, "step", counted_step)
     config = OptimizerConfig(lr=0.1, momentum=0.9)
     params = np.stack([base_params, base_params])
     x, y = dataset.features[:24], dataset.labels[:24]
-    protocol._train(SPEC, params, np.zeros_like(params), x, y, 3, config)
+    engine._train(SPEC, params, np.zeros_like(params), x, y, 3, config)
     assert len(steps) == 3
     steps.clear()
     if bad == "label":
@@ -903,7 +910,7 @@ def test_train_checks_its_batch_before_the_first_step(monkeypatch, dataset, base
     else:
         x = x[:, :-1]
     with pytest.raises(ValueError, match="out of range" if bad == "label" else "features"):
-        protocol._train(SPEC, params, np.zeros_like(params), x, y, 3, config)
+        engine._train(SPEC, params, np.zeros_like(params), x, y, 3, config)
     assert steps == []
 
 
@@ -927,7 +934,7 @@ def test_persistent_nan_guard_in_diagnostics_is_recorded(tmp_path, monkeypatch):
     def always_fail(params, velocity, grad, config):
         raise NanGuardError("injected failure")
 
-    monkeypatch.setattr(protocol, "step", always_fail)
+    monkeypatch.setattr(engine, "step", always_fail)
     config = config_from_mapping(sweep_mapping(tmp_path, break_flags=["no"], repeats=2))
     result = run_sweep(config, created_at="pinned")
     assert result.summary["n_persistent_errors"] == 2
@@ -940,14 +947,14 @@ def test_persistent_nan_guard_in_diagnostics_is_recorded(tmp_path, monkeypatch):
 
 def test_noncommute_curve_retried_at_half_lr(tmp_path, monkeypatch):
     regime = REGIME_PRESETS["standard"]
-    real_step = protocol.step
+    real_step = engine.step
 
     def fail_at_full_lr(params, velocity, grad, config):
         if config.lr == regime.lr:
             raise NanGuardError("injected failure")
         return real_step(params, velocity, grad, config)
 
-    monkeypatch.setattr(protocol, "step", fail_at_full_lr)
+    monkeypatch.setattr(engine, "step", fail_at_full_lr)
     result = run_sweep(config_from_mapping(sweep_mapping(tmp_path, break_flags=["no"], repeats=2)),
                        created_at="pinned")
     assert result.summary["n_persistent_errors"] == 0
@@ -957,7 +964,7 @@ def test_noncommute_curve_retried_at_half_lr(tmp_path, monkeypatch):
     dataset = protocol.build_dataset(config)
     half = run_noncommute_curve(protocol.base_parameters(config, dataset, 0), config.model_spec(), regime,
                                 ("no",), dataset, dataset.probe_indices[:64],
-                                derive_seed("noncommute", 0), k_max=2, settings=config.settings(),
+                                derive_seed("noncommute", 0), k_max=2, settings=config,
                                 lr_scale=0.5)["no"]
     assert payload["noncommute"] == [[k, v] for k, v in half]
 
@@ -996,7 +1003,7 @@ def test_image_datasets_get_image_augmentations(dataset):
 
     image_ds = dc_replace(dataset, provenance={**dataset.provenance, "image_shape": [3, 4]})
     regime = small_regime()
-    x_a = protocol._repeat_batches(regime, image_ds, 81, SETTINGS.batch_size)[0]
+    x_a = engine._repeat_batches(regime, image_ds, 81, SETTINGS.batch_size)[0]
     plan = sample_batch_plan(image_ds, SETTINGS.batch_size, regime.overlap, regime.same_classes,
                              derive_seed(81, "plan"))
     flat = image_ds.features[plan.indices_a]
