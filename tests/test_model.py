@@ -227,3 +227,45 @@ def test_stacked_nan_guard_fires_for_one_bad_row():
     rows[1, 0] = np.inf
     with pytest.raises(NanGuardError):
         loss_and_grad(LINEAR, rows, np.ones((2, 4)), [0, 1])
+
+
+def kernel_digest(spec):
+    """sha256 over ``init_params``, ``forward``, ``loss_and_grad`` and ``penultimate_features``.
+
+    Each is taken on seeded inputs for unstacked parameters, for stacked
+    parameters with one shared batch, and for stacked parameters with one
+    batch per row.
+    """
+    from hashlib import sha256
+
+    rng = np.random.default_rng(21)
+    init = np.stack([init_params(spec, seed=s) for s in range(3)])
+    rows = init + rng.normal(scale=0.3, size=init.shape)  # nonzero biases too
+    x = rng.normal(size=(3, 24, spec.input_dim))
+    y = rng.integers(0, spec.num_classes, size=(3, 24))
+    h = sha256(init.tobytes())
+    for params, inputs, labels in ((rows[0], x[0], y[0]), (rows, x[0], y[0]), (rows, x, y)):
+        loss, grad = loss_and_grad(spec, params, inputs, labels)
+        for out in (forward(spec, params, inputs), np.float64(loss), grad,
+                    penultimate_features(spec, params, inputs)):
+            h.update(np.ascontiguousarray(out).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the model kernel's outputs for each architecture, cut with the
+# per-kind code paths on OpenBLAS's SkylakeX kernel; the same at one and two
+# BLAS threads
+PINNED_KERNEL_SHA256 = {
+    "softmax_linear": "75a5491ae9d01f21096e0585b2308bcbafabbe700ac21f651f6f538b59e3d0cb",
+    "mlp1/tanh": "957f19e5fe817ad3bb75646d3aeb02c4ac94df33937419d3b5ba11191ac881d1",
+    "mlp1/relu": "2c7346280888049523212e230a909ea817946a07600b2c2b6b16725731030601",
+}
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("softmax_linear", ModelSpec("softmax_linear", 12, 5)),
+    ("mlp1/tanh", ModelSpec("mlp1", 12, 5, hidden_dim=16, activation="tanh")),
+    ("mlp1/relu", ModelSpec("mlp1", 12, 5, hidden_dim=16, activation="relu")),
+])
+def test_kernel_outputs_are_pinned_byte_for_byte(name, spec):
+    assert kernel_digest(spec) == PINNED_KERNEL_SHA256[name]
