@@ -56,6 +56,8 @@ def make_synthetic(
         raise ValueError("num_classes must be at least 2")
     if per_class < 1:
         raise ValueError("per_class must be positive")
+    if not math.isfinite(spread):
+        raise ValueError(f"spread must be finite, got {spread!r}")
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(num_classes, input_dim))
     means = spread * directions / np.linalg.norm(directions, axis=1, keepdims=True)

@@ -1,11 +1,12 @@
 """Minimal differentiable classifiers with closed-form gradients.
 
-Two normalization-free architectures are provided: a softmax linear model
-and a one-hidden-layer MLP (tanh or relu).  Parameters live in a single
-flat float64 vector so the optimizer can treat them opaquely; an (R, P)
-stack of such vectors is R independent models, evaluated row by row with
-the same arithmetic as a single vector.  All operations are pure functions
-of their inputs.
+A model is its list of affine layers ``(fan_in, fan_out)``: ``[(d, c)]``
+for the softmax linear model, ``[(d, h), (h, c)]`` for the one-hidden-layer
+MLP, with the activation (tanh or relu) between layers.  Both kinds share
+one code path derived from that list.  Parameters live in one flat float64
+vector, each layer's weights then its biases; an (R, P) stack of such
+vectors is R independent models, evaluated row by row with the same
+arithmetic as a single vector.  All operations are pure functions.
 """
 
 from dataclasses import dataclass
@@ -33,19 +34,22 @@ class ModelSpec:
             raise ValueError("input_dim must be positive")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        if self.kind == "mlp1":
-            if self.hidden_dim is None or self.hidden_dim < 1:
-                raise ValueError("mlp1 requires a positive hidden_dim")
-            if self.activation not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {self.activation!r}")
+        if self.kind == "mlp1" and (self.hidden_dim is None or self.hidden_dim < 1):
+            raise ValueError("mlp1 requires a positive hidden_dim")
+        if self.kind == "softmax_linear" and self.hidden_dim is not None:
+            raise ValueError(f"softmax_linear takes no hidden_dim, got {self.hidden_dim!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+
+
+def _layers(spec: ModelSpec) -> list[tuple[int, int]]:
+    """The affine layers ``(fan_in, fan_out)``, from the inputs to the classes."""
+    dims = [spec.input_dim, *([spec.hidden_dim] if spec.kind == "mlp1" else []), spec.num_classes]
+    return list(zip(dims[:-1], dims[1:]))
 
 
 def parameter_count(spec: ModelSpec) -> int:
-    d, c = spec.input_dim, spec.num_classes
-    if spec.kind == "softmax_linear":
-        return d * c + c
-    h = spec.hidden_dim
-    return d * h + h + h * c + c
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in _layers(spec))
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -54,43 +58,27 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     Biases start at zero.  Identical (spec, seed) yield bit-identical vectors.
     """
     rng = np.random.default_rng(seed)
-    d, c = spec.input_dim, spec.num_classes
-
-    def layer(fan_in, fan_out):
+    parts = []
+    for fan_in, fan_out in _layers(spec):
         a = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-a, a, size=(fan_out, fan_in))
-
-    if spec.kind == "softmax_linear":
-        w = layer(d, c)
-        return np.concatenate([w.ravel(), np.zeros(c)])
-    h = spec.hidden_dim
-    w1 = layer(d, h)
-    w2 = layer(h, c)
-    return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
+        parts += [rng.uniform(-a, a, size=(fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+    return np.concatenate(parts)
 
 
-def _unpack(spec: ModelSpec, params: np.ndarray):
-    """Weight and bias views; a stacked (R, P) vector gives a leading row axis on each."""
-    d, c = spec.input_dim, spec.num_classes
+def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (weight, bias) view per layer; a stacked (R, P) vector gives a leading row axis on each."""
     if params.ndim not in (1, 2) or params.shape[-1] != parameter_count(spec):
         raise ValueError(
             f"parameter vector has shape {params.shape}, expected {parameter_count(spec)} per row"
         )
     lead = params.shape[:-1]
-    if spec.kind == "softmax_linear":
-        w = params[..., : d * c].reshape(lead + (c, d))
-        b = params[..., d * c :]
-        return w, b
-    h = spec.hidden_dim
-    off = 0
-    w1 = params[..., off : off + d * h].reshape(lead + (h, d))
-    off += d * h
-    b1 = params[..., off : off + h]
-    off += h
-    w2 = params[..., off : off + h * c].reshape(lead + (c, h))
-    off += h * c
-    b2 = params[..., off:]
-    return w1, b1, w2, b2
+    views, off = [], 0
+    for fan_in, fan_out in _layers(spec):
+        w = params[..., off : off + fan_in * fan_out].reshape(lead + (fan_out, fan_in))
+        off += fan_in * fan_out
+        views.append((w, params[..., off : off + fan_out]))
+        off += fan_out
+    return views
 
 
 def _check_inputs(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
@@ -119,17 +107,12 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def _hidden(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    w1, b1, _, _ = _unpack(spec, params)
-    return _activation(spec, _affine(x, w1, b1))
-
-
-def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if spec.kind == "softmax_linear":
-        w, b = _unpack(spec, params)
-        return _affine(x, w, b)
-    _, _, w2, b2 = _unpack(spec, params)
-    return _affine(_hidden(spec, params, x), w2, b2)
+def _layer_inputs(spec: ModelSpec, layers: list, x: np.ndarray) -> list[np.ndarray]:
+    """The input of every layer: ``x``, then each hidden layer's activation."""
+    inputs = [x]
+    for w, b in layers[:-1]:
+        inputs.append(_activation(spec, _affine(inputs[-1], w, b)))
+    return inputs
 
 
 def _row_max(z: np.ndarray) -> np.ndarray:
@@ -160,7 +143,8 @@ def forward(spec: ModelSpec, params: np.ndarray, inputs) -> np.ndarray:
     parameter row r; ``inputs`` may be shared (N, d) or per row (R, N, d).
     """
     x = _check_inputs(spec, inputs)
-    return _softmax(_logits(spec, params, x))
+    layers = _unpack(spec, params)
+    return _softmax(_affine(_layer_inputs(spec, layers, x)[-1], *layers[-1]))
 
 
 def check_batch(spec: ModelSpec, inputs, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -199,13 +183,9 @@ def loss_and_grad_unchecked(
     A training loop checks its fixed batch once and calls this per step.
     """
     n = x.shape[-2]
-    if spec.kind == "softmax_linear":
-        w, b = _unpack(spec, params)
-        z = _affine(x, w, b)
-    else:
-        w1, b1, w2, b2 = _unpack(spec, params)
-        hidden = _activation(spec, _affine(x, w1, b1))
-        z = _affine(hidden, w2, b2)
+    layers = _unpack(spec, params)
+    acts = _layer_inputs(spec, layers, x)
+    z = _affine(acts[-1], *layers[-1])
     # flat (row, example) view of z, to pick each example's label column
     target = (np.arange(z.size // z.shape[-1]), np.broadcast_to(y, z.shape[:-1]).ravel())
 
@@ -219,21 +199,18 @@ def loss_and_grad_unchecked(
         dz.reshape(-1, z.shape[-1])[target] -= 1.0
         dz /= n
 
-    lead = z.shape[:-2]
-    if spec.kind == "softmax_linear":
-        parts = [_T(dz) @ x, dz.sum(axis=-2)]
-    else:
-        gw2 = _T(dz) @ hidden
-        gb2 = dz.sum(axis=-2)
-        dh = dz @ w2
-        if spec.activation == "tanh":
-            dpre = hidden * hidden  # dh * (1 - hidden**2), in one buffer
-            np.subtract(1.0, dpre, out=dpre)
-            dpre *= dh
-        else:
-            dpre = dh * (hidden > 0.0)  # relu(pre) > 0 exactly where pre > 0
-        parts = [_T(dpre) @ x, dpre.sum(axis=-2), gw2, gb2]
-    grad = np.concatenate([part.reshape(lead + (-1,)) for part in parts], axis=-1)
+    parts = []
+    for i, a in reversed(list(enumerate(acts))):  # a is layer i's input, dz its output's gradient
+        parts[:0] = [_T(dz) @ a, dz.sum(axis=-2)]
+        if i:
+            dh = dz @ layers[i][0]
+            if spec.activation == "tanh":
+                dz = a * a  # dh * (1 - a**2), in one buffer
+                np.subtract(1.0, dz, out=dz)
+                dz *= dh
+            else:
+                dz = dh * (a > 0.0)  # relu(pre) > 0 exactly where pre > 0
+    grad = np.concatenate([part.reshape(z.shape[:-2] + (-1,)) for part in parts], axis=-1)
 
     if not np.all(np.isfinite(loss)) or not np.all(np.isfinite(grad)):
         raise NanGuardError("non-finite loss or gradient")
@@ -248,7 +225,8 @@ def penultimate_features(spec: ModelSpec, params: np.ndarray, inputs) -> np.ndar
     inputs per row.
     """
     x = _check_inputs(spec, inputs)
-    if spec.kind == "softmax_linear":
+    layers = _unpack(spec, params)
+    if len(layers) == 1:
         shape = np.broadcast_shapes(params.shape[:-1] + (1, 1), x.shape)
         return np.array(np.broadcast_to(x, shape))
-    return _hidden(spec, params, x)
+    return _layer_inputs(spec, layers, x)[-1]

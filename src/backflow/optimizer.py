@@ -49,11 +49,12 @@ def step(
     grad: np.ndarray,
     config: OptimizerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One update to ``(params, velocity)``; returns fresh arrays, inputs are never mutated."""
+    """One update to ``(params, velocity)``; returns fresh arrays, inputs are never mutated.
+
+    A non-finite gradient fails the norm check (with clipping) or the update check.
+    """
     if params.shape != grad.shape or velocity.shape != params.shape:
         raise ValueError("params, gradient, and velocity must share one shape")
-    if not np.all(np.isfinite(grad)):
-        raise NanGuardError("non-finite gradient")
 
     # each product below is a fresh array, so updating it in place mutates no input
     g = config.weight_decay * params
@@ -62,7 +63,7 @@ def step(
         with np.errstate(over="ignore", invalid="ignore"):
             norm = np.sqrt(np.vecdot(g, g))[..., None]  # per row
         if not np.all(np.isfinite(norm)):
-            # an overflowing norm would scale the gradient to exactly zero
+            # a non-finite gradient; an overflowing norm would scale it to exactly zero
             raise NanGuardError("non-finite gradient norm")
         # rows within the clip norm are scaled by exactly 1.0
         g *= config.clip_norm / np.maximum(norm, config.clip_norm)

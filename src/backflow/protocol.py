@@ -321,7 +321,7 @@ def build_dataset(config: RunConfig) -> Dataset:
         raise ConfigError(f"dataset: kind must be 'synthetic' or 'file', got {kind!r}")
     try:
         dataset = loaders[kind](**spec)
-    except TypeError as exc:  # a misspelled, unknown or missing field
+    except (TypeError, ValueError) as exc:  # a misspelled, unknown, missing or invalid field
         raise ConfigError(f"dataset: {exc}") from None
     return split_probe(dataset, config.probe_size, derive_seed("probe", config.probe_seed))
 

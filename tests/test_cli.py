@@ -156,6 +156,11 @@ def test_run_out_of_bound_values_fail_before_the_run_dir(tmp_path, capsys):
          "regimes: invalid regime mapping: regime 'a\\x00b': name must not contain a NUL byte"),
         ({"regimes": [custom_regime(name="x" * 300)]},  # its first cell file's temporary name has 322 bytes
          f"regimes: regime {'x' * 300!r}: name too long for a cell file (322 bytes, max 255)"),
+        # both ran, the first with engine blocks sized for a hidden layer the model does not have
+        ({"model": {"kind": "softmax_linear", "input_dim": 12, "num_classes": 4, "hidden_dim": 64}},
+         "model: softmax_linear takes no hidden_dim, got 64"),
+        ({"model": {"kind": "softmax_linear", "input_dim": 12, "num_classes": 4, "activation": "sigmoid"}},
+         "model: unknown activation 'sigmoid'"),
     ):
         path, _ = write_config(tmp_path, **overrides)
         assert main(["run", str(path)]) == 2
@@ -167,7 +172,10 @@ def test_run_out_of_bound_values_fail_before_the_run_dir(tmp_path, capsys):
 def test_run_dataset_error_leaves_no_run_dir(tmp_path, capsys):
     misspelled = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_klass": 120}
     missing_path = {"kind": "file", "format": "csv_labeled"}
-    for dataset in (misspelled, missing_path):
+    # json.loads reads NaN and Infinity; these used to run every repeat into the NaN guard
+    non_finite = [{"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_class": 120, "spread": spread}
+                  for spread in (float("nan"), float("inf"))]
+    for dataset in (misspelled, missing_path, *non_finite):
         path, _ = write_config(tmp_path, dataset=dataset)
         assert main(["run", str(path)]) == 2
         assert "error: dataset:" in capsys.readouterr().err

@@ -196,6 +196,11 @@ def test_spec_validation():
         ModelSpec("softmax_linear", 4, 1)
     with pytest.raises(ValueError, match="unknown model kind"):
         ModelSpec("cnn", 4, 3)
+    # both used to be accepted and ignored
+    with pytest.raises(ValueError, match="softmax_linear takes no hidden_dim, got 64"):
+        ModelSpec("softmax_linear", 32, 10, hidden_dim=64)
+    with pytest.raises(ValueError, match="unknown activation 'sigmoid'"):
+        ModelSpec("softmax_linear", 4, 3, activation="sigmoid")
 
 
 @pytest.mark.parametrize("spec", [LINEAR, MLP, ModelSpec("mlp1", 8, 10, hidden_dim=16, activation="relu")])

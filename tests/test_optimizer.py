@@ -133,9 +133,14 @@ def test_config_validation():
 
 
 def test_nan_guard_on_bad_gradient():
-    config = OptimizerConfig(lr=0.1)
-    with pytest.raises(NanGuardError):
-        step(np.zeros(2), np.zeros(2), np.array([np.nan, 0.0]), config)
+    # no finiteness scan of its own: the norm check or the update check catches each gradient
+    bad = ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [np.inf, -np.inf])
+    for grad in bad:
+        for momentum in (0.0, 0.9):
+            for clip_norm in (None, 1.0):
+                config = OptimizerConfig(lr=0.1, momentum=momentum, clip_norm=clip_norm)
+                with pytest.raises(NanGuardError):
+                    step(np.zeros(2), np.ones(2), np.array(grad), config)
 
 
 def test_nan_guard_on_overflowing_update():
