@@ -15,21 +15,25 @@ mid-time probe laws to the post-B laws.
 
 One trainer (``_two_phase``) runs the protocol for pairs of parameter
 rows: a first phase from zero velocity, then at each of a list of switch
-step counts every break flag's velocity rule and a second phase of as many
-steps.  The engine (``_run_repeat``) is its one-switch case for a block of
-repeats, whose A and A' rows are the pairs, so the flags of a repeat share
-its batch plan, augmentation draws, A/A' phase and d1.  The non-commute
+step counts a second phase of as many steps for every break flag.  The
+flags part at the second phase's first update: its gradient is taken once
+per pair, and each flag's velocity rule is applied to it.  The engine
+(``_run_repeat``) is its one-switch case for a block of repeats, whose A
+and A' rows are the pairs, so the flags of a repeat share its batch plan,
+augmentation draws, A/A' phase, d1 and first B gradient.  The non-commute
 curve is its case of one pair (A then B, B then A) switched at every k up
-to k_max.  A block of repeats, or a group of switches, holds as many as
-fit a budget of floats per stacked call (``_STACK_FLOATS``) with the rows
-of every flag, and at least one.  One guard rule (``guard_rule``) serves
-both: a stack runs once, and if it trips the NaN guard each (repeat, flag),
-or each flag of a curve, reruns alone, retried once at half the learning
-rate.  The engine knows no config key, early-stop policy or file format.
+to k_max, one stack of the rows of every flag per k.  An engine block holds
+as many repeats as fit a budget of floats per stacked call
+(``_STACK_FLOATS``) with the rows of every flag, and at least one.  One
+guard rule (``guard_rule``) serves both: a stack runs once, and if it trips
+the NaN guard each (repeat, flag), or each flag of a curve, reruns alone,
+retried once at half the learning rate.  The engine knows no config key,
+early-stop policy or file format.
 
 There is one training loop, ``_train``: the trainer's two phases and the
 base pretraining run their optimizer steps through it, on batch arrays
-that ``_repeat_batches`` builds per repeat.
+that ``_repeat_batches`` builds per repeat.  Only the second phase's
+first step, on the shared gradient, is one ``step`` call of its own.
 
 Randomness discipline: each repeat derives its own streams from
 (seed, repeat_id, tag).  The A/A' augmentations share one seed (they
@@ -42,7 +46,6 @@ the others.
 import os
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 
 import numpy as np
 
@@ -147,35 +150,20 @@ def _optimizer_config(regime: Regime, settings: ProtocolSettings, lr_scale: floa
 
 
 def _train(spec, params, velocity, x, y, steps, config):
-    """Optimizer steps of every stacked parameter row on its batch: the one training loop.
+    """``steps`` optimizer steps of every stacked parameter row on its batch: the one training loop.
 
-    ``x``/``y`` are one batch shared by all rows or one per row.  ``steps``
-    is one count for all rows or a non-decreasing count per row (with one
-    batch per row), so the rows still training at step t are a suffix.
-    Returns the final parameters and velocities and the first step's
-    gradient (None without steps); the caller's arrays are never written.
-    The batch is checked once, before the first step, as the gradient of
-    every step reads the same ``x``/``y``.  ``step`` is called through this
-    module's namespace, so a replacement installed as ``engine.step`` (as
-    the NaN-guard tests do) is used.
+    ``x``/``y`` are one batch shared by all rows or one per row.  Returns
+    the final parameters and velocities; the caller's arrays are never
+    written.  The batch is checked once, before the first step, as the
+    gradient of every step reads the same ``x``/``y``.  ``step`` is called
+    through this module's namespace, so a replacement installed as
+    ``engine.step`` (as the NaN-guard tests do) is used.
     """
     x, y = check_batch(spec, x, y)
-    counts = np.broadcast_to(steps, len(params))
-    done = []  # (parameters, velocities) of rows past their count, in row order
-    first_grad = None
-    for t in range(counts[-1]):
-        finished = len(params) - np.count_nonzero(counts > t)
-        if finished:  # copies, so the finished rows do not hold the whole stack
-            done.append((params[:finished].copy(), velocity[:finished].copy()))
-            params, velocity, x, y = params[finished:], velocity[finished:], x[finished:], y[finished:]
+    for _ in range(steps):
         _, grad = loss_and_grad_unchecked(spec, params, x, y)
         params, velocity = step(params, velocity, grad, config)
-        if t == 0:
-            first_grad = grad
-    if done:
-        params = np.concatenate([*(p for p, _ in done), params])
-        velocity = np.concatenate([*(v for _, v in done), velocity])
-    return params, velocity, first_grad
+    return params, velocity
 
 
 @dataclass
@@ -193,9 +181,8 @@ class Repeat:
 
 
 # Float64 values one stacked training call may hold, counted per parameter
-# row by _row_floats (4 MiB).  An engine block holds as many repeats, and a
-# second-phase group of _two_phase as many switches, as fit with the rows
-# of every flag, but never fewer than one.
+# row by _row_floats (4 MiB).  An engine block holds as many repeats as fit
+# with the rows of every flag, but never fewer than one.
 _STACK_FLOATS = 1 << 19
 
 
@@ -216,18 +203,15 @@ def _two_phase(spec, params, first, second, switches, flags, config, probe_x):
     ``params`` holds pairs of rows (2i, 2i + 1), and ``first`` and ``second``
     an ``(x, y)`` of one batch per row.  The first phase trains every row
     from zero velocity as one trajectory.  At each step count s of the
-    increasing ``switches`` each flag's velocity rule is applied, and the
-    rows of every (switch, flag) train on their second batches for s steps,
-    ordered (switch, pair, flag, member), so the step counts do not
-    decrease.  Switches train in groups that fit the budget, a pair's rows
-    of all flags counting as one repeat.  Yields per group the first-phase
-    (parameters, velocities) at its switches and, in that row order, the
-    end parameters, their probabilities on ``probe_x`` and the first
-    second-phase gradient.  Every row is computed as it would be alone;
+    increasing ``switches`` the second phase's first gradient is taken once
+    on the pair rows; each flag's velocity rule and that first step give
+    the rows (pair, flag, member), which train on their second batches for
+    the other s - 1 steps.  Yields per switch the first-phase (parameters,
+    velocities), the end parameters, their probabilities on ``probe_x`` and
+    the shared first gradient.  Every row is computed as it would be alone;
     raises NanGuardError if one stops being finite.
     """
     n_flags, size = len(flags), params.shape[1]
-    per_group = repeats_per_block(spec, first[0].shape[1], len(probe_x), len(params) // 2 * n_flags)
 
     def by_flag(a):  # rows (pair, member) -> (pair, flag, member)
         return np.repeat(a.reshape(-1, 2, *a.shape[1:]), n_flags, axis=0).reshape(-1, *a.shape[1:])
@@ -237,21 +221,16 @@ def _two_phase(spec, params, first, second, switches, flags, config, probe_x):
         rules = [causal_break(pairs) if flag == "break" else pairs for flag in flags]
         return np.concatenate(rules, axis=1).reshape(-1, size)
 
+    second = check_batch(spec, *second)
+    second_by_flag = [by_flag(a) for a in second]
     velocity, done = np.zeros_like(params), 0
-    for start in range(0, len(switches), per_group):
-        group, states = switches[start : start + per_group], []
-        for s in group:
-            params, velocity, _ = _train(spec, params, velocity, *first, s - done, config)
-            states.append((params, velocity))
-            done = s
-        params_b = by_flag(np.concatenate([p for p, _ in states]))
-        velocity_b = switched(np.concatenate([v for _, v in states]))
-        counts = np.repeat(group, len(params) * n_flags)
-        x, y = (by_flag(np.concatenate([a] * len(group))) for a in second)
-        end, _, grad = _train(spec, params_b, velocity_b, x, y, counts, config)
-        probs = forward(spec, end, probe_x)
-        yield states, end, probs, grad
-        del end, probs, grad  # a suspended trainer holds no group's outputs
+    for s in switches:
+        params, velocity = _train(spec, params, velocity, *first, s - done, config)
+        done = s
+        _, grad = loss_and_grad_unchecked(spec, params, *second)
+        end, end_velocity = step(by_flag(params), switched(velocity), by_flag(grad), config)
+        end, _ = _train(spec, end, end_velocity, *second_by_flag, s - 1, config)
+        yield (params, velocity), end, forward(spec, end, probe_x), grad
 
 
 def _run_repeat(
@@ -268,7 +247,7 @@ def _run_repeat(
     """
     batches = (_repeat_batches(regime, dataset, seed, settings.batch_size) for seed, _ in repeats)
     x_a, x_ap, x_b, y_a, y_b = zip(*batches)  # each one array per repeat
-    (group,) = _two_phase(
+    (switch,) = _two_phase(
         spec,
         np.tile(base_params, (2 * len(repeats), 1)),
         (np.stack([x for pair in zip(x_a, x_ap) for x in pair]), np.repeat(y_a, 2, axis=0)),
@@ -278,7 +257,7 @@ def _run_repeat(
         _optimizer_config(regime, settings, lr_scale),
         probe_x,
     )
-    ((params_mid, velocity_mid),), params_end, preds_end, first_b_grad = group  # one switch, so one group
+    (params_mid, velocity_mid), params_end, preds_end, first_b_grad = switch
     preds_mid = forward(spec, params_mid, probe_x)
     d1_rows = div_avg(KINDS, preds_mid[0::2], preds_mid[1::2])
     d2_rows = div_avg(KINDS, preds_end[0::2], preds_end[1::2])
@@ -290,8 +269,8 @@ def _run_repeat(
         for i, flag in enumerate(flags):
             b = r * len(flags) + i  # the (repeat, flag) pair of B rows: its A row is 2b, its A' row 2b + 1
             d2 = {kind: float(d2_rows[kind][b]) for kind in KINDS}
-            # the first B gradient of the A row is taken at the mid-time parameters
-            alignment = diag.cosine(first_b_grad[2 * b], velocity_mid[2 * r]) if flag == "no" else None
+            # the first B gradient of the A row, shared by the flags, is taken at the mid-time parameters
+            alignment = diag.cosine(first_b_grad[2 * r], velocity_mid[2 * r]) if flag == "no" else None
             delta = {kind: d2[kind] - d1[kind] for kind in KINDS}
             record = BackflowRecord(repeat_id, seed, flag == "break", dict(d1), d2, delta, alignment)
             mid = slice(2 * r, 2 * r + 2)
@@ -357,28 +336,28 @@ def run_noncommute_curve(
     regime: Regime,
     flags: tuple[str, ...],
     dataset: Dataset,
-    probe_subset: np.ndarray,
+    probe_x: np.ndarray,
     seed: int,
     *,
     k_max: int,
     settings: ProtocolSettings = ProtocolSettings(),
     lr_scale: float = 1.0,
 ) -> dict[str, list[tuple[int, float]]]:
-    """Order sensitivity: TV between A-then-B and B-then-A endpoints vs k, for every flag in ``flags``.
+    """Order sensitivity: TV on the probe rows ``probe_x`` between A-then-B and B-then-A endpoints vs k.
 
     Both orders start from the same base parameters and share the repeat's
     batch plan and augmentation draws.  They are one pair of rows of
     ``_two_phase``, switched after every k in 1..k_max, so one first-phase
-    trajectory serves every k and every flag.  Under ``break`` the buffers
-    are zeroed at the switch point in both orders.  Returns ``{flag: [(k,
-    tv), ...]}``; every value is computed as in a run of its k and flag
-    alone.  Raises NanGuardError if either order stops being finite.
+    trajectory serves every k and every flag in ``flags``.  Under ``break``
+    the buffers are zeroed at the switch point in both orders.  Returns
+    ``{flag: [(k, tv), ...]}``; every value is computed as in a run of its k
+    and flag alone.  Raises NanGuardError if either order stops being finite.
     """
     if k_max < 1:
         return {flag: [] for flag in flags}
     x_a, _, x_b, y_a, y_b = _repeat_batches(regime, dataset, seed, settings.batch_size, contrast=False)
     first = np.stack([x_a, x_b]), np.stack([y_a, y_b])  # row 0 runs A then B, row 1 runs B then A
-    groups = _two_phase(
+    switches = _two_phase(
         spec,
         np.stack([base_params, base_params]),
         first,
@@ -386,11 +365,10 @@ def run_noncommute_curve(
         range(1, k_max + 1),
         flags,
         _optimizer_config(regime, settings, lr_scale),
-        dataset.features[probe_subset],
+        probe_x,
     )
-    # one group's probabilities at a time, so that no earlier group's rows are kept
-    tv = np.concatenate([div_avg(("tv",), p[0::2], p[1::2])["tv"] for p in map(itemgetter(2), groups)])
-    tv = tv.reshape(k_max, len(flags))
+    # one stack per k, its rows ordered (flag, order)
+    tv = np.stack([div_avg(("tv",), probs[0::2], probs[1::2])["tv"] for _, _, probs, _ in switches])
     return {flag: [(k, float(v)) for k, v in enumerate(tv[:, i], start=1)] for i, flag in enumerate(flags)}
 
 
@@ -414,7 +392,7 @@ def pretrain(
         order = rng.permutation(dataset.train_indices)
         for start in range(0, len(order) - batch_size + 1, batch_size):
             batch = order[start : start + batch_size]
-            params, velocity, _ = _train(
+            params, velocity = _train(
                 spec, params, velocity, dataset.features[batch], dataset.labels[batch], 1, config
             )
     return params[0]

@@ -361,17 +361,16 @@ def _diagnostics(config, spec, regime, dataset, probe_x, base_params, seed_value
     """
     flags, repeat = config.break_flags, [(derive_seed("diag", seed_value), 0)]
     (runs,) = guarded_block(base_params, spec, regime, flags, dataset, probe_x, config, repeat)
-    sub, seed = dataset.probe_indices[: config.probe_subset], derive_seed("noncommute", seed_value)
+    x_sub, seed = probe_x[: config.probe_subset], derive_seed("noncommute", seed_value)
     curves = partial(run_noncommute_curve, k_max=config.noncommute_k_max, settings=config)
     outcomes = guard_rule(
-        lambda: curves(base_params, spec, regime, flags, dataset, sub, seed, lr_scale=1.0).values(),
-        lambda flag, lr: curves(base_params, spec, regime, (flag,), dataset, sub, seed, lr_scale=lr)[flag],
+        lambda: curves(base_params, spec, regime, flags, dataset, x_sub, seed, lr_scale=1.0).values(),
+        lambda flag, lr: curves(base_params, spec, regime, (flag,), dataset, x_sub, seed, lr_scale=lr)[flag],
         flags,
     )
     ok = [flag for flag in flags if runs[flag].record.ok]
     if ok:  # rows A, A', AB, A'B of every ok flag
         rows = np.concatenate([np.concatenate([runs[flag].params_mid, runs[flag].params_end]) for flag in ok])
-        x_sub = probe_x[: config.probe_subset]
         feats, preds = penultimate_features(spec, rows, x_sub), forward(spec, rows, x_sub)
     payloads = {}
     for flag, (curve, retried, error) in zip(flags, outcomes):

@@ -161,6 +161,13 @@ def test_run_out_of_bound_values_fail_before_the_run_dir(tmp_path, capsys):
          "model: softmax_linear takes no hidden_dim, got 64"),
         ({"model": {"kind": "softmax_linear", "input_dim": 12, "num_classes": 4, "activation": "sigmoid"}},
          "model: unknown activation 'sigmoid'"),
+        # these exited 1 with a TypeError traceback after creating the run directory
+        *(({"model": {"kind": "mlp1", "input_dim": 12, "num_classes": 4, "hidden_dim": value}},
+           f"model: hidden_dim must be an integer, got {value!r}") for value in (8.5, 32.0, True)),
+        ({"model": {"kind": "softmax_linear", "input_dim": 12.0, "num_classes": 4}},
+         "model: input_dim must be an integer, got 12.0"),
+        ({"model": {"kind": "softmax_linear", "input_dim": 12, "num_classes": 4.0}},
+         "model: num_classes must be an integer, got 4.0"),
     ):
         path, _ = write_config(tmp_path, **overrides)
         assert main(["run", str(path)]) == 2

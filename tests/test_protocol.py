@@ -55,6 +55,11 @@ def small_regime(**overrides):
     return Regime(**fields)
 
 
+def probe_rows(dataset):
+    """The first 64 probe rows: the subset the curves below read."""
+    return dataset.features[dataset.probe_indices[:64]]
+
+
 def test_placebo_is_exactly_zero(dataset, base_params):
     regime = small_regime(aug_aprime="weak")  # A and A' share kind and seed stream
     record = run_micro_experiment(base_params, SPEC, regime, False, dataset,
@@ -184,12 +189,12 @@ def test_micro_experiment_matches_hand_simulation(dataset, base_params):
 def test_noncommute_same_instrument_is_zero(dataset, base_params):
     regime = small_regime(aug_a="none", aug_b="none", overlap=1.0)
     curve = run_noncommute_curve(base_params, SPEC, regime, ("no",), dataset,
-                                 dataset.probe_indices[:64], seed=61, k_max=3,
+                                 probe_rows(dataset), seed=61, k_max=3,
                                  settings=SETTINGS)["no"]
     assert [v for _, v in curve] == [0.0, 0.0, 0.0]
     assert [k for k, _ in curve] == [1, 2, 3]
     no_k = run_noncommute_curve(base_params, SPEC, regime, ("no", "break"), dataset,
-                                dataset.probe_indices[:64], seed=61, k_max=0, settings=SETTINGS)
+                                probe_rows(dataset), seed=61, k_max=0, settings=SETTINGS)
     assert no_k == {"no": [], "break": []}
 
 
@@ -198,9 +203,9 @@ def test_noncommute_eta_squared_scaling(dataset, base_params):
     half = small_regime(k=1, momentum=0.0, lr=5e-4, aug_a="weak", aug_b="color", overlap=0.0)
     kwargs = dict(settings=SETTINGS, k_max=1)
     tv_full = run_noncommute_curve(base_params, SPEC, small, ("no",), dataset,
-                                   dataset.probe_indices[:64], seed=63, **kwargs)["no"][0][1]
+                                   probe_rows(dataset), seed=63, **kwargs)["no"][0][1]
     tv_half = run_noncommute_curve(base_params, SPEC, half, ("no",), dataset,
-                                   dataset.probe_indices[:64], seed=63, **kwargs)["no"][0][1]
+                                   probe_rows(dataset), seed=63, **kwargs)["no"][0][1]
     assert tv_full / tv_half == pytest.approx(4.0, rel=0.15)
 
 
@@ -210,7 +215,7 @@ def test_noncommute_resonant_curves_nondecreasing(dataset, base_params):
     good = 0
     for seed in range(10):
         curve = run_noncommute_curve(base_params, SPEC, regime, ("no",), dataset,
-                                     dataset.probe_indices[:64], seed=seed, k_max=4,
+                                     probe_rows(dataset), seed=seed, k_max=4,
                                      settings=SETTINGS)["no"]
         values = [v for _, v in curve]
         good += all(values[i + 1] >= values[i] - 1e-12 for i in range(len(values) - 1))
@@ -828,21 +833,21 @@ def test_repeats_per_block_bounds_the_stacks():
     assert engine.repeats_per_block(image, 128, 1000, 2) == 1
 
 
-def reference_curve(base_params, spec, regime, break_applied, dataset, probe_subset, seed, k_max, settings):
+def reference_curve(base_params, spec, regime, break_applied, dataset, probe_x, seed, k_max, settings):
     """The non-commute curve as one two-row run of both phases per k: the loop the stacked curve replaces."""
     x_a, _, x_b, y_a, y_b = engine._repeat_batches(regime, dataset, seed, settings.batch_size)
     config = OptimizerConfig(lr=regime.lr, momentum=regime.momentum,
                              weight_decay=settings.weight_decay, clip_norm=settings.clip_norm)
     curve = []
     for k in range(1, k_max + 1):
-        params, velocity, _ = engine._train(spec, np.stack([base_params, base_params]),
-                                            np.zeros((2, base_params.size)),
-                                            np.stack([x_a, x_b]), np.stack([y_a, y_b]), k, config)
+        params, velocity = engine._train(spec, np.stack([base_params, base_params]),
+                                         np.zeros((2, base_params.size)),
+                                         np.stack([x_a, x_b]), np.stack([y_a, y_b]), k, config)
         if break_applied:
             velocity = np.zeros_like(velocity)
-        params, _, _ = engine._train(spec, params, velocity, np.stack([x_b, x_a]),
-                                     np.stack([y_b, y_a]), k, config)
-        preds = forward(spec, params, dataset.features[probe_subset])
+        params, _ = engine._train(spec, params, velocity, np.stack([x_b, x_a]),
+                                  np.stack([y_b, y_a]), k, config)
+        preds = forward(spec, params, probe_x)
         curve.append((k, div_avg(("tv",), preds[0], preds[1])["tv"]))
     return curve
 
@@ -850,17 +855,14 @@ def reference_curve(base_params, spec, regime, break_applied, dataset, probe_sub
 # the single-flag ids name whether the break is applied
 @pytest.mark.parametrize("flags", [("no",), ("break",), ("no", "break"), ("break", "no")],
                          ids=["False", "True", "no-break", "break-no"])
-@pytest.mark.parametrize("k_max, groups", [(1, 1), (6, 1), (6, 3), (6, 6), (5, 3)])
+@pytest.mark.parametrize("k_max", [1, 5, 6])
 def test_stacked_noncommute_curve_matches_per_k_reference_bitwise(monkeypatch, dataset, base_params,
-                                                                  flags, k_max, groups):
+                                                                  flags, k_max):
     regime = small_regime(k=3, momentum=0.95, lr=0.03, aug_a="color", aug_b="blur")
-    sub = dataset.probe_indices[:64]
-    expected = {flag: reference_curve(base_params, SPEC, regime, flag == "break", dataset, sub, 29, k_max,
+    probe_x = probe_rows(dataset)
+    expected = {flag: reference_curve(base_params, SPEC, regime, flag == "break", dataset, probe_x, 29, k_max,
                                       SETTINGS)
                 for flag in flags}
-    per_group = -(-k_max // groups)  # k values per stack that give ``groups`` stacks, all flags' rows in each
-    monkeypatch.setattr(engine, "_STACK_FLOATS",
-                        2 * len(flags) * per_group * engine._row_floats(SPEC, 24, 64))
     real_forward = engine.forward
     stacks = []
 
@@ -869,10 +871,35 @@ def test_stacked_noncommute_curve_matches_per_k_reference_bitwise(monkeypatch, d
         return real_forward(spec, params, inputs)
 
     monkeypatch.setattr(engine, "forward", counted_forward)
-    curves = run_noncommute_curve(base_params, SPEC, regime, flags, dataset, sub, 29,
+    curves = run_noncommute_curve(base_params, SPEC, regime, flags, dataset, probe_x, 29,
                                   k_max=k_max, settings=SETTINGS)
     assert curves == expected and list(curves) == list(flags)
-    assert len(stacks) == groups and sum(stacks) == 2 * k_max * len(flags)
+    assert stacks == [2 * len(flags)] * k_max  # one forward per k, of the rows of every flag
+
+
+def test_first_second_phase_gradient_is_taken_once_per_pair(monkeypatch, dataset, base_params):
+    # the flags of a pair share its first second-phase gradient: 2 rows, not 2 per flag
+    rows = []
+    real_gradient = engine.loss_and_grad_unchecked
+
+    def counted_gradient(spec, params, x, y):
+        rows.append(params.shape[0])
+        return real_gradient(spec, params, x, y)
+
+    monkeypatch.setattr(engine, "loss_and_grad_unchecked", counted_gradient)
+    regime, flags = small_regime(k=3), ("no", "break")
+    repeats = [(derive_seed("repeat", 0, i), i) for i in range(3)]
+    runs = engine.guarded_block(base_params, SPEC, regime, flags, dataset,
+                                dataset.features[dataset.probe_indices], SETTINGS, repeats)
+    assert all(run[flag].record.ok for run in runs for flag in flags)
+    pair_rows = 2 * len(repeats)
+    assert rows == [pair_rows] * regime.k + [pair_rows] + [pair_rows * len(flags)] * (regime.k - 1)
+
+    rows.clear()
+    run_noncommute_curve(base_params, SPEC, regime, flags, dataset, probe_rows(dataset), 29, k_max=3,
+                         settings=SETTINGS)
+    # per switch k: the first phase's step to k, the shared first gradient, then k - 1 steps of both flags
+    assert rows == [2, 2] + [2, 2, 4] + [2, 2, 4, 4]
 
 
 def test_noncommute_curve_augments_only_the_batches_it_trains_on(monkeypatch, dataset, base_params):
@@ -884,7 +911,7 @@ def test_noncommute_curve_augments_only_the_batches_it_trains_on(monkeypatch, da
 
     monkeypatch.setattr(engine, "apply_augmentation", counted_augmentation)
     regime = small_regime(aug_a="weak", aug_aprime="color", aug_b="blur")
-    run_noncommute_curve(base_params, SPEC, regime, ("no", "break"), dataset, dataset.probe_indices[:64], 29,
+    run_noncommute_curve(base_params, SPEC, regime, ("no", "break"), dataset, probe_rows(dataset), 29,
                          k_max=2, settings=SETTINGS)
     assert kinds == ["weak", "blur"]  # A and B; the repeat's A' batch is not drawn
 
@@ -963,7 +990,7 @@ def test_noncommute_curve_retried_at_half_lr(tmp_path, monkeypatch):
     config = config_from_mapping(sweep_mapping(tmp_path))
     dataset = protocol.build_dataset(config)
     half = run_noncommute_curve(protocol.base_parameters(config, dataset, 0), config.model_spec(), regime,
-                                ("no",), dataset, dataset.probe_indices[:64],
+                                ("no",), dataset, probe_rows(dataset),
                                 derive_seed("noncommute", 0), k_max=2, settings=config,
                                 lr_scale=0.5)["no"]
     assert payload["noncommute"] == [[k, v] for k, v in half]
