@@ -17,19 +17,29 @@ The module supports the two constructions used by the verification suite:
   observables back to latent states, which makes the same factorization
   explicit after the break.
 
+A comb keeps its instruments as one labelled (L, S, S) stack, validated in
+one pass when the comb is built; ``Comb.kernel`` hands out a validated
+``Kernel`` of one label.  The random makers draw a process's same-shape
+matrices with one generator call, which reads the stream as the
+per-matrix calls would, and the pieces that depend only on their sizes
+(spaces, buffer reset, parameter readout and lifting) are built once and
+shared read-only.
+
 ``verify_no_backflow`` takes many processes and checks them in groups: it
-reads its input a bounded chunk at a time and stacks each chunk's processes
-that share state and observable sizes, instrument pairs and second label.
-A group of G processes and L labels has its kernels as one (G, L, S, S)
-stack; every later law step, and the channel's prediction, is one stacked
-matrix-vector product, bit for bit the one-process, one-label path.  One
-divergence call then covers both law steps of every pair, kind and process
-of the group.  ``search_backflow_witness`` and a one-process check are the
-G = 1 case of the same helpers.  Every kernel, including each ``link``
-product, and every prior is validated when built.  Brute-force checks
-against path enumeration live in the test suite.
+reads its input 128 at a time and stacks each chunk's processes that share
+state and observable sizes, instrument pairs and second label.  A group of
+G processes and L labels has its kernels as one (G, L, S, S) stack, indexed
+from the combs' own stacks; every later law step, and the channel's
+prediction, is one stacked matrix-vector product, bit for bit the
+one-process, one-label path.  One divergence call then covers both law
+steps of every pair, kind and process of the group.
+``search_backflow_witness`` and a one-process check are the G = 1 case of
+the same helpers.  Every kernel, including each ``link`` product, every
+instrument stack and every prior is validated when built.  Brute-force
+checks against path enumeration live in the test suite.
 """
 
+import functools
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -55,18 +65,19 @@ class Space:
 
 
 def _check_stochastic(matrix: np.ndarray, what: str) -> None:
-    """Raise unless ``matrix`` is 2-D, finite, non-negative and column-stochastic.
+    """Raise unless ``matrix``, or each matrix of a stack, is finite, non-negative and column-stochastic.
 
-    One pass per condition; the comparisons are written so that NaN fails
-    them.  ``initial`` gives an empty matrix a verdict: a matrix with no
-    columns passes, an empty column fails its sum.
+    One pass per condition over the whole stack; the comparisons are written
+    so that NaN fails them.  ``initial`` gives an empty matrix a verdict: a
+    matrix with no columns (or a stack of none) passes, an empty column
+    fails its sum.
     """
-    if matrix.ndim != 2:
-        raise ValueError(f"{what}: matrix must be 2-D")
+    if matrix.ndim < 2:
+        raise ValueError(f"{what}: matrix must be at least 2-D")
     lowest = matrix.min(initial=0.0)
     if not lowest >= -_STOCH_TOL:
         raise ValueError(f"{what}: negative entries" if lowest < 0 else f"{what}: non-finite entries")
-    worst = float(np.abs(matrix.sum(axis=0) - 1.0).max(initial=0.0))
+    worst = float(np.abs(matrix.sum(axis=-2) - 1.0).max(initial=0.0))
     if not worst <= _STOCH_TOL:
         raise ValueError(f"{what}: columns do not sum to 1 (max deviation {worst:.3e})")
 
@@ -103,8 +114,9 @@ def link(k2: Kernel, k1: Kernel) -> Kernel:
 
 @dataclass(frozen=True)
 class Comb:
-    """Two-time process: prior, per-instrument latent kernels, observation.
+    """Two-time process: prior, labelled latent instrument kernels, observation.
 
+    ``instruments[i]`` is the (S, S) latent kernel of ``labels[i]``.
     ``break_kernel``, when present, is the latent map applied between the
     first and second instrument to sever the memory channel (for product
     spaces: keep the parameter component, reset the buffer component).
@@ -113,7 +125,8 @@ class Comb:
     state_space: Space
     obs_space: Space
     prior: np.ndarray
-    instrument_kernels: dict[str, Kernel]
+    labels: tuple[str, ...]
+    instruments: np.ndarray
     observation: Kernel
     break_kernel: Kernel | None = None
 
@@ -123,9 +136,26 @@ class Comb:
         if prior.shape != (self.state_space.size,):
             raise ValueError("prior length does not match state space")
         _check_stochastic(prior[:, None], "prior")
-        for label, kern in self.instrument_kernels.items():
-            if kern.from_space != self.state_space or kern.to_space != self.state_space:
-                raise ValueError(f"instrument {label!r} does not act on the state space")
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        if len(set(labels)) != len(labels):
+            first = next(lbl for i, lbl in enumerate(labels) if lbl in labels[:i])
+            raise ValueError(f"duplicate instrument label {first!r}")
+        instruments = np.asarray(self.instruments, dtype=np.float64)
+        object.__setattr__(self, "instruments", instruments)
+        size = self.state_space.size
+        if instruments.shape != (len(labels), size, size):
+            raise ValueError(
+                f"instrument stack shape {instruments.shape} does not match "
+                f"{len(labels)} labels on {self.state_space.name} ({size}x{size})"
+            )
+        try:
+            _check_stochastic(instruments, "instruments")
+        except ValueError:
+            # name the first bad label: its own check raises
+            for label, matrix in zip(labels, instruments):
+                _check_stochastic(matrix, f"instrument {label!r}")
+            raise
         if self.observation.from_space != self.state_space:
             raise ValueError("observation kernel does not read the state space")
         if self.observation.to_space != self.obs_space:
@@ -136,11 +166,16 @@ class Comb:
         ):
             raise ValueError("break kernel does not act on the state space")
 
-    def kernel(self, label: str) -> Kernel:
+    def index(self, label: str) -> int:
+        """Row of ``label`` in the instrument stack."""
         try:
-            return self.instrument_kernels[label]
-        except KeyError:
+            return self.labels.index(label)
+        except ValueError:
             raise KeyError(f"unknown instrument label {label!r}") from None
+
+    def kernel(self, label: str) -> Kernel:
+        """The instrument of ``label`` as a validated ``Kernel`` on the state space."""
+        return Kernel(self.instruments[self.index(label)], self.state_space, self.state_space)
 
 
 def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -161,9 +196,9 @@ def _renorm(rows: np.ndarray) -> np.ndarray:
     return rows / totals
 
 
-def _stack(kernels: list[Kernel]) -> np.ndarray:
-    """The matrices of one kernel per comb as a (G, 1, n, m) stack, broadcast over label rows."""
-    return np.array([k.matrix for k in kernels])[:, None]
+def _stack(matrices: list[np.ndarray]) -> np.ndarray:
+    """One (n, m) matrix per comb as a (G, 1, n, m) stack, broadcast over label rows."""
+    return np.array(matrices)[:, None]
 
 
 def _laws(
@@ -177,16 +212,16 @@ def _laws(
     """
     size = combs[0].state_space.size
     # reshape gives no labels the (G, 0, S, S) stack their empty product needs
-    kernels = np.array([c.kernel(lbl).matrix for c in combs for lbl in first_labels])
+    kernels = np.array([c.instruments[c.index(lbl)] for c in combs for lbl in first_labels])
     kernels = kernels.reshape(len(combs), -1, size, size)
     pi1 = _apply(kernels, np.array([c.prior for c in combs])[:, None])
     mid = pi1
     if break_before_second:
         if any(c.break_kernel is None for c in combs):
             raise ValueError("comb has no configured break kernel")
-        mid = _apply(_stack([c.break_kernel for c in combs]), pi1)
-    pi2 = _apply(_stack([c.kernel(second_label) for c in combs]), mid)
-    observation = _stack([c.observation for c in combs])
+        mid = _apply(_stack([c.break_kernel.matrix for c in combs]), pi1)
+    pi2 = _apply(_stack([c.instruments[c.index(second_label)] for c in combs]), mid)
+    observation = _stack([c.observation.matrix for c in combs])
     return _renorm(_apply(observation, pi1)), _renorm(_apply(observation, pi2))
 
 
@@ -255,7 +290,7 @@ class NoBackflowReport:
 
 
 # processes read from the input at a time: bounds the combs and stacks held alive
-_CHUNK = 64
+_CHUNK = 128
 
 Process = tuple[Comb, list[tuple[str, str]], str, Kernel]
 
@@ -306,7 +341,7 @@ def _verify_group(
     """The reports of processes that share their sizes, pairs and ``b_label``, as one stack."""
     labels = _pair_labels(instrument_pairs)
     phi1, phi2 = _laws([comb for comb, *_ in group], labels, b_label, break_before_second)
-    predicted = _renorm(_apply(_stack([lambda_b for *_, lambda_b in group]), phi1))
+    predicted = _renorm(_apply(_stack([lambda_b.matrix for *_, lambda_b in group]), phi1))
     residuals = (0.5 * np.abs(predicted - phi2).sum(axis=-1)).max(axis=-1, initial=0.0).tolist()
     # deltas only where the channel holds: the bound says nothing elsewhere
     kept = [g for g, residual in enumerate(residuals) if not residual > omc_tol]
@@ -350,14 +385,33 @@ def search_backflow_witness(
 
 # ---------------------------------------------------------------------------
 # Constructors for product spaces, breaks, and randomized verification runs.
+# The pieces that depend only on their sizes are built once, with read-only
+# matrices, and shared by every process of those sizes.
 
 
+@functools.cache
+def _indexed_space(name: str, prefix: str, n: int) -> Space:
+    """The space ``name`` of the ``n`` labels ``prefix0``, ``prefix1``, ..."""
+    return Space(name, tuple(f"{prefix}{i}" for i in range(n)))
+
+
+@functools.cache
 def product_state_space(n_theta: int, n_upsilon: int) -> Space:
     """Latent space of (parameter, buffer) pairs, parameter-major ordering."""
     labels = tuple(f"t{i}u{j}" for i in range(n_theta) for j in range(n_upsilon))
     return Space(f"S({n_theta}x{n_upsilon})", labels)
 
 
+def _theta_space(n_theta: int) -> Space:
+    return _indexed_space(f"Theta({n_theta})", "t", n_theta)
+
+
+def _frozen_kernel(m: np.ndarray, from_space: Space, to_space: Space) -> Kernel:
+    m.flags.writeable = False
+    return Kernel(m, from_space, to_space)
+
+
+@functools.cache
 def buffer_reset_kernel(n_theta: int, n_upsilon: int) -> Kernel:
     """Deterministic map (theta, upsilon) -> (theta, 0) on a product space."""
     space = product_state_space(n_theta, n_upsilon)
@@ -365,33 +419,38 @@ def buffer_reset_kernel(n_theta: int, n_upsilon: int) -> Kernel:
     for i in range(n_theta):
         for j in range(n_upsilon):
             m[i * n_upsilon + 0, i * n_upsilon + j] = 1.0
-    return Kernel(m, space, space)
+    return _frozen_kernel(m, space, space)
 
 
+@functools.cache
 def theta_readout_kernel(n_theta: int, n_upsilon: int) -> Kernel:
     """Observation that reveals the parameter component exactly."""
     state = product_state_space(n_theta, n_upsilon)
-    obs = Space(f"Theta({n_theta})", tuple(f"t{i}" for i in range(n_theta)))
     m = np.zeros((n_theta, state.size))
     for i in range(n_theta):
         for j in range(n_upsilon):
             m[i, i * n_upsilon + j] = 1.0
-    return Kernel(m, state, obs)
+    return _frozen_kernel(m, state, _theta_space(n_theta))
 
 
+@functools.cache
 def theta_lifting_kernel(n_theta: int, n_upsilon: int) -> Kernel:
     """Lifting theta -> (theta, 0); right inverse of the parameter readout."""
     state = product_state_space(n_theta, n_upsilon)
-    obs = Space(f"Theta({n_theta})", tuple(f"t{i}" for i in range(n_theta)))
     m = np.zeros((state.size, n_theta))
     for i in range(n_theta):
         m[i * n_upsilon + 0, i] = 1.0
-    return Kernel(m, obs, state)
+    return _frozen_kernel(m, _theta_space(n_theta), state)
 
 
-def random_stochastic(rng: np.random.Generator, n_to: int, n_from: int) -> np.ndarray:
-    m = rng.random((n_to, n_from)) + 1e-3
-    return m / m.sum(axis=0, keepdims=True)
+def random_stochastic(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """A random column-stochastic (n_to, n_from) matrix, or a stack of them for a longer shape.
+
+    A (L, n_to, n_from) stack reads the generator as L (n_to, n_from) draws
+    in turn would, and gives their matrices bit for bit.
+    """
+    m = rng.random(shape) + 1e-3
+    return m / m.sum(axis=-2, keepdims=True)
 
 
 def random_prior(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -400,6 +459,10 @@ def random_prior(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 B_LABEL = "B"
+
+
+def _instrument_labels(n_instruments: int) -> tuple[str, ...]:
+    return (*(f"I{i}" for i in range(n_instruments)), B_LABEL)
 
 
 def random_factoring_comb(
@@ -416,20 +479,19 @@ def random_factoring_comb(
     """
     n_s = int(rng.integers(2, max_states + 1))
     n_o = int(rng.integers(2, max_obs + 1))
-    state = Space(f"S{n_s}", tuple(f"s{i}" for i in range(n_s)))
-    obs = Space(f"O{n_o}", tuple(f"o{i}" for i in range(n_o)))
+    state = _indexed_space(f"S{n_s}", "s", n_s)
+    obs = _indexed_space(f"O{n_o}", "o", n_o)
     observation = Kernel(random_stochastic(rng, n_o, n_s), state, obs)
     lift = Kernel(random_stochastic(rng, n_s, n_o), obs, state)
-    kernels = {
-        f"I{i}": Kernel(random_stochastic(rng, n_s, n_s), state, state)
-        for i in range(n_instruments)
-    }
-    kernels[B_LABEL] = link(lift, observation)
+    # B is the product link(lift, observation) forms, validated with the stack
+    b_matrix = lift.matrix @ observation.matrix
+    instruments = np.concatenate([random_stochastic(rng, n_instruments, n_s, n_s), b_matrix[None]])
     comb = Comb(
         state_space=state,
         obs_space=obs,
         prior=random_prior(rng, n_s),
-        instrument_kernels=kernels,
+        labels=_instrument_labels(n_instruments),
+        instruments=instruments,
         observation=observation,
     )
     lambda_b = link(observation, lift)
@@ -453,16 +515,13 @@ def random_break_comb(
     n_u = int(rng.integers(2, max_upsilon + 1))
     state = product_state_space(n_t, n_u)
     observation = theta_readout_kernel(n_t, n_u)
-    kernels = {
-        f"I{i}": Kernel(random_stochastic(rng, state.size, state.size), state, state)
-        for i in range(n_instruments)
-    }
-    kernels[B_LABEL] = Kernel(random_stochastic(rng, state.size, state.size), state, state)
+    instruments = random_stochastic(rng, n_instruments + 1, state.size, state.size)
     comb = Comb(
         state_space=state,
         obs_space=observation.to_space,
         prior=random_prior(rng, state.size),
-        instrument_kernels=kernels,
+        labels=_instrument_labels(n_instruments),
+        instruments=instruments,
         observation=observation,
         break_kernel=buffer_reset_kernel(n_t, n_u),
     )
@@ -471,7 +530,7 @@ def random_break_comb(
 
 
 def instrument_pairs(comb: Comb, exclude: tuple[str, ...] = (B_LABEL,)) -> list[tuple[str, str]]:
-    labels = sorted(lbl for lbl in comb.instrument_kernels if lbl not in exclude)
+    labels = sorted(lbl for lbl in comb.labels if lbl not in exclude)
     return [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
 
 
@@ -487,21 +546,20 @@ def memoryful_demo_comb(flip_prob: float = 0.3) -> tuple[Comb, tuple[str, str], 
     state = product_state_space(n_t, n_u)
     observation = theta_readout_kernel(n_t, n_u)
 
-    def first_step(buffer_value: int) -> Kernel:
+    def first_step(buffer_value: int) -> np.ndarray:
         m = np.zeros((state.size, state.size))
         for i in range(n_t):
             for j in range(n_u):
                 src = i * n_u + j
                 m[i * n_u + buffer_value, src] += 1.0 - flip_prob
                 m[(1 - i) * n_u + buffer_value, src] += flip_prob
-        return Kernel(m, state, state)
+        return m
 
     b_matrix = np.zeros((state.size, state.size))
     for i in range(n_t):
         # buffer 0: keep the parameter; buffer 1: flip it.
         b_matrix[i * n_u + 0, i * n_u + 0] = 1.0
         b_matrix[(1 - i) * n_u + 1, i * n_u + 1] = 1.0
-    kernels = {"A": first_step(0), "Aprime": first_step(1), B_LABEL: Kernel(b_matrix, state, state)}
 
     prior = np.zeros(state.size)
     prior[0] = 1.0
@@ -509,7 +567,8 @@ def memoryful_demo_comb(flip_prob: float = 0.3) -> tuple[Comb, tuple[str, str], 
         state_space=state,
         obs_space=observation.to_space,
         prior=prior,
-        instrument_kernels=kernels,
+        labels=("A", "Aprime", B_LABEL),
+        instruments=np.array([first_step(0), first_step(1), b_matrix]),
         observation=observation,
         break_kernel=buffer_reset_kernel(n_t, n_u),
     )

@@ -187,6 +187,13 @@ def test_run_dataset_error_leaves_no_run_dir(tmp_path, capsys):
         assert main(["run", str(path)]) == 2
         assert "error: dataset:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+    # a mistyped size is named, not left to NumPy
+    sizes = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_class": 120}
+    for name, value in (("per_class", 120.0), ("input_dim", 12.0), ("num_classes", 4.0), ("per_class", True)):
+        path, _ = write_config(tmp_path, dataset={**sizes, name: value})
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: dataset: {name} must be an integer, got {value!r}\n"
+        assert not (tmp_path / "run").exists()
 
 
 def test_run_bad_dataset_file_leaves_no_run_dir(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,31 +108,63 @@ def test_kernel_validation():
     with pytest.raises(ValueError, match="columns do not sum"):
         Kernel(np.zeros((0, 2)), s, empty)
     Kernel(np.zeros((2, 0)), empty, s)
+    # the fixed-size pieces are built once and shared read-only
+    for make in (buffer_reset_kernel, theta_readout_kernel, theta_lifting_kernel):
+        kernel = make(3, 2)
+        assert make(3, 2) is kernel
+        with pytest.raises(ValueError, match="read-only"):
+            kernel.matrix[0, 0] = 0.5
+    assert product_state_space(3, 2) is product_state_space(3, 2)
 
 
 def test_prior_validation():
     s = make_space("s", 2)
-    kernels = {"I": identity_kernel(s)}
+    labels, stack = ("I",), np.eye(2)[None]
     with pytest.raises(ValueError, match="prior: non-finite entries"):
-        Comb(s, s, np.array([np.nan, 1.0]), kernels, identity_kernel(s))
+        Comb(s, s, np.array([np.nan, 1.0]), labels, stack, identity_kernel(s))
     with pytest.raises(ValueError, match="prior: negative entries"):
-        Comb(s, s, np.array([-0.5, 1.5]), kernels, identity_kernel(s))
+        Comb(s, s, np.array([-0.5, 1.5]), labels, stack, identity_kernel(s))
     with pytest.raises(ValueError, match="prior: columns do not sum"):
-        Comb(s, s, np.array([0.5, 0.6]), kernels, identity_kernel(s))
+        Comb(s, s, np.array([0.5, 0.6]), labels, stack, identity_kernel(s))
+    # the instrument stack is validated as a whole; a failure names the first bad label
+    prior = np.array([0.5, 0.5])
+    good = random_stochastic(np.random.default_rng(0), 3, 2, 2)
+    three = ("I0", "I1", "I2")
+    Comb(s, s, prior, three, good, identity_kernel(s))
+    for value, message in (
+        (-0.1, "negative entries"),
+        (np.nan, "non-finite entries"),
+        (np.inf, r"columns do not sum to 1 \(max deviation inf\)"),
+        (None, "columns do not sum"),
+    ):
+        bad = good.copy()
+        if value is None:
+            bad[1, 0, 1] += 1e-9
+        else:
+            bad[1, 1, 0] = value
+        with pytest.raises(ValueError, match=f"instrument 'I1': {message}"):
+            Comb(s, s, prior, three, bad, identity_kernel(s))
+        bad[2] = bad[1]
+        with pytest.raises(ValueError, match=f"instrument 'I1': {message}"):
+            Comb(s, s, prior, three, bad, identity_kernel(s))
+    for labels, instruments in ((three[:2], good), (three, np.ones((3, 2, 3)) / 2), (three, good[0])):
+        with pytest.raises(ValueError, match="instrument stack shape"):
+            Comb(s, s, prior, labels, instruments, identity_kernel(s))
+    with pytest.raises(ValueError, match="duplicate instrument label 'I0'"):
+        Comb(s, s, prior, ("I0", "I1", "I0"), good, identity_kernel(s))
+    # an empty stack passes, as a comb of no instruments did
+    assert Comb(s, s, prior, (), np.zeros((0, 2, 2)), identity_kernel(s)).labels == ()
 
 
 def make_random_comb(rng, n_s=3, n_o=2, n_instruments=3):
     state = make_space("s", n_s)
     obs = make_space("o", n_o)
-    kernels = {
-        f"I{i}": Kernel(random_stochastic(rng, n_s, n_s), state, state)
-        for i in range(n_instruments)
-    }
     return Comb(
         state_space=state,
         obs_space=obs,
         prior=random_prior(rng, n_s),
-        instrument_kernels=kernels,
+        labels=tuple(f"I{i}" for i in range(n_instruments)),
+        instruments=random_stochastic(rng, n_instruments, n_s, n_s),
         observation=Kernel(random_stochastic(rng, n_o, n_s), state, obs),
     )
 
@@ -143,7 +176,8 @@ def test_two_time_laws_identity_comb():
         state_space=s,
         obs_space=s,
         prior=prior,
-        instrument_kernels={"I": identity_kernel(s), "J": identity_kernel(s)},
+        labels=("I", "J"),
+        instruments=np.array([np.eye(4), np.eye(4)]),
         observation=identity_kernel(s),
     )
     phi1, phi2 = two_time_laws(comb, "I", "J")
@@ -155,10 +189,15 @@ def test_two_time_laws_constant_second_step_erases_memory():
     rng = np.random.default_rng(6)
     comb = make_random_comb(rng)
     column = random_prior(rng, 3)
-    constant = Kernel(np.tile(column[:, None], (1, 3)), comb.state_space, comb.state_space)
-    kernels = dict(comb.instrument_kernels)
-    kernels["C"] = constant
-    comb2 = Comb(comb.state_space, comb.obs_space, comb.prior, kernels, comb.observation)
+    constant = np.tile(column[:, None], (1, 3))
+    comb2 = Comb(
+        comb.state_space,
+        comb.obs_space,
+        comb.prior,
+        (*comb.labels, "C"),
+        np.concatenate([comb.instruments, constant[None]]),
+        comb.observation,
+    )
     _, phi2_a = two_time_laws(comb2, "I0", "C")
     _, phi2_b = two_time_laws(comb2, "I1", "C")
     assert np.allclose(phi2_a, phi2_b, atol=1e-14)
@@ -200,7 +239,8 @@ def test_channel_from_break_fully_observed():
         state_space=s,
         obs_space=s,
         prior=random_prior(rng, 3),
-        instrument_kernels={B_LABEL: k_b},
+        labels=(B_LABEL,),
+        instruments=k_b.matrix[None],
         observation=identity_kernel(s),
         break_kernel=identity_kernel(s),
     )
@@ -213,12 +253,12 @@ def test_channel_from_break_constant_b():
     n_t, n_u = 3, 2
     state = product_state_space(n_t, n_u)
     column = random_prior(rng, state.size)
-    kernels = {B_LABEL: Kernel(np.tile(column[:, None], (1, state.size)), state, state)}
     comb = Comb(
         state_space=state,
         obs_space=theta_readout_kernel(n_t, n_u).to_space,
         prior=random_prior(rng, state.size),
-        instrument_kernels=kernels,
+        labels=(B_LABEL,),
+        instruments=np.tile(column[:, None], (1, 1, state.size)),
         observation=theta_readout_kernel(n_t, n_u),
         break_kernel=buffer_reset_kernel(n_t, n_u),
     )
@@ -246,12 +286,8 @@ def test_verify_no_backflow_identity_channel_equality_case():
     # With an identity second step on a fully observed process, D2 == D1.
     s = make_space("s", 3)
     rng = np.random.default_rng(13)
-    kernels = {
-        "I0": Kernel(random_stochastic(rng, 3, 3), s, s),
-        "I1": Kernel(random_stochastic(rng, 3, 3), s, s),
-        B_LABEL: identity_kernel(s),
-    }
-    comb = Comb(s, s, random_prior(rng, 3), kernels, identity_kernel(s))
+    instruments = np.concatenate([random_stochastic(rng, 2, 3, 3), np.eye(3)[None]])
+    comb = Comb(s, s, random_prior(rng, 3), ("I0", "I1", B_LABEL), instruments, identity_kernel(s))
     [report] = verify_no_backflow([(comb, [("I0", "I1")], B_LABEL, identity_kernel(s))])
     assert report.applicable
     assert abs(report.max_delta) <= 1e-15
@@ -325,16 +361,12 @@ def test_buffer_blind_second_step_has_no_backflow():
             for i2 in range(n_t):
                 for j2 in range(n_u):
                     m[i2 * n_u + j2, i * n_u + j] = theta_map[i2, i] * buffer_dist[j2]
-    kernels = {
-        "A": Kernel(random_stochastic(rng, state.size, state.size), state, state),
-        "Aprime": Kernel(random_stochastic(rng, state.size, state.size), state, state),
-        B_LABEL: Kernel(m, state, state),
-    }
     comb = Comb(
         state_space=state,
         obs_space=theta_readout_kernel(n_t, n_u).to_space,
         prior=random_prior(rng, state.size),
-        instrument_kernels=kernels,
+        labels=("A", "Aprime", B_LABEL),
+        instruments=np.concatenate([random_stochastic(rng, 2, state.size, state.size), m[None]]),
         observation=theta_readout_kernel(n_t, n_u),
     )
     _, _, delta = search_backflow_witness(comb, [("A", "Aprime")], B_LABEL)
@@ -433,7 +465,7 @@ def test_stacked_pair_deltas_match_div_row_loop_bitwise():
 
 
 def check_laws_against_reference(comb, b_label, break_flag):
-    labels = sorted(comb.instrument_kernels)
+    labels = sorted(comb.labels)
     phi1, phi2 = _laws([comb], labels, b_label, break_flag)
     assert phi1.shape == phi2.shape == (1, len(labels), comb.obs_space.size)
     for i, label in enumerate(labels):
@@ -456,6 +488,101 @@ def test_stacked_laws_match_per_label_loop_bitwise():
     comb, _, b_label = memoryful_demo_comb()
     for break_flag in (False, True):
         check_laws_against_reference(comb, b_label, break_flag)
+
+
+def parent_random_stochastic(rng, n_to, n_from):
+    m = rng.random((n_to, n_from)) + 1e-3
+    return m / m.sum(axis=0, keepdims=True)
+
+
+def parent_random_prior(rng, n):
+    p = rng.random(n) + 1e-3
+    return p / p.sum()
+
+
+def per_label_comb(prior, kernels, observation, break_kernel):
+    """A comb of one ``Kernel`` per label, as the ``reference_*`` helpers read it."""
+    return SimpleNamespace(
+        prior=prior,
+        labels=tuple(kernels),
+        kernel=kernels.__getitem__,
+        observation=observation,
+        break_kernel=break_kernel,
+    )
+
+
+def parent_factoring_process(rng, max_states=6, max_obs=4, n_instruments=5):
+    """The factoring maker as one generator call and one ``Kernel`` per matrix."""
+    n_s = int(rng.integers(2, max_states + 1))
+    n_o = int(rng.integers(2, max_obs + 1))
+    state = Space(f"S{n_s}", tuple(f"s{i}" for i in range(n_s)))
+    obs = Space(f"O{n_o}", tuple(f"o{i}" for i in range(n_o)))
+    observation = Kernel(parent_random_stochastic(rng, n_o, n_s), state, obs)
+    lift = Kernel(parent_random_stochastic(rng, n_s, n_o), obs, state)
+    kernels = {
+        f"I{i}": Kernel(parent_random_stochastic(rng, n_s, n_s), state, state)
+        for i in range(n_instruments)
+    }
+    kernels[B_LABEL] = link(lift, observation)
+    prior = parent_random_prior(rng, n_s)
+    return per_label_comb(prior, kernels, observation, None), link(observation, lift)
+
+
+def parent_break_process(rng, max_theta=4, max_upsilon=3, n_instruments=5):
+    """The break maker as one generator call and one ``Kernel`` per matrix."""
+    n_t = int(rng.integers(2, max_theta + 1))
+    n_u = int(rng.integers(2, max_upsilon + 1))
+    state = product_state_space(n_t, n_u)
+    observation = theta_readout_kernel(n_t, n_u)
+    kernels = {
+        f"I{i}": Kernel(parent_random_stochastic(rng, state.size, state.size), state, state)
+        for i in range(n_instruments)
+    }
+    kernels[B_LABEL] = Kernel(parent_random_stochastic(rng, state.size, state.size), state, state)
+    prior = parent_random_prior(rng, state.size)
+    reset = buffer_reset_kernel(n_t, n_u)
+    broken_b = link(kernels[B_LABEL], reset)
+    lambda_b = link(observation, link(broken_b, theta_lifting_kernel(n_t, n_u)))
+    return per_label_comb(prior, kernels, observation, reset), lambda_b
+
+
+def assert_same_kernel(kernel, reference):
+    assert kernel.matrix.tobytes() == reference.matrix.tobytes()
+    assert (kernel.from_space, kernel.to_space) == (reference.from_space, reference.to_space)
+
+
+def test_makers_match_per_matrix_recipe_bitwise():
+    for seed in range(6):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for maker, parent_maker, break_flag in (
+            (random_factoring_comb, parent_factoring_process, False),
+            (random_break_comb, parent_break_process, True),
+        ):
+            processes, expected = [], []
+            for _ in range(20):
+                comb, b_label, lam = maker(rng)
+                reference, reference_lam = parent_maker(reference_rng)
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
+                assert comb.labels == reference.labels
+                stack = np.array([reference.kernel(label).matrix for label in reference.labels])
+                assert comb.instruments.tobytes() == stack.tobytes()
+                assert comb.prior.tobytes() == reference.prior.tobytes()
+                assert_same_kernel(comb.observation, reference.observation)
+                assert (comb.state_space, comb.obs_space) == (
+                    reference.observation.from_space,
+                    reference.observation.to_space,
+                )
+                if break_flag:
+                    assert_same_kernel(comb.break_kernel, reference.break_kernel)
+                else:
+                    assert comb.break_kernel is None
+                assert_same_kernel(lam, reference_lam)
+                pairs = instrument_pairs(comb)
+                processes.append((comb, pairs, b_label, lam))
+                expected.append(reference_report((reference, pairs, b_label, reference_lam), KINDS, break_flag))
+            reports = verify_no_backflow(processes, break_before_second=break_flag)
+            assert [report_bits(report) for report in reports] == expected
+            assert all(report.applicable and report.note == "" for report in reports)
 
 
 def test_verify_no_backflow_empty_pair_list():
