@@ -102,14 +102,15 @@ def _oracle_processes(maker, rng: np.random.Generator, count: int):
         yield comb, comb_mod.instrument_pairs(comb), b_label, lambda_b
 
 
-def cmd_oracle(seed: int, count: int, demo_witness: bool = False, tol: float = 1e-10) -> int:
+def cmd_oracle(seed: int, count: int, demo_witness: bool = False) -> int:
     """Randomized verification that the no-back-flow bound holds where proven."""
+    tol = comb_mod.ORACLE_TOL
     rng = np.random.default_rng(seed)
     worst = -np.inf
     worst_residual = 0.0
     for maker, break_flag in ((comb_mod.random_factoring_comb, False), (comb_mod.random_break_comb, True)):
         processes = _oracle_processes(maker, rng, count)
-        for report in comb_mod.verify_no_backflow(processes, break_before_second=break_flag, omc_tol=tol):
+        for report in comb_mod.verify_no_backflow(processes, break_before_second=break_flag):
             if not report.applicable:
                 print("FAIL: single-channel precondition violated "
                       f"(residual {report.omc_residual:.3e})")

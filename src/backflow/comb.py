@@ -34,7 +34,9 @@ prediction, is one stacked matrix-vector product, bit for bit the
 one-process, one-label path.  One divergence call then covers both law
 steps of every pair, kind and process of the group.
 ``search_backflow_witness`` and a one-process check are the G = 1 case of
-the same helpers.  Every kernel, including each ``link`` product, every
+the same helpers.  One tolerance, ``ORACLE_TOL``, serves the channel check
+and ``backflow oracle``'s bound, and the random makers' sizes and labels
+are fixed.  Every kernel, including each ``link`` product, every
 instrument stack and every prior is validated when built.  Brute-force
 checks against path enumeration live in the test suite.
 """
@@ -292,6 +294,10 @@ class NoBackflowReport:
 # processes read from the input at a time: bounds the combs and stacks held alive
 _CHUNK = 128
 
+# the largest channel residual (total variation) at which the bound applies,
+# and the largest back-flow delta the oracle forgives
+ORACLE_TOL = 1e-10
+
 Process = tuple[Comb, list[tuple[str, str]], str, Kernel]
 
 
@@ -299,13 +305,12 @@ def verify_no_backflow(
     processes: Iterable[Process],
     kinds: tuple[str, ...] = KINDS,
     break_before_second: bool = False,
-    omc_tol: float = 1e-10,
 ) -> list[NoBackflowReport]:
     """Check the single-channel condition and the no-back-flow bound of each process.
 
     Each process is ``(comb, instrument_pairs, b_label, lambda_b)``.  First
     verifies that ``lambda_b`` maps each one-step law to the matching
-    two-step law (within ``omc_tol`` in total variation) for every instrument
+    two-step law (within ``ORACLE_TOL`` in total variation) for every instrument
     appearing in the pairs.  If that precondition fails, the report is marked
     not applicable.  Otherwise reports the largest D2 - D1 over all pairs and
     divergence kinds.  Returns one report per process, in input order.
@@ -324,7 +329,7 @@ def verify_no_backflow(
         by_index = {}
         for (_, _, pairs, b_label), members in groups.items():
             group = [chunk[i] for i in members]
-            group_reports = _verify_group(group, list(pairs), b_label, kinds, break_before_second, omc_tol)
+            group_reports = _verify_group(group, list(pairs), b_label, kinds, break_before_second)
             by_index.update(zip(members, group_reports))
         reports += [by_index[i] for i in range(len(chunk))]
     return reports
@@ -336,7 +341,6 @@ def _verify_group(
     b_label: str,
     kinds: tuple[str, ...],
     break_before_second: bool,
-    omc_tol: float,
 ) -> list[NoBackflowReport]:
     """The reports of processes that share their sizes, pairs and ``b_label``, as one stack."""
     labels = _pair_labels(instrument_pairs)
@@ -344,7 +348,7 @@ def _verify_group(
     predicted = _renorm(_apply(_stack([lambda_b.matrix for *_, lambda_b in group]), phi1))
     residuals = (0.5 * np.abs(predicted - phi2).sum(axis=-1)).max(axis=-1, initial=0.0).tolist()
     # deltas only where the channel holds: the bound says nothing elsewhere
-    kept = [g for g, residual in enumerate(residuals) if not residual > omc_tol]
+    kept = [g for g, residual in enumerate(residuals) if not residual > ORACLE_TOL]
     deltas = dict(zip(kept, _pair_deltas(labels, phi1[kept], phi2[kept], instrument_pairs, kinds)))
     return [
         NoBackflowReport(
@@ -460,37 +464,31 @@ def random_prior(rng: np.random.Generator, n: int) -> np.ndarray:
 
 B_LABEL = "B"
 
+# the random makers' instrument labels: five first instruments, then B
+_RANDOM_LABELS = ("I0", "I1", "I2", "I3", "I4", B_LABEL)
 
-def _instrument_labels(n_instruments: int) -> tuple[str, ...]:
-    return (*(f"I{i}" for i in range(n_instruments)), B_LABEL)
 
-
-def random_factoring_comb(
-    rng: np.random.Generator,
-    max_states: int = 6,
-    max_obs: int = 4,
-    n_instruments: int = 5,
-) -> tuple[Comb, str, Kernel]:
+def random_factoring_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
     """Random comb whose second step factors through the observable.
 
     The kernel for the second instrument is built as (lift back from the
     observable) after (observe), so a single observable channel reproduces
     the two-step law for every first instrument by construction.
     """
-    n_s = int(rng.integers(2, max_states + 1))
-    n_o = int(rng.integers(2, max_obs + 1))
+    n_s = int(rng.integers(2, 7))
+    n_o = int(rng.integers(2, 5))
     state = _indexed_space(f"S{n_s}", "s", n_s)
     obs = _indexed_space(f"O{n_o}", "o", n_o)
     observation = Kernel(random_stochastic(rng, n_o, n_s), state, obs)
     lift = Kernel(random_stochastic(rng, n_s, n_o), obs, state)
     # B is the product link(lift, observation) forms, validated with the stack
     b_matrix = lift.matrix @ observation.matrix
-    instruments = np.concatenate([random_stochastic(rng, n_instruments, n_s, n_s), b_matrix[None]])
+    instruments = np.concatenate([random_stochastic(rng, len(_RANDOM_LABELS) - 1, n_s, n_s), b_matrix[None]])
     comb = Comb(
         state_space=state,
         obs_space=obs,
         prior=random_prior(rng, n_s),
-        labels=_instrument_labels(n_instruments),
+        labels=_RANDOM_LABELS,
         instruments=instruments,
         observation=observation,
     )
@@ -498,12 +496,7 @@ def random_factoring_comb(
     return comb, B_LABEL, lambda_b
 
 
-def random_break_comb(
-    rng: np.random.Generator,
-    max_theta: int = 4,
-    max_upsilon: int = 3,
-    n_instruments: int = 5,
-) -> tuple[Comb, str, Kernel]:
+def random_break_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
     """Random product-space comb where the buffer reset restores the channel.
 
     The observation reveals the parameter component, the break resets the
@@ -511,16 +504,16 @@ def random_break_comb(
     the observable channel O . (K_B . break) . R then holds exactly for any
     second-step kernel.
     """
-    n_t = int(rng.integers(2, max_theta + 1))
-    n_u = int(rng.integers(2, max_upsilon + 1))
+    n_t = int(rng.integers(2, 5))
+    n_u = int(rng.integers(2, 4))
     state = product_state_space(n_t, n_u)
     observation = theta_readout_kernel(n_t, n_u)
-    instruments = random_stochastic(rng, n_instruments + 1, state.size, state.size)
+    instruments = random_stochastic(rng, len(_RANDOM_LABELS), state.size, state.size)
     comb = Comb(
         state_space=state,
         obs_space=observation.to_space,
         prior=random_prior(rng, state.size),
-        labels=_instrument_labels(n_instruments),
+        labels=_RANDOM_LABELS,
         instruments=instruments,
         observation=observation,
         break_kernel=buffer_reset_kernel(n_t, n_u),
@@ -529,20 +522,23 @@ def random_break_comb(
     return comb, B_LABEL, lambda_b
 
 
-def instrument_pairs(comb: Comb, exclude: tuple[str, ...] = (B_LABEL,)) -> list[tuple[str, str]]:
-    labels = sorted(lbl for lbl in comb.labels if lbl not in exclude)
+def instrument_pairs(comb: Comb) -> list[tuple[str, str]]:
+    """Every unordered pair of the comb's first instruments (its labels but B), in sorted order."""
+    labels = sorted(lbl for lbl in comb.labels if lbl != B_LABEL)
     return [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
 
 
-def memoryful_demo_comb(flip_prob: float = 0.3) -> tuple[Comb, tuple[str, str], str]:
+def memoryful_demo_comb() -> tuple[Comb, tuple[str, str], str]:
     """Hand-built four-state process with strictly positive back-flow.
 
     The buffer stores which first instrument ran; both instruments induce the
-    same parameter law (so the mid-time observables coincide), but the second
-    step routes on the buffer, separating the branches only after it acts.
-    Applying the buffer reset provably removes the effect.
+    same parameter law, a flip with probability 0.3 (so the mid-time
+    observables coincide), but the second step routes on the buffer,
+    separating the branches only after it acts.  Applying the buffer reset
+    provably removes the effect.
     """
     n_t, n_u = 2, 2
+    flip_prob = 0.3
     state = product_state_space(n_t, n_u)
     observation = theta_readout_kernel(n_t, n_u)
 

@@ -10,6 +10,7 @@ happens when the split is made (the statistics do not exist earlier).
 import csv
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -144,7 +145,8 @@ def _resolve_idx_pair(path: str) -> tuple[str, str]:
     if "::" in path:
         images, labels = path.split("::", 1)
         return images, labels
-    labels = path.replace("images", "labels").replace("idx3", "idx1")
+    name = os.path.basename(path)  # the directories keep their names
+    labels = path[: len(path) - len(name)] + name.replace("images", "labels").replace("idx3", "idx1")
     if labels == path:
         raise ValueError(
             f"{path}: cannot locate the labels file; use 'images_path::labels_path'"
@@ -227,9 +229,9 @@ def _stratified_allocation(counts: np.ndarray, total: int) -> np.ndarray:
         if alloc[c] < counts[c]:
             alloc[c] += 1
         i += 1
-    while alloc.sum() > total:
+    while alloc.sum() > total:  # only after the one-per-class floor, so a class above 1 is left
         c = order[(i := i + 1) % len(order)]
-        if alloc[c] > 1 or (alloc[c] == 1 and alloc.sum() - 1 >= total):
+        if alloc[c] > 1:
             alloc[c] -= 1
     return alloc
 

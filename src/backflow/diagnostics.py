@@ -122,18 +122,13 @@ class DoseResponse:
     paired: TestResult | None
 
 
-def dose_response(
-    points,
-    strong: str = "resonant_strong",
-    mid: str = "resonant_mid",
-    fixed_k: int = 6,
-    bootstrap_seed: int = 0,
-) -> DoseResponse:
+def dose_response(points) -> DoseResponse:
     """Regress mean back-flow on the momentum amplification factor and overlap.
 
     Restricted to configurations whose second instrument uses the weak
     augmentation.  Also runs the within-pair comparison of the two resonant
-    regimes at the fixed step count, paired by seed.
+    regimes (``resonant_strong`` against ``resonant_mid``) at k = 6, paired
+    by seed.
     """
     weak_points = [p for p in points if p.aug_b == "weak"]
     if len(weak_points) <= 3:
@@ -143,14 +138,15 @@ def dose_response(
     rho = [p.overlap for p in weak_points]
     fit = ols2(delta, a_mu, rho)
 
-    strong_by_seed = {p.seed: p.delta for p in weak_points if p.regime == strong and p.k == fixed_k}
-    mid_by_seed = {p.seed: p.delta for p in weak_points if p.regime == mid and p.k == fixed_k}
+    at_k6 = [p for p in weak_points if p.k == 6]
+    strong_by_seed = {p.seed: p.delta for p in at_k6 if p.regime == "resonant_strong"}
+    mid_by_seed = {p.seed: p.delta for p in at_k6 if p.regime == "resonant_mid"}
     seeds = tuple(sorted(set(strong_by_seed) & set(mid_by_seed)))
     diffs = tuple(strong_by_seed[s] - mid_by_seed[s] for s in seeds)
     lift_ci = None
     paired = None
     if len(seeds) >= 3:
-        lift_ci = bootstrap_mean_ci(diffs, seed=bootstrap_seed)
+        lift_ci = bootstrap_mean_ci(diffs, seed=0)
         paired = paired_t([strong_by_seed[s] for s in seeds], [mid_by_seed[s] for s in seeds])
     mean_lift = float(np.mean(diffs)) if diffs else float("nan")
     return DoseResponse(

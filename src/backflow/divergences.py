@@ -66,18 +66,16 @@ def _row_values(kind: str, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def div_row(kind: str, p, q) -> float:
-    """Divergence between two probability vectors.
+    """Divergence between two probability vectors: ``div_avg`` of one row.
 
     Inputs whose sums deviate from 1 by less than 1e-6 are renormalized;
     larger deviations raise, so drift does not silently mask bugs.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    pr = _as_prob_rows(p, "p")
-    qr = _as_prob_rows(q, "q")
-    return float(_row_values(kind, pr, qr)[0])
+    if p.ndim != 1 or p.shape != q.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}, two vectors of one length expected")
+    return div_avg((kind,), p, q)[kind]
 
 
 def div_avg(kinds: tuple[str, ...], p, q) -> dict:

@@ -372,6 +372,9 @@ def run_noncommute_curve(
     return {flag: [(k, float(v)) for k, v in enumerate(tv[:, i], start=1)] for i, flag in enumerate(flags)}
 
 
+_PRETRAIN_OPTIMIZER = OptimizerConfig(lr=0.1, momentum=0.9, weight_decay=5e-4, clip_norm=1.0)
+
+
 def pretrain(
     spec: ModelSpec,
     params: np.ndarray,
@@ -380,19 +383,15 @@ def pretrain(
     passes: int,
     batch_size: int,
     seed: int = 0,
-    lr: float = 0.1,
-    momentum: float = 0.9,
-    weight_decay: float = 5e-4,
 ) -> np.ndarray:
     """Short base-training run over the train split (the "early" stage), as a one-row stack."""
     rng = np.random.default_rng(seed)
-    config = OptimizerConfig(lr=lr, momentum=momentum, weight_decay=weight_decay, clip_norm=1.0)
     params, velocity = params[None], np.zeros((1, params.size))
     for _ in range(passes):
         order = rng.permutation(dataset.train_indices)
         for start in range(0, len(order) - batch_size + 1, batch_size):
             batch = order[start : start + batch_size]
             params, velocity = _train(
-                spec, params, velocity, dataset.features[batch], dataset.labels[batch], 1, config
+                spec, params, velocity, dataset.features[batch], dataset.labels[batch], 1, _PRETRAIN_OPTIMIZER
             )
     return params[0]

@@ -147,8 +147,9 @@ def _blur_vec(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
     return (1.0 - weight) * out + weight * _moving_average3(out)
 
 
-def _random_crops(rng: np.random.Generator, images: np.ndarray, pad: int = 4) -> np.ndarray:
+def _random_crops(rng: np.random.Generator, images: np.ndarray) -> np.ndarray:
     n, h, w = images.shape
+    pad = 4
     padded = np.pad(images, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
     offsets = rng.integers(0, 2 * pad + 1, size=(n, 2))
     windows = sliding_window_view(padded, (h, w), axis=(1, 2))

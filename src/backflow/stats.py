@@ -1,6 +1,6 @@
 """Inference on per-repeat back-flow samples.
 
-Percentile bootstrap for means (resample-mean order statistics, no
+Percentile bootstrap 95% CIs for means (resample-mean order statistics, no
 interpolation, so CI endpoints are realizable resample means), TOST
 equivalence against a small margin, Benjamini-Hochberg FDR control,
 Pearson/Spearman correlations, paired t, and a two-covariate OLS used by
@@ -8,7 +8,8 @@ the dose-response analysis.  p-values use t distributions with classical
 degrees of freedom throughout.  Their tails are computed here from the
 regularized incomplete beta function with the standard library's ``math``
 (no SciPy): within about 1e-13 relative of the exact tail for df <= 1000,
-down to tails of 1e-300, and within 1e-10 up to df = 10**6.
+down to tails of 1e-300, and within 1e-10 up to df = 10**6.  The levels
+are fixed: the CIs are at 95% and the t tests and TOST decide at 0.05.
 """
 
 import math
@@ -139,10 +140,8 @@ def _clean(samples) -> np.ndarray:
     return arr
 
 
-def bootstrap_mean_ci(
-    samples, n_boot: int = 2000, level: float = 0.95, seed: int = 0
-) -> BootstrapSummary:
-    """Percentile bootstrap CI for the mean, deterministic in the seed."""
+def bootstrap_mean_ci(samples, n_boot: int = 2000, seed: int = 0) -> BootstrapSummary:
+    """Percentile bootstrap 95% CI for the mean, deterministic in the seed."""
     arr = _clean(samples)
     n = arr.size
     if n < 2:
@@ -150,8 +149,7 @@ def bootstrap_mean_ci(
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(n_boot, n))
     means = arr[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(means, [alpha, 1.0 - alpha], method="nearest")
+    lo, hi = np.quantile(means, [0.025, 0.975], method="nearest")
     return BootstrapSummary(
         mean=float(arr.mean()),
         ci_low=float(lo),
@@ -161,18 +159,18 @@ def bootstrap_mean_ci(
     )
 
 
-def normal_ci_half_width(samples, z: float = 1.96) -> float:
-    """Half-width of the normal-approximation 95% CI, z * s / sqrt(n)."""
+def normal_ci_half_width(samples) -> float:
+    """Half-width of the normal-approximation 95% CI, 1.96 * s / sqrt(n)."""
     arr = _clean(samples)
     if arr.size < 2:
         raise ValueError("need at least two samples")
-    return float(z * arr.std(ddof=1) / np.sqrt(arr.size))
+    return float(1.96 * arr.std(ddof=1) / np.sqrt(arr.size))
 
 
-def tost_equivalence(samples, epsilon: float = 1e-3, alpha: float = 0.05) -> TestResult:
+def tost_equivalence(samples, epsilon: float = 1e-3) -> TestResult:
     """Two one-sided t tests of -epsilon < mean < epsilon.
 
-    Practically null iff both one-sided tests reject at ``alpha``; the
+    Practically null iff both one-sided tests reject at 0.05; the
     reported p-value is the larger of the two.  Zero-variance samples are
     classified directly by whether the common value lies inside the margin.
     """
@@ -198,12 +196,12 @@ def tost_equivalence(samples, epsilon: float = 1e-3, alpha: float = 0.05) -> Tes
     p_high = _t_cdf(t_high, n - 1)  # H0: mean >= +eps
     p = max(p_low, p_high)
     t_stat = t_low if p_low >= p_high else t_high
-    verdict = "practically_null" if p < alpha else "not_null"
+    verdict = "practically_null" if p < 0.05 else "not_null"
     return TestResult(statistic=float(t_stat), p_value=p, verdict=verdict)
 
 
-def t_test_mean(samples, alternative: str = "two-sided", alpha: float = 0.05) -> TestResult:
-    """One-sample t test of the mean against zero.
+def t_test_mean(samples, alternative: str = "two-sided") -> TestResult:
+    """One-sample t test of the mean against zero, significant at 0.05.
 
     ``alternative`` is "two-sided" (mean != 0) or "greater" (mean > 0, the
     test of the no-back-flow null E[delta] <= 0).  Zero-variance samples use
@@ -224,13 +222,10 @@ def t_test_mean(samples, alternative: str = "two-sided", alpha: float = 0.05) ->
         else:
             p = 0.0 if mean > 0.0 else 1.0
         stat = float("inf") if p == 0.0 else 0.0
-        return TestResult(stat, p, "significant" if p < alpha else "not_significant")
-    t = mean / (sd / np.sqrt(n))
-    if alternative == "two-sided":
-        p = 2.0 * _t_sf(abs(t), n - 1)
     else:
-        p = _t_sf(t, n - 1)
-    return TestResult(float(t), min(p, 1.0), "significant" if p < alpha else "not_significant")
+        stat = float(mean / (sd / np.sqrt(n)))
+        p = 2.0 * _t_sf(abs(stat), n - 1) if alternative == "two-sided" else _t_sf(stat, n - 1)
+    return TestResult(stat, min(p, 1.0), "significant" if p < 0.05 else "not_significant")
 
 
 def paired_t(x, y) -> TestResult:

@@ -375,7 +375,7 @@ def test_buffer_blind_second_step_has_no_backflow():
 
 def test_instrument_pairs_count():
     rng = np.random.default_rng(18)
-    comb, _, _ = random_factoring_comb(rng, n_instruments=5)
+    comb, _, _ = random_factoring_comb(rng)
     assert len(instrument_pairs(comb)) == 10
 
 

@@ -73,6 +73,17 @@ def test_split_probe_every_class_represented():
     assert set(np.unique(split.labels[split.probe_indices])) == set(range(5))
 
 
+def test_split_probe_keeps_every_class_of_a_skewed_table(tmp_path):
+    # 30/1/1 rows per class: the one-per-class floor overshoots a probe of 3,
+    # and the trim must not take a singleton class back out
+    rows = ["label,f0"] + [f"{c},{i}.0" for c, n in ((0, 30), (1, 1), (2, 1)) for i in range(n)]
+    path = tmp_path / "skewed.csv"
+    path.write_text("\n".join(rows) + "\n")
+    split = split_probe(load_table(str(path), "csv_labeled"), 3, seed=0)
+    assert sorted(split.labels[split.probe_indices]) == [0, 1, 2]
+    assert split.provenance["probe_class_counts"] == [1, 1, 1]
+
+
 def test_split_probe_boundary():
     ds = make_synthetic(4, 2, 5, seed=8)
     split = split_probe(ds, 9, seed=9)
@@ -166,6 +177,17 @@ def test_load_idx_pair(tmp_path):
     assert np.array_equal(ds.features[0], images[0].reshape(-1).astype(float))
     explicit = load_table(f"{img_path}::{lbl_path}", "idx_pair")
     assert np.array_equal(explicit.features, ds.features)
+
+
+def test_load_idx_pair_from_a_directory_named_images(tmp_path):
+    # only the file name is rewritten: the labels file sits beside the images
+    directory = tmp_path / "images"
+    directory.mkdir()
+    images = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
+    img_path, lbl_path = write_idx_pair(directory, images, np.array([0, 1], dtype=np.uint8))
+    ds = load_table(str(img_path), "idx_pair")
+    assert ds.provenance["labels_path"] == str(lbl_path)
+    assert np.array_equal(ds.labels, [0, 1])
 
 
 def test_load_idx_bad_magic(tmp_path):

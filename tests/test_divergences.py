@@ -114,6 +114,12 @@ def test_empty_row_is_not_normalized():
 def test_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         div_row("tv", [1, 0], [1, 0, 0])
+    # a matrix is not a vector: div_avg averages its rows, div_row refuses it
+    p = [[0.5, 0.5], [1.0, 0.0]]
+    q = [[0.5, 0.5], [0.0, 1.0]]
+    assert div_avg(("tv",), p, q)["tv"] == 0.5
+    with pytest.raises(ValueError, match="mismatch"):
+        div_row("tv", p, q)
 
 
 def test_unknown_kind():

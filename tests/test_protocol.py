@@ -10,11 +10,12 @@ import backflow.engine as engine
 import backflow.protocol as protocol
 from backflow.artifacts import cell_filename, read_jsonl, write_atomic
 from backflow.data import make_synthetic, split_probe
+from backflow.diagnostics import cosine
 from backflow.divergences import KINDS, div_avg
 from backflow.errors import ConfigError, NanGuardError
 from backflow.instruments import apply_augmentation
 from backflow.model import ModelSpec, forward, init_params, loss_and_grad
-from backflow.optimizer import OptimizerConfig, step
+from backflow.optimizer import OptimizerConfig, causal_break, step
 from backflow.engine import BackflowRecord, ProtocolSettings, Regime, pretrain, run_noncommute_curve
 from backflow.protocol import (
     REGIME_PRESETS,
@@ -184,6 +185,68 @@ def test_micro_experiment_matches_hand_simulation(dataset, base_params):
     assert record.d1["tv"] == pytest.approx(d1, abs=1e-12)
     assert record.d2["tv"] == pytest.approx(d2, abs=1e-12)
     assert record.delta["tv"] == pytest.approx(d2 - d1, abs=1e-12)
+
+
+def reference_record(base_params, regime, flag, dataset, probe_x, seed):
+    """One repeat and one flag from the definitions: unstacked, k plain steps per phase.
+
+    Returns ``(d1, d2, delta, alignment)``, each divergence a ``{kind: value}``.
+    """
+    x_a, x_ap, x_b, y_a, y_b = engine._repeat_batches(regime, dataset, seed, SETTINGS.batch_size)
+    config = OptimizerConfig(lr=regime.lr, momentum=regime.momentum,
+                             weight_decay=SETTINGS.weight_decay, clip_norm=SETTINGS.clip_norm)
+
+    def train(params, velocity, x, y):
+        for _ in range(regime.k):
+            _, grad = loss_and_grad(SPEC, params, x, y)
+            params, velocity = step(params, velocity, grad, config)
+        return params, velocity
+
+    zero = np.zeros(base_params.size)
+    mids = [train(base_params, zero, x, y_a) for x in (x_a, x_ap)]  # the A row, then the A' row
+    ends = [train(p, causal_break(v) if flag == "break" else v, x_b, y_b) for p, v in mids]
+    d1 = div_avg(KINDS, *(forward(SPEC, p, probe_x) for p, _ in mids))
+    d2 = div_avg(KINDS, *(forward(SPEC, p, probe_x) for p, _ in ends))
+    (params_a, velocity_a), _ = mids
+    alignment = cosine(loss_and_grad(SPEC, params_a, x_b, y_b)[1], velocity_a) if flag == "no" else None
+    return d1, d2, {kind: d2[kind] - d1[kind] for kind in KINDS}, alignment
+
+
+def test_block_records_match_the_unstacked_reference(dataset, base_params):
+    # k >= 2, momentum 0.9, overlap < 1, both flags, three repeats in one stacked block
+    regime, flags = small_regime(k=3, momentum=0.9, overlap=0.5), ("no", "break")
+    probe_x = dataset.features[dataset.probe_indices]
+    repeats = [(derive_seed("repeat", 0, i), i) for i in range(3)]
+    runs = engine.guarded_block(base_params, SPEC, regime, flags, dataset, probe_x, SETTINGS, repeats)
+    for (seed, _), run in zip(repeats, runs):
+        for flag in flags:
+            record = run[flag].record
+            d1, d2, delta, alignment = reference_record(base_params, regime, flag, dataset, probe_x, seed)
+            for kind in KINDS:
+                assert record.d1[kind] == pytest.approx(d1[kind], rel=1e-12, abs=0)
+                assert record.d2[kind] == pytest.approx(d2[kind], rel=1e-12, abs=0)
+                # a difference: its tolerance is relative to the terms it subtracts
+                assert record.delta[kind] == pytest.approx(delta[kind], rel=0, abs=1e-12 * max(d1[kind], d2[kind]))
+            if flag == "no":
+                assert record.momentum_alignment == pytest.approx(alignment, rel=1e-12, abs=0)
+            else:
+                assert record.momentum_alignment is None
+
+
+def test_alignment_reads_the_a_row_at_its_mid_time_parameters(dataset, base_params):
+    regime, flags = small_regime(k=3, momentum=0.9), ("no", "break")
+    repeats = [(derive_seed("repeat", 1, i), i) for i in range(3)]
+    runs = engine.guarded_block(base_params, SPEC, regime, flags, dataset,
+                                dataset.features[dataset.probe_indices], SETTINGS, repeats)
+    for (seed, _), run in zip(repeats, runs):
+        _, _, x_b, _, y_b = engine._repeat_batches(regime, dataset, seed, SETTINGS.batch_size)
+        params_mid, velocity_mid = run["no"].params_mid, run["no"].velocity_mid
+        grad_a, grad_ap = (loss_and_grad(SPEC, p, x_b, y_b)[1] for p in params_mid)
+        alignment = run["no"].record.momentum_alignment
+        assert alignment == pytest.approx(cosine(grad_a, velocity_mid[0]), rel=1e-12, abs=0)
+        # the A' row's gradient, against either row's velocity, is another value
+        for velocity in velocity_mid:
+            assert alignment != pytest.approx(cosine(grad_ap, velocity), rel=1e-12, abs=0)
 
 
 def test_noncommute_same_instrument_is_zero(dataset, base_params):
