@@ -287,7 +287,6 @@ class NoBackflowReport:
     applicable: bool
     omc_residual: float
     max_delta: float
-    note: str = ""
     deltas: list[tuple[str, str, str, float]] = field(default_factory=list)
 
 
@@ -362,7 +361,6 @@ def _verify_group(
             applicable=False,
             omc_residual=residual,
             max_delta=float("nan"),
-            note="single-channel condition not satisfied; bound not applicable",
         )
         for g, residual in enumerate(residuals)
     ]

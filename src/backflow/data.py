@@ -5,10 +5,10 @@ is a held-out, class-stratified subset fixed once per run; batches are
 always drawn from the train side.  File-backed datasets are standardized
 per coordinate with statistics computed from the train split only, which
 happens when the split is made (the statistics do not exist earlier).
+Provenance holds only the image shape of IDX data, which the engine reads.
 """
 
 import csv
-import hashlib
 import math
 import os
 import struct
@@ -74,23 +74,7 @@ def make_synthetic(
         labels=labels,
         train_indices=np.arange(features.shape[0]),
         probe_indices=np.array([], dtype=np.int64),
-        provenance={
-            "source": "synthetic",
-            "input_dim": input_dim,
-            "num_classes": num_classes,
-            "per_class": per_class,
-            "spread": float(spread),
-            "seed": int(seed),
-        },
     )
-
-
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _load_csv_labeled(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -148,44 +132,37 @@ def _resolve_idx_pair(path: str) -> tuple[str, str]:
     name = os.path.basename(path)  # the directories keep their names
     labels = path[: len(path) - len(name)] + name.replace("images", "labels").replace("idx3", "idx1")
     if labels == path:
-        raise ValueError(
-            f"{path}: cannot locate the labels file; use 'images_path::labels_path'"
-        )
+        raise ValueError(f"{path}: cannot locate the labels file; use 'images_file::labels_file'")
     return path, labels
 
 
 def _load_idx_pair(path: str) -> tuple[np.ndarray, np.ndarray, dict]:
-    images_path, labels_path = _resolve_idx_pair(path)
-    images, dims = _read_idx(images_path, 0x00000803)
-    labels, _ = _read_idx(labels_path, 0x00000801)
+    images_file, labels_file = _resolve_idx_pair(path)
+    images, dims = _read_idx(images_file, 0x00000803)
+    labels, _ = _read_idx(labels_file, 0x00000801)
     if images.shape[0] != labels.shape[0]:
         raise ValueError(
-            f"{images_path} has {images.shape[0]} images but "
-            f"{labels_path} has {labels.shape[0]} labels"
+            f"{images_file} has {images.shape[0]} images but "
+            f"{labels_file} has {labels.shape[0]} labels"
         )
     features = images.reshape(images.shape[0], -1).astype(np.float64)
-    meta = {
-        "image_shape": [int(d) for d in dims[1:]],
-        "labels_path": labels_path,
-        "labels_sha256": _sha256_file(labels_path),
-    }
-    return features, labels.astype(np.int64), meta
+    return features, labels.astype(np.int64), {"image_shape": [int(d) for d in dims[1:]]}
 
 
 FORMATS = ("csv_labeled", "idx_pair")
 
 
 def load_table(path: str, format: str) -> Dataset:
-    """Load a labeled table; the SHA-256 of the source is kept in provenance.
+    """Load a labeled table; IDX images keep their shape as ``provenance["image_shape"]``.
 
     Features are standardized later, when the probe split is made, using
     train-split statistics only.
     """
     if format == "csv_labeled":
         features, labels = _load_csv_labeled(path)
-        extra = {}
+        provenance = {}
     elif format == "idx_pair":
-        features, labels, extra = _load_idx_pair(path)
+        features, labels, provenance = _load_idx_pair(path)
     else:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if np.any(labels < 0):
@@ -197,12 +174,6 @@ def load_table(path: str, format: str) -> Dataset:
     if np.any(counts == 0):
         missing = np.flatnonzero(counts == 0).tolist()
         raise ValueError(f"{path}: label arity inconsistent, no examples for classes {missing}")
-    provenance = {
-        "source": format,
-        "path": path,
-        "sha256": _sha256_file(path.split("::", 1)[0]),
-        **extra,
-    }
     return Dataset(
         features=features,
         labels=labels,
@@ -266,22 +237,10 @@ def split_probe(dataset: Dataset, probe_size: int, seed: int) -> Dataset:
         std = np.where(std > 0.0, std, 1.0)
         features = (features - mean) / std
 
-    provenance = dict(dataset.provenance)
-    provenance.update(
-        {
-            "probe_size": int(probe_size),
-            "probe_seed": int(seed),
-            "class_counts": counts.tolist(),
-            "probe_class_counts": np.bincount(
-                dataset.labels[probe], minlength=dataset.num_classes
-            ).tolist(),
-        }
-    )
     return replace(
         dataset,
         features=features,
         train_indices=train,
         probe_indices=probe,
-        provenance=provenance,
         normalize_on_split=False,
     )

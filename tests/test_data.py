@@ -1,4 +1,3 @@
-import hashlib
 import struct
 
 import numpy as np
@@ -63,8 +62,9 @@ def test_split_probe_properties():
     assert hist.max() - hist.min() <= 1
     again = split_probe(ds, 40, seed=5)
     assert np.array_equal(split.probe_indices, again.probe_indices)
-    assert split.provenance["class_counts"] == [50, 50, 50, 50]
-    assert sum(split.provenance["probe_class_counts"]) == 40
+    assert np.bincount(split.labels, minlength=4).tolist() == [50, 50, 50, 50]
+    assert hist.tolist() == [10, 10, 10, 10]
+    assert split.provenance == ds.provenance == {}
 
 
 def test_split_probe_every_class_represented():
@@ -81,7 +81,7 @@ def test_split_probe_keeps_every_class_of_a_skewed_table(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     split = split_probe(load_table(str(path), "csv_labeled"), 3, seed=0)
     assert sorted(split.labels[split.probe_indices]) == [0, 1, 2]
-    assert split.provenance["probe_class_counts"] == [1, 1, 1]
+    assert np.bincount(split.labels[split.probe_indices], minlength=3).tolist() == [1, 1, 1]
 
 
 def test_split_probe_boundary():
@@ -106,7 +106,7 @@ def test_load_csv_fixture(tmp_path):
     assert ds.num_examples == 3
     assert ds.input_dim == 2
     assert ds.num_classes == 2
-    assert ds.provenance["sha256"] == hashlib.sha256(CSV_FIXTURE.encode()).hexdigest()
+    assert ds.provenance == {}
     assert ds.normalize_on_split
 
 
@@ -173,7 +173,7 @@ def test_load_idx_pair(tmp_path):
     ds = load_table(str(img_path), "idx_pair")
     assert ds.num_examples == 8
     assert ds.input_dim == 20
-    assert ds.provenance["image_shape"] == [4, 5]
+    assert ds.provenance == {"image_shape": [4, 5]}
     assert np.array_equal(ds.features[0], images[0].reshape(-1).astype(float))
     explicit = load_table(f"{img_path}::{lbl_path}", "idx_pair")
     assert np.array_equal(explicit.features, ds.features)
@@ -184,9 +184,8 @@ def test_load_idx_pair_from_a_directory_named_images(tmp_path):
     directory = tmp_path / "images"
     directory.mkdir()
     images = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
-    img_path, lbl_path = write_idx_pair(directory, images, np.array([0, 1], dtype=np.uint8))
+    img_path, _ = write_idx_pair(directory, images, np.array([0, 1], dtype=np.uint8))
     ds = load_table(str(img_path), "idx_pair")
-    assert ds.provenance["labels_path"] == str(lbl_path)
     assert np.array_equal(ds.labels, [0, 1])
 
 

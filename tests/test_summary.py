@@ -8,7 +8,8 @@ import pytest
 from backflow.divergences import KINDS
 from backflow.engine import BackflowRecord, Regime
 from backflow.protocol import RunConfig
-from backflow.stats import bh_fdr, bh_qvalues
+from backflow.seeding import derive_seed
+from backflow.stats import bh_fdr, bh_qvalues, bootstrap_mean_ci
 from backflow.summary import StatsPolicy, summarize
 
 REGIME = Regime("hand", 2, 0.02, 0.9, "weak", "color", "weak", 0.5, True)
@@ -86,3 +87,22 @@ def test_scaled_tost_margin_is_the_larger_of_epsilon_and_three_standard_errors(s
             assert 3.0 * se > epsilon and margin == 3.0 * se
         else:
             assert 3.0 * se < epsilon and margin == epsilon
+
+
+def test_each_interval_is_bootstrapped_under_its_seed_tag(summary):
+    # a cell resamples under ("bootstrap", regime, flag, seed, kind), a pooled row
+    # under ("bootstrap-pooled", regime, flag, kind) over its seeds' deltas in config order
+    for row in summary["cells"] + summary["pooled"]:
+        flag = row["break"]
+        if "seed" in row:
+            deltas, tags = DELTAS[flag, row["seed"]], ("bootstrap", REGIME.name, flag, row["seed"])
+        else:
+            deltas = [v for seed in CONFIG.seeds for v in DELTAS[flag, seed]]
+            tags = ("bootstrap-pooled", REGIME.name, flag)
+        for kind in KINDS:
+            boot = bootstrap_mean_ci(np.array(deltas), n_boot=CONFIG.stats.bootstrap_samples,
+                                     seed=derive_seed(*tags, kind))
+            metric = row["metrics"][kind]
+            assert (metric["ci_low"], metric["ci_high"]) == (boot.ci_low, boot.ci_high)
+        # every kind has the same deltas, so only the seed tells their intervals apart
+        assert len({(m["ci_low"], m["ci_high"]) for m in row["metrics"].values()}) == len(KINDS)
