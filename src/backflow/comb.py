@@ -21,9 +21,10 @@ A comb keeps its instruments as one labelled (L, S, S) stack, validated in
 one pass when the comb is built; ``Comb.kernel`` hands out a validated
 ``Kernel`` of one label.  The random makers draw a process's same-shape
 matrices with one generator call, which reads the stream as the
-per-matrix calls would, and the pieces that depend only on their sizes
-(spaces, buffer reset, parameter readout and lifting) are built once and
-shared read-only.
+per-matrix calls would, and the kernels that depend only on their sizes
+(buffer reset, parameter readout and lifting) are built once and shared
+read-only.  A space is a name and a size; a comb's spaces are its
+observation kernel's.
 
 ``verify_no_backflow`` takes many processes and checks them in groups: it
 reads its input 128 at a time and stacks each chunk's processes that share
@@ -56,14 +57,10 @@ _STOCH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Space:
-    """A labeled finite space."""
+    """A named finite space of ``size`` states."""
 
     name: str
-    labels: tuple[str, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
+    size: int
 
 
 def _check_stochastic(matrix: np.ndarray, what: str) -> None:
@@ -86,7 +83,7 @@ def _check_stochastic(matrix: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Column-stochastic map between labeled finite spaces."""
+    """Column-stochastic map between finite spaces."""
 
     matrix: np.ndarray
     from_space: Space
@@ -118,14 +115,13 @@ def link(k2: Kernel, k1: Kernel) -> Kernel:
 class Comb:
     """Two-time process: prior, labelled latent instrument kernels, observation.
 
-    ``instruments[i]`` is the (S, S) latent kernel of ``labels[i]``.
-    ``break_kernel``, when present, is the latent map applied between the
-    first and second instrument to sever the memory channel (for product
-    spaces: keep the parameter component, reset the buffer component).
+    ``instruments[i]`` is the (S, S) latent kernel of ``labels[i]`` on the
+    state space that ``observation`` reads.  ``break_kernel``, when present,
+    is the latent map applied between the first and second instrument to
+    sever the memory channel (for product spaces: keep the parameter
+    component, reset the buffer component).
     """
 
-    state_space: Space
-    obs_space: Space
     prior: np.ndarray
     labels: tuple[str, ...]
     instruments: np.ndarray
@@ -158,15 +154,17 @@ class Comb:
             for label, matrix in zip(labels, instruments):
                 _check_stochastic(matrix, f"instrument {label!r}")
             raise
-        if self.observation.from_space != self.state_space:
-            raise ValueError("observation kernel does not read the state space")
-        if self.observation.to_space != self.obs_space:
-            raise ValueError("observation kernel does not write the observable space")
-        if self.break_kernel is not None and (
-            self.break_kernel.from_space != self.state_space
-            or self.break_kernel.to_space != self.state_space
-        ):
+        brk, state = self.break_kernel, self.state_space
+        if brk is not None and (brk.from_space, brk.to_space) != (state, state):
             raise ValueError("break kernel does not act on the state space")
+
+    @property
+    def state_space(self) -> Space:
+        return self.observation.from_space
+
+    @property
+    def obs_space(self) -> Space:
+        return self.observation.to_space
 
     def index(self, label: str) -> int:
         """Row of ``label`` in the instrument stack."""
@@ -191,11 +189,8 @@ def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _renorm(rows: np.ndarray) -> np.ndarray:
-    """Each row over its own sum, which must be finite and positive."""
-    totals = rows.sum(axis=-1, keepdims=True)
-    if not (totals.min(initial=1.0) > 0 and totals.max(initial=1.0) < np.inf):
-        raise ValueError("distribution is not normalizable")
-    return rows / totals
+    """Each row over its own sum: validated kernels on a validated prior keep it within rounding of 1."""
+    return rows / rows.sum(axis=-1, keepdims=True)
 
 
 def _stack(matrices: list[np.ndarray]) -> np.ndarray:
@@ -387,25 +382,17 @@ def search_backflow_witness(
 
 # ---------------------------------------------------------------------------
 # Constructors for product spaces, breaks, and randomized verification runs.
-# The pieces that depend only on their sizes are built once, with read-only
+# The kernels that depend only on their sizes are built once, with read-only
 # matrices, and shared by every process of those sizes.
 
 
-@functools.cache
-def _indexed_space(name: str, prefix: str, n: int) -> Space:
-    """The space ``name`` of the ``n`` labels ``prefix0``, ``prefix1``, ..."""
-    return Space(name, tuple(f"{prefix}{i}" for i in range(n)))
-
-
-@functools.cache
 def product_state_space(n_theta: int, n_upsilon: int) -> Space:
     """Latent space of (parameter, buffer) pairs, parameter-major ordering."""
-    labels = tuple(f"t{i}u{j}" for i in range(n_theta) for j in range(n_upsilon))
-    return Space(f"S({n_theta}x{n_upsilon})", labels)
+    return Space(f"S({n_theta}x{n_upsilon})", n_theta * n_upsilon)
 
 
 def _theta_space(n_theta: int) -> Space:
-    return _indexed_space(f"Theta({n_theta})", "t", n_theta)
+    return Space(f"Theta({n_theta})", n_theta)
 
 
 def _frozen_kernel(m: np.ndarray, from_space: Space, to_space: Space) -> Kernel:
@@ -475,16 +462,14 @@ def random_factoring_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
     """
     n_s = int(rng.integers(2, 7))
     n_o = int(rng.integers(2, 5))
-    state = _indexed_space(f"S{n_s}", "s", n_s)
-    obs = _indexed_space(f"O{n_o}", "o", n_o)
+    state = Space(f"S{n_s}", n_s)
+    obs = Space(f"O{n_o}", n_o)
     observation = Kernel(random_stochastic(rng, n_o, n_s), state, obs)
     lift = Kernel(random_stochastic(rng, n_s, n_o), obs, state)
     # B is the product link(lift, observation) forms, validated with the stack
     b_matrix = lift.matrix @ observation.matrix
     instruments = np.concatenate([random_stochastic(rng, len(_RANDOM_LABELS) - 1, n_s, n_s), b_matrix[None]])
     comb = Comb(
-        state_space=state,
-        obs_space=obs,
         prior=random_prior(rng, n_s),
         labels=_RANDOM_LABELS,
         instruments=instruments,
@@ -508,8 +493,6 @@ def random_break_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
     observation = theta_readout_kernel(n_t, n_u)
     instruments = random_stochastic(rng, len(_RANDOM_LABELS), state.size, state.size)
     comb = Comb(
-        state_space=state,
-        obs_space=observation.to_space,
         prior=random_prior(rng, state.size),
         labels=_RANDOM_LABELS,
         instruments=instruments,
@@ -558,8 +541,6 @@ def memoryful_demo_comb() -> tuple[Comb, tuple[str, str], str]:
     prior = np.zeros(state.size)
     prior[0] = 1.0
     comb = Comb(
-        state_space=state,
-        obs_space=observation.to_space,
         prior=prior,
         labels=("A", "Aprime", B_LABEL),
         instruments=np.array([first_step(0), first_step(1), b_matrix]),

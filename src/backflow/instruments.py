@@ -41,7 +41,6 @@ AUG_KINDS = ("none", "weak", "color", "blur")
 class BatchPlan:
     indices_a: np.ndarray
     indices_b: np.ndarray
-    shortfall: int = 0
 
 
 def shared_rows(dataset: Dataset, batch_size: int, overlap: float) -> int:
@@ -70,7 +69,7 @@ def sample_batch_plan(
     The intersection size is exactly floor(overlap * batch_size).  With
     ``same_classes`` the second batch reproduces the first batch's class
     histogram as far as the remaining pool allows; any shortfall is filled
-    from other classes and recorded on the plan.
+    from other classes.
 
     Requires ``dataset.train_indices`` sorted and unique, as every Dataset
     constructor makes them: the candidate pools are then sorted, which fixes
@@ -111,7 +110,7 @@ def sample_batch_plan(
         rest = rng.choice(pool, size=n_rest, replace=False)
 
     idx_b = np.concatenate([shared, rest])
-    return BatchPlan(indices_a=np.sort(idx_a), indices_b=np.sort(idx_b), shortfall=shortfall)
+    return BatchPlan(indices_a=np.sort(idx_a), indices_b=np.sort(idx_b))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .instruments import shared_rows
 from .model import ModelSpec, forward, init_params, penultimate_features
 from .seeding import derive_seed
 from .stats import normal_ci_half_width
-from .summary import StatsPolicy, alignment_mean, summarize
+from .summary import StatsPolicy, summarize
 
 
 REGIME_PRESETS = {
@@ -227,7 +227,9 @@ _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str:
 def _read(key: str, value, kind):
     """``value`` from JSON as a field of type ``kind``, or a ConfigError naming ``key``.
 
-    A bool is no number, and only a ``float | None`` field takes null.
+    A bool is no number, nor is one beyond the float range (``Infinity``,
+    ``1e309`` or ``1`` and 400 zeros in JSON), and only a ``float | None``
+    field takes null.
     """
     if get_origin(kind) is tuple:  # tuple[item, ...], given as a list
         if not isinstance(value, (list, tuple)):
@@ -237,6 +239,8 @@ def _read(key: str, value, kind):
         return None if value is None else _read(key, value, float)
     accepted = (int, float) if kind is float else kind
     if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+        if kind is float and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{key}: must be a finite number, got {value!r}")
         return float(value) if kind is float else value
     raise ConfigError(f"{key}: must be {_JSON_TYPES[kind]}, got {value!r}")
 
@@ -350,14 +354,14 @@ def _record_payload(record: BackflowRecord) -> dict:
     return {"record": "repeat", **vars(record)}
 
 
-def _diagnostics(config, spec, regime, dataset, probe_x, base_params, seed_value, records_by_cell) -> dict:
+def _diagnostics(config, spec, regime, dataset, probe_x, base_params, seed_value) -> dict:
     """The diagnostics records of one (regime, seed), as ``{flag: payload}``.
 
     One repeat runs as an engine block and the non-commute curve once, both
     for all flags under ``guard_rule``; the CKA and PCA read the A, A', AB
     and A'B rows of every ok flag from one stacked feature call and one
     stacked forward.  So each record equals that of a sweep of its flag
-    alone.  ``records_by_cell`` gives each cell's records.
+    alone, and none depends on the cells' records.
     """
     flags, repeat = config.break_flags, [(derive_seed("diag", seed_value), 0)]
     (runs,) = guarded_block(base_params, spec, regime, flags, dataset, probe_x, config, repeat)
@@ -384,7 +388,6 @@ def _diagnostics(config, spec, regime, dataset, probe_x, base_params, seed_value
             "noncommute_slope": diag.curve_slope([k for k, _ in curve], [v for _, v in curve])
             if len(curve) >= 2
             else None,
-            "alignment_mean": alignment_mean(records_by_cell[regime.name, flag, seed_value]),
         }
         if retried:
             payload["noncommute_retried"] = True
@@ -473,7 +476,7 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
 
             if config.diagnostics_enabled:
                 diagnostics[regime.name, seed_value] = _diagnostics(
-                    config, spec, regime, dataset, probe_x, base, seed_value, records_by_cell
+                    config, spec, regime, dataset, probe_x, base, seed_value
                 )
 
     summary = summarize(config, records_by_cell, created_at, digest)

@@ -22,7 +22,7 @@ class StatsPolicy:
     bh_q: float = 0.05
 
 
-def alignment_mean(records) -> float | None:
+def _alignment_mean(records) -> float | None:
     """Mean momentum alignment of the ok records that have one, or None."""
     alignments = [r.momentum_alignment for r in records if r.ok and r.momentum_alignment is not None]
     return float(np.mean(alignments)) if alignments else None
@@ -98,7 +98,7 @@ def summarize(config, records_by_cell: dict, created_at: str, digest: str) -> di
                 tags = ("bootstrap", regime.name, flag, seed)
                 early_stopped = len(records) < config.repeats
                 cells.append(_block({**labels, "seed": seed}, records, stats, tags,
-                                    early_stopped=early_stopped, alignment_mean=alignment_mean(records)))
+                                    early_stopped=early_stopped, alignment_mean=_alignment_mean(records)))
             merged = [r for seed in config.seeds for r in records_by_cell[regime.name, flag, seed]]
             pooled.append(_block(labels, merged, stats, ("bootstrap-pooled", regime.name, flag)))
     return {

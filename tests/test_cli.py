@@ -168,6 +168,14 @@ def test_run_out_of_bound_values_fail_before_the_run_dir(tmp_path, capsys):
          "model: input_dim must be an integer, got 12.0"),
         ({"model": {"kind": "softmax_linear", "input_dim": 12, "num_classes": 4.0}},
          "model: num_classes must be an integer, got 4.0"),
+        # json.loads reads Infinity and 1e309 (which json.dumps writes as Infinity) as inf, which
+        # every bound passed: the first two ran the whole sweep, then failed writing the summary; an
+        # infinite clip_norm made every repeat fail the NaN guard
+        ({"stats": {"tost_epsilon": 1e309}}, "stats.tost_epsilon: must be a finite number, got inf"),
+        ({"regimes": [custom_regime(lr=1e309)]}, "regimes.lr: must be a finite number, got inf"),
+        ({"optimizer": {"clip_norm": float("inf")}}, "optimizer.clip_norm: must be a finite number, got inf"),
+        # an integer beyond the float range escaped as an OverflowError traceback
+        ({"stats": {"bh_q": 10**400}}, f"stats.bh_q: must be a finite number, got {10**400}"),
     ):
         path, _ = write_config(tmp_path, **overrides)
         assert main(["run", str(path)]) == 2

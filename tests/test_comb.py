@@ -29,10 +29,6 @@ from backflow.comb import (
 from backflow.divergences import KINDS, div_row
 
 
-def make_space(name, n):
-    return Space(name, tuple(f"{name}{i}" for i in range(n)))
-
-
 def identity_kernel(space):
     return Kernel(np.eye(space.size), space, space)
 
@@ -45,7 +41,7 @@ def two_time_laws(comb, i0, i1, break_before_second=False):
 
 def test_link_identity():
     rng = np.random.default_rng(0)
-    s = make_space("s", 3)
+    s = Space("s", 3)
     k = Kernel(random_stochastic(rng, 3, 3), s, s)
     assert np.array_equal(link(identity_kernel(s), k).matrix, k.matrix)
     assert np.array_equal(link(k, identity_kernel(s)).matrix, k.matrix)
@@ -53,7 +49,7 @@ def test_link_identity():
 
 def test_link_constant_kernel_absorbs():
     rng = np.random.default_rng(1)
-    s = make_space("s", 4)
+    s = Space("s", 4)
     column = random_prior(rng, 4)
     constant = Kernel(np.tile(column[:, None], (1, 4)), s, s)
     k = Kernel(random_stochastic(rng, 4, 4), s, s)
@@ -63,7 +59,7 @@ def test_link_constant_kernel_absorbs():
 
 def test_link_matches_double_sum():
     rng = np.random.default_rng(2)
-    s = make_space("s", 3)
+    s = Space("s", 3)
     k1 = Kernel(random_stochastic(rng, 3, 3), s, s)
     k2 = Kernel(random_stochastic(rng, 3, 3), s, s)
     linked = link(k2, k1)
@@ -75,7 +71,7 @@ def test_link_matches_double_sum():
 
 def test_link_associative():
     rng = np.random.default_rng(3)
-    s = make_space("s", 5)
+    s = Space("s", 5)
     ks = [Kernel(random_stochastic(rng, 5, 5), s, s) for _ in range(3)]
     left = link(ks[2], link(ks[1], ks[0]))
     right = link(link(ks[2], ks[1]), ks[0])
@@ -83,7 +79,7 @@ def test_link_associative():
 
 
 def test_link_space_mismatch():
-    s3, s4 = make_space("a", 3), make_space("b", 4)
+    s3, s4 = Space("a", 3), Space("b", 4)
     rng = np.random.default_rng(4)
     k1 = Kernel(random_stochastic(rng, 3, 3), s3, s3)
     k2 = Kernel(random_stochastic(rng, 4, 4), s4, s4)
@@ -92,7 +88,7 @@ def test_link_space_mismatch():
 
 
 def test_kernel_validation():
-    s = make_space("s", 2)
+    s = Space("s", 2)
     with pytest.raises(ValueError, match="columns do not sum"):
         Kernel(np.array([[0.5, 0.5], [0.4, 0.5]]), s, s)
     with pytest.raises(ValueError, match="negative"):
@@ -104,7 +100,7 @@ def test_kernel_validation():
     with pytest.raises(ValueError, match="max deviation inf"):
         Kernel(np.array([[np.inf, 0.5], [0.0, 0.5]]), s, s)
     # an empty column fails its sum; a matrix of no columns has none to fail
-    empty = make_space("e", 0)
+    empty = Space("e", 0)
     with pytest.raises(ValueError, match="columns do not sum"):
         Kernel(np.zeros((0, 2)), s, empty)
     Kernel(np.zeros((2, 0)), empty, s)
@@ -114,23 +110,23 @@ def test_kernel_validation():
         assert make(3, 2) is kernel
         with pytest.raises(ValueError, match="read-only"):
             kernel.matrix[0, 0] = 0.5
-    assert product_state_space(3, 2) is product_state_space(3, 2)
+    assert product_state_space(3, 2) == Space("S(3x2)", 6)
 
 
 def test_prior_validation():
-    s = make_space("s", 2)
+    s = Space("s", 2)
     labels, stack = ("I",), np.eye(2)[None]
     with pytest.raises(ValueError, match="prior: non-finite entries"):
-        Comb(s, s, np.array([np.nan, 1.0]), labels, stack, identity_kernel(s))
+        Comb(np.array([np.nan, 1.0]), labels, stack, identity_kernel(s))
     with pytest.raises(ValueError, match="prior: negative entries"):
-        Comb(s, s, np.array([-0.5, 1.5]), labels, stack, identity_kernel(s))
+        Comb(np.array([-0.5, 1.5]), labels, stack, identity_kernel(s))
     with pytest.raises(ValueError, match="prior: columns do not sum"):
-        Comb(s, s, np.array([0.5, 0.6]), labels, stack, identity_kernel(s))
+        Comb(np.array([0.5, 0.6]), labels, stack, identity_kernel(s))
     # the instrument stack is validated as a whole; a failure names the first bad label
     prior = np.array([0.5, 0.5])
     good = random_stochastic(np.random.default_rng(0), 3, 2, 2)
     three = ("I0", "I1", "I2")
-    Comb(s, s, prior, three, good, identity_kernel(s))
+    Comb(prior, three, good, identity_kernel(s))
     for value, message in (
         (-0.1, "negative entries"),
         (np.nan, "non-finite entries"),
@@ -143,25 +139,42 @@ def test_prior_validation():
         else:
             bad[1, 1, 0] = value
         with pytest.raises(ValueError, match=f"instrument 'I1': {message}"):
-            Comb(s, s, prior, three, bad, identity_kernel(s))
+            Comb(prior, three, bad, identity_kernel(s))
         bad[2] = bad[1]
         with pytest.raises(ValueError, match=f"instrument 'I1': {message}"):
-            Comb(s, s, prior, three, bad, identity_kernel(s))
+            Comb(prior, three, bad, identity_kernel(s))
     for labels, instruments in ((three[:2], good), (three, np.ones((3, 2, 3)) / 2), (three, good[0])):
         with pytest.raises(ValueError, match="instrument stack shape"):
-            Comb(s, s, prior, labels, instruments, identity_kernel(s))
+            Comb(prior, labels, instruments, identity_kernel(s))
     with pytest.raises(ValueError, match="duplicate instrument label 'I0'"):
-        Comb(s, s, prior, ("I0", "I1", "I0"), good, identity_kernel(s))
+        Comb(prior, ("I0", "I1", "I0"), good, identity_kernel(s))
     # an empty stack passes, as a comb of no instruments did
-    assert Comb(s, s, prior, (), np.zeros((0, 2, 2)), identity_kernel(s)).labels == ()
+    assert Comb(prior, (), np.zeros((0, 2, 2)), identity_kernel(s)).labels == ()
+
+
+def test_comb_checks_its_pieces_against_the_observation_spaces():
+    s, o, t = Space("s", 3), Space("o", 2), Space("t", 3)
+    rng = np.random.default_rng(25)
+    observation = Kernel(random_stochastic(rng, 2, 3), s, o)
+    stack = random_stochastic(rng, 1, 3, 3)
+    with pytest.raises(ValueError, match="prior length does not match state space"):
+        Comb(random_prior(rng, 2), (B_LABEL,), stack, observation)
+    # a space is its name and its size: t is not s
+    for break_kernel in (observation, identity_kernel(o), identity_kernel(t)):
+        with pytest.raises(ValueError, match="break kernel does not act on the state space"):
+            Comb(random_prior(rng, 3), (B_LABEL,), stack, observation, break_kernel)
+    comb = Comb(random_prior(rng, 3), (B_LABEL,), stack, observation, identity_kernel(s))
+    assert (comb.state_space, comb.obs_space) == (s, o)
+    for lifting in (observation, identity_kernel(o), Kernel(random_stochastic(rng, 3, 2), o, t)):
+        with pytest.raises(ValueError, match="lifting kernel must map observables to latent states"):
+            channel_from_break(comb, B_LABEL, lifting)
+    channel_from_break(comb, B_LABEL, Kernel(random_stochastic(rng, 3, 2), o, s))
 
 
 def make_random_comb(rng, n_s=3, n_o=2, n_instruments=3):
-    state = make_space("s", n_s)
-    obs = make_space("o", n_o)
+    state = Space("s", n_s)
+    obs = Space("o", n_o)
     return Comb(
-        state_space=state,
-        obs_space=obs,
         prior=random_prior(rng, n_s),
         labels=tuple(f"I{i}" for i in range(n_instruments)),
         instruments=random_stochastic(rng, n_instruments, n_s, n_s),
@@ -170,11 +183,9 @@ def make_random_comb(rng, n_s=3, n_o=2, n_instruments=3):
 
 
 def test_two_time_laws_identity_comb():
-    s = make_space("s", 4)
+    s = Space("s", 4)
     prior = random_prior(np.random.default_rng(5), 4)
     comb = Comb(
-        state_space=s,
-        obs_space=s,
         prior=prior,
         labels=("I", "J"),
         instruments=np.array([np.eye(4), np.eye(4)]),
@@ -191,8 +202,6 @@ def test_two_time_laws_constant_second_step_erases_memory():
     column = random_prior(rng, 3)
     constant = np.tile(column[:, None], (1, 3))
     comb2 = Comb(
-        comb.state_space,
-        comb.obs_space,
         comb.prior,
         (*comb.labels, "C"),
         np.concatenate([comb.instruments, constant[None]]),
@@ -233,11 +242,9 @@ def test_two_time_laws_unknown_label():
 def test_channel_from_break_fully_observed():
     # identity observation, identity lifting, identity break: channel == K_B
     rng = np.random.default_rng(9)
-    s = make_space("s", 3)
+    s = Space("s", 3)
     k_b = Kernel(random_stochastic(rng, 3, 3), s, s)
     comb = Comb(
-        state_space=s,
-        obs_space=s,
         prior=random_prior(rng, 3),
         labels=(B_LABEL,),
         instruments=k_b.matrix[None],
@@ -254,8 +261,6 @@ def test_channel_from_break_constant_b():
     state = product_state_space(n_t, n_u)
     column = random_prior(rng, state.size)
     comb = Comb(
-        state_space=state,
-        obs_space=theta_readout_kernel(n_t, n_u).to_space,
         prior=random_prior(rng, state.size),
         labels=(B_LABEL,),
         instruments=np.tile(column[:, None], (1, 1, state.size)),
@@ -284,10 +289,10 @@ def test_verify_no_backflow_equal_pair_is_zero():
 
 def test_verify_no_backflow_identity_channel_equality_case():
     # With an identity second step on a fully observed process, D2 == D1.
-    s = make_space("s", 3)
+    s = Space("s", 3)
     rng = np.random.default_rng(13)
     instruments = np.concatenate([random_stochastic(rng, 2, 3, 3), np.eye(3)[None]])
-    comb = Comb(s, s, random_prior(rng, 3), ("I0", "I1", B_LABEL), instruments, identity_kernel(s))
+    comb = Comb(random_prior(rng, 3), ("I0", "I1", B_LABEL), instruments, identity_kernel(s))
     [report] = verify_no_backflow([(comb, [("I0", "I1")], B_LABEL, identity_kernel(s))])
     assert report.applicable
     assert abs(report.max_delta) <= 1e-15
@@ -363,8 +368,6 @@ def test_buffer_blind_second_step_has_no_backflow():
                 for j2 in range(n_u):
                     m[i2 * n_u + j2, i * n_u + j] = theta_map[i2, i] * buffer_dist[j2]
     comb = Comb(
-        state_space=state,
-        obs_space=theta_readout_kernel(n_t, n_u).to_space,
         prior=random_prior(rng, state.size),
         labels=("A", "Aprime", B_LABEL),
         instruments=np.concatenate([random_stochastic(rng, 2, state.size, state.size), m[None]]),
@@ -516,8 +519,8 @@ def parent_factoring_process(rng, max_states=6, max_obs=4, n_instruments=5):
     """The factoring maker as one generator call and one ``Kernel`` per matrix."""
     n_s = int(rng.integers(2, max_states + 1))
     n_o = int(rng.integers(2, max_obs + 1))
-    state = Space(f"S{n_s}", tuple(f"s{i}" for i in range(n_s)))
-    obs = Space(f"O{n_o}", tuple(f"o{i}" for i in range(n_o)))
+    state = Space(f"S{n_s}", n_s)
+    obs = Space(f"O{n_o}", n_o)
     observation = Kernel(parent_random_stochastic(rng, n_o, n_s), state, obs)
     lift = Kernel(parent_random_stochastic(rng, n_s, n_o), obs, state)
     kernels = {

@@ -55,12 +55,11 @@ def test_class_histograms_match_when_available(dataset):
         plan = sample_batch_plan(dataset, 64, overlap=0.25, same_classes=True, seed=seed)
         hist_a = np.bincount(labels[plan.indices_a], minlength=4)
         hist_b = np.bincount(labels[plan.indices_b], minlength=4)
-        assert plan.shortfall == 0
         assert np.array_equal(hist_a, hist_b)
 
 
-def test_class_shortfall_recorded():
-    # class 1 has barely enough members for one batch, so matching must fall short
+def test_class_shortfall_is_filled_from_other_classes():
+    # only 10 class-1 rows exist, so a first batch of more than 5 leaves the second short of them
     ds = make_synthetic(4, 2, 40, spread=1.0, seed=2)
     labels = ds.labels.copy()
     labels[:70] = 0
@@ -72,11 +71,15 @@ def test_class_shortfall_recorded():
         probe_indices=ds.probe_indices,
         provenance=ds.provenance,
     )
-    plan = sample_batch_plan(ds, 12, overlap=0.0, same_classes=True, seed=40)
+    plan = sample_batch_plan(ds, 32, overlap=0.0, same_classes=True, seed=0)
     hist_a = np.bincount(labels[plan.indices_a], minlength=2)
-    if hist_a[1] > 5:  # only 10 class-1 examples exist in total
-        assert plan.shortfall > 0
-    assert len(plan.indices_b) == 12
+    hist_b = np.bincount(labels[plan.indices_b], minlength=2)
+    assert hist_b[1] < hist_a[1]
+    a, b = set(plan.indices_a.tolist()), set(plan.indices_b.tolist())
+    assert len(plan.indices_b) == len(b) == 32 and not a & b
+    class1_outside_a = set(ds.train_indices[labels[ds.train_indices] == 1].tolist()) - a
+    assert class1_outside_a <= b
+    assert hist_b.tolist() == [32 - len(class1_outside_a), len(class1_outside_a)]
 
 
 def test_plan_determinism(dataset):

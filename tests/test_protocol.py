@@ -461,7 +461,7 @@ PINNED_SWEEP = dict(
     diagnostics={"noncommute_k_max": 3, "probe_subset": 64},
 )
 PINNED_SHA256 = {
-    "diagnostics.jsonl": "5b8d48a79d273921739c49eb396a36f93df29967de5f91da142764dd797c3d53",
+    "diagnostics.jsonl": "003556c43d64ac0a94073520a0e065de96ecfc22daa55820f6fb349e14e0abda",
     "resonant_strong__break__seed0.jsonl": "04d9c0d2cdf1f54f186b178a8ac4cd0751f1e4582c4f9e366035dd8bc2beca6a",
     "resonant_strong__no__seed0.jsonl": "18ad263fb99e49edebb3029db547d704a30ee5d01649758873dfe6dcbb39fe97",
     "standard__break__seed0.jsonl": "af7a811fece771b1c2911c7d8756b0bfcc4eb5fb1dcb697cef216ce7fc26b5a0",
@@ -506,7 +506,7 @@ PINNED_IMAGE_SWEEP = dict(
 # sha256 of its artifacts, computed with the per-image augmentation loops and,
 # for summary.json, the math-only t tails; the same at one and two BLAS threads
 PINNED_IMAGE_SHA256 = {
-    "diagnostics.jsonl": "ff6a426dc32526ecfe55f6e1263192b8a99ff3bdc7cb4c19a19b8c2fc7a42e5d",
+    "diagnostics.jsonl": "ac2a43494c11e096cc706b8ffba12f2ca9074da219f3c389984e0611395d8b9c",
     "resonant_strong__break__seed0.jsonl": "965225a424e9a8e4fc4463d6d022dd6c97f5163e18a58db302d53d7efb3da7b5",
     "resonant_strong__no__seed0.jsonl": "3cf7052291354b1ad45ed0135fce69ce3908ab3fccdfd41f840b89d3ad4d73c0",
     "standard__break__seed0.jsonl": "8f9a786469593b99a19f5b37ef506591ceaadb152a988a363ff671ec22e2026c",
