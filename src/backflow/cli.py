@@ -7,14 +7,14 @@ Subcommands:
 * ``plot-data <run_dir>``        CSV tables for histograms, scatters, curves
 * ``report <run_dir>``           markdown summary table
 
-Only ``run`` imports the sweep (``protocol`` and its ``engine``); ``run``
-and ``plot-data`` import ``stats`` and ``diagnostics``, inside the command.  ``report`` reads
-the run directory through ``artifacts`` alone, and ``oracle`` loads NumPy
-and the process oracle alone.  No command loads SciPy.  Every file is
-written through ``artifacts.write_atomic``, so a failed write leaves the
-previous file.  ``run`` first fixes glibc's heap thresholds
-(``_fix_heap_thresholds``), which the sweep's many short-lived NumPy
-temporaries need.
+Only ``run`` imports the sweep (``protocol`` and its ``engine``).  Here
+``plot-data`` and ``report`` only check, read and write the run directory:
+what they show is built by ``tables``, imported inside the command, and only
+``run`` and ``plot-data`` load ``stats`` and ``diagnostics``.  ``oracle``
+loads NumPy and the process oracle alone, and no command loads SciPy.  Every
+file is written through ``artifacts.write_atomic``, so a failed write leaves
+the previous file.  ``run`` first fixes glibc's heap thresholds
+(``_fix_heap_thresholds``), which the sweep's short-lived temporaries need.
 """
 
 import argparse
@@ -155,39 +155,6 @@ def _write_csv(path: Path, header: tuple, rows) -> None:
     write_atomic(path, text.getvalue())
 
 
-HIST_HEADER = ("condition", "bin_left", "bin_right", "count")
-
-
-def _histogram_rows(values, condition: str, bins: int = 20) -> list[tuple]:
-    if not values:
-        return []
-    edges = np.histogram_bin_edges(values, bins=bins)
-    counts, _ = np.histogram(values, bins=edges)
-    return [
-        (condition, float(left), float(right), int(count))
-        for left, right, count in zip(edges[:-1], edges[1:], counts)
-    ]
-
-
-def sign_flip_rows(cells: list[dict]) -> tuple[list[tuple], int]:
-    """Pair no-break and break cells by (regime, seed) and flag sign flips.
-
-    Rows are (regime, seed, delta_no, delta_break, sign_flip).
-    """
-    by_key = {}
-    for cell in cells:
-        mean = cell["metrics"].get("tv", {}).get("mean")
-        if mean is None:
-            continue
-        by_key.setdefault((cell["regime"], cell["seed"]), {})[cell["break"]] = mean
-    rows = []
-    for (regime, seed), pair in sorted(by_key.items()):
-        if "no" in pair and "break" in pair:
-            flip = int(np.sign(pair["no"]) != np.sign(pair["break"]))
-            rows.append((regime, seed, pair["no"], pair["break"], flip))
-    return rows, sum(row[-1] for row in rows)
-
-
 def _missing_inputs(paths: list[Path]) -> bool:
     """Name every path that does not exist on stderr; whether there was one."""
     missing = [path for path in paths if not path.exists()]
@@ -196,178 +163,49 @@ def _missing_inputs(paths: list[Path]) -> bool:
     return bool(missing)
 
 
-def _cell_key(record: dict) -> tuple:
-    """The (regime, break, seed) of a summary cell or a diagnostics record."""
-    return record["regime"], record["break"], record["seed"]
+def _read_run(run: Path):
+    """The summary and the config of the run in ``run``, or None after naming each missing one."""
+    paths = run / "summary.json", run / "config.json"
+    if _missing_inputs(list(paths)):
+        return None
+    return tuple(json.loads(path.read_text()) for path in paths)
 
 
 def cmd_plotdata(run_dir: str) -> int:
-    from . import diagnostics as diag
-    from .stats import correlations
+    from .tables import plot_tables
 
     run = Path(run_dir)
-    summary_path, config_path = run / "summary.json", run / "config.json"
-    if _missing_inputs([summary_path, config_path]):
+    if (inputs := _read_run(run)) is None:
         return 2
-    summary = json.loads(summary_path.read_text())
-    cells = summary["cells"]
+    summary, config = inputs
     # a run with diagnostics off writes no diagnostics.jsonl; its diagnostics tables stay header-only
-    diagnostics_path = run / "diagnostics.jsonl"
-    diagnostics_enabled = json.loads(config_path.read_text())["diagnostics_enabled"]
-    alignment_paths = [run / cell_filename(c["regime"], "no", c["seed"]) for c in cells if c["break"] == "no"]
-    if _missing_inputs(([diagnostics_path] if diagnostics_enabled else []) + alignment_paths):
+    diagnostics = [run / "diagnostics.jsonl"] if config["diagnostics_enabled"] else []
+    no_break = [run / cell_filename(c["regime"], "no", c["seed"]) for c in summary["cells"] if c["break"] == "no"]
+    if _missing_inputs(diagnostics + no_break):
         return 2
+    tables, note = plot_tables(
+        summary,
+        [record for path in diagnostics for record in read_jsonl(path)[1]],
+        [record for path in no_break for record in read_jsonl(path)[1]],
+    )
+    if note is not None:
+        print(f"note: {note}")
     out = run / "plots"
     out.mkdir(exist_ok=True)
-
-    # mean TV delta of every cell that has one, in summary order
-    mean_by_cell = {
-        _cell_key(c): c["metrics"]["tv"]["mean"] for c in cells if c["metrics"]["tv"].get("mean") is not None
-    }
-    hist_rows = [
-        row
-        for condition in ("no", "break")
-        for row in _histogram_rows([m for key, m in mean_by_cell.items() if key[1] == condition], condition)
-    ]
-    _write_csv(out / "delta_hist.csv", HIST_HEADER, hist_rows)
-
-    scatter_rows, flips = sign_flip_rows(cells)
-    _write_csv(out / "break_scatter.csv", ("regime", "seed", "delta_no", "delta_break", "sign_flip"), scatter_rows)
-    flip_fraction = flips / len(scatter_rows) if scatter_rows else float("nan")
-    _write_csv(
-        out / "break_scatter_summary.csv",
-        ("n_points", "n_sign_flips", "flip_fraction"),
-        [(len(scatter_rows), flips, flip_fraction)],
-    )
-
-    stat_columns = [(kind, bound) for kind in KINDS for bound in ("mean", "ci_low", "ci_high")]
-    _write_csv(
-        out / "regime_means.csv",
-        ("regime", "break", "n", *(f"{kind}_{bound}" for kind, bound in stat_columns)),
-        [
-            (pool["regime"], pool["break"], pool["n_repeats"],
-             *(pool["metrics"].get(kind, {}).get(bound) for kind, bound in stat_columns))
-            for pool in summary["pooled"]
-        ],
-    )
-
-    curve_rows, cka_rows, traj_rows, slope_rows = [], [], [], []
-    diag_records = read_jsonl(diagnostics_path)[1] if diagnostics_enabled else []
-    for rec in diag_records:
-        key = _cell_key(rec)
-        curve_rows += [(*key, k, tv) for k, tv in rec.get("noncommute", [])]
-        if rec.get("cka_first") is not None:
-            cka_rows.append((*key, rec["cka_first"], rec["cka_second"]))
-        for label, (x, y) in zip(rec.get("pca_labels", []), rec.get("pca_points", [])):
-            traj_rows.append((*key, label, x, y, *rec["pca_explained"]))
-        if rec.get("noncommute_slope") is not None and key in mean_by_cell:
-            slope_rows.append((*key, rec["noncommute_slope"], mean_by_cell[key]))
-    slope_rows.sort()
-    _write_csv(out / "noncommute_curves.csv", ("regime", "break", "seed", "k", "tv"), curve_rows)
-    _write_csv(out / "cka_table.csv", ("regime", "break", "seed", "cka_first", "cka_second"), cka_rows)
-    _write_csv(
-        out / "trajectories.csv",
-        ("regime", "break", "seed", "label", "x", "y", "explained_1", "explained_2"),
-        traj_rows,
-    )
-    _write_csv(
-        out / "delta_vs_slope.csv", ("regime", "break", "seed", "noncommute_slope", "mean_delta_tv"), slope_rows
-    )
-
-    align_rows = sorted(
-        (c["regime"], c["seed"], c["alignment_mean"], mean_by_cell[_cell_key(c)])
-        for c in cells
-        if c["break"] == "no" and c.get("alignment_mean") is not None and _cell_key(c) in mean_by_cell
-    )
-    _write_csv(out / "delta_vs_alignment.csv", ("regime", "seed", "alignment_mean", "mean_delta_tv"), align_rows)
-
-    # each correlation over the (x, mean delta) columns of its table's no-break rows
-    corr_rows = []
-    for name, pairs in (
-        ("delta_vs_slope", [row[3:] for row in slope_rows if row[1] == "no"]),
-        ("delta_vs_alignment", [row[2:] for row in align_rows]),
-    ):
-        try:
-            c = correlations([x for x, _ in pairs], [y for _, y in pairs])
-        except ValueError:
-            continue
-        corr_rows.append((name, len(pairs), c.pearson_r, c.pearson_p, c.spearman_rho, c.spearman_p))
-    _write_csv(
-        out / "correlations.csv",
-        ("relation", "n", "pearson_r", "pearson_p", "spearman_rho", "spearman_p"),
-        corr_rows,
-    )
-
-    cosines = [
-        r["momentum_alignment"]
-        for path in alignment_paths
-        for r in read_jsonl(path)[1]
-        if r.get("momentum_alignment") is not None and r.get("error") is None
-    ]
-    _write_csv(out / "alignment_hist.csv", HIST_HEADER, _histogram_rows(cosines, "no", bins=24))
-
-    regimes_meta = summary["meta"]["regimes"]
-    dose_points = [
-        diag.ConfigPoint(
-            regime=regime,
-            seed=seed,
-            delta=mean,
-            **{knob: regimes_meta[regime][knob] for knob in ("k", "momentum", "overlap", "aug_b")},
-        )
-        for (regime, flag, seed), mean in mean_by_cell.items()
-        if flag == "no"
-    ]
-    try:
-        dose = diag.dose_response(dose_points)
-    except ValueError as exc:
-        print(f"note: dose-response skipped: {exc}")
-    else:
-        fit = dose.fit
-        _write_csv(
-            out / "dose_response_fit.csv",
-            ("n", "alpha", "beta", "gamma", "se_alpha", "se_beta", "se_gamma",
-             "p_alpha", "p_beta", "p_gamma", "r_squared", "mean_lift",
-             "lift_ci_low", "lift_ci_high", "paired_p"),
-            [
-                (dose.n_points, fit.alpha, fit.beta, fit.gamma, *fit.std_errors, *fit.p_values,
-                 fit.r_squared, dose.mean_lift,
-                 *((dose.lift_ci.ci_low, dose.lift_ci.ci_high) if dose.lift_ci else ("", "")),
-                 dose.paired.p_value if dose.paired else "")
-            ],
-        )
-        _write_csv(out / "dose_response_pairs.csv", ("seed", "lift"), zip(dose.pair_seeds, dose.pair_diffs))
-
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
     print(f"plot data written to {out}")
     return 0
 
 
 def cmd_report(run_dir: str) -> int:
+    from .tables import report_text
+
     run = Path(run_dir)
-    summary_path = run / "summary.json"
-    if _missing_inputs([summary_path]):
+    if (inputs := _read_run(run)) is None:
         return 2
-    summary = json.loads(summary_path.read_text())
-    lines = ["# Back-flow sweep report", ""]
-    lines.append(f"Run digest: `{summary['meta']['config_digest']}`  ")
-    lines.append(f"Base stage: `{summary['meta']['base_stage']}`")
-    lines.append("")
-    lines.append("| regime | break | n | mean dTV | 95% CI | TOST (1e-3) | p (one-sided) |")
-    lines.append("|---|---|---|---|---|---|---|")
-    for pool in summary["pooled"]:
-        tv = pool["metrics"]["tv"]
-        if tv.get("mean") is None:
-            continue
-        # fewer than two repeats give a mean alone: no CI and no test
-        ci = f"[{tv['ci_low']:+.6f}, {tv['ci_high']:+.6f}]" if "ci_low" in tv else "-"
-        p_value = f"{tv['p_one_sided']:.3g}" if "p_one_sided" in tv else "-"
-        lines.append(
-            f"| {pool['regime']} | {pool['break']} | {tv['n']} "
-            f"| {tv['mean']:+.6f} | {ci} | {tv.get('tost_verdict', '-')} | {p_value} |"
-        )
-    _, flips = sign_flip_rows(summary["cells"])
-    lines.append("")
-    lines.append(f"Sign flips between conditions (per regime x seed): {flips}")
-    text = "\n".join(lines) + "\n"
+    summary, config = inputs
+    text = report_text(summary, config["stats"]["tost_epsilon"])
     write_atomic(run / "report.md", text)
     print(text, end="")
     return 0

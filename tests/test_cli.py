@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import hashlib
+import io
 import json
 import os
 import struct
@@ -14,7 +15,9 @@ import pytest
 
 import backflow
 from backflow import comb as comb_mod
-from backflow.cli import main, sign_flip_rows
+from backflow.artifacts import cell_filename, read_jsonl
+from backflow.cli import main
+from backflow.tables import plot_tables, report_text, sign_flip_rows
 
 
 def write_config(tmp_path, **overrides):
@@ -272,6 +275,19 @@ def test_oracle_loads_no_sweep_modules(tmp_path):
         assert loaded_after(f"from backflow import cli\nassert cli.main({argv!r}) == 0", sweep_modules) == "[]", argv
 
 
+def test_plot_data_loads_no_sweep_module_and_only_its_readers_load_tables(tmp_path):
+    path, _ = write_config(tmp_path, repeats=3)
+    run_dir = str(tmp_path / "run")
+    sweep_modules = ("scipy", "backflow.protocol", "backflow.engine", "backflow.model", "backflow.instruments")
+    for argv, modules, loaded in (
+        (["run", str(path)], ("backflow.tables",), "[]"),
+        (["oracle", "--count", "2"], ("backflow.tables",), "[]"),
+        (["plot-data", run_dir], sweep_modules + ("backflow.tables",), "['backflow.tables']"),
+        (["report", run_dir], ("backflow.stats", "backflow.diagnostics", "backflow.tables"), "['backflow.tables']"),
+    ):
+        assert loaded_after(f"from backflow import cli\nassert cli.main({argv!r}) == 0", modules) == loaded, argv
+
+
 def test_engine_loads_no_config_sweep_or_file_format_module():
     # the engine knows no config key, early-stop policy or run-directory format
     run_modules = ("backflow.protocol", "backflow.summary", "backflow.artifacts", "backflow.cli")
@@ -288,7 +304,8 @@ def test_oracle_demo_witness(capsys):
 PLOT_TABLES = (
     "delta_hist.csv", "break_scatter.csv", "break_scatter_summary.csv", "regime_means.csv",
     "noncommute_curves.csv", "cka_table.csv", "trajectories.csv", "delta_vs_slope.csv",
-    "delta_vs_alignment.csv", "correlations.csv", "alignment_hist.csv",
+    "delta_vs_alignment.csv", "correlations.csv", "alignment_hist.csv", "dose_response_fit.csv",
+    "dose_response_pairs.csv",
 )
 
 
@@ -345,7 +362,9 @@ def test_plot_data_diagnostics_off(tmp_path):
     assert main(["plot-data", str(run_dir)]) == 0
     plots = run_dir / "plots"
     assert sorted(p.name for p in plots.iterdir()) == sorted(PLOT_TABLES)
-    for name in ("noncommute_curves.csv", "cka_table.csv", "trajectories.csv", "delta_vs_slope.csv"):
+    # one regime has no dose-response fit either: its tables are header-only too
+    for name in ("noncommute_curves.csv", "cka_table.csv", "trajectories.csv", "delta_vs_slope.csv",
+                 "dose_response_fit.csv", "dose_response_pairs.csv"):
         assert read_csv(plots / name) == [] and (plots / name).read_text().count("\n") == 1, name
     assert len(read_csv(plots / "break_scatter.csv")) == 1
     assert sum(int(r["count"]) for r in read_csv(plots / "alignment_hist.csv")) == 3
@@ -386,6 +405,48 @@ def test_plot_data_tables_are_pinned_byte_for_byte(tmp_path, capsys):
     assert len(read_csv(plots / "correlations.csv")) == 2
     digests = {p.name: sha256(p.read_bytes()).hexdigest() for p in plots.iterdir()}
     assert digests == PINNED_PLOT_SHA256
+
+
+def test_plot_tables_are_the_written_csv_files(tmp_path, capsys):
+    path, _ = write_config(tmp_path, **PINNED_PLOT_SWEEP)
+    assert main(["run", str(path)]) == 0
+    run_dir = tmp_path / "run"
+    assert main(["plot-data", str(run_dir)]) == 0
+    summary = json.loads((run_dir / "summary.json").read_text())
+    no_break = [r for c in summary["cells"] if c["break"] == "no"
+                for r in read_jsonl(run_dir / cell_filename(c["regime"], "no", c["seed"]))[1]]
+    tables, note = plot_tables(summary, read_jsonl(run_dir / "diagnostics.jsonl")[1], no_break)
+    assert note is None
+
+    def csv_bytes(header, rows):
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return text.getvalue().encode()
+
+    written = {p.name: p.read_bytes() for p in (run_dir / "plots").iterdir()}
+    assert {name: csv_bytes(*table) for name, table in tables.items()} == written
+    assert sorted(written) == sorted(PLOT_TABLES)
+
+
+def test_plot_data_rewrites_the_dose_tables_of_an_earlier_run(tmp_path, capsys):
+    # a rerun into the same directory whose dose-response fit is skipped used to leave the earlier fit
+    path, _ = write_config(tmp_path, **PINNED_PLOT_SWEEP, break_flags=["no"], diagnostics={"enabled": False})
+    assert main(["run", str(path)]) == 0
+    plots = tmp_path / "run" / "plots"
+    assert main(["plot-data", str(tmp_path / "run")]) == 0
+    assert int(read_csv(plots / "dose_response_fit.csv")[0]["n"]) == 9
+    assert len(read_csv(plots / "dose_response_pairs.csv")) == 3
+
+    path, _ = write_config(tmp_path, regimes=["negative"], break_flags=["no"], seeds=[0, 1, 2], repeats=4,
+                           diagnostics={"enabled": False})
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["plot-data", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out.startswith("note: dose-response skipped: ")
+    for name in ("dose_response_fit.csv", "dose_response_pairs.csv"):
+        assert read_csv(plots / name) == [] and (plots / name).read_text().count("\n") == 1, name
 
 
 def test_sign_flip_count_on_fixture():
@@ -527,6 +588,62 @@ def test_failed_plot_data_and_report_writes_keep_the_earlier_files(tmp_path, cap
             main([command, str(run_dir)])
     assert {p: p.read_bytes() for p in written} == before
     assert not list(run_dir.rglob("*.tmp"))
+
+
+def test_report_header_names_the_run_tost_margin(tmp_path, capsys):
+    # the header used to print the default margin whatever margin the verdicts used
+    for stats, margin in (({}, "1e-3"), ({"tost_epsilon": 5e-3}, "5e-3"), ({"tost_epsilon": 0.0125}, "1.25e-2")):
+        path, _ = write_config(tmp_path, regimes=["negative"], break_flags=["no"], repeats=4, stats=stats,
+                               diagnostics={"enabled": False})
+        assert main(["run", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "run")]) == 0
+        header = f"| regime | break | n | mean dTV | 95% CI | TOST ({margin}) | p (one-sided) |"
+        assert header in capsys.readouterr().out.splitlines()
+
+
+def test_report_names_each_missing_input(tmp_path, capsys):
+    path, _ = write_config(tmp_path, regimes=["negative"], break_flags=["no"], repeats=2,
+                           diagnostics={"enabled": False})
+    assert main(["run", str(path)]) == 0
+    run_dir = tmp_path / "run"
+    (run_dir / "config.json").unlink()
+    capsys.readouterr()
+    assert main(["report", str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"error: missing input: {run_dir / 'config.json'}\n"
+    (run_dir / "summary.json").unlink()
+    assert main(["report", str(run_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: missing input: {run_dir / name}" for name in ("summary.json", "config.json")
+    ]
+    assert not (run_dir / "report.md").exists()
+
+
+def test_report_text_of_a_mean_only_pooled_row():
+    def pooled(regime, tv):
+        return {"regime": regime, "break": "no", "n_repeats": tv["n"], "metrics": {"tv": tv}}
+
+    summary = {
+        "meta": {"config_digest": "0123456789abcdef", "base_stage": "init"},
+        "cells": [],
+        "pooled": [
+            pooled("single", {"n": 1, "mean": 0.25}),
+            pooled("empty", {"n": 0, "mean": None}),
+            pooled("full", {"n": 3, "mean": -0.5, "ci_low": -0.75, "ci_high": -0.25, "p_one_sided": 0.98765,
+                            "tost_verdict": "not_equivalent"}),
+        ],
+    }
+    assert report_text(summary, 2e-4) == (
+        "# Back-flow sweep report\n\n"
+        "Run digest: `0123456789abcdef`  \n"
+        "Base stage: `init`\n\n"
+        "| regime | break | n | mean dTV | 95% CI | TOST (2e-4) | p (one-sided) |\n"
+        "|---|---|---|---|---|---|---|\n"
+        "| single | no | 1 | +0.250000 | - | - | - |\n"
+        "| full | no | 3 | -0.500000 | [-0.750000, -0.250000] | not_equivalent | 0.988 |\n"
+        "\n"
+        "Sign flips between conditions (per regime x seed): 0\n"
+    )
 
 
 def test_report_without_ci_prints_dashes(tmp_path, capsys):
