@@ -11,13 +11,18 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 
 
+def temp_path(path: Path) -> Path:
+    """The temporary file that ``write_atomic`` writes before it replaces ``path``."""
+    return path.with_name(f".{path.name}.tmp")
+
+
 def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file in the same directory.
 
     The temporary file replaces ``path`` only once it is complete, so an
     interrupted write leaves the previous file or none, never a truncated one.
     """
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = temp_path(path)
     try:
         tmp.write_text(text)
         os.replace(tmp, path)

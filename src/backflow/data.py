@@ -49,11 +49,8 @@ def make_synthetic(
     """Gaussian mixture with seeded class means on a sphere of radius ``spread``.
 
     Unit isotropic noise around each mean; larger ``spread`` separates the
-    classes further.  Deterministic in the seed.
+    classes further.  Deterministic in the seed.  Checks values, not JSON types.
     """
-    for name, value in (("input_dim", input_dim), ("num_classes", num_classes), ("per_class", per_class)):
-        if isinstance(value, bool) or not isinstance(value, int):  # 120.0 or True would pass the bounds below
-            raise TypeError(f"{name} must be an integer, got {value!r}")
     if input_dim < 2:
         raise ValueError("input_dim must be at least 2")
     if num_classes < 2:

@@ -21,6 +21,8 @@ ACTIVATIONS = ("tanh", "relu")
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model's kind and sizes; construction checks their values, not their JSON types."""
+
     kind: str
     input_dim: int
     num_classes: int
@@ -30,10 +32,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        for name in ("input_dim", "num_classes", *(("hidden_dim",) if self.hidden_dim is not None else ())):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):  # 8.5 or True would pass the bounds below
-                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
         if self.num_classes < 2:

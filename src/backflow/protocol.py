@@ -18,12 +18,12 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from hashlib import sha256
 from pathlib import Path
-from typing import get_args, get_origin
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import diagnostics as diag
-from .artifacts import cell_filename, write_atomic, write_jsonl
+from .artifacts import cell_filename, temp_path, write_atomic, write_jsonl
 from .data import Dataset, load_table, make_synthetic, split_probe
 from .engine import (
     BackflowRecord,
@@ -183,8 +183,7 @@ def resolve_regime(entry) -> Regime:
             )
         return REGIME_PRESETS[entry]
     if isinstance(entry, dict):
-        kinds = Regime.__annotations__
-        fields = {key: _read(f"regimes.{key}", v, kinds[key]) if key in kinds else v for key, v in entry.items()}
+        fields = _read_fields("regimes", entry, Regime)
         try:
             return Regime(**fields)
         except (TypeError, ValueError) as exc:
@@ -222,21 +221,22 @@ CONFIG_FIELDS = {
 _SECTIONS = sorted({key.split(".")[0] for key in CONFIG_FIELDS if "." in key})
 _REQUIRED = ("dataset", "model", "regimes", "output_dir")
 _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_LOADERS = {"synthetic": make_synthetic, "file": load_table}  # by dataset.kind
 
 
 def _read(key: str, value, kind):
     """``value`` from JSON as a field of type ``kind``, or a ConfigError naming ``key``.
 
     A bool is no number, nor is one beyond the float range (``Infinity``,
-    ``1e309`` or ``1`` and 400 zeros in JSON), and only a ``float | None``
+    ``1e309`` or ``1`` and 400 zeros in JSON), and only an ``X | None``
     field takes null.
     """
     if get_origin(kind) is tuple:  # tuple[item, ...], given as a list
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key}: must be a list, got {type(value).__name__}")
         return tuple(_read(key, item, get_args(kind)[0]) for item in value)
-    if kind == float | None:
-        return None if value is None else _read(key, value, float)
+    if type(None) in get_args(kind):  # X | None
+        return None if value is None else _read(key, value, get_args(kind)[0])
     accepted = (int, float) if kind is float else kind
     if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
         if kind is float and abs(value) > sys.float_info.max:
@@ -245,12 +245,18 @@ def _read(key: str, value, kind):
     raise ConfigError(f"{key}: must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
+def _read_fields(section: str, mapping: dict, built) -> dict:
+    """``mapping`` with each key that ``built`` annotates read as that type; ``built`` names the rest."""
+    kinds = {key: kind for key, kind in get_type_hints(built).items() if key != "return"}  # a function's result
+    return {key: _read(f"{section}.{key}", v, kinds[key]) if key in kinds else v for key, v in mapping.items()}
+
+
 def config_from_mapping(mapping: dict) -> RunConfig:
     """Validate a parsed configuration file and normalize it to a RunConfig.
 
-    Each key of ``CONFIG_FIELDS`` is read with its field's JSON type and
-    bound.  Unknown keys, top-level or inside a section (as
-    ``section.key``), are named in one warning on stderr and ignored.
+    Each key of ``CONFIG_FIELDS`` is read with its field's JSON type and bound, and each key of a
+    regime, ``model`` or ``dataset`` with its type in what the mapping builds.  Unknown keys, top-level
+    or inside a section (as ``section.key``), are named in one warning on stderr and ignored.
     """
     m = dict(mapping)
     for name in ("dataset", "model", *_SECTIONS):
@@ -300,31 +306,27 @@ def config_from_mapping(mapping: dict) -> RunConfig:
         if len(set(items)) != len(items):
             raise ConfigError(f"{key}: duplicate {many} {items}")
     for name, flag, seed in ((r.name, f, s) for r in regimes for f in config.break_flags for s in config.seeds):
-        if (size := len(f".{cell_filename(name, flag, seed)}.tmp".encode())) > 255:  # as write_atomic names it
+        if (size := len(temp_path(Path(cell_filename(name, flag, seed))).name.encode())) > 255:
             raise ConfigError(f"regimes: regime {name!r}: name too long for a cell file ({size} bytes, max 255)")
     # the CKA runs on min(probe_subset, probe_size) probe rows
     if config.diagnostics_enabled and config.probe_size < 2:
         raise ConfigError(f"probe_size: must be at least 2 with diagnostics enabled, got {config.probe_size}")
+    _read_fields("model", config.model, ModelSpec)  # checked: config.json and the digest keep the mappings as given
     try:
-        spec = config.model_spec()
+        config.model_spec()
     except (TypeError, ValueError) as exc:  # a misspelled, missing or invalid field
         raise ConfigError(f"model: {exc}") from None
-    dataset_classes = config.dataset.get("num_classes")
-    if dataset_classes is not None and dataset_classes != spec.num_classes:
-        raise ConfigError(
-            f"model: num_classes {spec.num_classes} does not match dataset num_classes {dataset_classes}"
-        )
+    if (kind := config.dataset.get("kind")) not in list(_LOADERS):  # a list: a JSON list or object is unhashable
+        raise ConfigError(f"dataset: kind must be 'synthetic' or 'file', got {kind!r}")
+    _read_fields("dataset", config.dataset, _LOADERS[kind])
     return config
 
 
 def build_dataset(config: RunConfig) -> Dataset:
     spec = dict(config.dataset)
-    kind = spec.pop("kind", None)
-    loaders = {"synthetic": make_synthetic, "file": load_table}
-    if kind not in loaders:
-        raise ConfigError(f"dataset: kind must be 'synthetic' or 'file', got {kind!r}")
+    loader = _LOADERS[spec.pop("kind")]
     try:
-        dataset = loaders[kind](**spec)
+        dataset = loader(**spec)
     except (TypeError, ValueError) as exc:  # a misspelled, unknown, missing or invalid field
         raise ConfigError(f"dataset: {exc}") from None
     return split_probe(dataset, config.probe_size, derive_seed("probe", config.probe_seed))

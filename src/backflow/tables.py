@@ -147,24 +147,22 @@ def plot_tables(summary: dict, diagnostics_records: list[dict], no_break_records
 def report_text(summary: dict, tost_epsilon: float) -> str:
     """The markdown report of a run whose TOST verdicts used the margin ``tost_epsilon``."""
     margin = np.format_float_scientific(tost_epsilon, trim="-", exp_digits=1)
-    lines = ["# Back-flow sweep report", ""]
-    lines.append(f"Run digest: `{summary['meta']['config_digest']}`  ")
-    lines.append(f"Base stage: `{summary['meta']['base_stage']}`")
-    lines.append("")
-    lines.append(f"| regime | break | n | mean dTV | 95% CI | TOST ({margin}) | p (one-sided) |")
-    lines.append("|---|---|---|---|---|---|---|")
+    lines = ["# Back-flow sweep report", "", f"Run digest: `{summary['meta']['config_digest']}`  ",
+             f"Base stage: `{summary['meta']['base_stage']}`", "",
+             f"| regime | break | n | mean dTV | 95% CI | TOST ({margin}) | p (one-sided) |",
+             "|---|---|---|---|---|---|---|"]
     for pool in summary["pooled"]:
         tv = pool["metrics"]["tv"]
-        if tv.get("mean") is None:
-            continue
-        # fewer than two repeats give a mean alone: no CI and no test
+        # no valid repeat gives no mean, and fewer than two give a mean alone: no CI and no test
+        mean = f"{tv['mean']:+.6f}" if tv["mean"] is not None else "-"
         ci = f"[{tv['ci_low']:+.6f}, {tv['ci_high']:+.6f}]" if "ci_low" in tv else "-"
         p_value = f"{tv['p_one_sided']:.3g}" if "p_one_sided" in tv else "-"
         lines.append(
             f"| {pool['regime']} | {pool['break']} | {tv['n']} "
-            f"| {tv['mean']:+.6f} | {ci} | {tv.get('tost_verdict', '-')} | {p_value} |"
+            f"| {mean} | {ci} | {tv.get('tost_verdict', '-')} | {p_value} |"
         )
+    if errors := summary.get("n_persistent_errors", 0):
+        lines += ["", f"Repeats that failed the NaN guard twice: {errors}"]
     _, flips = sign_flip_rows(summary["cells"])
-    lines.append("")
-    lines.append(f"Sign flips between conditions (per regime x seed): {flips}")
+    lines += ["", f"Sign flips between conditions (per regime x seed): {flips}"]
     return "\n".join(lines) + "\n"

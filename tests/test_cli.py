@@ -166,11 +166,11 @@ def test_run_out_of_bound_values_fail_before_the_run_dir(tmp_path, capsys):
          "model: unknown activation 'sigmoid'"),
         # these exited 1 with a TypeError traceback after creating the run directory
         *(({"model": {"kind": "mlp1", "input_dim": 12, "num_classes": 4, "hidden_dim": value}},
-           f"model: hidden_dim must be an integer, got {value!r}") for value in (8.5, 32.0, True)),
+           f"model.hidden_dim: must be an integer, got {value!r}") for value in (8.5, 32.0, True)),
         ({"model": {"kind": "softmax_linear", "input_dim": 12.0, "num_classes": 4}},
-         "model: input_dim must be an integer, got 12.0"),
+         "model.input_dim: must be an integer, got 12.0"),
         ({"model": {"kind": "softmax_linear", "input_dim": 12, "num_classes": 4.0}},
-         "model: num_classes must be an integer, got 4.0"),
+         "model.num_classes: must be an integer, got 4.0"),
         # json.loads reads Infinity and 1e309 (which json.dumps writes as Infinity) as inf, which
         # every bound passed: the first two ran the whole sweep, then failed writing the summary; an
         # infinite clip_norm made every repeat fail the NaN guard
@@ -190,20 +190,46 @@ def test_run_out_of_bound_values_fail_before_the_run_dir(tmp_path, capsys):
 def test_run_dataset_error_leaves_no_run_dir(tmp_path, capsys):
     misspelled = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_klass": 120}
     missing_path = {"kind": "file", "format": "csv_labeled"}
-    # json.loads reads NaN and Infinity; these used to run every repeat into the NaN guard
-    non_finite = [{"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_class": 120, "spread": spread}
-                  for spread in (float("nan"), float("inf"))]
-    for dataset in (misspelled, missing_path, *non_finite):
+    # json.loads reads NaN; it used to run every repeat into the NaN guard
+    non_finite = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_class": 120, "spread": float("nan")}
+    # a key no loader takes is named by the loader, not read as the annotation of its result
+    named_return = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_class": 120, "return": 1}
+    for dataset, named in ((misspelled, "per_klass"), (missing_path, "'path'"), (non_finite, "spread"),
+                           (named_return, "unexpected keyword argument 'return'")):
         path, _ = write_config(tmp_path, dataset=dataset)
         assert main(["run", str(path)]) == 2
-        assert "error: dataset:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset: ") and named in err
         assert not (tmp_path / "run").exists()
-    # a mistyped size is named, not left to NumPy
+    # a mistyped value is named, not left to NumPy or open(): "seed": true ran seed 1 under another
+    # digest, "spread": true ran a spread of 1.0, and Infinity every repeat into the NaN guard
     sizes = {"kind": "synthetic", "input_dim": 12, "num_classes": 4, "per_class": 120}
-    for name, value in (("per_class", 120.0), ("input_dim", 12.0), ("num_classes", 4.0), ("per_class", True)):
-        path, _ = write_config(tmp_path, dataset={**sizes, name: value})
+    table = {"kind": "file", "path": str(tmp_path / "table.csv"), "format": "csv_labeled"}
+    for dataset, key, value, json_type in (
+        *((sizes, name, value, "an integer")
+          for name, value in (("per_class", 120.0), ("input_dim", 12.0), ("num_classes", 4.0), ("per_class", True))),
+        (sizes, "seed", True, "an integer"),
+        (sizes, "seed", 1.5, "an integer"),
+        (sizes, "spread", True, "a number"),
+        (sizes, "spread", float("inf"), "a finite number"),
+        (table, "path", True, "a string"),
+        (table, "format", 5, "a string"),
+    ):
+        path, _ = write_config(tmp_path, dataset={**dataset, key: value})
         assert main(["run", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: dataset: {name} must be an integer, got {value!r}\n"
+        assert capsys.readouterr().err == f"error: dataset.{key}: must be {json_type}, got {value!r}\n"
+        assert not (tmp_path / "run").exists()
+    # a file descriptor as the path: 0 trained on the CSV piped to stdin, 1 failed reading stdout;
+    # each runs in its own process, whose descriptors it may touch
+    src = str(Path(backflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    stdin_table = "label,f0,f1\n" + "".join(f"{i % 2},{i},{-i}\n" for i in range(200))
+    for value in (0, 1):
+        path, _ = write_config(tmp_path, dataset={**table, "path": value},
+                               model={"kind": "softmax_linear", "input_dim": 2, "num_classes": 2})
+        proc = subprocess.run([sys.executable, "-m", "backflow.cli", "run", str(path)], input=stdin_table,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, f"error: dataset.path: must be a string, got {value}\n")
         assert not (tmp_path / "run").exists()
 
 
@@ -484,6 +510,30 @@ def test_run_persistent_nan_guard_exits_nonzero(tmp_path, capsys, monkeypatch):
     assert summary["n_persistent_errors"] == 3
 
 
+def test_report_keeps_a_regime_whose_every_repeat_failed(tmp_path, capsys, monkeypatch):
+    # the failed regime's row used to be left out of the report, with no count of the failures
+    import backflow.engine as engine
+    from backflow.errors import NanGuardError
+
+    step = engine.step
+
+    def fail_with_momentum(params, velocity, grad, config):
+        if config.momentum > 0:  # every repeat of "standard", none of "negative"
+            raise NanGuardError("injected failure")
+        return step(params, velocity, grad, config)
+
+    monkeypatch.setattr(engine, "step", fail_with_momentum)
+    path, _ = write_config(tmp_path, regimes=["standard", "negative"], break_flags=["no"], repeats=3,
+                           diagnostics={"enabled": False})
+    assert main(["run", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "run")]) == 0
+    lines = (tmp_path / "run" / "report.md").read_text().splitlines()
+    assert "| standard | no | 0 | - | - | - | - |" in lines
+    assert any(line.startswith("| negative | no | 3 | +0.000000 |") for line in lines)
+    assert "Repeats that failed the NaN guard twice: 3" in lines
+
+
 def _has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
@@ -640,6 +690,7 @@ def test_report_text_of_a_mean_only_pooled_row():
         "| regime | break | n | mean dTV | 95% CI | TOST (2e-4) | p (one-sided) |\n"
         "|---|---|---|---|---|---|---|\n"
         "| single | no | 1 | +0.250000 | - | - | - |\n"
+        "| empty | no | 0 | - | - | - | - |\n"
         "| full | no | 3 | -0.500000 | [-0.750000, -0.250000] | not_equivalent | 0.988 |\n"
         "\n"
         "Sign flips between conditions (per regime x seed): 0\n"

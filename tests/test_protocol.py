@@ -816,6 +816,9 @@ def test_non_positive_integer_config_values_name_their_field(tmp_path):
 
 
 def test_config_values_of_the_wrong_json_type_name_their_key(tmp_path):
+    mlp = {"kind": "mlp1", "input_dim": 12, "num_classes": 4, "hidden_dim": 8}
+    synthetic = sweep_mapping(tmp_path)["dataset"]
+    table = {"kind": "file", "path": str(tmp_path / "table.csv"), "format": "csv_labeled"}
     # each of the first four used to be cast and run: "false" ran the diagnostics, "no" enabled
     # early stopping, 4.7 ran 4 repeats and [0.9, true] ran seeds 0 and 1
     for overrides, message in (
@@ -843,6 +846,23 @@ def test_config_values_of_the_wrong_json_type_name_their_key(tmp_path):
         ({"regimes": [custom_regime(k=2.5)]}, "regimes.k: must be an integer, got 2.5"),
         ({"regimes": [custom_regime(same_classes="no")]}, "regimes.same_classes: must be true or false, got 'no'"),
         ({"regimes": [custom_regime(overlap=True)]}, "regimes.overlap: must be a number, got True"),
+        # the model's and the synthetic dataset's sizes; all but num_classes=True used to reach init_params
+        *(({"model": model}, message) for model, message in (
+            *(({**mlp, "hidden_dim": value}, f"model.hidden_dim: must be an integer, got {value!r}")
+              for value in (8.5, 32.0, True)),
+            ({**mlp, "input_dim": 4.0}, "model.input_dim: must be an integer, got 4.0"),
+            ({**mlp, "num_classes": True}, "model.num_classes: must be an integer, got True"),
+            ({**mlp, "num_classes": 3.0}, "model.num_classes: must be an integer, got 3.0"),
+            ({**mlp, "kind": 1}, "model.kind: must be a string, got 1"),
+        )),
+        *(({"dataset": {**synthetic, key: value}}, f"dataset.{key}: must be {json_type}, got {value!r}")
+          for key, value, json_type in (("input_dim", 4.0, "an integer"), ("num_classes", True, "an integer"),
+                                        ("per_class", 10.0, "an integer"), ("seed", True, "an integer"),
+                                        ("seed", 1.5, "an integer"), ("spread", True, "a number"))),
+        *(({"dataset": {**table, key: value}}, f"dataset.{key}: must be a string, got {value!r}")
+          for key, value in (("path", 0), ("path", 1), ("path", True), ("format", 5))),
+        *(({"dataset": {**synthetic, "kind": kind}}, f"dataset: kind must be 'synthetic' or 'file', got {kind!r}")
+          for kind in ("image", ["file"])),
     ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             config_from_mapping(sweep_mapping(tmp_path, **overrides))
@@ -851,6 +871,13 @@ def test_config_values_of_the_wrong_json_type_name_their_key(tmp_path):
                                                regimes=[custom_regime(lr=1)]))
     assert (type(config.weight_decay), config.weight_decay, config.clip_norm) == (float, 0.0, None)
     assert (type(config.regimes[0].lr), config.regimes[0].lr) == (float, 1.0)
+    # the model and dataset mappings are checked, not rewritten: config.json keeps an integer spread
+    config = config_from_mapping(sweep_mapping(tmp_path, dataset={**synthetic, "spread": 3}, model=mlp,
+                                               regimes=["negative"], break_flags=["no"], repeats=1,
+                                               diagnostics={"enabled": False}))
+    written = json.loads((run_sweep(config, created_at="pinned").run_dir / "config.json").read_text())
+    assert (written["dataset"], written["model"]) == ({**synthetic, "spread": 3}, mlp)
+    assert type(written["dataset"]["spread"]) is int
 
 
 def custom_regime(**overrides):
@@ -1117,10 +1144,11 @@ def test_config_validation_errors(tmp_path):
         config_from_mapping(mapping)
     with pytest.raises(ConfigError, match="base_stage"):
         config_from_mapping(sweep_mapping(tmp_path, base_stage="late"))
-    with pytest.raises(ConfigError, match="num_classes"):
-        config_from_mapping(sweep_mapping(
+    with pytest.raises(ConfigError, match="num_classes"):  # against the built dataset, before the run directory
+        run_sweep(config_from_mapping(sweep_mapping(
             tmp_path, model={"kind": "softmax_linear", "input_dim": 12, "num_classes": 7}
-        ))
+        )))
+    assert not (tmp_path / "run").exists()
     # misspelled or missing fields of the model and the dataset name the field
     with pytest.raises(ConfigError, match="model: .*hiden_dim"):
         config_from_mapping(sweep_mapping(
@@ -1182,3 +1210,31 @@ def test_regime_preset_values_are_pinned():
     assert (neg.k, neg.lr, neg.momentum) == (1, 0.005, 0.00)
     assert (neg.aug_a, neg.aug_aprime, neg.aug_b) == ("none", "none", "none")
     assert (neg.overlap, neg.same_classes) == (0.0, False)
+
+
+def readme_table(header: str) -> list[list[str]]:
+    """The cells of each row of the README table whose header line starts with ``header``."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 2:]:  # past the header and its |---| line
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])  # "\|" is a literal bar
+    return rows
+
+
+def test_readme_configuration_table_names_every_config_key():
+    keys = [row[0].strip("`") for row in readme_table("| field | JSON type and bound |")]
+    assert sorted(keys) == sorted([*protocol.CONFIG_FIELDS, *protocol._REQUIRED])
+
+
+def test_readme_preset_table_matches_the_presets():
+    rows = {row[0].strip("`"): row[1:] for row in readme_table("| preset |")}
+    assert set(rows) == set(REGIME_PRESETS)
+    for name, (k, lr, momentum, aug_a, aug_aprime, aug_b, overlap_and_same) in rows.items():
+        overlap, same = overlap_and_same.split(" / ")
+        same_classes = {"yes": True, "no": False}[same]
+        assert (int(k), float(lr), float(momentum), aug_a, aug_aprime, aug_b, float(overlap), same_classes) == (
+            astuple(REGIME_PRESETS[name])[1:]
+        ), name
