@@ -11,7 +11,8 @@ Only ``run`` imports the sweep (``protocol`` and its ``engine``).  Here
 ``plot-data`` and ``report`` only check, read and write the run directory:
 what they show is built by ``tables``, imported inside the command, and only
 ``run`` and ``plot-data`` load ``stats`` and ``diagnostics``.  ``oracle``
-loads NumPy and the process oracle alone, and no command loads SciPy.  Every
+loads NumPy and the process oracle (``comb``, imported inside the command)
+alone, and no command loads SciPy.  Every
 file is written through ``artifacts.write_atomic``, so a failed write leaves
 the previous file.  ``run`` first fixes glibc's heap thresholds
 (``_fix_heap_thresholds``), which the sweep's short-lived temporaries need.
@@ -27,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import comb as comb_mod
 from .artifacts import cell_filename, read_jsonl, write_atomic
 from .divergences import KINDS
 from .errors import ConfigError
@@ -95,31 +95,32 @@ def cmd_run(config_path: str) -> int:
     return 0
 
 
-def _oracle_processes(maker, rng: np.random.Generator, count: int):
-    """``count`` processes of ``maker``, each built only when the oracle reads it."""
-    for _ in range(count):
-        comb, b_label, lambda_b = maker(rng)
-        yield comb, comb_mod.instrument_pairs(comb), b_label, lambda_b
-
-
 def cmd_oracle(seed: int, count: int, demo_witness: bool = False) -> int:
     """Randomized verification that the no-back-flow bound holds where proven."""
+    from . import comb as comb_mod
+
     tol = comb_mod.ORACLE_TOL
     rng = np.random.default_rng(seed)
     worst = -np.inf
     worst_residual = 0.0
-    for maker, break_flag in ((comb_mod.random_factoring_comb, False), (comb_mod.random_break_comb, True)):
-        processes = _oracle_processes(maker, rng, count)
-        for report in comb_mod.verify_no_backflow(processes, break_before_second=break_flag):
-            if not report.applicable:
-                print("FAIL: single-channel precondition violated "
-                      f"(residual {report.omc_residual:.3e})")
-                return 1
-            worst = max(worst, report.max_delta)
-            worst_residual = max(worst_residual, report.omc_residual)
+    for draw, break_flag in ((comb_mod.random_factoring_stacks, False), (comb_mod.random_break_stacks, True)):
+        # drawn a chunk at a time inside verify_no_backflow, as it reads them
+        reports = comb_mod.verify_no_backflow(draw(rng, count), break_before_second=break_flag)
+        failures = [
+            (report.index[g], report.omc_residual[g])
+            for report in reports
+            for g in np.flatnonzero(~report.applicable)
+        ]
+        if failures:
+            # the first process in draw order without its channel
+            print("FAIL: single-channel precondition violated "
+                  f"(residual {min(failures)[1]:.3e})")
+            return 1
+        for report in reports:
+            worst = max(worst, report.max_delta.max())
+            worst_residual = max(worst_residual, report.omc_residual.max())
     if count:
-        # the last report is applicable here, with one delta per (pair, kind)
-        n_pairs = len(report.deltas) // len(KINDS)
+        n_pairs = reports[-1].deltas.shape[1]
         print(f"checked {2 * count} processes "
               f"({count} factoring, {count} break+lifting), "
               f"{n_pairs} pairs x {len(KINDS)} divergences each")

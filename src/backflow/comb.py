@@ -19,34 +19,39 @@ The module supports the two constructions used by the verification suite:
 
 A comb keeps its instruments as one labelled (L, S, S) stack, validated in
 one pass when the comb is built; ``Comb.kernel`` hands out a validated
-``Kernel`` of one label.  The random makers draw a process's same-shape
-matrices with one generator call, which reads the stream as the
-per-matrix calls would, and the kernels that depend only on their sizes
-(buffer reset, parameter readout and lifting) are built once and shared
-read-only.  A space is a name and a size; a comb's spaces are its
-observation kernel's.
+``Kernel`` of one label.  A space is a name and a size; a comb's spaces are
+its observation kernel's.
 
-``verify_no_backflow`` takes many processes and checks them in groups: it
-reads its input 128 at a time and stacks each chunk's processes that share
-state and observable sizes, instrument pairs and second label.  A group of
-G processes and L labels has its kernels as one (G, L, S, S) stack, indexed
-from the combs' own stacks; every later law step, and the channel's
-prediction, is one stacked matrix-vector product, bit for bit the
-one-process, one-label path.  One divergence call then covers both law
-steps of every pair, kind and process of the group.
-``search_backflow_witness`` and a one-process check are the G = 1 case of
-the same helpers.  One tolerance, ``ORACLE_TOL``, serves the channel check
-and ``backflow oracle``'s bound, and the random makers' sizes and labels
-are fixed.  Every kernel, including each ``link`` product, every
-instrument stack and every prior is validated when built.  Brute-force
-checks against path enumeration live in the test suite.
+The oracle's unit of work is a ``ProcessStack``: processes that share their
+state and observable sizes, labels, instrument pairs and second label, as
+stacked arrays (G processes of L labels hold a (G, L, S, S) instrument
+stack).  The chunk makers ``random_factoring_stacks`` and
+``random_break_stacks`` draw ``_CHUNK`` processes at a time, each with the
+generator calls of the one-process makers in their order, and build one
+stack per size: each ``link`` product is one stacked matrix product in the
+same association, and each role (prior, instruments, observation, every
+product, the channel) is validated in one pass over the stack, a failure
+naming the first bad process.  ``random_factoring_comb`` and
+``random_break_comb`` are their one-process case.  The kernels that depend
+only on their sizes (buffer reset, parameter readout and lifting) are built
+once and shared read-only.
+
+``verify_no_backflow`` takes stacks, or single processes, which it reads
+``_CHUNK`` at a time and stacks per shape, from the combs' own stacks.
+Every law step of a stack, and the channel's prediction, is one stacked
+matrix-vector product, bit for bit the one-process, one-label path; one
+divergence call then covers both law steps of every pair, kind and process.
+``search_backflow_witness`` is the one-process case of the same helpers.
+One tolerance, ``ORACLE_TOL``, serves the channel check and ``backflow
+oracle``'s bound, and the random makers' sizes and labels are fixed.
+Brute-force checks against path enumeration live in the test suite.
 """
 
 import functools
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +86,21 @@ def _check_stochastic(matrix: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: columns do not sum to 1 (max deviation {worst:.3e})")
 
 
+def _check_stack(stack: np.ndarray, what: str, names: Iterable[str]) -> None:
+    """``_check_stochastic`` of a whole stack of matrices in one pass.
+
+    On a failure the matrices are checked in turn, each under its name in
+    ``names`` (one per matrix, read only then), so that the error names the
+    first bad one.
+    """
+    try:
+        _check_stochastic(stack, what)
+    except ValueError:
+        for name, matrix in zip(names, stack.reshape(-1, *stack.shape[-2:])):
+            _check_stochastic(matrix, name)
+        raise
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Column-stochastic map between finite spaces."""
@@ -109,6 +129,14 @@ def link(k2: Kernel, k1: Kernel) -> Kernel:
             f"{k2.from_space.name} (input of second)"
         )
     return Kernel(k2.matrix @ k1.matrix, k1.from_space, k2.to_space)
+
+
+def _label_index(labels: tuple[str, ...], label: str) -> int:
+    """Row of ``label`` in an instrument stack of ``labels``."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise KeyError(f"unknown instrument label {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -147,13 +175,7 @@ class Comb:
                 f"instrument stack shape {instruments.shape} does not match "
                 f"{len(labels)} labels on {self.state_space.name} ({size}x{size})"
             )
-        try:
-            _check_stochastic(instruments, "instruments")
-        except ValueError:
-            # name the first bad label: its own check raises
-            for label, matrix in zip(labels, instruments):
-                _check_stochastic(matrix, f"instrument {label!r}")
-            raise
+        _check_stack(instruments, "instruments", (f"instrument {label!r}" for label in labels))
         brk, state = self.break_kernel, self.state_space
         if brk is not None and (brk.from_space, brk.to_space) != (state, state):
             raise ValueError("break kernel does not act on the state space")
@@ -168,14 +190,61 @@ class Comb:
 
     def index(self, label: str) -> int:
         """Row of ``label`` in the instrument stack."""
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown instrument label {label!r}") from None
+        return _label_index(self.labels, label)
 
     def kernel(self, label: str) -> Kernel:
         """The instrument of ``label`` as a validated ``Kernel`` on the state space."""
         return Kernel(self.instruments[self.index(label)], self.state_space, self.state_space)
+
+
+Process = tuple[Comb, list[tuple[str, str]], str, Kernel]
+
+
+class ProcessStack(NamedTuple):
+    """Processes that share their sizes, labels, instrument pairs and second label, as stacked arrays.
+
+    Process g has the prior ``prior[g]``, the (S, S) instrument
+    ``instruments[g, i]`` of ``labels[i]``, the (C, S) observation
+    ``observation[g]``, the break kernel ``break_kernel[g]`` (None: the
+    processes have none) and the (C, C) channel ``lambda_b[g]`` (None: the
+    witness search, which has no channel).  A kernel that every process
+    shares may be one (1, ...) matrix.  ``index[g]`` is the process's
+    position in its input.  A named tuple, not a dataclass: the oracle's
+    set-up time pays for building each dataclass at import.
+    """
+
+    index: Sequence[int]
+    prior: np.ndarray
+    labels: tuple[str, ...]
+    instruments: np.ndarray
+    observation: np.ndarray
+    break_kernel: np.ndarray | None
+    lambda_b: np.ndarray | None
+    pairs: tuple[tuple[str, str], ...]
+    b_label: str
+
+    @classmethod
+    def of(
+        cls,
+        combs: list[Comb],
+        pairs: Iterable[tuple[str, str]],
+        b_label: str,
+        lambdas: list[Kernel] | None,
+        index: Sequence[int],
+    ) -> "ProcessStack":
+        """The stack of ``combs``, which share their sizes and labels, with the channels ``lambdas``."""
+        breaks = [comb.break_kernel for comb in combs]
+        return cls(
+            index=index,
+            prior=np.array([comb.prior for comb in combs]),
+            labels=combs[0].labels,
+            instruments=np.array([comb.instruments for comb in combs]),
+            observation=np.array([comb.observation.matrix for comb in combs]),
+            break_kernel=None if any(k is None for k in breaks) else np.array([k.matrix for k in breaks]),
+            lambda_b=None if lambdas is None else np.array([k.matrix for k in lambdas]),
+            pairs=tuple(map(tuple, pairs)),
+            b_label=b_label,
+        )
 
 
 def _apply(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -193,32 +262,22 @@ def _renorm(rows: np.ndarray) -> np.ndarray:
     return rows / rows.sum(axis=-1, keepdims=True)
 
 
-def _stack(matrices: list[np.ndarray]) -> np.ndarray:
-    """One (n, m) matrix per comb as a (G, 1, n, m) stack, broadcast over label rows."""
-    return np.array(matrices)[:, None]
-
-
-def _laws(
-    combs: list[Comb], first_labels: list[str], second_label: str, break_before_second: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """One- and two-step observable laws of every comb and first label, as (G, L, C) stacks.
+def _laws(stack: ProcessStack, first_labels: list[str], break_before_second: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One- and two-step observable laws of every process and first label, as (G, L, C) stacks.
 
     Entry [g, i] holds the laws of the pair (``first_labels[i]``,
-    ``second_label``) in ``combs[g]``; the combs share their state and
-    observable sizes.
+    ``stack.b_label``) in process g.
     """
-    size = combs[0].state_space.size
-    # reshape gives no labels the (G, 0, S, S) stack their empty product needs
-    kernels = np.array([c.instruments[c.index(lbl)] for c in combs for lbl in first_labels])
-    kernels = kernels.reshape(len(combs), -1, size, size)
-    pi1 = _apply(kernels, np.array([c.prior for c in combs])[:, None])
+    labels, instruments = stack.labels, stack.instruments
+    rows = [_label_index(labels, lbl) for lbl in first_labels]
+    pi1 = _apply(instruments[:, rows], stack.prior[:, None])
     mid = pi1
     if break_before_second:
-        if any(c.break_kernel is None for c in combs):
+        if stack.break_kernel is None:
             raise ValueError("comb has no configured break kernel")
-        mid = _apply(_stack([c.break_kernel.matrix for c in combs]), pi1)
-    pi2 = _apply(_stack([c.instruments[c.index(second_label)] for c in combs]), mid)
-    observation = _stack([c.observation.matrix for c in combs])
+        mid = _apply(stack.break_kernel[:, None], pi1)
+    pi2 = _apply(instruments[:, _label_index(labels, stack.b_label), None], mid)
+    observation = stack.observation[:, None]
     return _renorm(_apply(observation, pi1)), _renorm(_apply(observation, pi2))
 
 
@@ -237,7 +296,7 @@ def channel_from_break(comb: Comb, b_label: str, lifting: Kernel) -> Kernel:
     return link(comb.observation, link(broken_b, lifting))
 
 
-def _pair_labels(instrument_pairs: list[tuple[str, str]]) -> list[str]:
+def _pair_labels(instrument_pairs: Iterable[tuple[str, str]]) -> list[str]:
     return sorted({lbl for pair in instrument_pairs for lbl in pair})
 
 
@@ -245,20 +304,21 @@ def _pair_deltas(
     labels: list[str],
     phi1: np.ndarray,
     phi2: np.ndarray,
-    instrument_pairs: list[tuple[str, str]],
+    instrument_pairs: tuple[tuple[str, str], ...],
     kinds: tuple[str, ...],
-) -> list[list[tuple[str, str, str, float]]]:
-    """D2 - D1 for every (pair, kind) of every process, pair-major and kind-minor.
+) -> np.ndarray:
+    """D2 - D1 for every process, pair and kind, as a (G, pairs, kinds) array.
 
     ``phi1`` and ``phi2`` are (G, L, C) law stacks whose rows follow
-    ``labels``; the result holds one list per process.  One ``div_avg`` covers
-    both law steps of every pair of every process, stacked as (G, 2 * pairs,
-    1, C) one-row matrices whose averages are the rows' own divergences, bit
-    for bit what ``div_row`` gives for each pair and step.
+    ``labels``.  One ``div_avg`` covers both law steps of every pair of every
+    process, stacked as (G, 2 * pairs, 1, C) one-row matrices whose averages
+    are the rows' own divergences, bit for bit what ``div_row`` gives for
+    each pair and step.
     """
     n = len(instrument_pairs)
+    diffs = np.empty((len(phi1), n, len(kinds)))
     if not n:
-        return [[] for _ in phi1]
+        return diffs
     row = {lbl: i for i, lbl in enumerate(labels)}
     firsts = [row[a] for a, _ in instrument_pairs]
     seconds = [row[a_prime] for _, a_prime in instrument_pairs]
@@ -267,12 +327,9 @@ def _pair_deltas(
         np.concatenate([phi1[:, firsts], phi2[:, firsts]], axis=1)[:, :, None, :],
         np.concatenate([phi1[:, seconds], phi2[:, seconds]], axis=1)[:, :, None, :],
     )
-    diffs = np.empty((len(phi1), n, len(kinds)))
     for k, kind in enumerate(kinds):
         diffs[:, :, k] = values[kind][:, n:] - values[kind][:, :n]
-    keys = [(a, a_prime, kind) for a, a_prime in instrument_pairs for kind in kinds]
-    rows = diffs.reshape(len(phi1), len(keys)).tolist()
-    return [[(*key, delta) for key, delta in zip(keys, row)] for row in rows]
+    return diffs
 
 
 @dataclass
@@ -285,80 +342,100 @@ class NoBackflowReport:
     deltas: list[tuple[str, str, str, float]] = field(default_factory=list)
 
 
-# processes read from the input at a time: bounds the combs and stacks held alive
-_CHUNK = 128
+class StackReport(NamedTuple):
+    """``NoBackflowReport``'s verdict on every process of a ``ProcessStack``, as arrays along its first axis.
+
+    ``deltas[g, p, k]`` is D2 - D1 of ``pairs[p]`` and kind k in process g;
+    a process whose channel fails has NaN deltas and max delta.
+    """
+
+    index: Sequence[int]
+    applicable: np.ndarray
+    omc_residual: np.ndarray
+    max_delta: np.ndarray
+    deltas: np.ndarray
+
+
+# processes drawn, or read from the input, at a time: bounds the draws and stacks held alive
+_CHUNK = 1024
 
 # the largest channel residual (total variation) at which the bound applies,
 # and the largest back-flow delta the oracle forgives
 ORACLE_TOL = 1e-10
 
-Process = tuple[Comb, list[tuple[str, str]], str, Kernel]
-
 
 def verify_no_backflow(
-    processes: Iterable[Process],
+    processes: Iterable[Process | ProcessStack],
     kinds: tuple[str, ...] = KINDS,
     break_before_second: bool = False,
-) -> list[NoBackflowReport]:
+) -> list[NoBackflowReport | StackReport]:
     """Check the single-channel condition and the no-back-flow bound of each process.
 
-    Each process is ``(comb, instrument_pairs, b_label, lambda_b)``.  First
-    verifies that ``lambda_b`` maps each one-step law to the matching
-    two-step law (within ``ORACLE_TOL`` in total variation) for every instrument
-    appearing in the pairs.  If that precondition fails, the report is marked
-    not applicable.  Otherwise reports the largest D2 - D1 over all pairs and
-    divergence kinds.  Returns one report per process, in input order.
+    Each item of ``processes`` is one process ``(comb, instrument_pairs,
+    b_label, lambda_b)`` or a ``ProcessStack`` of many.  First verifies that
+    ``lambda_b`` maps each one-step law to the matching two-step law (within
+    ``ORACLE_TOL`` in total variation) for every instrument appearing in the
+    pairs.  If that precondition fails, the process is marked not
+    applicable.  Otherwise reports the largest D2 - D1 over all pairs and
+    divergence kinds.  Returns one report per item, in input order: a
+    ``NoBackflowReport`` per process, a ``StackReport`` per stack.
 
-    ``processes`` is read ``_CHUNK`` at a time; each chunk's processes with the
-    same state and observable sizes, pairs and ``b_label`` are checked as one
-    stack, bit for bit as each would be alone.
+    Stacks are checked as they come.  Single processes are read ``_CHUNK``
+    at a time; each chunk's processes with the same state and observable
+    sizes, labels, pairs and ``b_label`` are checked as one stack, bit for
+    bit as each would be alone.
     """
-    reports = []
-    processes = iter(processes)
-    while chunk := list(itertools.islice(processes, _CHUNK)):
-        groups: dict[tuple, list[int]] = {}
-        for i, (comb, pairs, b_label, _) in enumerate(chunk):
-            key = (comb.state_space.size, comb.obs_space.size, tuple(map(tuple, pairs)), b_label)
-            groups.setdefault(key, []).append(i)
-        by_index = {}
-        for (_, _, pairs, b_label), members in groups.items():
-            group = [chunk[i] for i in members]
-            group_reports = _verify_group(group, list(pairs), b_label, kinds, break_before_second)
-            by_index.update(zip(members, group_reports))
-        reports += [by_index[i] for i in range(len(chunk))]
+    reports, chunk = [], []
+    for item in processes:
+        if isinstance(item, ProcessStack):
+            reports += _process_reports(chunk, kinds, break_before_second)
+            reports.append(_verify_stack(item, kinds, break_before_second))
+            chunk = []
+            continue
+        chunk.append(item)
+        if len(chunk) == _CHUNK:
+            reports += _process_reports(chunk, kinds, break_before_second)
+            chunk = []
+    return reports + _process_reports(chunk, kinds, break_before_second)
+
+
+def _process_reports(chunk: list[Process], kinds: tuple[str, ...], break_before_second: bool) -> list[NoBackflowReport]:
+    """The reports of single processes, checked as one stack per shape, in input order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (comb, pairs, b_label, _) in enumerate(chunk):
+        key = (comb.state_space.size, comb.obs_space.size, comb.labels, tuple(map(tuple, pairs)), b_label)
+        groups.setdefault(key, []).append(i)
+    reports = [None] * len(chunk)
+    for (*_, pairs, b_label), members in groups.items():
+        stack = ProcessStack.of(
+            [chunk[i][0] for i in members], pairs, b_label, [chunk[i][3] for i in members], members
+        )
+        report = _verify_stack(stack, kinds, break_before_second)
+        keys = [(a, a_prime, kind) for a, a_prime in pairs for kind in kinds]
+        for i, applicable, residual, max_delta, deltas in zip(
+            members,
+            report.applicable.tolist(),
+            report.omc_residual.tolist(),
+            report.max_delta.tolist(),
+            report.deltas.reshape(len(members), -1).tolist(),
+        ):
+            kept = [(*key, delta) for key, delta in zip(keys, deltas)] if applicable else []
+            reports[i] = NoBackflowReport(applicable, residual, max_delta, kept)
     return reports
 
 
-def _verify_group(
-    group: list[Process],
-    instrument_pairs: list[tuple[str, str]],
-    b_label: str,
-    kinds: tuple[str, ...],
-    break_before_second: bool,
-) -> list[NoBackflowReport]:
-    """The reports of processes that share their sizes, pairs and ``b_label``, as one stack."""
-    labels = _pair_labels(instrument_pairs)
-    phi1, phi2 = _laws([comb for comb, *_ in group], labels, b_label, break_before_second)
-    predicted = _renorm(_apply(_stack([lambda_b.matrix for *_, lambda_b in group]), phi1))
-    residuals = (0.5 * np.abs(predicted - phi2).sum(axis=-1)).max(axis=-1, initial=0.0).tolist()
+def _verify_stack(stack: ProcessStack, kinds: tuple[str, ...], break_before_second: bool) -> StackReport:
+    """The verdict on every process of ``stack``: the oracle's one law, residual and delta core."""
+    labels = _pair_labels(stack.pairs)
+    phi1, phi2 = _laws(stack, labels, break_before_second)
+    predicted = _renorm(_apply(stack.lambda_b[:, None], phi1))
+    residual = (0.5 * np.abs(predicted - phi2).sum(axis=-1)).max(axis=-1, initial=0.0)
     # deltas only where the channel holds: the bound says nothing elsewhere
-    kept = [g for g, residual in enumerate(residuals) if not residual > ORACLE_TOL]
-    deltas = dict(zip(kept, _pair_deltas(labels, phi1[kept], phi2[kept], instrument_pairs, kinds)))
-    return [
-        NoBackflowReport(
-            applicable=True,
-            omc_residual=residual,
-            max_delta=max(map(itemgetter(3), deltas[g]), default=-np.inf),
-            deltas=deltas[g],
-        )
-        if g in deltas
-        else NoBackflowReport(
-            applicable=False,
-            omc_residual=residual,
-            max_delta=float("nan"),
-        )
-        for g, residual in enumerate(residuals)
-    ]
+    applicable = ~(residual > ORACLE_TOL)
+    deltas = np.full((len(residual), len(stack.pairs), len(kinds)), np.nan)
+    deltas[applicable] = _pair_deltas(labels, phi1[applicable], phi2[applicable], stack.pairs, kinds)
+    max_delta = np.where(applicable, deltas.max(axis=(1, 2), initial=-np.inf), np.nan)
+    return StackReport(stack.index, applicable, residual, max_delta, deltas)
 
 
 def search_backflow_witness(
@@ -372,11 +449,13 @@ def search_backflow_witness(
     if not instrument_pairs:
         raise ValueError("search_backflow_witness needs at least one instrument pair")
     best = (instrument_pairs[0], kinds[0], -np.inf)
-    labels = _pair_labels(instrument_pairs)
-    laws = _laws([comb], labels, b_label, break_before_second)
-    for a, a_prime, kind, delta in _pair_deltas(labels, *laws, instrument_pairs, kinds)[0]:
-        if delta > best[2]:
-            best = ((a, a_prime), kind, delta)
+    stack = ProcessStack.of([comb], instrument_pairs, b_label, None, [0])
+    labels = _pair_labels(stack.pairs)
+    [deltas] = _pair_deltas(labels, *_laws(stack, labels, break_before_second), stack.pairs, kinds).tolist()
+    for (a, a_prime), row in zip(instrument_pairs, deltas):
+        for kind, delta in zip(kinds, row):
+            if delta > best[2]:
+                best = ((a, a_prime), kind, delta)
     return best
 
 
@@ -432,25 +511,126 @@ def theta_lifting_kernel(n_theta: int, n_upsilon: int) -> Kernel:
     return _frozen_kernel(m, _theta_space(n_theta), state)
 
 
+def _normalized(raw: np.ndarray, axis: int) -> np.ndarray:
+    """``raw + 1e-3`` over its sums along ``axis``, in place: the random makers' distributions from uniform draws."""
+    raw += 1e-3
+    raw /= raw.sum(axis=axis, keepdims=True)
+    return raw
+
+
 def random_stochastic(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """A random column-stochastic (n_to, n_from) matrix, or a stack of them for a longer shape.
 
     A (L, n_to, n_from) stack reads the generator as L (n_to, n_from) draws
     in turn would, and gives their matrices bit for bit.
     """
-    m = rng.random(shape) + 1e-3
-    return m / m.sum(axis=-2, keepdims=True)
+    return _normalized(rng.random(shape), -2)
 
 
 def random_prior(rng: np.random.Generator, n: int) -> np.ndarray:
-    p = rng.random(n) + 1e-3
-    return p / p.sum()
+    return _normalized(rng.random(n), -1)
 
 
 B_LABEL = "B"
 
-# the random makers' instrument labels: five first instruments, then B
+# the random makers' instrument labels: five first instruments, then B; and
+# their pairs, ``instrument_pairs`` of a random comb
 _RANDOM_LABELS = ("I0", "I1", "I2", "I3", "I4", B_LABEL)
+_RANDOM_PAIRS = tuple(itertools.combinations(_RANDOM_LABELS[:-1], 2))
+
+
+def _check_processes(index: Sequence[int], what: str, stack: np.ndarray) -> None:
+    """Validate one role of every process of a stack in one pass; a failure names the first bad process."""
+    _check_stack(stack, what, (f"process {i}: {what}" for i in index))
+
+
+def _check_draws(index: Sequence[int], prior: np.ndarray, instruments: np.ndarray) -> None:
+    """Validate the priors and instrument stacks of a chunk maker's processes, one pass each, as ``Comb`` does."""
+    _check_processes(index, "prior", prior[..., None])
+    names = (f"process {i}: instrument {label!r}" for i in index for label in _RANDOM_LABELS)
+    _check_stack(instruments, "instruments", names)
+
+
+def _draw_factoring(rng: np.random.Generator) -> tuple[tuple[int, int], tuple[np.ndarray, ...]]:
+    """Sizes and raw draws of one factoring process: observation, lifting, first instruments, prior."""
+    n_s = int(rng.integers(2, 7))
+    n_o = int(rng.integers(2, 5))
+    first = (len(_RANDOM_LABELS) - 1, n_s, n_s)
+    return (n_s, n_o), (rng.random((n_o, n_s)), rng.random((n_s, n_o)), rng.random(first), rng.random(n_s))
+
+
+def _factoring_stack(_sizes, index, observation, lift, first, prior) -> ProcessStack:
+    """The stack of factoring processes from their stacked raw draws, each role validated in one pass."""
+    observation, lift, first = (_normalized(m, -2) for m in (observation, lift, first))
+    prior = _normalized(prior, -1)
+    _check_processes(index, "observation", observation)
+    _check_processes(index, "lifting", lift)
+    # B is the product link(lift, observation) forms, validated with the stack
+    instruments = np.concatenate([first, (lift @ observation)[:, None]], axis=1)
+    _check_draws(index, prior, instruments)
+    lambda_b = observation @ lift  # link(observation, lift)
+    _check_processes(index, "lambda_b", lambda_b)
+    return ProcessStack(index, prior, _RANDOM_LABELS, instruments, observation, None, lambda_b, _RANDOM_PAIRS, B_LABEL)
+
+
+def _draw_break(rng: np.random.Generator) -> tuple[tuple[int, int], tuple[np.ndarray, ...]]:
+    """Sizes and raw draws of one break process: instruments, prior."""
+    n_t = int(rng.integers(2, 5))
+    n_u = int(rng.integers(2, 4))
+    size = n_t * n_u
+    return (n_t, n_u), (rng.random((len(_RANDOM_LABELS), size, size)), rng.random(size))
+
+
+def _break_stack(sizes, index, instruments, prior) -> ProcessStack:
+    """The stack of break processes from their stacked raw draws, each role validated in one pass."""
+    instruments, prior = _normalized(instruments, -2), _normalized(prior, -1)
+    _check_draws(index, prior, instruments)
+    reset, readout, lifting = (
+        make(*sizes).matrix for make in (buffer_reset_kernel, theta_readout_kernel, theta_lifting_kernel)
+    )
+    # channel_from_break's products, B being the last label: O . ((K_B . break) . R)
+    broken_b = instruments[:, -1] @ reset
+    lifted = broken_b @ lifting
+    lambda_b = readout @ lifted
+    for what, matrices in (("broken B", broken_b), ("lifted B", lifted), ("lambda_b", lambda_b)):
+        _check_processes(index, what, matrices)
+    return ProcessStack(
+        index, prior, _RANDOM_LABELS, instruments, readout[None], reset[None], lambda_b, _RANDOM_PAIRS, B_LABEL
+    )
+
+
+def _random_stacks(rng: np.random.Generator, count: int, draw, build) -> Iterator[ProcessStack]:
+    """``count`` processes of ``draw``, drawn ``_CHUNK`` at a time, as one ``build`` stack per size and chunk.
+
+    A chunk's stacks come in the draw order of their first processes;
+    ``index`` counts the processes from 0 in draw order.
+    """
+    for start in range(0, count, _CHUNK):
+        groups: dict[tuple[int, int], list] = {}
+        for i in range(start, min(start + _CHUNK, count)):
+            sizes, raws = draw(rng)
+            groups.setdefault(sizes, []).append((i, *raws))
+        for sizes, members in groups.items():
+            index, *raws = zip(*members)
+            yield build(sizes, index, *map(np.array, raws))
+
+
+def random_factoring_stacks(rng: np.random.Generator, count: int) -> Iterator[ProcessStack]:
+    """``count`` processes of ``random_factoring_comb``, as stacks, drawn only as they are read.
+
+    Reads the generator as ``count`` calls of ``random_factoring_comb`` would
+    and gives their matrices bit for bit.
+    """
+    return _random_stacks(rng, count, _draw_factoring, _factoring_stack)
+
+
+def random_break_stacks(rng: np.random.Generator, count: int) -> Iterator[ProcessStack]:
+    """``count`` processes of ``random_break_comb``, as stacks, drawn only as they are read.
+
+    Reads the generator as ``count`` calls of ``random_break_comb`` would
+    and gives their matrices bit for bit.
+    """
+    return _random_stacks(rng, count, _draw_break, _break_stack)
 
 
 def random_factoring_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
@@ -458,25 +638,14 @@ def random_factoring_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
 
     The kernel for the second instrument is built as (lift back from the
     observable) after (observe), so a single observable channel reproduces
-    the two-step law for every first instrument by construction.
+    the two-step law for every first instrument by construction.  The
+    one-process case of ``random_factoring_stacks``.
     """
-    n_s = int(rng.integers(2, 7))
-    n_o = int(rng.integers(2, 5))
-    state = Space(f"S{n_s}", n_s)
-    obs = Space(f"O{n_o}", n_o)
-    observation = Kernel(random_stochastic(rng, n_o, n_s), state, obs)
-    lift = Kernel(random_stochastic(rng, n_s, n_o), obs, state)
-    # B is the product link(lift, observation) forms, validated with the stack
-    b_matrix = lift.matrix @ observation.matrix
-    instruments = np.concatenate([random_stochastic(rng, len(_RANDOM_LABELS) - 1, n_s, n_s), b_matrix[None]])
-    comb = Comb(
-        prior=random_prior(rng, n_s),
-        labels=_RANDOM_LABELS,
-        instruments=instruments,
-        observation=observation,
-    )
-    lambda_b = link(observation, lift)
-    return comb, B_LABEL, lambda_b
+    [stack] = random_factoring_stacks(rng, 1)
+    n_o, n_s = stack.observation.shape[1:]
+    state, obs = Space(f"S{n_s}", n_s), Space(f"O{n_o}", n_o)
+    comb = Comb(stack.prior[0], stack.labels, stack.instruments[0], Kernel(stack.observation[0], state, obs))
+    return comb, B_LABEL, Kernel(stack.lambda_b[0], obs, obs)
 
 
 def random_break_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
@@ -485,22 +654,14 @@ def random_break_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
     The observation reveals the parameter component, the break resets the
     buffer, and the lifting sends an observed parameter to (parameter, 0);
     the observable channel O . (K_B . break) . R then holds exactly for any
-    second-step kernel.
+    second-step kernel.  The one-process case of ``random_break_stacks``.
     """
-    n_t = int(rng.integers(2, 5))
-    n_u = int(rng.integers(2, 4))
-    state = product_state_space(n_t, n_u)
+    [stack] = random_break_stacks(rng, 1)
+    n_t, size = stack.observation.shape[1:]
+    n_u = size // n_t
     observation = theta_readout_kernel(n_t, n_u)
-    instruments = random_stochastic(rng, len(_RANDOM_LABELS), state.size, state.size)
-    comb = Comb(
-        prior=random_prior(rng, state.size),
-        labels=_RANDOM_LABELS,
-        instruments=instruments,
-        observation=observation,
-        break_kernel=buffer_reset_kernel(n_t, n_u),
-    )
-    lambda_b = channel_from_break(comb, B_LABEL, theta_lifting_kernel(n_t, n_u))
-    return comb, B_LABEL, lambda_b
+    comb = Comb(stack.prior[0], stack.labels, stack.instruments[0], observation, buffer_reset_kernel(n_t, n_u))
+    return comb, B_LABEL, Kernel(stack.lambda_b[0], comb.obs_space, comb.obs_space)
 
 
 def instrument_pairs(comb: Comb) -> list[tuple[str, str]]:

@@ -169,10 +169,14 @@ class RunConfig(ProtocolSettings):
         return ModelSpec(**self.model)
 
     def digest(self) -> str:
-        # identifies the experiment: storage location excluded
-        payload = {k: v for k, v in asdict(self).items() if k != "output_dir"}
-        blob = json.dumps(payload, sort_keys=True, default=str)
-        return sha256(blob.encode()).hexdigest()[:16]
+        return _config_digest(asdict(self))
+
+
+def _config_digest(config: dict) -> str:
+    """Digest of a config as ``config.json`` holds it: identifies the experiment, storage location excluded."""
+    payload = {k: v for k, v in config.items() if k != "output_dir"}
+    blob = json.dumps(payload, sort_keys=True, default=str)
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 def resolve_regime(entry) -> Regime:
@@ -416,14 +420,42 @@ class SweepResult:
     summary: dict
 
 
+def _check_run_dir(run_dir: Path, digest: str) -> None:
+    """Refuse a run directory that holds the run of another configuration.
+
+    Its cell files, ``diagnostics.jsonl`` and ``report.md`` would stay beside
+    the new run's.  A directory whose ``config.json`` has this config's
+    digest is a rerun of the same configuration, which rewrites it in place.
+    """
+    try:
+        text = (run_dir / "config.json").read_text()
+    except FileNotFoundError:
+        return
+    try:
+        previous = json.loads(text)
+    except ValueError:
+        previous = None
+    found = _config_digest(previous) if isinstance(previous, dict) else "none"
+    if found != digest:
+        raise ConfigError(
+            f"output_dir: {run_dir} holds the run of another configuration (config_digest {found}, "
+            f"this configuration's {digest}); choose another output_dir or remove that run"
+        )
+
+
 def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
     """Execute every (regime, break flag, seed) cell and write run artifacts.
 
     Writes config.json, one JSONL file per cell as it finishes, diagnostics.jsonl,
-    and the summary that ``summarize`` makes of the cells' records.
+    and the summary that ``summarize`` makes of the cells' records.  Refuses,
+    before writing anything, an ``output_dir`` that holds another
+    configuration's run (``_check_run_dir``).
     """
     if created_at is None:
         created_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    digest = config.digest()
+    run_dir = Path(config.output_dir)
+    _check_run_dir(run_dir, digest)
 
     spec = config.model_spec()
     dataset = build_dataset(config)
@@ -441,9 +473,6 @@ def run_sweep(config: RunConfig, created_at: str | None = None) -> SweepResult:
         except ValueError as exc:
             raise ConfigError(f"batch_size: regime {regime.name!r}: {exc}") from None
     probe_x = dataset.features[dataset.probe_indices]
-    digest = config.digest()
-
-    run_dir = Path(config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     config_text = json.dumps(asdict(config), indent=2, sort_keys=True, default=str) + "\n"
     write_atomic(run_dir / "config.json", config_text)

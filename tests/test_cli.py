@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -252,6 +253,34 @@ def test_run_bad_dataset_file_leaves_no_run_dir(tmp_path, capsys):
         assert not (tmp_path / "run").exists()
 
 
+def test_run_refuses_a_directory_of_another_configuration(tmp_path, capsys):
+    # standard with diagnostics, then report, then negative without diagnostics into the same directory
+    # used to keep the first run's cell files, diagnostics.jsonl and report.md beside the second's summary
+    run_dir = tmp_path / "run"
+    path, _ = write_config(tmp_path, repeats=3)
+    assert main(["run", str(path)]) == 0
+    assert main(["report", str(run_dir)]) == 0
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert {"standard__no__seed0.jsonl", "diagnostics.jsonl", "report.md"} <= set(before)
+    capsys.readouterr()
+    path, _ = write_config(tmp_path, regimes=["negative"], repeats=3, diagnostics={"enabled": False})
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: output_dir: {run_dir} holds the run of another configuration")
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    # a config.json that is no configuration is no rerun either
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "config.json").write_text("[]")
+    path, _ = write_config(tmp_path, repeats=3, output_dir=str(tmp_path / "other"))
+    assert main(["run", str(path)]) == 2
+    assert "(config_digest none, " in capsys.readouterr().err
+    # the same configuration reruns in place, also from a moved directory
+    shutil.copytree(run_dir, tmp_path / "moved")
+    for output_dir in (run_dir, tmp_path / "moved"):
+        path, _ = write_config(tmp_path, repeats=3, output_dir=str(output_dir))
+        assert main(["run", str(path)]) == 0
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
@@ -305,11 +334,13 @@ def test_plot_data_loads_no_sweep_module_and_only_its_readers_load_tables(tmp_pa
     path, _ = write_config(tmp_path, repeats=3)
     run_dir = str(tmp_path / "run")
     sweep_modules = ("scipy", "backflow.protocol", "backflow.engine", "backflow.model", "backflow.instruments")
+    # only oracle loads the process oracle
     for argv, modules, loaded in (
-        (["run", str(path)], ("backflow.tables",), "[]"),
-        (["oracle", "--count", "2"], ("backflow.tables",), "[]"),
-        (["plot-data", run_dir], sweep_modules + ("backflow.tables",), "['backflow.tables']"),
-        (["report", run_dir], ("backflow.stats", "backflow.diagnostics", "backflow.tables"), "['backflow.tables']"),
+        (["run", str(path)], ("backflow.tables", "backflow.comb"), "[]"),
+        (["oracle", "--count", "2"], ("backflow.tables", "backflow.comb"), "['backflow.comb']"),
+        (["plot-data", run_dir], sweep_modules + ("backflow.tables", "backflow.comb"), "['backflow.tables']"),
+        (["report", run_dir], ("backflow.stats", "backflow.diagnostics", "backflow.tables", "backflow.comb"),
+         "['backflow.tables']"),
     ):
         assert loaded_after(f"from backflow import cli\nassert cli.main({argv!r}) == 0", modules) == loaded, argv
 
@@ -465,11 +496,14 @@ def test_plot_data_rewrites_the_dose_tables_of_an_earlier_run(tmp_path, capsys):
     assert int(read_csv(plots / "dose_response_fit.csv")[0]["n"]) == 9
     assert len(read_csv(plots / "dose_response_pairs.csv")) == 3
 
+    # a run refuses another configuration's directory, so the second run gets its own, holding the first's plots
     path, _ = write_config(tmp_path, regimes=["negative"], break_flags=["no"], seeds=[0, 1, 2], repeats=4,
-                           diagnostics={"enabled": False})
+                           diagnostics={"enabled": False}, output_dir=str(tmp_path / "run2"))
     assert main(["run", str(path)]) == 0
+    shutil.copytree(plots, tmp_path / "run2" / "plots")
+    plots = tmp_path / "run2" / "plots"
     capsys.readouterr()
-    assert main(["plot-data", str(tmp_path / "run")]) == 0
+    assert main(["plot-data", str(tmp_path / "run2")]) == 0
     assert capsys.readouterr().out.startswith("note: dose-response skipped: ")
     for name in ("dose_response_fit.csv", "dose_response_pairs.csv"):
         assert read_csv(plots / name) == [] and (plots / name).read_text().count("\n") == 1, name
@@ -643,11 +677,12 @@ def test_failed_plot_data_and_report_writes_keep_the_earlier_files(tmp_path, cap
 def test_report_header_names_the_run_tost_margin(tmp_path, capsys):
     # the header used to print the default margin whatever margin the verdicts used
     for stats, margin in (({}, "1e-3"), ({"tost_epsilon": 5e-3}, "5e-3"), ({"tost_epsilon": 0.0125}, "1.25e-2")):
+        run_dir = tmp_path / f"run-{margin}"  # one directory per configuration
         path, _ = write_config(tmp_path, regimes=["negative"], break_flags=["no"], repeats=4, stats=stats,
-                               diagnostics={"enabled": False})
+                               diagnostics={"enabled": False}, output_dir=str(run_dir))
         assert main(["run", str(path)]) == 0
         capsys.readouterr()
-        assert main(["report", str(tmp_path / "run")]) == 0
+        assert main(["report", str(run_dir)]) == 0
         header = f"| regime | break | n | mean dTV | 95% CI | TOST ({margin}) | p (one-sided) |"
         assert header in capsys.readouterr().out.splitlines()
 
@@ -711,23 +746,87 @@ def test_report_without_ci_prints_dashes(tmp_path, capsys):
 
 def test_oracle_fails_at_the_first_process_without_a_channel(monkeypatch, capsys):
     made = []
-    maker = comb_mod.random_factoring_comb
+    draw = comb_mod.random_factoring_stacks
 
-    def wrong_at_3_and_7(rng):
-        comb, b_label, lambda_b = maker(rng)
-        if len(made) in (3, 7):
-            n_o = comb.obs_space.size
-            lambda_b = comb_mod.Kernel(np.roll(np.eye(n_o), 1, axis=0), comb.obs_space, comb.obs_space)
-        made.append((comb, comb_mod.instrument_pairs(comb), b_label, lambda_b))
-        return comb, b_label, lambda_b
+    def wrong_at_3_and_7(rng, count):
+        for stack in draw(rng, count):
+            lambda_b = stack.lambda_b.copy()
+            for g, i in enumerate(stack.index):
+                if i in (3, 7):
+                    lambda_b[g] = np.roll(np.eye(len(lambda_b[g])), 1, axis=0)
+            made.append(stack._replace(lambda_b=lambda_b))
+            yield made[-1]
 
-    monkeypatch.setattr(comb_mod, "random_factoring_comb", wrong_at_3_and_7)
+    monkeypatch.setattr(comb_mod, "random_factoring_stacks", wrong_at_3_and_7)
     assert main(["oracle", "--seed", "0", "--count", "10"]) == 1
+    # process 7's stack is checked before process 3's: the verdict follows draw order, not stack order
+    stack_of = {i: k for k, stack in enumerate(made) for i in stack.index}
+    assert stack_of[7] < stack_of[3]
     reports = comb_mod.verify_no_backflow(made)
-    assert [i for i, report in enumerate(reports) if not report.applicable] == [3, 7]
-    residual_3, residual_7 = (f"{reports[i].omc_residual:.3e}" for i in (3, 7))
+    residuals = {
+        report.index[g]: report.omc_residual[g] for report in reports for g in np.flatnonzero(~report.applicable)
+    }
+    assert sorted(residuals) == [3, 7]
+    residual_3, residual_7 = (f"{residuals[i]:.3e}" for i in (3, 7))
     assert residual_3 != residual_7
     assert capsys.readouterr().out == f"FAIL: single-channel precondition violated (residual {residual_3})\n"
+
+
+def expected_oracle_stdout(seed, count):
+    """What ``backflow oracle`` prints, recomputed from the one-process makers and ``verify_no_backflow``."""
+    if not count:
+        return "checked 0 processes\n"
+    rng = np.random.default_rng(seed)
+    worst, worst_residual = -np.inf, 0.0
+    for maker, break_flag in ((comb_mod.random_factoring_comb, False), (comb_mod.random_break_comb, True)):
+        processes = []
+        for _ in range(count):
+            comb, b_label, lambda_b = maker(rng)
+            processes.append((comb, comb_mod.instrument_pairs(comb), b_label, lambda_b))
+        for report in comb_mod.verify_no_backflow(processes, break_before_second=break_flag):
+            assert report.applicable
+            worst = max(worst, report.max_delta)
+            worst_residual = max(worst_residual, report.omc_residual)
+    return (
+        f"checked {2 * count} processes ({count} factoring, {count} break+lifting), "
+        f"{len(report.deltas) // 3} pairs x 3 divergences each\n"
+        f"worst channel residual: {worst_residual:.3e}\n"
+        f"worst back-flow delta:  {worst:.3e} (bound 1.0e-10)\n"
+    )
+
+
+def test_oracle_stdout_matches_the_one_process_makers(capsys):
+    # host-independent: both sides run the same arithmetic on this host
+    for seed in (1, 7):
+        for count in (0, 1, comb_mod._CHUNK + 1, 400):
+            assert main(["oracle", "--seed", str(seed), "--count", str(count)]) == 0
+            assert capsys.readouterr().out == expected_oracle_stdout(seed, count), (seed, count)
+
+
+def test_oracle_validation_scales_with_shape_groups_not_processes(monkeypatch, capsys):
+    calls = {"checks": 0, "kernels": 0}
+    check_stochastic, kernel_post_init = comb_mod._check_stochastic, comb_mod.Kernel.__post_init__
+
+    def counted_check(*args):
+        calls["checks"] += 1
+        return check_stochastic(*args)
+
+    def counted_post_init(self):
+        calls["kernels"] += 1
+        return kernel_post_init(self)
+
+    monkeypatch.setattr(comb_mod, "_check_stochastic", counted_check)
+    monkeypatch.setattr(comb_mod.Kernel, "__post_init__", counted_post_init)
+    # 15 factoring and 6 break sizes, five checked roles per stack; the constant is the
+    # three size-only kernels of each break size, built once per process
+    groups, roles, size_only = 15 + 6, 5, 3 * 6
+    for count in (400, 800):
+        calls.update(checks=0, kernels=0)
+        assert main(["oracle", "--seed", "0", "--count", str(count)]) == 0
+        chunks = -(-count // comb_mod._CHUNK)
+        assert calls["checks"] <= chunks * groups * roles + size_only, (count, calls)
+        assert calls["kernels"] <= size_only, (count, calls)
+    capsys.readouterr()
 
 
 def test_oracle_stdout_matches_the_recorded_seed0_digest(capsys):

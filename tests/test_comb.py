@@ -10,6 +10,7 @@ from backflow.comb import (
     _laws,
     Comb,
     Kernel,
+    ProcessStack,
     Space,
     buffer_reset_kernel,
     channel_from_break,
@@ -33,9 +34,14 @@ def identity_kernel(space):
     return Kernel(np.eye(space.size), space, space)
 
 
+def comb_laws(comb, first_labels, second_label, break_before_second):
+    """``_laws`` of the one-comb stack: the (1, L, C) laws of each first label, then ``second_label``."""
+    return _laws(ProcessStack.of([comb], [], second_label, None, [0]), first_labels, break_before_second)
+
+
 def two_time_laws(comb, i0, i1, break_before_second=False):
     """One- and two-step observable laws of the pair (i0, i1), the one-comb, one-label case of ``_laws``."""
-    phi1, phi2 = _laws([comb], [i0], i1, break_before_second)
+    phi1, phi2 = comb_laws(comb, [i0], i1, break_before_second)
     return phi1[0, 0], phi2[0, 0]
 
 
@@ -470,7 +476,7 @@ def test_stacked_pair_deltas_match_div_row_loop_bitwise():
 
 def check_laws_against_reference(comb, b_label, break_flag):
     labels = sorted(comb.labels)
-    phi1, phi2 = _laws([comb], labels, b_label, break_flag)
+    phi1, phi2 = comb_laws(comb, labels, b_label, break_flag)
     assert phi1.shape == phi2.shape == (1, len(labels), comb.obs_space.size)
     for i, label in enumerate(labels):
         ref1, ref2 = reference_laws(comb, label, b_label, break_flag)
@@ -485,7 +491,7 @@ def test_stacked_laws_match_per_label_loop_bitwise():
         comb, b_label, _ = random_factoring_comb(rng)
         check_laws_against_reference(comb, b_label, False)
         with pytest.raises(ValueError, match="no configured break kernel"):
-            _laws([comb], ["I0"], b_label, True)
+            comb_laws(comb, ["I0"], b_label, True)
         comb, b_label, _ = random_break_comb(rng)
         for break_flag in (False, True):
             check_laws_against_reference(comb, b_label, break_flag)
@@ -691,3 +697,105 @@ def test_search_backflow_witness_empty_pair_list():
     comb, _, b_label = memoryful_demo_comb()
     with pytest.raises(ValueError, match="needs at least one instrument pair"):
         search_backflow_witness(comb, [], b_label)
+
+
+def stack_report_bits(report, g, pairs, kinds):
+    """``report_bits`` of process g of a ``StackReport``."""
+    if not report.applicable[g]:
+        return False, bits(report.omc_residual[g]), None, []
+    deltas = [
+        (a, a_prime, kind, bits(report.deltas[g, p, k]))
+        for p, (a, a_prime) in enumerate(pairs)
+        for k, kind in enumerate(kinds)
+    ]
+    return True, bits(report.omc_residual[g]), bits(report.max_delta[g]), deltas
+
+
+CHUNK_MAKERS = (
+    # chunk maker, one-process maker, per-matrix recipe, break flag, every (size, size) the maker draws
+    (comb_mod.random_factoring_stacks, random_factoring_comb, parent_factoring_process, False,
+     {(n_s, n_o) for n_s in range(2, 7) for n_o in range(2, 5)}),
+    (comb_mod.random_break_stacks, random_break_comb, parent_break_process, True,
+     {(n_t, n_u) for n_t in range(2, 5) for n_u in range(2, 4)}),
+)
+
+
+def test_chunk_makers_draw_and_verify_as_the_one_process_makers_bitwise(monkeypatch):
+    chunk = 20
+    monkeypatch.setattr(comb_mod, "_CHUNK", chunk)
+    count = 2 * chunk + 7  # three chunks, the last one partial
+    seen = {break_flag: set() for *_, break_flag, _ in CHUNK_MAKERS}
+    for seed in range(6):
+        for stacks_of, one_maker, recipe, break_flag, _ in CHUNK_MAKERS:
+            rng, one_rng, recipe_rng = (np.random.default_rng(seed) for _ in range(3))
+            stacks = list(stacks_of(rng, count))
+            ones = [one_maker(one_rng) for _ in range(count)]
+            references = [recipe(recipe_rng) for _ in range(count)]
+            assert rng.bit_generator.state == one_rng.bit_generator.state == recipe_rng.bit_generator.state
+            # every process once; a stack is one size within one chunk, in the draw order of its first process
+            assert sorted(i for stack in stacks for i in stack.index) == list(range(count))
+            firsts = [(stack.index[0] // chunk, stack.index[0]) for stack in stacks]
+            assert firsts == sorted(firsts)
+            sizes = []
+            for stack in stacks:
+                assert list(stack.index) == sorted(stack.index)
+                assert len({i // chunk for i in stack.index}) == 1
+                n_state, n_obs = stack.prior.shape[1], stack.observation.shape[1]
+                sizes.append((n_state, n_obs) if not break_flag else (n_obs, n_state // n_obs))
+            seen[break_flag].update(sizes)
+            assert len(sizes) == len({(stack.index[0] // chunk, size) for stack, size in zip(stacks, sizes)})
+            reports = verify_no_backflow(stacks, break_before_second=break_flag)
+            assert [report.index for report in reports] == [stack.index for stack in stacks]
+            for stack, report in zip(stacks, reports):
+                for g, i in enumerate(stack.index):
+                    comb, b_label, lam = ones[i]
+                    reference, reference_lam = references[i]
+                    pairs = instrument_pairs(comb)
+                    assert (stack.labels, list(stack.pairs), stack.b_label) == (comb.labels, pairs, b_label)
+                    stacked = np.array([reference.kernel(label).matrix for label in reference.labels])
+                    assert stack.instruments[g].tobytes() == comb.instruments.tobytes() == stacked.tobytes()
+                    assert stack.prior[g].tobytes() == comb.prior.tobytes() == reference.prior.tobytes()
+                    observation = stack.observation[g % len(stack.observation)]
+                    assert observation.tobytes() == reference.observation.matrix.tobytes()
+                    if break_flag:
+                        assert stack.break_kernel[g % len(stack.break_kernel)].tobytes() == (
+                            reference.break_kernel.matrix.tobytes()
+                        )
+                    else:
+                        assert stack.break_kernel is None
+                    assert stack.lambda_b[g].tobytes() == lam.matrix.tobytes() == reference_lam.matrix.tobytes()
+                    expected = reference_report((reference, pairs, b_label, reference_lam), KINDS, break_flag)
+                    assert stack_report_bits(report, g, pairs, KINDS) == expected
+                    assert expected[0]
+    assert seen == {break_flag: shapes for *_, break_flag, shapes in CHUNK_MAKERS}
+
+
+def test_chunk_makers_validate_every_role_and_name_the_bad_process(monkeypatch):
+    monkeypatch.setattr(comb_mod, "_CHUNK", 8)
+    for draw_name, stacks_of, one_maker, roles in (
+        ("_draw_factoring", comb_mod.random_factoring_stacks, random_factoring_comb,
+         ((0, None, "observation"), (1, None, "lifting"), (2, 3, "instrument 'I3'"), (3, None, "prior"))),
+        ("_draw_break", comb_mod.random_break_stacks, random_break_comb,
+         ((0, 1, "instrument 'I1'"), (0, 5, "instrument 'B'"), (1, None, "prior"))),
+    ):
+        draw = getattr(comb_mod, draw_name)
+        for raw, row, message in roles:
+            for bad, count in ((11, 20), (0, 1)):
+                drawn = []
+
+                def poisoned(rng):
+                    sizes, raws = draw(rng)
+                    if len(drawn) == bad:  # one negative entry in one raw draw of process ``bad``
+                        target = raws[raw] if row is None else raws[raw][row]
+                        target.flat[0] = -1.0
+                    drawn.append(sizes)
+                    return sizes, raws
+
+                monkeypatch.setattr(comb_mod, draw_name, poisoned)
+                with pytest.raises(ValueError, match=rf"^process {bad}: {message}: negative entries$"):
+                    list(stacks_of(np.random.default_rng(3), count))
+                drawn.clear()
+                if count == 1:
+                    with pytest.raises(ValueError, match=rf"^process 0: {message}: negative entries$"):
+                        one_maker(np.random.default_rng(3))
+                monkeypatch.setattr(comb_mod, draw_name, draw)
