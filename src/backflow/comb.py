@@ -36,11 +36,11 @@ naming the first bad process.  ``random_factoring_comb`` and
 only on their sizes (buffer reset, parameter readout and lifting) are built
 once and shared read-only.
 
-``verify_no_backflow`` takes stacks, or single processes, which it reads
-``_CHUNK`` at a time and stacks per shape, from the combs' own stacks.
-Every law step of a stack, and the channel's prediction, is one stacked
-matrix-vector product, bit for bit the one-process, one-label path; one
-divergence call then covers both law steps of every pair, kind and process.
+``verify_no_backflow`` takes stacks only; ``ProcessStack.of`` stacks combs
+of one shape, and a single process is its one-comb stack.  Every law step
+of a stack, and the channel's prediction, is one stacked matrix-vector
+product, bit for bit the one-process, one-label path; one divergence call
+then covers both law steps of every pair, kind and process.
 ``search_backflow_witness`` is the one-process case of the same helpers.
 One tolerance, ``ORACLE_TOL``, serves the channel check and ``backflow
 oracle``'s bound, and the random makers' sizes and labels are fixed.
@@ -50,7 +50,7 @@ Brute-force checks against path enumeration live in the test suite.
 import functools
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -188,16 +188,9 @@ class Comb:
     def obs_space(self) -> Space:
         return self.observation.to_space
 
-    def index(self, label: str) -> int:
-        """Row of ``label`` in the instrument stack."""
-        return _label_index(self.labels, label)
-
     def kernel(self, label: str) -> Kernel:
         """The instrument of ``label`` as a validated ``Kernel`` on the state space."""
-        return Kernel(self.instruments[self.index(label)], self.state_space, self.state_space)
-
-
-Process = tuple[Comb, list[tuple[str, str]], str, Kernel]
+        return Kernel(self.instruments[_label_index(self.labels, label)], self.state_space, self.state_space)
 
 
 class ProcessStack(NamedTuple):
@@ -230,12 +223,17 @@ class ProcessStack(NamedTuple):
         pairs: Iterable[tuple[str, str]],
         b_label: str,
         lambdas: list[Kernel] | None,
-        index: Sequence[int],
     ) -> "ProcessStack":
-        """The stack of ``combs``, which share their sizes and labels, with the channels ``lambdas``."""
+        """The stack of ``combs``, which must share their labels and sizes, with one channel each in ``lambdas``."""
+        shapes = [(comb.labels, comb.state_space.size, comb.obs_space.size) for comb in combs]
+        for g, shape in enumerate(shapes):
+            if shape != shapes[0]:
+                raise ValueError(f"comb {g}: labels and sizes {shape} differ from comb 0's {shapes[0]}")
+        if lambdas is not None and len(lambdas) != len(combs):
+            raise ValueError(f"{len(combs)} combs need {len(combs)} channels, got {len(lambdas)}")
         breaks = [comb.break_kernel for comb in combs]
         return cls(
-            index=index,
+            index=range(len(combs)),
             prior=np.array([comb.prior for comb in combs]),
             labels=combs[0].labels,
             instruments=np.array([comb.instruments for comb in combs]),
@@ -332,21 +330,13 @@ def _pair_deltas(
     return diffs
 
 
-@dataclass
-class NoBackflowReport:
-    """Result of checking that no instrument pair gains distinguishability."""
-
-    applicable: bool
-    omc_residual: float
-    max_delta: float
-    deltas: list[tuple[str, str, str, float]] = field(default_factory=list)
-
-
 class StackReport(NamedTuple):
-    """``NoBackflowReport``'s verdict on every process of a ``ProcessStack``, as arrays along its first axis.
+    """The verdict on every process of a ``ProcessStack``, as arrays along its first axis.
 
-    ``deltas[g, p, k]`` is D2 - D1 of ``pairs[p]`` and kind k in process g;
-    a process whose channel fails has NaN deltas and max delta.
+    Process g's channel holds where ``applicable[g]``, within
+    ``omc_residual[g]`` in total variation; ``deltas[g, p, k]`` is D2 - D1
+    of ``pairs[p]`` and kind k, and ``max_delta[g]`` the largest of them.  A
+    process whose channel fails has NaN deltas and max delta.
     """
 
     index: Sequence[int]
@@ -356,7 +346,7 @@ class StackReport(NamedTuple):
     deltas: np.ndarray
 
 
-# processes drawn, or read from the input, at a time: bounds the draws and stacks held alive
+# processes drawn at a time: bounds the draws and stacks held alive
 _CHUNK = 1024
 
 # the largest channel residual (total variation) at which the bound applies,
@@ -365,63 +355,20 @@ ORACLE_TOL = 1e-10
 
 
 def verify_no_backflow(
-    processes: Iterable[Process | ProcessStack],
+    stacks: Iterable[ProcessStack],
     kinds: tuple[str, ...] = KINDS,
     break_before_second: bool = False,
-) -> list[NoBackflowReport | StackReport]:
-    """Check the single-channel condition and the no-back-flow bound of each process.
+) -> list[StackReport]:
+    """Check the single-channel condition and the no-back-flow bound of every process of each stack.
 
-    Each item of ``processes`` is one process ``(comb, instrument_pairs,
-    b_label, lambda_b)`` or a ``ProcessStack`` of many.  First verifies that
-    ``lambda_b`` maps each one-step law to the matching two-step law (within
-    ``ORACLE_TOL`` in total variation) for every instrument appearing in the
-    pairs.  If that precondition fails, the process is marked not
+    First verifies that a process's ``lambda_b`` maps each one-step law to
+    the matching two-step law (within ``ORACLE_TOL`` in total variation) for
+    every instrument appearing in the pairs; if not, the process is not
     applicable.  Otherwise reports the largest D2 - D1 over all pairs and
-    divergence kinds.  Returns one report per item, in input order: a
-    ``NoBackflowReport`` per process, a ``StackReport`` per stack.
-
-    Stacks are checked as they come.  Single processes are read ``_CHUNK``
-    at a time; each chunk's processes with the same state and observable
-    sizes, labels, pairs and ``b_label`` are checked as one stack, bit for
-    bit as each would be alone.
+    divergence kinds.  Returns one ``StackReport`` per stack, in input
+    order, checking each stack as it is read.
     """
-    reports, chunk = [], []
-    for item in processes:
-        if isinstance(item, ProcessStack):
-            reports += _process_reports(chunk, kinds, break_before_second)
-            reports.append(_verify_stack(item, kinds, break_before_second))
-            chunk = []
-            continue
-        chunk.append(item)
-        if len(chunk) == _CHUNK:
-            reports += _process_reports(chunk, kinds, break_before_second)
-            chunk = []
-    return reports + _process_reports(chunk, kinds, break_before_second)
-
-
-def _process_reports(chunk: list[Process], kinds: tuple[str, ...], break_before_second: bool) -> list[NoBackflowReport]:
-    """The reports of single processes, checked as one stack per shape, in input order."""
-    groups: dict[tuple, list[int]] = {}
-    for i, (comb, pairs, b_label, _) in enumerate(chunk):
-        key = (comb.state_space.size, comb.obs_space.size, comb.labels, tuple(map(tuple, pairs)), b_label)
-        groups.setdefault(key, []).append(i)
-    reports = [None] * len(chunk)
-    for (*_, pairs, b_label), members in groups.items():
-        stack = ProcessStack.of(
-            [chunk[i][0] for i in members], pairs, b_label, [chunk[i][3] for i in members], members
-        )
-        report = _verify_stack(stack, kinds, break_before_second)
-        keys = [(a, a_prime, kind) for a, a_prime in pairs for kind in kinds]
-        for i, applicable, residual, max_delta, deltas in zip(
-            members,
-            report.applicable.tolist(),
-            report.omc_residual.tolist(),
-            report.max_delta.tolist(),
-            report.deltas.reshape(len(members), -1).tolist(),
-        ):
-            kept = [(*key, delta) for key, delta in zip(keys, deltas)] if applicable else []
-            reports[i] = NoBackflowReport(applicable, residual, max_delta, kept)
-    return reports
+    return [_verify_stack(stack, kinds, break_before_second) for stack in stacks]
 
 
 def _verify_stack(stack: ProcessStack, kinds: tuple[str, ...], break_before_second: bool) -> StackReport:
@@ -449,7 +396,7 @@ def search_backflow_witness(
     if not instrument_pairs:
         raise ValueError("search_backflow_witness needs at least one instrument pair")
     best = (instrument_pairs[0], kinds[0], -np.inf)
-    stack = ProcessStack.of([comb], instrument_pairs, b_label, None, [0])
+    stack = ProcessStack.of([comb], instrument_pairs, b_label, None)
     labels = _pair_labels(stack.pairs)
     [deltas] = _pair_deltas(labels, *_laws(stack, labels, break_before_second), stack.pairs, kinds).tolist()
     for (a, a_prime), row in zip(instrument_pairs, deltas):

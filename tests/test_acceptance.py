@@ -12,6 +12,7 @@ import pytest
 from scipy import stats as sps
 
 from backflow.comb import (
+    ProcessStack,
     instrument_pairs,
     memoryful_demo_comb,
     random_break_comb,
@@ -85,15 +86,15 @@ def test_01_process_oracle_theorems():
     rng = np.random.default_rng(2024)
     worst = -np.inf
     for maker, break_flag in ((random_factoring_comb, False), (random_break_comb, True)):
-        processes = []
+        stacks = []
         for _ in range(100):
             comb, b_label, lambda_b = maker(rng)
             pairs = instrument_pairs(comb)
             assert len(pairs) == 10
-            processes.append((comb, pairs, b_label, lambda_b))
-        for report in verify_no_backflow(processes, kinds=KINDS, break_before_second=break_flag):
-            assert report.applicable, "channel precondition must hold by construction"
-            worst = max(worst, report.max_delta)
+            stacks.append(ProcessStack.of([comb], pairs, b_label, [lambda_b]))
+        for report in verify_no_backflow(stacks, kinds=KINDS, break_before_second=break_flag):
+            assert report.applicable[0], "channel precondition must hold by construction"
+            worst = max(worst, report.max_delta[0])
     assert worst <= 1e-10
 
     comb, pair, b_label = memoryful_demo_comb()

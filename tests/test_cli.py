@@ -779,17 +779,17 @@ def expected_oracle_stdout(seed, count):
     rng = np.random.default_rng(seed)
     worst, worst_residual = -np.inf, 0.0
     for maker, break_flag in ((comb_mod.random_factoring_comb, False), (comb_mod.random_break_comb, True)):
-        processes = []
-        for _ in range(count):
+        stacks = []
+        for _ in range(count):  # one-process stacks: independent of how the oracle groups its draws
             comb, b_label, lambda_b = maker(rng)
-            processes.append((comb, comb_mod.instrument_pairs(comb), b_label, lambda_b))
-        for report in comb_mod.verify_no_backflow(processes, break_before_second=break_flag):
-            assert report.applicable
-            worst = max(worst, report.max_delta)
-            worst_residual = max(worst_residual, report.omc_residual)
+            stacks.append(comb_mod.ProcessStack.of([comb], comb_mod.instrument_pairs(comb), b_label, [lambda_b]))
+        for report in comb_mod.verify_no_backflow(stacks, break_before_second=break_flag):
+            assert report.applicable[0]
+            worst = max(worst, report.max_delta[0])
+            worst_residual = max(worst_residual, report.omc_residual[0])
     return (
         f"checked {2 * count} processes ({count} factoring, {count} break+lifting), "
-        f"{len(report.deltas) // 3} pairs x 3 divergences each\n"
+        f"{report.deltas.shape[1]} pairs x 3 divergences each\n"
         f"worst channel residual: {worst_residual:.3e}\n"
         f"worst back-flow delta:  {worst:.3e} (bound 1.0e-10)\n"
     )

@@ -36,7 +36,14 @@ def identity_kernel(space):
 
 def comb_laws(comb, first_labels, second_label, break_before_second):
     """``_laws`` of the one-comb stack: the (1, L, C) laws of each first label, then ``second_label``."""
-    return _laws(ProcessStack.of([comb], [], second_label, None, [0]), first_labels, break_before_second)
+    return _laws(ProcessStack.of([comb], [], second_label, None), first_labels, break_before_second)
+
+
+def verify_one(comb, pairs, b_label, lam, kinds=KINDS, break_flag=False):
+    """``verify_no_backflow``'s report on the one-comb stack of one process."""
+    stack = ProcessStack.of([comb], pairs, b_label, [lam])
+    [report] = verify_no_backflow([stack], kinds=kinds, break_before_second=break_flag)
+    return report
 
 
 def two_time_laws(comb, i0, i1, break_before_second=False):
@@ -288,9 +295,9 @@ def test_channel_from_break_columns_stochastic():
 def test_verify_no_backflow_equal_pair_is_zero():
     rng = np.random.default_rng(12)
     comb, b_label, lam = random_factoring_comb(rng)
-    [report] = verify_no_backflow([(comb, [("I0", "I0")], b_label, lam)])
-    assert report.applicable
-    assert report.max_delta == 0.0
+    report = verify_one(comb, [("I0", "I0")], b_label, lam)
+    assert report.applicable[0]
+    assert report.max_delta[0] == 0.0
 
 
 def test_verify_no_backflow_identity_channel_equality_case():
@@ -299,37 +306,37 @@ def test_verify_no_backflow_identity_channel_equality_case():
     rng = np.random.default_rng(13)
     instruments = np.concatenate([random_stochastic(rng, 2, 3, 3), np.eye(3)[None]])
     comb = Comb(random_prior(rng, 3), ("I0", "I1", B_LABEL), instruments, identity_kernel(s))
-    [report] = verify_no_backflow([(comb, [("I0", "I1")], B_LABEL, identity_kernel(s))])
-    assert report.applicable
-    assert abs(report.max_delta) <= 1e-15
+    report = verify_one(comb, [("I0", "I1")], B_LABEL, identity_kernel(s))
+    assert report.applicable[0]
+    assert abs(report.max_delta[0]) <= 1e-15
 
 
 def test_verify_no_backflow_randomized_factoring():
     rng = np.random.default_rng(14)
-    processes = []
+    stacks = []
     for _ in range(25):
         comb, b_label, lam = random_factoring_comb(rng)
-        processes.append((comb, instrument_pairs(comb), b_label, lam))
-    reports = verify_no_backflow(processes)
+        stacks.append(ProcessStack.of([comb], instrument_pairs(comb), b_label, [lam]))
+    reports = verify_no_backflow(stacks)
     assert len(reports) == 25
     for report in reports:
-        assert report.applicable
-        assert report.omc_residual <= 1e-12
-        assert report.max_delta <= 1e-10
+        assert report.applicable[0]
+        assert report.omc_residual[0] <= 1e-12
+        assert report.max_delta[0] <= 1e-10
 
 
 def test_verify_no_backflow_randomized_break_lifting():
     rng = np.random.default_rng(15)
-    processes = []
+    stacks = []
     for _ in range(25):
         comb, b_label, lam = random_break_comb(rng)
-        processes.append((comb, instrument_pairs(comb), b_label, lam))
-    reports = verify_no_backflow(processes, break_before_second=True)
+        stacks.append(ProcessStack.of([comb], instrument_pairs(comb), b_label, [lam]))
+    reports = verify_no_backflow(stacks, break_before_second=True)
     assert len(reports) == 25
     for report in reports:
-        assert report.applicable
-        assert report.omc_residual <= 1e-12
-        assert report.max_delta <= 1e-10
+        assert report.applicable[0]
+        assert report.omc_residual[0] <= 1e-12
+        assert report.max_delta[0] <= 1e-10
 
 
 def test_verify_reports_not_applicable_when_channel_wrong():
@@ -339,12 +346,12 @@ def test_verify_reports_not_applicable_when_channel_wrong():
     wrong = Kernel(
         np.roll(np.eye(n_o), 1, axis=0), comb.obs_space, comb.obs_space
     )
-    [report] = verify_no_backflow([(comb, instrument_pairs(comb), b_label, wrong)], break_before_second=True)
-    if report.applicable:  # rolled identity can coincide only on degenerate laws
-        assert report.omc_residual <= 1e-10
+    report = verify_one(comb, instrument_pairs(comb), b_label, wrong, break_flag=True)
+    if report.applicable[0]:  # rolled identity can coincide only on degenerate laws
+        assert report.omc_residual[0] <= 1e-10
     else:
-        assert report.omc_residual > 1e-10
-        assert np.isnan(report.max_delta) and report.deltas == []
+        assert report.omc_residual[0] > 1e-10
+        assert np.isnan(report.max_delta[0]) and np.isnan(report.deltas[0]).all()
 
 
 def test_memoryful_demo_exhibits_backflow_then_break_removes_it():
@@ -442,15 +449,11 @@ def reference_witness(deltas):
 def check_against_reference(comb, pairs, b_label, lam, kinds, break_flag):
     expected = reference_deltas(comb, pairs, b_label, kinds, break_flag)
     if lam is not None:
-        [report] = verify_no_backflow([(comb, pairs, b_label, lam)], kinds=kinds, break_before_second=break_flag)
-        assert report.applicable
-        labels = sorted({lbl for pair in pairs for lbl in pair})
-        assert report.omc_residual == reference_residual(comb, labels, b_label, lam, break_flag)
-        assert report.deltas == expected  # same order, values bit for bit
-        max_delta = -np.inf
-        for *_, delta in expected:
-            max_delta = max(max_delta, delta)
-        assert report.max_delta == max_delta
+        report = verify_one(comb, pairs, b_label, lam, kinds, break_flag)
+        assert report.applicable[0]
+        # residual, max delta and every delta in pair and kind order, bit for bit
+        expected_bits = reference_report((comb, pairs, b_label, lam), kinds, break_flag)
+        assert stack_report_bits(report, 0, pairs, kinds) == expected_bits
     witness = search_backflow_witness(comb, pairs, b_label, kinds=kinds, break_before_second=break_flag)
     assert witness == reference_witness(expected)
 
@@ -568,7 +571,7 @@ def test_makers_match_per_matrix_recipe_bitwise():
             (random_factoring_comb, parent_factoring_process, False),
             (random_break_comb, parent_break_process, True),
         ):
-            processes, expected = [], []
+            stacks, expected = [], []
             for _ in range(20):
                 comb, b_label, lam = maker(rng)
                 reference, reference_lam = parent_maker(reference_rng)
@@ -588,19 +591,20 @@ def test_makers_match_per_matrix_recipe_bitwise():
                     assert comb.break_kernel is None
                 assert_same_kernel(lam, reference_lam)
                 pairs = instrument_pairs(comb)
-                processes.append((comb, pairs, b_label, lam))
+                stacks.append(ProcessStack.of([comb], pairs, b_label, [lam]))
                 expected.append(reference_report((reference, pairs, b_label, reference_lam), KINDS, break_flag))
-            reports = verify_no_backflow(processes, break_before_second=break_flag)
-            assert [report_bits(report) for report in reports] == expected
-            assert all(report.applicable for report in reports)
+            reports = verify_no_backflow(stacks, break_before_second=break_flag)
+            # every random comb has the same pairs
+            assert [stack_report_bits(report, 0, pairs, KINDS) for report in reports] == expected
+            assert all(report.applicable[0] for report in reports)
 
 
 def test_verify_no_backflow_empty_pair_list():
     comb, b_label, lam = random_factoring_comb(np.random.default_rng(21))
-    [report] = verify_no_backflow([(comb, [], b_label, lam)])
-    assert report.applicable
-    assert report.max_delta == -np.inf
-    assert report.deltas == []
+    report = verify_one(comb, [], b_label, lam)
+    assert report.applicable[0]
+    assert report.max_delta[0] == -np.inf
+    assert report.deltas.shape == (1, 0, len(KINDS))
 
 
 def bits(value):
@@ -621,75 +625,117 @@ def reference_report(process, kinds, break_flag, tol=1e-10):
     return True, bits(residual), bits(max_delta), [(*key, bits(delta)) for *key, delta in deltas]
 
 
-def report_bits(report):
-    max_delta = bits(report.max_delta) if report.applicable else None
-    deltas = [(*key, bits(delta)) for *key, delta in report.deltas]
-    return report.applicable, bits(report.omc_residual), max_delta, deltas
-
-
 def wrong_channel(comb):
     n_o = comb.obs_space.size
     return Kernel(np.roll(np.eye(n_o), 1, axis=0), comb.obs_space, comb.obs_space)
+
+
+def comb_sizes(comb):
+    return comb.state_space.size, comb.obs_space.size
+
+
+def same_size_processes(maker, rng, count):
+    """``count`` (comb, channel) pairs of ``maker`` with the sizes of its first draw; other draws are skipped."""
+    found = []
+    while len(found) < count:
+        comb, _, lam = maker(rng)
+        if not found or comb_sizes(comb) == comb_sizes(found[0][0]):
+            found.append((comb, lam))
+    return found
+
+
+def stack_of(processes, pairs):
+    """The ``ProcessStack`` of (comb, channel) pairs that share their sizes."""
+    return ProcessStack.of([comb for comb, _ in processes], pairs, B_LABEL, [lam for _, lam in processes])
 
 
 def test_batch_reports_match_per_process_reference_bitwise():
     rng = np.random.default_rng(23)
     demo, demo_pair, demo_b = memoryful_demo_comb()
     demo_lam = channel_from_break(demo, demo_b, theta_lifting_kernel(2, 2))
-    demo_process = (demo, [demo_pair, demo_pair[::-1]], demo_b, demo_lam)
-    n = 2 * comb_mod._CHUNK + 7  # three chunks
+    assert demo_b == B_LABEL
     for break_flag in (False, True):
-        processes = []
-        for i in range(n):
-            if i in (3, comb_mod._CHUNK + 3):  # one group split across two chunks
-                processes.append(demo_process)
-                continue
-            maker = random_break_comb if break_flag or i % 2 else random_factoring_comb
-            comb, b_label, lam = maker(rng)
-            pairs = instrument_pairs(comb)
-            if i % 5 == 0:  # duplicate and reversed pairs
-                pairs = pairs + [("I0", "I0"), pairs[-1][::-1], pairs[0]]
-            if i % 11 == 0:
-                pairs = []
-            if i == comb_mod._CHUNK // 2:
-                lam = wrong_channel(comb)
-            processes.append((comb, pairs, b_label, lam))
-        reports = verify_no_backflow(iter(processes), break_before_second=break_flag)
-        expected = [reference_report(process, KINDS, break_flag) for process in processes]
-        assert [report_bits(report) for report in reports] == expected
-        applicable = [report.applicable for report in reports]
-        assert not applicable[comb_mod._CHUNK // 2] and any(applicable)
-        assert len({p[0].obs_space.size for p in processes}) > 1
-        assert len({p[0].state_space.size for p in processes}) > 1
-        assert applicable[3] == applicable[comb_mod._CHUNK + 3] == break_flag
-        if not break_flag:  # break combs without their break: the channel does not hold
-            assert not all(applicable[1::2])
-    comb, b_label, lam = random_factoring_comb(rng)
+        # (processes, pairs, whether each channel holds): the demo's lifted channel holds only after the break
+        cases = [([(demo, demo_lam)] * 3, [demo_pair, demo_pair[::-1]], [break_flag] * 3)]
+        # factoring combs have no break kernel; without the break, a break comb's channel fails but on no pairs
+        for maker in (random_break_comb,) if break_flag else (random_factoring_comb, random_break_comb):
+            holds = break_flag or maker is random_factoring_comb
+            processes = same_size_processes(maker, rng, 4)
+            pairs = instrument_pairs(processes[0][0])
+            comb = processes[1][0]
+            wrong = processes[:1] + [(comb, wrong_channel(comb))] + processes[2:]
+            duplicated = pairs + [("I0", "I0"), pairs[-1][::-1], pairs[0]]  # duplicate and reversed pairs
+            cases += [
+                (wrong, pairs, [holds, False, holds, holds]),
+                (processes, duplicated, [holds] * 4),
+                (processes, [], [True] * 4),
+            ]
+        reports = verify_no_backflow(
+            (stack_of(processes, pairs) for processes, pairs, _ in cases), break_before_second=break_flag
+        )
+        assert len(reports) == len(cases)
+        for (processes, pairs, applicable), report in zip(cases, reports):
+            assert list(report.index) == list(range(len(processes)))
+            assert report.applicable.tolist() == applicable
+            for g, (comb, lam) in enumerate(processes):
+                expected = reference_report((comb, pairs, B_LABEL, lam), KINDS, break_flag)
+                assert stack_report_bits(report, g, pairs, KINDS) == expected
+    factoring = same_size_processes(random_factoring_comb, rng, 2)
+    stacks = [stack_of([(demo, demo_lam)], [demo_pair]), stack_of(factoring, instrument_pairs(factoring[0][0]))]
     with pytest.raises(ValueError, match="comb has no configured break kernel"):
-        verify_no_backflow([demo_process, (comb, instrument_pairs(comb), b_label, lam)], break_before_second=True)
+        verify_no_backflow(stacks, break_before_second=True)
+
+
+def test_process_stack_of_refuses_combs_of_another_shape():
+    rng = np.random.default_rng(25)
+    comb, b_label, lam = random_factoring_comb(rng)
+    pairs = instrument_pairs(comb)
+    # the same process under another label order: checked alone it gives the same verdict
+    order = [1, 0, 2, 3, 4, 5]
+    swapped = Comb(comb.prior, tuple(comb.labels[i] for i in order), comb.instruments[order], comb.observation)
+    assert swapped.labels[:2] == ("I1", "I0")
+    expected = stack_report_bits(verify_one(comb, pairs, b_label, lam), 0, pairs, KINDS)
+    assert stack_report_bits(verify_one(swapped, pairs, b_label, lam), 0, pairs, KINDS) == expected
+    with pytest.raises(ValueError, match=r"^comb 1: labels and sizes \(\('I1', 'I0',"):
+        ProcessStack.of([comb, swapped], pairs, b_label, [lam, lam])
+    other, _, other_lam = random_factoring_comb(rng)
+    while comb_sizes(other) == comb_sizes(comb):
+        other, _, other_lam = random_factoring_comb(rng)
+    with pytest.raises(ValueError, match=r"^comb 2: labels and sizes .* differ from comb 0's"):
+        ProcessStack.of([comb, comb, other], pairs, b_label, [lam, lam, other_lam])
+    with pytest.raises(ValueError, match=r"^2 combs need 2 channels, got 1$"):
+        ProcessStack.of([comb, comb], pairs, b_label, [lam])
+    stack = ProcessStack.of([comb, comb], pairs, b_label, [lam, lam])
+    assert list(stack.index) == [0, 1] and stack.labels == comb.labels
+    [report] = verify_no_backflow([stack])
+    assert [stack_report_bits(report, g, pairs, KINDS) for g in (0, 1)] == [expected] * 2
 
 
 def test_verify_no_backflow_reads_processes_one_chunk_at_a_time(monkeypatch):
-    rng = np.random.default_rng(24)
-    pulled = []
-    seen_at_laws = []
+    chunk = 8
+    monkeypatch.setattr(comb_mod, "_CHUNK", chunk)
+    drawn, checked = [], []  # stacks checked at each draw; (index, processes drawn) at each check
+    draw, verify = comb_mod._draw_break, comb_mod._verify_stack
 
-    def processes():
-        for _ in range(3 * comb_mod._CHUNK):
-            comb, b_label, lam = random_break_comb(rng)
-            pulled.append(comb)
-            yield comb, instrument_pairs(comb), b_label, lam
+    def counted_draw(rng):
+        drawn.append(len(checked))
+        return draw(rng)
 
-    def laws(*args):
-        seen_at_laws.append(len(pulled))
-        return comb_mod_laws(*args)
+    def spied_verify(stack, *args):
+        checked.append((list(stack.index), len(drawn)))
+        return verify(stack, *args)
 
-    comb_mod_laws = comb_mod._laws
-    monkeypatch.setattr(comb_mod, "_laws", laws)
-    reports = verify_no_backflow(processes(), break_before_second=True)
-    assert len(reports) == 3 * comb_mod._CHUNK
-    assert seen_at_laws[0] == comb_mod._CHUNK
-    assert sorted(set(seen_at_laws)) == [comb_mod._CHUNK, 2 * comb_mod._CHUNK, 3 * comb_mod._CHUNK]
+    monkeypatch.setattr(comb_mod, "_draw_break", counted_draw)
+    monkeypatch.setattr(comb_mod, "_verify_stack", spied_verify)
+    stacks = comb_mod.random_break_stacks(np.random.default_rng(24), 3 * chunk)
+    reports = verify_no_backflow(stacks, break_before_second=True)
+    assert [list(report.index) for report in reports] == [index for index, _ in checked]
+    assert sorted(i for index, _ in checked for i in index) == list(range(3 * chunk))
+    # a stack is checked once its chunk is drawn, before the next chunk's first draw ...
+    ends = [(index[0] // chunk + 1) * chunk for index, _ in checked]
+    assert [seen for _, seen in checked] == ends and sorted(set(ends)) == [chunk, 2 * chunk, 3 * chunk]
+    # ... and a process is drawn once every stack of the earlier chunks is checked
+    assert drawn == [sum(end <= i for end in ends) for i in range(3 * chunk)]
     assert verify_no_backflow(iter([])) == []
 
 
@@ -700,7 +746,7 @@ def test_search_backflow_witness_empty_pair_list():
 
 
 def stack_report_bits(report, g, pairs, kinds):
-    """``report_bits`` of process g of a ``StackReport``."""
+    """``reference_report``'s tuple, read from process g of a ``StackReport``."""
     if not report.applicable[g]:
         return False, bits(report.omc_residual[g]), None, []
     deltas = [
