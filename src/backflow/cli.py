@@ -16,11 +16,15 @@ alone, and no command loads SciPy.  Every
 file is written through ``artifacts.write_atomic``, so a failed write leaves
 the previous file.  ``run`` first fixes glibc's heap thresholds
 (``_fix_heap_thresholds``), which the sweep's short-lived temporaries need.
+``main`` first freezes the import-time heap (``gc.freeze``, once per
+process), so that no later collection, the one at interpreter exit
+included, traverses NumPy's import objects again.
 """
 
 import argparse
 import csv
 import ctypes
+import gc
 import io
 import json
 import sys
@@ -245,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if not gc.get_freeze_count():  # once per process: later calls would freeze their callers' garbage
+        gc.freeze()
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config)

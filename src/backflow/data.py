@@ -225,7 +225,9 @@ def split_probe(dataset: Dataset, probe_size: int, seed: int) -> Dataset:
         if alloc[c] > 0:
             probe_parts.append(rng.choice(members, size=alloc[c], replace=False))
     probe = np.sort(np.concatenate(probe_parts))
-    train = np.setdiff1d(np.arange(m), probe)
+    keep = np.ones(m, bool)
+    keep[probe] = False
+    train = np.flatnonzero(keep)  # not np.setdiff1d, whose np.unique imports numpy.ma
 
     features = dataset.features
     if dataset.normalize_on_split:

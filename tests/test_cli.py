@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import struct
 import subprocess
 import sys
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -334,15 +336,39 @@ def test_plot_data_loads_no_sweep_module_and_only_its_readers_load_tables(tmp_pa
     path, _ = write_config(tmp_path, repeats=3)
     run_dir = str(tmp_path / "run")
     sweep_modules = ("scipy", "backflow.protocol", "backflow.engine", "backflow.model", "backflow.instruments")
-    # only oracle loads the process oracle
+    # only oracle loads the process oracle, and neither run nor oracle loads numpy.ma
     for argv, modules, loaded in (
-        (["run", str(path)], ("backflow.tables", "backflow.comb"), "[]"),
-        (["oracle", "--count", "2"], ("backflow.tables", "backflow.comb"), "['backflow.comb']"),
+        (["run", str(path)], ("backflow.tables", "backflow.comb", "numpy.ma"), "[]"),
+        (["oracle", "--count", "2"], ("backflow.tables", "backflow.comb", "numpy.ma"), "['backflow.comb']"),
         (["plot-data", run_dir], sweep_modules + ("backflow.tables", "backflow.comb"), "['backflow.tables']"),
         (["report", run_dir], ("backflow.stats", "backflow.diagnostics", "backflow.tables", "backflow.comb"),
          "['backflow.tables']"),
     ):
         assert loaded_after(f"from backflow import cli\nassert cli.main({argv!r}) == 0", modules) == loaded, argv
+
+
+def test_main_freezes_the_import_time_heap():
+    # so that the collection at interpreter exit skips NumPy's import objects
+    statements = "import gc\nfrom backflow import cli\nassert cli.main(['oracle', '--count', '0']) == 0\n" \
+                 "assert gc.get_freeze_count() > 0, 'not frozen'"
+    assert loaded_after(statements, ()) == "[]"
+
+
+class Node:
+    pass
+
+
+def test_main_freezes_once_per_process(capsys):
+    assert main(["oracle", "--count", "0"]) == 0
+    frozen = gc.get_freeze_count()
+    node = Node()
+    node.self = node  # a cycle made between two calls ...
+    ref = weakref.ref(node)
+    del node
+    assert main(["oracle", "--count", "0"]) == 0
+    assert gc.get_freeze_count() == frozen
+    gc.collect()
+    assert ref() is None  # ... stays collectable
 
 
 def test_engine_loads_no_config_sweep_or_file_format_module():

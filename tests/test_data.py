@@ -48,6 +48,14 @@ def test_well_separated_classes_are_learnable():
     assert accuracy >= 0.99
 
 
+def assert_train_is_the_sorted_complement(split):
+    # sample_batch_plan relies on sorted, unique train indices
+    expected = np.setdiff1d(np.arange(split.num_examples), split.probe_indices)
+    assert split.train_indices.dtype == expected.dtype
+    assert np.array_equal(split.train_indices, expected)
+    assert np.all(np.diff(split.train_indices) > 0)
+
+
 def test_split_probe_properties():
     ds = make_synthetic(4, 4, 50, seed=4)
     split = split_probe(ds, 40, seed=5)
@@ -62,6 +70,7 @@ def test_split_probe_properties():
     assert np.bincount(split.labels, minlength=4).tolist() == [50, 50, 50, 50]
     assert hist.tolist() == [10, 10, 10, 10]
     assert split.provenance == ds.provenance == {}
+    assert_train_is_the_sorted_complement(split)
 
 
 def test_split_probe_every_class_represented():
@@ -79,12 +88,14 @@ def test_split_probe_keeps_every_class_of_a_skewed_table(tmp_path):
     split = split_probe(load_table(str(path), "csv_labeled"), 3, seed=0)
     assert sorted(split.labels[split.probe_indices]) == [0, 1, 2]
     assert np.bincount(split.labels[split.probe_indices], minlength=3).tolist() == [1, 1, 1]
+    assert_train_is_the_sorted_complement(split)
 
 
 def test_split_probe_boundary():
     ds = make_synthetic(4, 2, 5, seed=8)
     split = split_probe(ds, 9, seed=9)
     assert len(split.train_indices) == 1
+    assert_train_is_the_sorted_complement(split)
     with pytest.raises(ValueError, match="smaller"):
         split_probe(ds, 10, seed=9)
 
