@@ -2,10 +2,10 @@
 
 A process here is a "comb": a prior over a finite latent space, one latent
 transition kernel per instrument label, and an observation kernel pushing
-latent states to a finite observable space.  Kernels are column-stochastic
-matrices (column j = the distribution of the target given source state j),
-so composition is plain matrix multiplication and distributions are column
-vectors acted on from the left.
+latent states to a finite observable space.  A kernel is a float64
+column-stochastic matrix (column j = the distribution of the target given
+source state j), so composition is plain matrix multiplication and
+distributions are column vectors acted on from the left.
 
 The module supports the two constructions used by the verification suite:
 
@@ -17,10 +17,9 @@ The module supports the two constructions used by the verification suite:
   observables back to latent states, which makes the same factorization
   explicit after the break.
 
-A comb keeps its instruments as one labelled (L, S, S) stack, validated in
-one pass when the comb is built; ``Comb.kernel`` hands out a validated
-``Kernel`` of one label.  A space is a name and a size; a comb's spaces are
-its observation kernel's.
+A comb keeps its instruments as one labelled (L, S, S) stack and takes its
+sizes from its (C, S) observation; each of its kernels is validated once
+when the comb is built.
 
 The oracle's unit of work is a ``ProcessStack``: processes that share their
 state and observable sizes, labels, instrument pairs and second label, as
@@ -28,13 +27,12 @@ stacked arrays (G processes of L labels hold a (G, L, S, S) instrument
 stack).  The chunk makers ``random_factoring_stacks`` and
 ``random_break_stacks`` draw ``_CHUNK`` processes at a time, each with the
 generator calls of the one-process makers in their order, and build one
-stack per size: each ``link`` product is one stacked matrix product in the
-same association, and each role (prior, instruments, observation, every
-product, the channel) is validated in one pass over the stack, a failure
-naming the first bad process.  ``random_factoring_comb`` and
-``random_break_comb`` are their one-process case.  The kernels that depend
-only on their sizes (buffer reset, parameter readout and lifting) are built
-once and shared read-only.
+stack per size: each kernel product is one stacked matrix product, and
+each role (prior, instruments, observation, every product, the channel) is
+validated in one pass over the stack, a failure naming the first bad
+process.  ``random_factoring_comb`` and ``random_break_comb`` are their
+one-process case.  The kernels that depend only on their sizes (buffer
+reset, parameter readout and lifting) are built once and shared read-only.
 
 ``verify_no_backflow`` takes stacks only; ``ProcessStack.of`` stacks combs
 of one shape, and a single process is its one-comb stack.  Every law step
@@ -58,14 +56,6 @@ import numpy as np
 from .divergences import KINDS, div_avg
 
 _STOCH_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Space:
-    """A named finite space of ``size`` states."""
-
-    name: str
-    size: int
 
 
 def _check_stochastic(matrix: np.ndarray, what: str) -> None:
@@ -101,34 +91,13 @@ def _check_stack(stack: np.ndarray, what: str, names: Iterable[str]) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Column-stochastic map between finite spaces."""
-
-    matrix: np.ndarray
-    from_space: Space
-    to_space: Space
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (self.to_space.size, self.from_space.size):
-            raise ValueError(
-                f"kernel shape {m.shape} does not match "
-                f"{self.from_space.name}->{self.to_space.name} "
-                f"({self.to_space.size}x{self.from_space.size})"
-            )
-        _check_stochastic(m, f"kernel {self.from_space.name}->{self.to_space.name}")
-
-
-def link(k2: Kernel, k1: Kernel) -> Kernel:
-    """Compose kernels: first k1, then k2."""
-    if k1.to_space != k2.from_space:
-        raise ValueError(
-            f"space mismatch: {k1.to_space.name} (output of first) vs "
-            f"{k2.from_space.name} (input of second)"
-        )
-    return Kernel(k2.matrix @ k1.matrix, k1.from_space, k2.to_space)
+def _kernel(matrix, shape: tuple[int, int] | None, what: str) -> np.ndarray:
+    """``matrix`` as a float64 array, raising unless it is a column-stochastic matrix of ``shape`` (None: any)."""
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2 or m.shape != (shape or m.shape):
+        raise ValueError(f"{what} shape {m.shape} does not match {shape or 'a matrix'}")
+    _check_stochastic(m, what)
+    return m
 
 
 def _label_index(labels: tuple[str, ...], label: str) -> int:
@@ -143,23 +112,27 @@ def _label_index(labels: tuple[str, ...], label: str) -> int:
 class Comb:
     """Two-time process: prior, labelled latent instrument kernels, observation.
 
-    ``instruments[i]`` is the (S, S) latent kernel of ``labels[i]`` on the
-    state space that ``observation`` reads.  ``break_kernel``, when present,
-    is the latent map applied between the first and second instrument to
-    sever the memory channel (for product spaces: keep the parameter
-    component, reset the buffer component).
+    ``observation`` is the (C, S) kernel from the S latent states to the C
+    observables, and ``instruments[i]`` the (S, S) latent kernel of
+    ``labels[i]``.  ``break_kernel``, when present, is the (S, S) latent map
+    applied between the first and second instrument to sever the memory
+    channel (for product spaces: keep the parameter component, reset the
+    buffer component).
     """
 
     prior: np.ndarray
     labels: tuple[str, ...]
     instruments: np.ndarray
-    observation: Kernel
-    break_kernel: Kernel | None = None
+    observation: np.ndarray
+    break_kernel: np.ndarray | None = None
 
     def __post_init__(self):
+        observation = _kernel(self.observation, None, "observation")
+        object.__setattr__(self, "observation", observation)
+        size = observation.shape[1]
         prior = np.asarray(self.prior, dtype=np.float64)
         object.__setattr__(self, "prior", prior)
-        if prior.shape != (self.state_space.size,):
+        if prior.shape != (size,):
             raise ValueError("prior length does not match state space")
         _check_stochastic(prior[:, None], "prior")
         labels = tuple(self.labels)
@@ -169,28 +142,14 @@ class Comb:
             raise ValueError(f"duplicate instrument label {first!r}")
         instruments = np.asarray(self.instruments, dtype=np.float64)
         object.__setattr__(self, "instruments", instruments)
-        size = self.state_space.size
         if instruments.shape != (len(labels), size, size):
             raise ValueError(
                 f"instrument stack shape {instruments.shape} does not match "
-                f"{len(labels)} labels on {self.state_space.name} ({size}x{size})"
+                f"{len(labels)} labels on {size} states ({size}x{size})"
             )
         _check_stack(instruments, "instruments", (f"instrument {label!r}" for label in labels))
-        brk, state = self.break_kernel, self.state_space
-        if brk is not None and (brk.from_space, brk.to_space) != (state, state):
-            raise ValueError("break kernel does not act on the state space")
-
-    @property
-    def state_space(self) -> Space:
-        return self.observation.from_space
-
-    @property
-    def obs_space(self) -> Space:
-        return self.observation.to_space
-
-    def kernel(self, label: str) -> Kernel:
-        """The instrument of ``label`` as a validated ``Kernel`` on the state space."""
-        return Kernel(self.instruments[_label_index(self.labels, label)], self.state_space, self.state_space)
+        if self.break_kernel is not None:
+            object.__setattr__(self, "break_kernel", _kernel(self.break_kernel, (size, size), "break kernel"))
 
 
 class ProcessStack(NamedTuple):
@@ -222,24 +181,31 @@ class ProcessStack(NamedTuple):
         combs: list[Comb],
         pairs: Iterable[tuple[str, str]],
         b_label: str,
-        lambdas: list[Kernel] | None,
+        lambdas: list[np.ndarray] | None,
     ) -> "ProcessStack":
-        """The stack of ``combs``, which must share their labels and sizes, with one channel each in ``lambdas``."""
-        shapes = [(comb.labels, comb.state_space.size, comb.obs_space.size) for comb in combs]
+        """The stack of ``combs``, which must share their labels and sizes, with one (C, C) channel each in ``lambdas``.
+
+        Each channel is validated as a column-stochastic (C, C) matrix; a
+        failure names the first bad one.
+        """
+        shapes = [(comb.labels, *comb.observation.shape) for comb in combs]
         for g, shape in enumerate(shapes):
             if shape != shapes[0]:
                 raise ValueError(f"comb {g}: labels and sizes {shape} differ from comb 0's {shapes[0]}")
         if lambdas is not None and len(lambdas) != len(combs):
             raise ValueError(f"{len(combs)} combs need {len(combs)} channels, got {len(lambdas)}")
+        n_obs = shapes[0][1]
         breaks = [comb.break_kernel for comb in combs]
         return cls(
             index=range(len(combs)),
             prior=np.array([comb.prior for comb in combs]),
             labels=combs[0].labels,
             instruments=np.array([comb.instruments for comb in combs]),
-            observation=np.array([comb.observation.matrix for comb in combs]),
-            break_kernel=None if any(k is None for k in breaks) else np.array([k.matrix for k in breaks]),
-            lambda_b=None if lambdas is None else np.array([k.matrix for k in lambdas]),
+            observation=np.array([comb.observation for comb in combs]),
+            break_kernel=None if any(k is None for k in breaks) else np.array(breaks),
+            lambda_b=None if lambdas is None else np.array(
+                [_kernel(lam, (n_obs, n_obs), f"channel {g}") for g, lam in enumerate(lambdas)]
+            ),
             pairs=tuple(map(tuple, pairs)),
             b_label=b_label,
         )
@@ -277,21 +243,6 @@ def _laws(stack: ProcessStack, first_labels: list[str], break_before_second: boo
     pi2 = _apply(instruments[:, _label_index(labels, stack.b_label), None], mid)
     observation = stack.observation[:, None]
     return _renorm(_apply(observation, pi1)), _renorm(_apply(observation, pi2))
-
-
-def channel_from_break(comb: Comb, b_label: str, lifting: Kernel) -> Kernel:
-    """Observable channel O . (K_B . break) . R induced by the broken process.
-
-    ``lifting`` maps observables back to latent states; with a valid lifting
-    the returned channel reproduces every post-B observable law from the
-    corresponding mid-time observable law.
-    """
-    if comb.break_kernel is None:
-        raise ValueError("comb has no configured break kernel")
-    if lifting.from_space != comb.obs_space or lifting.to_space != comb.state_space:
-        raise ValueError("lifting kernel must map observables to latent states")
-    broken_b = link(comb.kernel(b_label), comb.break_kernel)
-    return link(comb.observation, link(broken_b, lifting))
 
 
 def _pair_labels(instrument_pairs: Iterable[tuple[str, str]]) -> list[str]:
@@ -373,6 +324,8 @@ def verify_no_backflow(
 
 def _verify_stack(stack: ProcessStack, kinds: tuple[str, ...], break_before_second: bool) -> StackReport:
     """The verdict on every process of ``stack``: the oracle's one law, residual and delta core."""
+    if stack.lambda_b is None:
+        raise ValueError("stack has no channel (lambda_b) to verify")
     labels = _pair_labels(stack.pairs)
     phi1, phi2 = _laws(stack, labels, break_before_second)
     predicted = _renorm(_apply(stack.lambda_b[:, None], phi1))
@@ -412,50 +365,41 @@ def search_backflow_witness(
 # matrices, and shared by every process of those sizes.
 
 
-def product_state_space(n_theta: int, n_upsilon: int) -> Space:
-    """Latent space of (parameter, buffer) pairs, parameter-major ordering."""
-    return Space(f"S({n_theta}x{n_upsilon})", n_theta * n_upsilon)
-
-
-def _theta_space(n_theta: int) -> Space:
-    return Space(f"Theta({n_theta})", n_theta)
-
-
-def _frozen_kernel(m: np.ndarray, from_space: Space, to_space: Space) -> Kernel:
+def _frozen(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` validated, then made read-only."""
+    _check_stochastic(m, what)
     m.flags.writeable = False
-    return Kernel(m, from_space, to_space)
+    return m
 
 
 @functools.cache
-def buffer_reset_kernel(n_theta: int, n_upsilon: int) -> Kernel:
-    """Deterministic map (theta, upsilon) -> (theta, 0) on a product space."""
-    space = product_state_space(n_theta, n_upsilon)
-    m = np.zeros((space.size, space.size))
+def buffer_reset_kernel(n_theta: int, n_upsilon: int) -> np.ndarray:
+    """Deterministic map (theta, upsilon) -> (theta, 0) on the product states, parameter-major."""
+    size = n_theta * n_upsilon
+    m = np.zeros((size, size))
     for i in range(n_theta):
         for j in range(n_upsilon):
             m[i * n_upsilon + 0, i * n_upsilon + j] = 1.0
-    return _frozen_kernel(m, space, space)
+    return _frozen(m, "buffer reset")
 
 
 @functools.cache
-def theta_readout_kernel(n_theta: int, n_upsilon: int) -> Kernel:
+def theta_readout_kernel(n_theta: int, n_upsilon: int) -> np.ndarray:
     """Observation that reveals the parameter component exactly."""
-    state = product_state_space(n_theta, n_upsilon)
-    m = np.zeros((n_theta, state.size))
+    m = np.zeros((n_theta, n_theta * n_upsilon))
     for i in range(n_theta):
         for j in range(n_upsilon):
             m[i, i * n_upsilon + j] = 1.0
-    return _frozen_kernel(m, state, _theta_space(n_theta))
+    return _frozen(m, "parameter readout")
 
 
 @functools.cache
-def theta_lifting_kernel(n_theta: int, n_upsilon: int) -> Kernel:
+def theta_lifting_kernel(n_theta: int, n_upsilon: int) -> np.ndarray:
     """Lifting theta -> (theta, 0); right inverse of the parameter readout."""
-    state = product_state_space(n_theta, n_upsilon)
-    m = np.zeros((state.size, n_theta))
+    m = np.zeros((n_theta * n_upsilon, n_theta))
     for i in range(n_theta):
         m[i * n_upsilon + 0, i] = 1.0
-    return _frozen_kernel(m, _theta_space(n_theta), state)
+    return _frozen(m, "parameter lifting")
 
 
 def _normalized(raw: np.ndarray, axis: int) -> np.ndarray:
@@ -463,19 +407,6 @@ def _normalized(raw: np.ndarray, axis: int) -> np.ndarray:
     raw += 1e-3
     raw /= raw.sum(axis=axis, keepdims=True)
     return raw
-
-
-def random_stochastic(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """A random column-stochastic (n_to, n_from) matrix, or a stack of them for a longer shape.
-
-    A (L, n_to, n_from) stack reads the generator as L (n_to, n_from) draws
-    in turn would, and gives their matrices bit for bit.
-    """
-    return _normalized(rng.random(shape), -2)
-
-
-def random_prior(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _normalized(rng.random(n), -1)
 
 
 B_LABEL = "B"
@@ -512,10 +443,10 @@ def _factoring_stack(_sizes, index, observation, lift, first, prior) -> ProcessS
     prior = _normalized(prior, -1)
     _check_processes(index, "observation", observation)
     _check_processes(index, "lifting", lift)
-    # B is the product link(lift, observation) forms, validated with the stack
+    # B lifts back what it observes, validated with the stack
     instruments = np.concatenate([first, (lift @ observation)[:, None]], axis=1)
     _check_draws(index, prior, instruments)
-    lambda_b = observation @ lift  # link(observation, lift)
+    lambda_b = observation @ lift
     _check_processes(index, "lambda_b", lambda_b)
     return ProcessStack(index, prior, _RANDOM_LABELS, instruments, observation, None, lambda_b, _RANDOM_PAIRS, B_LABEL)
 
@@ -533,9 +464,9 @@ def _break_stack(sizes, index, instruments, prior) -> ProcessStack:
     instruments, prior = _normalized(instruments, -2), _normalized(prior, -1)
     _check_draws(index, prior, instruments)
     reset, readout, lifting = (
-        make(*sizes).matrix for make in (buffer_reset_kernel, theta_readout_kernel, theta_lifting_kernel)
+        make(*sizes) for make in (buffer_reset_kernel, theta_readout_kernel, theta_lifting_kernel)
     )
-    # channel_from_break's products, B being the last label: O . ((K_B . break) . R)
+    # the channel the broken process induces, B being the last label: O . ((K_B . break) . R)
     broken_b = instruments[:, -1] @ reset
     lifted = broken_b @ lifting
     lambda_b = readout @ lifted
@@ -580,8 +511,8 @@ def random_break_stacks(rng: np.random.Generator, count: int) -> Iterator[Proces
     return _random_stacks(rng, count, _draw_break, _break_stack)
 
 
-def random_factoring_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
-    """Random comb whose second step factors through the observable.
+def random_factoring_comb(rng: np.random.Generator) -> tuple[Comb, str, np.ndarray]:
+    """Random comb whose second step factors through the observable, with its (C, C) channel.
 
     The kernel for the second instrument is built as (lift back from the
     observable) after (observe), so a single observable channel reproduces
@@ -589,14 +520,12 @@ def random_factoring_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
     one-process case of ``random_factoring_stacks``.
     """
     [stack] = random_factoring_stacks(rng, 1)
-    n_o, n_s = stack.observation.shape[1:]
-    state, obs = Space(f"S{n_s}", n_s), Space(f"O{n_o}", n_o)
-    comb = Comb(stack.prior[0], stack.labels, stack.instruments[0], Kernel(stack.observation[0], state, obs))
-    return comb, B_LABEL, Kernel(stack.lambda_b[0], obs, obs)
+    comb = Comb(stack.prior[0], stack.labels, stack.instruments[0], stack.observation[0])
+    return comb, B_LABEL, stack.lambda_b[0]
 
 
-def random_break_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
-    """Random product-space comb where the buffer reset restores the channel.
+def random_break_comb(rng: np.random.Generator) -> tuple[Comb, str, np.ndarray]:
+    """Random product-space comb where the buffer reset restores the channel, with that (C, C) channel.
 
     The observation reveals the parameter component, the break resets the
     buffer, and the lifting sends an observed parameter to (parameter, 0);
@@ -604,11 +533,8 @@ def random_break_comb(rng: np.random.Generator) -> tuple[Comb, str, Kernel]:
     second-step kernel.  The one-process case of ``random_break_stacks``.
     """
     [stack] = random_break_stacks(rng, 1)
-    n_t, size = stack.observation.shape[1:]
-    n_u = size // n_t
-    observation = theta_readout_kernel(n_t, n_u)
-    comb = Comb(stack.prior[0], stack.labels, stack.instruments[0], observation, buffer_reset_kernel(n_t, n_u))
-    return comb, B_LABEL, Kernel(stack.lambda_b[0], comb.obs_space, comb.obs_space)
+    comb = Comb(stack.prior[0], stack.labels, stack.instruments[0], stack.observation[0], stack.break_kernel[0])
+    return comb, B_LABEL, stack.lambda_b[0]
 
 
 def instrument_pairs(comb: Comb) -> list[tuple[str, str]]:
@@ -628,11 +554,10 @@ def memoryful_demo_comb() -> tuple[Comb, tuple[str, str], str]:
     """
     n_t, n_u = 2, 2
     flip_prob = 0.3
-    state = product_state_space(n_t, n_u)
-    observation = theta_readout_kernel(n_t, n_u)
+    size = n_t * n_u
 
     def first_step(buffer_value: int) -> np.ndarray:
-        m = np.zeros((state.size, state.size))
+        m = np.zeros((size, size))
         for i in range(n_t):
             for j in range(n_u):
                 src = i * n_u + j
@@ -640,19 +565,19 @@ def memoryful_demo_comb() -> tuple[Comb, tuple[str, str], str]:
                 m[(1 - i) * n_u + buffer_value, src] += flip_prob
         return m
 
-    b_matrix = np.zeros((state.size, state.size))
+    b_matrix = np.zeros((size, size))
     for i in range(n_t):
         # buffer 0: keep the parameter; buffer 1: flip it.
         b_matrix[i * n_u + 0, i * n_u + 0] = 1.0
         b_matrix[(1 - i) * n_u + 1, i * n_u + 1] = 1.0
 
-    prior = np.zeros(state.size)
+    prior = np.zeros(size)
     prior[0] = 1.0
     comb = Comb(
         prior=prior,
         labels=("A", "Aprime", B_LABEL),
         instruments=np.array([first_step(0), first_step(1), b_matrix]),
-        observation=observation,
+        observation=theta_readout_kernel(n_t, n_u),
         break_kernel=buffer_reset_kernel(n_t, n_u),
     )
     return comb, ("A", "Aprime"), B_LABEL

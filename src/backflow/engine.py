@@ -11,7 +11,11 @@ measurement is the pair of mean probe divergences before and after B,
 
 and the per-repeat back-flow delta = d2 - d1 for each divergence kind.
 A positive mean delta certifies that no single fixed channel maps the
-mid-time probe laws to the post-B laws.
+mid-time probe laws to the post-B laws: the probe laws are not Markov, with
+the parameters counted as memory.  Only the break condition attributes that
+memory to optimizer state; plain SGD with momentum 0 can show a positive
+mean delta too (``test_witness_fires_without_optimizer_state`` in the
+protocol tests is the measured counterexample).
 
 One trainer (``_two_phase``) runs the protocol for pairs of parameter
 rows: a first phase from zero velocity, then at each of a list of switch

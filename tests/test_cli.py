@@ -830,28 +830,27 @@ def test_oracle_stdout_matches_the_one_process_makers(capsys):
 
 
 def test_oracle_validation_scales_with_shape_groups_not_processes(monkeypatch, capsys):
-    calls = {"checks": 0, "kernels": 0}
-    check_stochastic, kernel_post_init = comb_mod._check_stochastic, comb_mod.Kernel.__post_init__
+    calls = {"checks": 0}
+    check_stochastic = comb_mod._check_stochastic
 
     def counted_check(*args):
         calls["checks"] += 1
         return check_stochastic(*args)
 
-    def counted_post_init(self):
-        calls["kernels"] += 1
-        return kernel_post_init(self)
-
     monkeypatch.setattr(comb_mod, "_check_stochastic", counted_check)
-    monkeypatch.setattr(comb_mod.Kernel, "__post_init__", counted_post_init)
+    size_makers = (comb_mod.buffer_reset_kernel, comb_mod.theta_readout_kernel, comb_mod.theta_lifting_kernel)
     # 15 factoring and 6 break sizes, five checked roles per stack; the constant is the
-    # three size-only kernels of each break size, built once per process
+    # three size-only kernels of each break size, each built and checked once
     groups, roles, size_only = 15 + 6, 5, 3 * 6
     for count in (400, 800):
-        calls.update(checks=0, kernels=0)
+        calls.update(checks=0)
+        for make in size_makers:
+            make.cache_clear()
         assert main(["oracle", "--seed", "0", "--count", str(count)]) == 0
         chunks = -(-count // comb_mod._CHUNK)
         assert calls["checks"] <= chunks * groups * roles + size_only, (count, calls)
-        assert calls["kernels"] <= size_only, (count, calls)
+        misses = sum(make.cache_info().misses for make in size_makers)
+        assert misses <= size_only, (count, misses)
     capsys.readouterr()
 
 

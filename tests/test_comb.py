@@ -1,3 +1,4 @@
+import re
 import struct
 from types import SimpleNamespace
 
@@ -9,19 +10,12 @@ from backflow.comb import (
     B_LABEL,
     _laws,
     Comb,
-    Kernel,
     ProcessStack,
-    Space,
     buffer_reset_kernel,
-    channel_from_break,
     instrument_pairs,
-    link,
     memoryful_demo_comb,
-    product_state_space,
     random_break_comb,
     random_factoring_comb,
-    random_prior,
-    random_stochastic,
     search_backflow_witness,
     theta_lifting_kernel,
     theta_readout_kernel,
@@ -30,8 +24,20 @@ from backflow.comb import (
 from backflow.divergences import KINDS, div_row
 
 
-def identity_kernel(space):
-    return Kernel(np.eye(space.size), space, space)
+def random_stochastic(rng, *shape):
+    """A random column-stochastic (n_to, n_from) matrix from one generator call, or a stack of them."""
+    m = rng.random(shape) + 1e-3
+    return m / m.sum(axis=-2, keepdims=True)
+
+
+def random_prior(rng, n):
+    p = rng.random(n) + 1e-3
+    return p / p.sum()
+
+
+def break_channel(comb, lifting):
+    """O . ((K_B . break) . R), the channel of a break comb whose last label is B, as the break maker forms it."""
+    return comb.observation @ ((comb.instruments[-1] @ comb.break_kernel) @ lifting)
 
 
 def comb_laws(comb, first_labels, second_label, break_before_second):
@@ -52,94 +58,109 @@ def two_time_laws(comb, i0, i1, break_before_second=False):
     return phi1[0, 0], phi2[0, 0]
 
 
-def test_link_identity():
-    rng = np.random.default_rng(0)
-    s = Space("s", 3)
-    k = Kernel(random_stochastic(rng, 3, 3), s, s)
-    assert np.array_equal(link(identity_kernel(s), k).matrix, k.matrix)
-    assert np.array_equal(link(k, identity_kernel(s)).matrix, k.matrix)
+def factoring_stack(rng, n_s, n_o, observation):
+    """``_factoring_stack`` of one process from the raw ``observation`` and uniform draws, and its lift.
+
+    The maker normalizes its draws in place, so the lift returned is the one the process used.
+    """
+    first = rng.random((1, len(comb_mod._RANDOM_LABELS) - 1, n_s, n_s))
+    lift = rng.random((1, n_s, n_o))
+    return comb_mod._factoring_stack((n_s, n_o), (0,), observation[None], lift, first, rng.random((1, n_s))), lift[0]
 
 
 def test_link_constant_kernel_absorbs():
+    # a constant observation: B = lift . observation has equal columns, and the channel
+    # observation . lift is the observation's one column, whatever the lift
     rng = np.random.default_rng(1)
-    s = Space("s", 4)
-    column = random_prior(rng, 4)
-    constant = Kernel(np.tile(column[:, None], (1, 4)), s, s)
-    k = Kernel(random_stochastic(rng, 4, 4), s, s)
-    linked = link(constant, k)
-    assert np.allclose(linked.matrix, np.tile(column[:, None], (1, 4)), atol=1e-15)
+    column = rng.random(3)
+    stack, _ = factoring_stack(rng, 4, 3, np.tile(column[:, None], (1, 4)))
+    observation, k_b, lam = stack.observation[0], stack.instruments[0, -1], stack.lambda_b[0]
+    assert np.allclose(observation, observation[:, :1], atol=1e-15)
+    assert np.allclose(k_b, k_b[:, :1], atol=1e-15)
+    assert np.allclose(lam, np.tile(observation[:, :1], (1, 3)), atol=1e-15)
 
 
 def test_link_matches_double_sum():
+    # the makers' kernel products, entry by entry over the latent and observable states between
     rng = np.random.default_rng(2)
-    s = Space("s", 3)
-    k1 = Kernel(random_stochastic(rng, 3, 3), s, s)
-    k2 = Kernel(random_stochastic(rng, 3, 3), s, s)
-    linked = link(k2, k1)
-    for a in range(3):
-        for c in range(3):
-            total = sum(k2.matrix[c, b] * k1.matrix[b, a] for b in range(3))
-            assert linked.matrix[c, a] == pytest.approx(total, abs=1e-12)
-
-
-def test_link_associative():
-    rng = np.random.default_rng(3)
-    s = Space("s", 5)
-    ks = [Kernel(random_stochastic(rng, 5, 5), s, s) for _ in range(3)]
-    left = link(ks[2], link(ks[1], ks[0]))
-    right = link(link(ks[2], ks[1]), ks[0])
-    assert np.allclose(left.matrix, right.matrix, atol=1e-12)
-
-
-def test_link_space_mismatch():
-    s3, s4 = Space("a", 3), Space("b", 4)
-    rng = np.random.default_rng(4)
-    k1 = Kernel(random_stochastic(rng, 3, 3), s3, s3)
-    k2 = Kernel(random_stochastic(rng, 4, 4), s4, s4)
-    with pytest.raises(ValueError, match="space mismatch"):
-        link(k2, k1)
+    n_s, n_o = 3, 2
+    stack, lift = factoring_stack(rng, n_s, n_o, rng.random((n_o, n_s)))
+    observation, k_b, lam = stack.observation[0], stack.instruments[0, -1], stack.lambda_b[0]
+    assert np.allclose(lift.sum(axis=0), 1.0, atol=1e-15)
+    for a in range(n_s):
+        for c in range(n_s):
+            assert k_b[c, a] == pytest.approx(sum(lift[c, o] * observation[o, a] for o in range(n_o)), abs=1e-12)
+    for a in range(n_o):
+        for c in range(n_o):
+            assert lam[c, a] == pytest.approx(sum(observation[c, s] * lift[s, a] for s in range(n_s)), abs=1e-12)
+    for _ in range(5):
+        comb, _, lam = random_break_comb(rng)
+        n_t, size = comb.observation.shape
+        lifting = theta_lifting_kernel(n_t, size // n_t)
+        k_b, reset, observation = comb.instruments[-1], comb.break_kernel, comb.observation
+        for a in range(n_t):
+            for c in range(n_t):
+                total = sum(
+                    observation[c, s2] * k_b[s2, s1] * reset[s1, s0] * lifting[s0, a]
+                    for s2 in range(size)
+                    for s1 in range(size)
+                    for s0 in range(size)
+                )
+                assert lam[c, a] == pytest.approx(total, abs=1e-12)
 
 
 def test_kernel_validation():
-    s = Space("s", 2)
-    with pytest.raises(ValueError, match="columns do not sum"):
-        Kernel(np.array([[0.5, 0.5], [0.4, 0.5]]), s, s)
-    with pytest.raises(ValueError, match="negative"):
-        Kernel(np.array([[1.2, 0.5], [-0.2, 0.5]]), s, s)
-    with pytest.raises(ValueError, match="shape"):
-        Kernel(np.eye(3), s, s)
-    with pytest.raises(ValueError, match="non-finite entries"):
-        Kernel(np.array([[np.nan, 0.5], [np.nan, 0.5]]), s, s)
-    with pytest.raises(ValueError, match="max deviation inf"):
-        Kernel(np.array([[np.inf, 0.5], [0.0, 0.5]]), s, s)
-    # an empty column fails its sum; a matrix of no columns has none to fail
-    empty = Space("e", 0)
-    with pytest.raises(ValueError, match="columns do not sum"):
-        Kernel(np.zeros((0, 2)), s, empty)
-    Kernel(np.zeros((2, 0)), empty, s)
-    # the fixed-size pieces are built once and shared read-only
-    for make in (buffer_reset_kernel, theta_readout_kernel, theta_lifting_kernel):
+    # every kernel a comb or a stack takes is validated: the observation, the break kernel and each channel
+    prior, stack = np.array([0.5, 0.5]), np.eye(2)[None]
+    good = Comb(prior, (B_LABEL,), stack, np.eye(2), np.eye(2))
+    for matrix, message in (
+        (np.array([[0.5, 0.5], [0.4, 0.5]]), "columns do not sum"),
+        (np.array([[1.2, 0.5], [-0.2, 0.5]]), "negative entries"),
+        (np.array([[np.nan, 0.5], [np.nan, 0.5]]), "non-finite entries"),
+        (np.array([[np.inf, 0.5], [0.0, 0.5]]), r"columns do not sum to 1 \(max deviation inf\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^observation: {message}"):
+            Comb(prior, (B_LABEL,), stack, matrix)
+        with pytest.raises(ValueError, match=f"^break kernel: {message}"):
+            Comb(prior, (B_LABEL,), stack, np.eye(2), matrix)
+        with pytest.raises(ValueError, match=f"^channel 1: {message}"):
+            ProcessStack.of([good, good], [], B_LABEL, [np.eye(2), matrix])
+    # the wrong shape, an empty kernel included; an empty observation has empty columns, which fail their sums
+    for matrix in (np.eye(3), np.full((2, 3), 0.5), np.zeros((0, 2)), np.eye(2)[None]):
+        shape = re.escape(str(matrix.shape))
+        with pytest.raises(ValueError, match=rf"^break kernel shape {shape} does not match \(2, 2\)$"):
+            Comb(prior, (B_LABEL,), stack, np.eye(2), matrix)
+        with pytest.raises(ValueError, match=rf"^channel 0 shape {shape} does not match \(2, 2\)$"):
+            ProcessStack.of([good], [], B_LABEL, [matrix])
+    with pytest.raises(ValueError, match="^observation: columns do not sum"):
+        Comb(prior, (), np.zeros((0, 2, 2)), np.zeros((0, 2)))
+    for matrix in (np.eye(2)[None], np.ones(2)):
+        with pytest.raises(ValueError, match=rf"^observation shape {re.escape(str(matrix.shape))} does not match a"):
+            Comb(prior, (B_LABEL,), stack, matrix)
+    # the fixed-size pieces are built once, validated, and shared read-only
+    for make, shape in ((buffer_reset_kernel, (6, 6)), (theta_readout_kernel, (3, 6)), (theta_lifting_kernel, (6, 3))):
         kernel = make(3, 2)
         assert make(3, 2) is kernel
+        assert kernel.shape == shape and kernel.dtype == np.float64
+        assert np.array_equal(kernel.sum(axis=0), np.ones(shape[1]))
         with pytest.raises(ValueError, match="read-only"):
-            kernel.matrix[0, 0] = 0.5
-    assert product_state_space(3, 2) == Space("S(3x2)", 6)
+            kernel[0, 0] = 0.5
+    assert np.array_equal(theta_readout_kernel(3, 2) @ theta_lifting_kernel(3, 2), np.eye(3))
 
 
 def test_prior_validation():
-    s = Space("s", 2)
     labels, stack = ("I",), np.eye(2)[None]
     with pytest.raises(ValueError, match="prior: non-finite entries"):
-        Comb(np.array([np.nan, 1.0]), labels, stack, identity_kernel(s))
+        Comb(np.array([np.nan, 1.0]), labels, stack, np.eye(2))
     with pytest.raises(ValueError, match="prior: negative entries"):
-        Comb(np.array([-0.5, 1.5]), labels, stack, identity_kernel(s))
+        Comb(np.array([-0.5, 1.5]), labels, stack, np.eye(2))
     with pytest.raises(ValueError, match="prior: columns do not sum"):
-        Comb(np.array([0.5, 0.6]), labels, stack, identity_kernel(s))
+        Comb(np.array([0.5, 0.6]), labels, stack, np.eye(2))
     # the instrument stack is validated as a whole; a failure names the first bad label
     prior = np.array([0.5, 0.5])
     good = random_stochastic(np.random.default_rng(0), 3, 2, 2)
     three = ("I0", "I1", "I2")
-    Comb(prior, three, good, identity_kernel(s))
+    Comb(prior, three, good, np.eye(2))
     for value, message in (
         (-0.1, "negative entries"),
         (np.nan, "non-finite entries"),
@@ -152,57 +173,58 @@ def test_prior_validation():
         else:
             bad[1, 1, 0] = value
         with pytest.raises(ValueError, match=f"instrument 'I1': {message}"):
-            Comb(prior, three, bad, identity_kernel(s))
+            Comb(prior, three, bad, np.eye(2))
         bad[2] = bad[1]
         with pytest.raises(ValueError, match=f"instrument 'I1': {message}"):
-            Comb(prior, three, bad, identity_kernel(s))
+            Comb(prior, three, bad, np.eye(2))
     for labels, instruments in ((three[:2], good), (three, np.ones((3, 2, 3)) / 2), (three, good[0])):
         with pytest.raises(ValueError, match="instrument stack shape"):
-            Comb(prior, labels, instruments, identity_kernel(s))
+            Comb(prior, labels, instruments, np.eye(2))
     with pytest.raises(ValueError, match="duplicate instrument label 'I0'"):
-        Comb(prior, ("I0", "I1", "I0"), good, identity_kernel(s))
+        Comb(prior, ("I0", "I1", "I0"), good, np.eye(2))
     # an empty stack passes, as a comb of no instruments did
-    assert Comb(prior, (), np.zeros((0, 2, 2)), identity_kernel(s)).labels == ()
+    assert Comb(prior, (), np.zeros((0, 2, 2)), np.eye(2)).labels == ()
 
 
 def test_comb_checks_its_pieces_against_the_observation_spaces():
-    s, o, t = Space("s", 3), Space("o", 2), Space("t", 3)
+    # a comb's sizes are its (C, S) observation's: S latent states, C observables
     rng = np.random.default_rng(25)
-    observation = Kernel(random_stochastic(rng, 2, 3), s, o)
+    observation = random_stochastic(rng, 2, 3)
     stack = random_stochastic(rng, 1, 3, 3)
     with pytest.raises(ValueError, match="prior length does not match state space"):
         Comb(random_prior(rng, 2), (B_LABEL,), stack, observation)
-    # a space is its name and its size: t is not s
-    for break_kernel in (observation, identity_kernel(o), identity_kernel(t)):
-        with pytest.raises(ValueError, match="break kernel does not act on the state space"):
+    with pytest.raises(ValueError, match=r"instrument stack shape \(1, 2, 2\) does not match 1 labels on 3 states"):
+        Comb(random_prior(rng, 3), (B_LABEL,), random_stochastic(rng, 1, 2, 2), observation)
+    for break_kernel in (observation, np.eye(2), observation.T):
+        with pytest.raises(ValueError, match=r"^break kernel shape \(\d, \d\) does not match \(3, 3\)$"):
             Comb(random_prior(rng, 3), (B_LABEL,), stack, observation, break_kernel)
-    comb = Comb(random_prior(rng, 3), (B_LABEL,), stack, observation, identity_kernel(s))
-    assert (comb.state_space, comb.obs_space) == (s, o)
-    for lifting in (observation, identity_kernel(o), Kernel(random_stochastic(rng, 3, 2), o, t)):
-        with pytest.raises(ValueError, match="lifting kernel must map observables to latent states"):
-            channel_from_break(comb, B_LABEL, lifting)
-    channel_from_break(comb, B_LABEL, Kernel(random_stochastic(rng, 3, 2), o, s))
+    comb = Comb(random_prior(rng, 3), (B_LABEL,), stack, observation, np.eye(3))
+    # a channel maps the observables to themselves
+    for lam in (observation, np.eye(3), observation.T):
+        with pytest.raises(ValueError, match=r"^channel 0 shape \(\d, \d\) does not match \(2, 2\)$"):
+            ProcessStack.of([comb], [], B_LABEL, [lam])
+    assert ProcessStack.of([comb], [], B_LABEL, [np.eye(2)]).lambda_b.shape == (1, 2, 2)
+    # each piece is held as a float64 array
+    ints = Comb([1, 0, 0], (B_LABEL,), np.eye(3, dtype=int)[None], [[1, 1, 1]], np.eye(3, dtype=int))
+    assert [m.dtype for m in (ints.prior, ints.instruments, ints.observation, ints.break_kernel)] == [np.float64] * 4
 
 
 def make_random_comb(rng, n_s=3, n_o=2, n_instruments=3):
-    state = Space("s", n_s)
-    obs = Space("o", n_o)
     return Comb(
         prior=random_prior(rng, n_s),
         labels=tuple(f"I{i}" for i in range(n_instruments)),
         instruments=random_stochastic(rng, n_instruments, n_s, n_s),
-        observation=Kernel(random_stochastic(rng, n_o, n_s), state, obs),
+        observation=random_stochastic(rng, n_o, n_s),
     )
 
 
 def test_two_time_laws_identity_comb():
-    s = Space("s", 4)
     prior = random_prior(np.random.default_rng(5), 4)
     comb = Comb(
         prior=prior,
         labels=("I", "J"),
         instruments=np.array([np.eye(4), np.eye(4)]),
-        observation=identity_kernel(s),
+        observation=np.eye(4),
     )
     phi1, phi2 = two_time_laws(comb, "I", "J")
     assert np.allclose(phi1, prior, atol=1e-15)
@@ -230,8 +252,8 @@ def test_two_time_laws_match_path_enumeration():
     comb = make_random_comb(rng, n_s=4, n_o=3)
     i0, i1 = "I0", "I1"
     phi1, phi2 = two_time_laws(comb, i0, i1)
-    k0, k1 = comb.kernel(i0).matrix, comb.kernel(i1).matrix
-    obs = comb.observation.matrix
+    k0, k1 = comb.instruments[:2]
+    obs = comb.observation
     n_s, n_o = 4, 3
     phi1_naive = np.zeros(n_o)
     phi2_naive = np.zeros(n_o)
@@ -252,44 +274,35 @@ def test_two_time_laws_unknown_label():
         two_time_laws(comb, "nope", "I0")
 
 
+def break_stack(rng, n_t, n_u, k_b=None):
+    """``_break_stack`` of one process of uniform draws, with B's raw draw ``k_b`` when given."""
+    instruments = rng.random((1, len(comb_mod._RANDOM_LABELS), n_t * n_u, n_t * n_u))
+    if k_b is not None:
+        instruments[0, -1] = k_b
+    return comb_mod._break_stack((n_t, n_u), (0,), instruments, rng.random((1, n_t * n_u)))
+
+
 def test_channel_from_break_fully_observed():
-    # identity observation, identity lifting, identity break: channel == K_B
-    rng = np.random.default_rng(9)
-    s = Space("s", 3)
-    k_b = Kernel(random_stochastic(rng, 3, 3), s, s)
-    comb = Comb(
-        prior=random_prior(rng, 3),
-        labels=(B_LABEL,),
-        instruments=k_b.matrix[None],
-        observation=identity_kernel(s),
-        break_kernel=identity_kernel(s),
-    )
-    lam = channel_from_break(comb, B_LABEL, identity_kernel(s))
-    assert np.allclose(lam.matrix, k_b.matrix, atol=1e-15)
+    # no buffer: identity observation, identity lifting, identity break, so the channel is K_B
+    stack = break_stack(np.random.default_rng(9), 3, 1)
+    assert np.array_equal(stack.observation[0], np.eye(3)) and np.array_equal(stack.break_kernel[0], np.eye(3))
+    assert np.allclose(stack.lambda_b[0], stack.instruments[0, -1], atol=1e-15)
 
 
 def test_channel_from_break_constant_b():
     rng = np.random.default_rng(10)
-    n_t, n_u = 3, 2
-    state = product_state_space(n_t, n_u)
-    column = random_prior(rng, state.size)
-    comb = Comb(
-        prior=random_prior(rng, state.size),
-        labels=(B_LABEL,),
-        instruments=np.tile(column[:, None], (1, 1, state.size)),
-        observation=theta_readout_kernel(n_t, n_u),
-        break_kernel=buffer_reset_kernel(n_t, n_u),
-    )
-    lam = channel_from_break(comb, B_LABEL, theta_lifting_kernel(n_t, n_u))
-    assert np.allclose(lam.matrix, lam.matrix[:, :1], atol=1e-14)
+    column = rng.random(6)
+    stack = break_stack(rng, 3, 2, np.tile(column[:, None], (1, 6)))
+    lam = stack.lambda_b[0]
+    assert np.allclose(lam, lam[:, :1], atol=1e-14)
 
 
 def test_channel_from_break_columns_stochastic():
     rng = np.random.default_rng(11)
     for _ in range(20):
         comb, b_label, lam = random_break_comb(rng)
-        assert np.all(lam.matrix >= -1e-12)
-        assert np.allclose(lam.matrix.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(lam >= -1e-12)
+        assert np.allclose(lam.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_verify_no_backflow_equal_pair_is_zero():
@@ -302,11 +315,10 @@ def test_verify_no_backflow_equal_pair_is_zero():
 
 def test_verify_no_backflow_identity_channel_equality_case():
     # With an identity second step on a fully observed process, D2 == D1.
-    s = Space("s", 3)
     rng = np.random.default_rng(13)
     instruments = np.concatenate([random_stochastic(rng, 2, 3, 3), np.eye(3)[None]])
-    comb = Comb(random_prior(rng, 3), ("I0", "I1", B_LABEL), instruments, identity_kernel(s))
-    report = verify_one(comb, [("I0", "I1")], B_LABEL, identity_kernel(s))
+    comb = Comb(random_prior(rng, 3), ("I0", "I1", B_LABEL), instruments, np.eye(3))
+    report = verify_one(comb, [("I0", "I1")], B_LABEL, np.eye(3))
     assert report.applicable[0]
     assert abs(report.max_delta[0]) <= 1e-15
 
@@ -342,11 +354,7 @@ def test_verify_no_backflow_randomized_break_lifting():
 def test_verify_reports_not_applicable_when_channel_wrong():
     rng = np.random.default_rng(16)
     comb, b_label, _ = random_break_comb(rng)
-    n_o = comb.obs_space.size
-    wrong = Kernel(
-        np.roll(np.eye(n_o), 1, axis=0), comb.obs_space, comb.obs_space
-    )
-    report = verify_one(comb, instrument_pairs(comb), b_label, wrong, break_flag=True)
+    report = verify_one(comb, instrument_pairs(comb), b_label, wrong_channel(comb), break_flag=True)
     if report.applicable[0]:  # rolled identity can coincide only on degenerate laws
         assert report.omc_residual[0] <= 1e-10
     else:
@@ -371,19 +379,19 @@ def test_buffer_blind_second_step_has_no_backflow():
     # K_B = (theta transition) x (fresh buffer), independent of the buffer.
     rng = np.random.default_rng(17)
     n_t, n_u = 3, 2
-    state = product_state_space(n_t, n_u)
+    size = n_t * n_u
     theta_map = random_stochastic(rng, n_t, n_t)
     buffer_dist = random_prior(rng, n_u)
-    m = np.zeros((state.size, state.size))
+    m = np.zeros((size, size))
     for i in range(n_t):
         for j in range(n_u):
             for i2 in range(n_t):
                 for j2 in range(n_u):
                     m[i2 * n_u + j2, i * n_u + j] = theta_map[i2, i] * buffer_dist[j2]
     comb = Comb(
-        prior=random_prior(rng, state.size),
+        prior=random_prior(rng, size),
         labels=("A", "Aprime", B_LABEL),
-        instruments=np.concatenate([random_stochastic(rng, 2, state.size, state.size), m[None]]),
+        instruments=np.concatenate([random_stochastic(rng, 2, size, size), m[None]]),
         observation=theta_readout_kernel(n_t, n_u),
     )
     _, _, delta = search_backflow_witness(comb, [("A", "Aprime")], B_LABEL)
@@ -400,19 +408,20 @@ def test_data_processing_on_module_kernels():
     rng = np.random.default_rng(19)
     for _ in range(100):
         comb, b_label, lam = random_factoring_comb(rng)
-        n = comb.obs_space.size
+        n = comb.observation.shape[0]
         p = random_prior(rng, n)
         q = random_prior(rng, n)
         for kind in KINDS:
-            assert div_row(kind, lam.matrix @ p, lam.matrix @ q) <= div_row(kind, p, q) + 1e-12
+            assert div_row(kind, lam @ p, lam @ q) <= div_row(kind, p, q) + 1e-12
 
 
 def reference_laws(comb, i0, i1, break_flag):
     """The laws of (i0, i1) one label at a time, one matrix-vector product per step."""
-    pi1 = comb.kernel(i0).matrix @ comb.prior
-    phi1 = comb.observation.matrix @ pi1
-    mid = comb.break_kernel.matrix @ pi1 if break_flag else pi1
-    phi2 = comb.observation.matrix @ (comb.kernel(i1).matrix @ mid)
+    kernel = dict(zip(comb.labels, comb.instruments))
+    pi1 = kernel[i0] @ comb.prior
+    phi1 = comb.observation @ pi1
+    mid = comb.break_kernel @ pi1 if break_flag else pi1
+    phi2 = comb.observation @ (kernel[i1] @ mid)
     return phi1 / phi1.sum(), phi2 / phi2.sum()
 
 
@@ -420,7 +429,7 @@ def reference_residual(comb, labels, b_label, lam, break_flag):
     residual = 0.0
     for label in labels:
         phi1, phi2 = reference_laws(comb, label, b_label, break_flag)
-        predicted = lam.matrix @ phi1
+        predicted = lam @ phi1
         predicted = predicted / predicted.sum()
         residual = max(residual, float(0.5 * np.abs(predicted - phi2).sum()))
     return residual
@@ -471,7 +480,7 @@ def test_stacked_pair_deltas_match_div_row_loop_bitwise():
             if break_flag:  # the memoryful direction: no channel, witness only
                 check_against_reference(comb, pairs, b_label, None, kinds, False)
     comb, pair, b_label = memoryful_demo_comb()
-    lam = channel_from_break(comb, b_label, theta_lifting_kernel(2, 2))
+    lam = break_channel(comb, theta_lifting_kernel(2, 2))
     for kinds in kind_sets:
         check_against_reference(comb, [pair], b_label, None, kinds, False)
         check_against_reference(comb, [pair, pair[::-1]], b_label, lam, kinds, True)
@@ -480,7 +489,7 @@ def test_stacked_pair_deltas_match_div_row_loop_bitwise():
 def check_laws_against_reference(comb, b_label, break_flag):
     labels = sorted(comb.labels)
     phi1, phi2 = comb_laws(comb, labels, b_label, break_flag)
-    assert phi1.shape == phi2.shape == (1, len(labels), comb.obs_space.size)
+    assert phi1.shape == phi2.shape == (1, len(labels), comb.observation.shape[0])
     for i, label in enumerate(labels):
         ref1, ref2 = reference_laws(comb, label, b_label, break_flag)
         assert np.array_equal(phi1[0, i], ref1) and np.array_equal(phi2[0, i], ref2)
@@ -503,65 +512,45 @@ def test_stacked_laws_match_per_label_loop_bitwise():
         check_laws_against_reference(comb, b_label, break_flag)
 
 
-def parent_random_stochastic(rng, n_to, n_from):
-    m = rng.random((n_to, n_from)) + 1e-3
-    return m / m.sum(axis=0, keepdims=True)
-
-
-def parent_random_prior(rng, n):
-    p = rng.random(n) + 1e-3
-    return p / p.sum()
-
-
 def per_label_comb(prior, kernels, observation, break_kernel):
-    """A comb of one ``Kernel`` per label, as the ``reference_*`` helpers read it."""
+    """A comb of one matrix per label, as the ``reference_*`` helpers read it."""
     return SimpleNamespace(
         prior=prior,
         labels=tuple(kernels),
-        kernel=kernels.__getitem__,
+        instruments=list(kernels.values()),
         observation=observation,
         break_kernel=break_kernel,
     )
 
 
 def parent_factoring_process(rng, max_states=6, max_obs=4, n_instruments=5):
-    """The factoring maker as one generator call and one ``Kernel`` per matrix."""
+    """The factoring maker as one generator call per matrix and one matrix product per composition."""
     n_s = int(rng.integers(2, max_states + 1))
     n_o = int(rng.integers(2, max_obs + 1))
-    state = Space(f"S{n_s}", n_s)
-    obs = Space(f"O{n_o}", n_o)
-    observation = Kernel(parent_random_stochastic(rng, n_o, n_s), state, obs)
-    lift = Kernel(parent_random_stochastic(rng, n_s, n_o), obs, state)
-    kernels = {
-        f"I{i}": Kernel(parent_random_stochastic(rng, n_s, n_s), state, state)
-        for i in range(n_instruments)
-    }
-    kernels[B_LABEL] = link(lift, observation)
-    prior = parent_random_prior(rng, n_s)
-    return per_label_comb(prior, kernels, observation, None), link(observation, lift)
+    observation = random_stochastic(rng, n_o, n_s)
+    lift = random_stochastic(rng, n_s, n_o)
+    kernels = {f"I{i}": random_stochastic(rng, n_s, n_s) for i in range(n_instruments)}
+    kernels[B_LABEL] = lift @ observation
+    prior = random_prior(rng, n_s)
+    return per_label_comb(prior, kernels, observation, None), observation @ lift
 
 
 def parent_break_process(rng, max_theta=4, max_upsilon=3, n_instruments=5):
-    """The break maker as one generator call and one ``Kernel`` per matrix."""
+    """The break maker as one generator call per matrix and one matrix product per composition."""
     n_t = int(rng.integers(2, max_theta + 1))
     n_u = int(rng.integers(2, max_upsilon + 1))
-    state = product_state_space(n_t, n_u)
+    size = n_t * n_u
     observation = theta_readout_kernel(n_t, n_u)
-    kernels = {
-        f"I{i}": Kernel(parent_random_stochastic(rng, state.size, state.size), state, state)
-        for i in range(n_instruments)
-    }
-    kernels[B_LABEL] = Kernel(parent_random_stochastic(rng, state.size, state.size), state, state)
-    prior = parent_random_prior(rng, state.size)
+    kernels = {f"I{i}": random_stochastic(rng, size, size) for i in range(n_instruments)}
+    kernels[B_LABEL] = random_stochastic(rng, size, size)
+    prior = random_prior(rng, size)
     reset = buffer_reset_kernel(n_t, n_u)
-    broken_b = link(kernels[B_LABEL], reset)
-    lambda_b = link(observation, link(broken_b, theta_lifting_kernel(n_t, n_u)))
+    lambda_b = observation @ ((kernels[B_LABEL] @ reset) @ theta_lifting_kernel(n_t, n_u))
     return per_label_comb(prior, kernels, observation, reset), lambda_b
 
 
 def assert_same_kernel(kernel, reference):
-    assert kernel.matrix.tobytes() == reference.matrix.tobytes()
-    assert (kernel.from_space, kernel.to_space) == (reference.from_space, reference.to_space)
+    assert kernel.shape == reference.shape and kernel.tobytes() == reference.tobytes()
 
 
 def test_makers_match_per_matrix_recipe_bitwise():
@@ -577,14 +566,9 @@ def test_makers_match_per_matrix_recipe_bitwise():
                 reference, reference_lam = parent_maker(reference_rng)
                 assert rng.bit_generator.state == reference_rng.bit_generator.state
                 assert comb.labels == reference.labels
-                stack = np.array([reference.kernel(label).matrix for label in reference.labels])
-                assert comb.instruments.tobytes() == stack.tobytes()
+                assert comb.instruments.tobytes() == np.array(reference.instruments).tobytes()
                 assert comb.prior.tobytes() == reference.prior.tobytes()
                 assert_same_kernel(comb.observation, reference.observation)
-                assert (comb.state_space, comb.obs_space) == (
-                    reference.observation.from_space,
-                    reference.observation.to_space,
-                )
                 if break_flag:
                     assert_same_kernel(comb.break_kernel, reference.break_kernel)
                 else:
@@ -626,12 +610,7 @@ def reference_report(process, kinds, break_flag, tol=1e-10):
 
 
 def wrong_channel(comb):
-    n_o = comb.obs_space.size
-    return Kernel(np.roll(np.eye(n_o), 1, axis=0), comb.obs_space, comb.obs_space)
-
-
-def comb_sizes(comb):
-    return comb.state_space.size, comb.obs_space.size
+    return np.roll(np.eye(comb.observation.shape[0]), 1, axis=0)
 
 
 def same_size_processes(maker, rng, count):
@@ -639,7 +618,7 @@ def same_size_processes(maker, rng, count):
     found = []
     while len(found) < count:
         comb, _, lam = maker(rng)
-        if not found or comb_sizes(comb) == comb_sizes(found[0][0]):
+        if not found or comb.observation.shape == found[0][0].observation.shape:
             found.append((comb, lam))
     return found
 
@@ -652,7 +631,7 @@ def stack_of(processes, pairs):
 def test_batch_reports_match_per_process_reference_bitwise():
     rng = np.random.default_rng(23)
     demo, demo_pair, demo_b = memoryful_demo_comb()
-    demo_lam = channel_from_break(demo, demo_b, theta_lifting_kernel(2, 2))
+    demo_lam = break_channel(demo, theta_lifting_kernel(2, 2))
     assert demo_b == B_LABEL
     for break_flag in (False, True):
         # (processes, pairs, whether each channel holds): the demo's lifted channel holds only after the break
@@ -699,7 +678,7 @@ def test_process_stack_of_refuses_combs_of_another_shape():
     with pytest.raises(ValueError, match=r"^comb 1: labels and sizes \(\('I1', 'I0',"):
         ProcessStack.of([comb, swapped], pairs, b_label, [lam, lam])
     other, _, other_lam = random_factoring_comb(rng)
-    while comb_sizes(other) == comb_sizes(comb):
+    while other.observation.shape == comb.observation.shape:
         other, _, other_lam = random_factoring_comb(rng)
     with pytest.raises(ValueError, match=r"^comb 2: labels and sizes .* differ from comb 0's"):
         ProcessStack.of([comb, comb, other], pairs, b_label, [lam, lam, other_lam])
@@ -737,6 +716,12 @@ def test_verify_no_backflow_reads_processes_one_chunk_at_a_time(monkeypatch):
     # ... and a process is drawn once every stack of the earlier chunks is checked
     assert drawn == [sum(end <= i for end in ends) for i in range(3 * chunk)]
     assert verify_no_backflow(iter([])) == []
+
+
+def test_verify_no_backflow_refuses_a_stack_without_a_channel():
+    comb, pair, b_label = memoryful_demo_comb()
+    with pytest.raises(ValueError, match=r"^stack has no channel \(lambda_b\) to verify$"):
+        verify_no_backflow([ProcessStack.of([comb], [pair], b_label, None)])
 
 
 def test_search_backflow_witness_empty_pair_list():
@@ -798,18 +783,18 @@ def test_chunk_makers_draw_and_verify_as_the_one_process_makers_bitwise(monkeypa
                     reference, reference_lam = references[i]
                     pairs = instrument_pairs(comb)
                     assert (stack.labels, list(stack.pairs), stack.b_label) == (comb.labels, pairs, b_label)
-                    stacked = np.array([reference.kernel(label).matrix for label in reference.labels])
+                    stacked = np.array(reference.instruments)
                     assert stack.instruments[g].tobytes() == comb.instruments.tobytes() == stacked.tobytes()
                     assert stack.prior[g].tobytes() == comb.prior.tobytes() == reference.prior.tobytes()
                     observation = stack.observation[g % len(stack.observation)]
-                    assert observation.tobytes() == reference.observation.matrix.tobytes()
+                    assert observation.tobytes() == reference.observation.tobytes()
                     if break_flag:
                         assert stack.break_kernel[g % len(stack.break_kernel)].tobytes() == (
-                            reference.break_kernel.matrix.tobytes()
+                            reference.break_kernel.tobytes()
                         )
                     else:
                         assert stack.break_kernel is None
-                    assert stack.lambda_b[g].tobytes() == lam.matrix.tobytes() == reference_lam.matrix.tobytes()
+                    assert stack.lambda_b[g].tobytes() == lam.tobytes() == reference_lam.tobytes()
                     expected = reference_report((reference, pairs, b_label, reference_lam), KINDS, break_flag)
                     assert stack_report_bits(report, g, pairs, KINDS) == expected
                     assert expected[0]

@@ -444,6 +444,37 @@ def test_run_sweep_zero_variance_early_stops_at_floor(tmp_path):
     assert cell["metrics"]["tv"]["ci_low"] == 0.0 == cell["metrics"]["tv"]["ci_high"]
 
 
+def test_witness_fires_without_optimizer_state(tmp_path):
+    # A measured property of this data: plain SGD (momentum 0) at a large step shows a positive
+    # delta, so a positive delta alone does not attribute the memory to optimizer state. The
+    # parameters carry it; with no buffer, the break changes nothing it reads.
+    # Measured: mean TV delta +0.128149, CI [+0.060424, +0.196347].
+    regime = {"name": "mu0", "k": 1, "lr": 3.0, "momentum": 0.0, "aug_a": "blur", "aug_aprime": "none",
+              "aug_b": "color", "overlap": 1.0, "same_classes": True}
+    config = config_from_mapping(sweep_mapping(
+        tmp_path,
+        dataset={"kind": "synthetic", "input_dim": 32, "num_classes": 10, "per_class": 100, "seed": 0},
+        model={"kind": "mlp1", "input_dim": 32, "num_classes": 10, "hidden_dim": 32, "activation": "relu"},
+        base_stage="early",
+        optimizer={"weight_decay": 0.0, "clip_norm": None},
+        regimes=[regime],
+        repeats=16,
+        batch_size=64,
+        probe_size=128,
+        diagnostics={"enabled": False},
+    ))
+    result = run_sweep(config, created_at="pinned")
+    assert [cell["break"] for cell in result.summary["cells"]] == ["no", "break"]
+    for cell in result.summary["cells"]:
+        assert cell["metrics"]["tv"]["ci_low"] > 0, cell["break"]
+    no, brk = (read_jsonl(result.run_dir / cell_filename("mu0", flag, 0))[1] for flag in ("no", "break"))
+    assert len(no) == len(brk) == 16
+    for record_no, record_break in zip(no, brk):
+        assert record_no["repeat_id"] == record_break["repeat_id"]
+        for key in ("d1", "d2", "delta"):
+            assert record_no[key] == record_break[key], (record_no["repeat_id"], key)
+
+
 def artifact_bytes(run_dir):
     """Every artifact of a run but config.json, which echoes output_dir."""
     return {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file() and p.name != "config.json"}
